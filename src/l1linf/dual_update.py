@@ -58,61 +58,60 @@ class DualUpdateResult:
 
 def dual_direction(ctx: DualContext, I_D: IndexSet, J_D: IndexSet) -> SolveReport:
     """Descent direction on the dual support: orthogonal to all active
-    columns, unit inner product with the residual signs."""
+    columns, unit inner product with the residual signs.
+
+    One kernel solve of B d = -s_{I_D} with B = A^{I_D}_{J_D}: the direction
+    is the Fredholm alternative e = -w / ||w||^2.  The report's
+    ``alternative`` is the kernel report of d, which ``dual_multipliers``
+    reads when no direction exists."""
     rows_i = I_D.array
-    m = np.vstack([ctx.A[rows_i][:, J_D.array].T,
-                   ctx.residual_signs[rows_i][None, :]])
-    rhs = np.zeros(len(J_D) + 1)
-    rhs[-1] = 1.0
-    report = solve_consistent(m, rhs)
-    if report.consistent:
+    kernel = solve_consistent(ctx.A[np.ix_(rows_i, J_D.array)],
+                              -ctx.residual_signs[rows_i])
+    found = kernel.alternative
+    e = None
+    if found.consistent:
         e = np.zeros(ctx.m)
-        e[rows_i] = report.solution
-        return SolveReport(e, report.residual_norm, True)
-    return report
+        e[rows_i] = -found.solution
+    return SolveReport(e, found.residual_norm, found.consistent, alternative=kernel)
 
 
 def dual_step(ctx: DualContext, e: np.ndarray, psi: np.ndarray,
               I_D: IndexSet, J_D: IndexSet) -> tuple[float, IndexSet, IndexSet]:
     """Largest feasible step along e; returns (alpha, columns hitting the
     unit bound, support rows hitting zero)."""
-    in_jd = np.zeros(ctx.n, dtype=bool)
-    in_jd[J_D.array] = True
     col_e = ctx.A.T @ e
     col_psi = ctx.A.T @ psi
-    ratios_cols: list[tuple[float, int]] = []
-    for j in range(ctx.n):
-        if in_jd[j]:
-            continue
-        v = col_e[j]
-        if v > ZERO_STEP_TOL:
-            ratios_cols.append((max((1.0 - col_psi[j]) / v, 0.0), j))
-        elif v < -ZERO_STEP_TOL:
-            ratios_cols.append((max((1.0 + col_psi[j]) / (-v), 0.0), j))
-    ratios_rows: list[tuple[float, int]] = []
-    for i in I_D:
-        if ctx.residual_signs[i] * e[i] < -ZERO_STEP_TOL:
-            ratios_rows.append((max(-psi[i] / e[i], 0.0), i))
-    if not ratios_cols and not ratios_rows:
+    free = np.ones(ctx.n, dtype=bool)
+    free[J_D.array] = False
+    up = free & (col_e > ZERO_STEP_TOL)
+    down = free & (col_e < -ZERO_STEP_TOL)
+    col_r = np.full(ctx.n, np.inf)
+    col_r[up] = np.maximum((1.0 - col_psi[up]) / col_e[up], 0.0)
+    col_r[down] = np.maximum((1.0 + col_psi[down]) / (-col_e[down]), 0.0)
+    rows_i = I_D.array
+    rows_i = rows_i[ctx.residual_signs[rows_i] * e[rows_i] < -ZERO_STEP_TOL]
+    row_r = np.maximum(-psi[rows_i] / e[rows_i], 0.0)
+    if not (up.any() or down.any() or rows_i.size):
         raise UnboundedDirectionError("dual subproblem direction is unblocked")
-    alpha = min(r for r, _ in ratios_cols + ratios_rows)
+    alpha = float(min(col_r.min(), row_r.min(initial=np.inf)))
     width = alpha + TIE_RTOL * (1.0 + alpha)
-    new_cols = IndexSet.from_iterable((j for r, j in ratios_cols if r <= width), ctx.n)
-    zero_rows = IndexSet.from_iterable((i for r, i in ratios_rows if r <= width), ctx.m)
+    new_cols = IndexSet.from_mask(col_r <= width)
+    zero_rows = IndexSet(tuple(rows_i[row_r <= width].tolist()), ctx.m)
     return alpha, new_cols, zero_rows
 
 
 def dual_multipliers(ctx: DualContext, psi: np.ndarray, I_D: IndexSet,
-                     J_D: IndexSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multipliers once no direction exists: solve A^{I_D}_{J_D} d = -s_{I_D};
-    mu on J_D \\ J_P, nu on I_P \\ I_D (aligned with those sets)."""
-    rows_i = I_D.array
-    report = solve_consistent(ctx.A[rows_i][:, J_D.array],
-                              -ctx.residual_signs[rows_i])
-    if not report.consistent:
+                     J_D: IndexSet,
+                     report: SolveReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multipliers once no direction exists, from the solution of
+    A^{I_D}_{J_D} d = -s_{I_D} in the ``alternative`` of the failed
+    ``dual_direction`` report; mu on J_D \\ J_P, nu on I_P \\ I_D (aligned
+    with those sets)."""
+    kernel = report.alternative
+    if not kernel.consistent:
         raise AsmError("dual multiplier system inconsistent although no direction exists")
     d_hat = np.zeros(ctx.n)
-    d_hat[J_D.array] = report.solution
+    d_hat[J_D.array] = kernel.solution
     col_psi = ctx.A.T @ psi
     free_cols = J_D.difference(ctx.J_P).array
     mu = -(col_psi[free_cols]) * d_hat[free_cols]
@@ -128,8 +127,9 @@ def dual_update(ctx: DualContext, max_iters: int | None = None,
     final multiplier-system solution d_hat (warm start for the next primal
     update) and the final dual sets."""
     psi = np.asarray(ctx.y_start, dtype=float).copy()
-    off = ctx.I_P.complement().array
-    if off.size and np.max(np.abs(psi[off]), initial=0.0) > SUPPORT_TOL:
+    off = np.ones(ctx.m, dtype=bool)
+    off[ctx.I_P.array] = False
+    if np.max(np.abs(psi[off]), initial=0.0) > SUPPORT_TOL:
         raise ValueError("y_start has mass outside the primal active rows")
     psi[off] = 0.0
 
@@ -188,7 +188,7 @@ def dual_update(ctx: DualContext, max_iters: int | None = None,
                        float(-ctx.residual_signs @ psi), psi.copy()))
             continue
 
-        d_hat, mu, nu = dual_multipliers(ctx, psi, I_D, J_D)
+        d_hat, mu, nu = dual_multipliers(ctx, psi, I_D, J_D, report)
         mu_best, j_minus = _argmin_with_ties(mu, J_D.difference(ctx.J_P).array)
         nu_best, i_plus = _argmin_with_ties(nu, ctx.I_P.difference(I_D).array)
         if mu_best >= -opt_tol and nu_best >= -opt_tol:

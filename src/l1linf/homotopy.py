@@ -114,21 +114,12 @@ def check_optimal_pair(inst: ProblemInstance, x, y, delta: float,
     x = as_vector(x, "x")
     y = as_vector(y, "y")
     g = inst.A.T @ y
-    for j in range(inst.n):
-        if abs(x[j]) > tol:
-            if abs(g[j] + np.sign(x[j])) > tol:
-                return False
-        elif abs(g[j]) > 1.0 + tol:
-            return False
+    if np.where(np.abs(x) > tol, np.abs(g + np.sign(x)) > tol, np.abs(g) > 1.0 + tol).any():
+        return False
     r = inst.A @ x - inst.b
     rtol = tol * (1.0 + delta)
-    for i in range(inst.m):
-        if abs(y[i]) > tol:
-            if abs(r[i] - delta * np.sign(y[i])) > rtol:
-                return False
-        elif abs(r[i]) > delta + rtol:
-            return False
-    return True
+    return not np.where(np.abs(y) > tol, np.abs(r - delta * np.sign(y)) > rtol,
+                        np.abs(r) > delta + rtol).any()
 
 
 def duality_gap(inst: ProblemInstance, x, y, delta: float) -> float:

@@ -197,5 +197,8 @@ def load_instance(path) -> tuple[ProblemInstance, np.ndarray | None, np.ndarray 
 
 
 def instance_digest(inst: ProblemInstance) -> str:
-    payload = json.dumps(instance_to_dict(inst), sort_keys=True)
-    return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """Hash of the shape and the little-endian float64 bytes of A, b and delta."""
+    h = hashlib.sha256(np.array(inst.A.shape, dtype="<i8").tobytes())
+    for part in (inst.A, inst.b, np.array([inst.delta])):
+        h.update(np.ascontiguousarray(part, dtype="<f8"))
+    return "sha256:" + h.hexdigest()[:16]

@@ -22,7 +22,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     out = np.asarray(v, dtype=float)
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -31,7 +31,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -104,12 +104,19 @@ class SolveReport:
     """Outcome of a consistency-detecting linear solve.
 
     ``solution`` is None when the system is inconsistent; ``residual_norm``
-    is always the sup-norm residual at the least-squares point.
+    is always the sup-norm residual at the least-squares point.  A report of
+    ``solve_consistent(M, rhs)`` also carries ``w``, the part of rhs outside
+    range(M), and ``alternative``, the report of the other Fredholm
+    alternative: z = w / ||w||^2 (z = 0 when w = 0) as a solution of
+    [M^T; rhs^T] z = (0, ..., 0, 1).  Exactly one of the two systems is
+    solvable in exact arithmetic.
     """
 
     solution: np.ndarray | None
     residual_norm: float
     consistent: bool
+    w: np.ndarray | None = None
+    alternative: "SolveReport | None" = None
 
 
 def submatrix(a: np.ndarray, rows: IndexSet, cols: IndexSet) -> np.ndarray:
@@ -120,27 +127,40 @@ def submatrix(a: np.ndarray, rows: IndexSet, cols: IndexSet) -> np.ndarray:
 
 
 def solve_consistent(m, rhs, tol: float = CONSISTENCY_TOL) -> SolveReport:
-    """Solve M x = rhs if a solution exists within tolerance.
+    """Solve M x = rhs if a solution exists within tolerance, and its
+    Fredholm alternative [M^T; rhs^T] z = (0, ..., 0, 1) from the same
+    factorisation.
 
-    M may be rectangular and rank-deficient.  Uses an SVD-based
-    least-squares factorization; when the system is consistent and
-    underdetermined the minimum-2-norm solution is returned, which keeps
-    repeated calls on identical inputs bit-for-bit reproducible.
+    M may be rectangular and rank-deficient.  One thin SVD M = U S V^T,
+    truncated at lstsq's rank cutoff eps * max(shape) * sigma_max, gives
+    the minimum-2-norm least-squares solution x = V_r S_r^-1 U_r^T rhs and
+    w = rhs - U_r U_r^T rhs; z = w / ||w||^2 is the minimum-norm solution of
+    the alternative system.  Each answer is accepted by the residual test of
+    its own system, ||residual||_inf <= tol * (1 + ||right-hand side||_inf).
+    Repeated calls on identical inputs are bit-for-bit reproducible.
     """
     m = as_matrix(m, "M")
     rhs = as_vector(rhs, "rhs")
     if m.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: M has {m.shape[0]} rows, rhs has {rhs.shape[0]}")
-    rhs_scale = 1.0 + (np.max(np.abs(rhs)) if rhs.size else 0.0)
+    rows, cols = m.shape
 
-    if m.shape[1] == 0:
-        resid = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-        ok = resid <= tol * rhs_scale
-        return SolveReport(np.zeros(0) if ok else None, resid, ok)
-    if m.shape[0] == 0:
-        return SolveReport(np.zeros(m.shape[1]), 0.0, True)
+    if rows and cols:
+        u, sig, vt = np.linalg.svd(m, full_matrices=False)
+        rank = int(np.count_nonzero(sig > np.finfo(float).eps * max(rows, cols) * sig[0]))
+        u, sig, vt = u[:, :rank], sig[:rank], vt[:rank]
+        coef = u.T @ rhs
+        sol = vt.T @ (coef / sig)
+        w = rhs - u @ coef
+    else:
+        sol = np.zeros(cols)
+        w = rhs.copy()
+    resid = float(np.max(np.abs(m @ sol - rhs), initial=0.0))
+    ok = resid <= tol * (1.0 + np.max(np.abs(rhs), initial=0.0))
 
-    sol, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
-    resid = float(np.max(np.abs(m @ sol - rhs)))
-    ok = resid <= tol * rhs_scale
-    return SolveReport(sol if ok else None, resid, ok)
+    ww = float(w @ w)
+    z = w / ww if ww > 0.0 else np.zeros(rows)
+    z_resid = max(float(np.max(np.abs(m.T @ z), initial=0.0)), abs(float(rhs @ z) - 1.0))
+    z_ok = z_resid <= tol * 2.0
+    alternative = SolveReport(z if z_ok else None, z_resid, z_ok)
+    return SolveReport(sol if ok else None, resid, ok, w, alternative)

@@ -13,7 +13,8 @@ SCHEMA_VERSION = 1
 
 
 def _sparse_entries(v: np.ndarray) -> list[list]:
-    return [[int(i), float(x)] for i, x in enumerate(v) if x != 0.0]
+    idx = np.flatnonzero(v)
+    return [[i, x] for i, x in zip(idx.tolist(), v[idx].tolist())]
 
 
 def _dense_from_entries(entries, size: int) -> np.ndarray:
@@ -87,8 +88,7 @@ def export_vectors(export: dict) -> list[tuple[int, float, np.ndarray, np.ndarra
 
 def export_to_csv(export: dict) -> str:
     lines = ["k,delta,t,nnz_x,nnz_y,objective"]
-    for k, delta, x, y in export_vectors(export):
-        t = next(bp["t"] for bp in export["breakpoints"] if bp["k"] == k)
+    for (k, delta, x, y), bp in zip(export_vectors(export), export["breakpoints"]):
         obj = float(np.sum(np.abs(x)))
-        lines.append(f"{k},{delta!r},{t!r},{np.count_nonzero(x)},{np.count_nonzero(y)},{obj!r}")
+        lines.append(f"{k},{delta!r},{bp['t']!r},{np.count_nonzero(x)},{np.count_nonzero(y)},{obj!r}")
     return "\n".join(lines) + "\n"

@@ -67,14 +67,17 @@ class PrimalUpdateResult:
 def primal_direction(ctx: PrimalContext, I_P: IndexSet, J_P: IndexSet,
                      signs: np.ndarray) -> SolveReport:
     """Ascent direction (with the t component fixed at 1): solve
-    A^{I_P}_{J_P} d_{J_P} = -signs_{I_P}, zero elsewhere."""
+    A^{I_P}_{J_P} d_{J_P} = -signs_{I_P}, zero elsewhere.  The report's
+    ``alternative`` is the kernel's other Fredholm alternative, which
+    ``primal_multipliers`` reads when no direction exists."""
     rows_i = I_P.array
-    report = solve_consistent(ctx.A[rows_i][:, J_P.array], -signs[rows_i])
-    if report.consistent:
+    kernel = solve_consistent(ctx.A[np.ix_(rows_i, J_P.array)], -signs[rows_i])
+    d = None
+    if kernel.consistent:
         d = np.zeros(ctx.n)
-        d[J_P.array] = report.solution
-        return SolveReport(d, report.residual_norm, True)
-    return report
+        d[J_P.array] = kernel.solution
+    return SolveReport(d, kernel.residual_norm, kernel.consistent,
+                       alternative=kernel.alternative)
 
 
 def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
@@ -84,56 +87,55 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
     ratios and the remaining homotopy gap delta_k - tau - delta_target.
 
     Returns (alpha, reached_target, [(row, bound side)], leaving columns).
-    The target bound takes precedence on ties, ending the whole run.
+    The target bound takes precedence on ties, ending the whole run; a row
+    tied on both sides enters at its upper bound.
     """
     bound = ctx.delta_k - tau
     gap = max(bound - ctx.delta_target, 0.0)
     resid = ctx.A @ xi - ctx.b
     a_d = ctx.A @ d
-    ratios_rows: list[tuple[float, int, float]] = []
-    for i in I_P.complement():
-        up_den = a_d[i] + 1.0
-        if up_den > DEN_TOL:
-            ratios_rows.append((max((bound - resid[i]) / up_den, 0.0), i, 1.0))
-        dn_den = 1.0 - a_d[i]
-        if dn_den > DEN_TOL:
-            ratios_rows.append((max((bound + resid[i]) / dn_den, 0.0), i, -1.0))
-    ratios_cols: list[tuple[float, int]] = []
-    for j in J_P:
-        if abs(col_sign[j]) <= NONZERO_TOL:
-            continue  # degenerate bound coefficient: non-blocking by convention
-        if col_sign[j] * d[j] > ZERO_STEP_TOL:
-            ratios_cols.append((max(-xi[j] / d[j], 0.0), j))
-    blocking = min((r for r, *_ in ratios_rows + ratios_cols), default=np.inf)
+    off = np.ones(ctx.m, dtype=bool)
+    off[I_P.array] = False
+    up_den = a_d + 1.0
+    down_den = 1.0 - a_d
+    up = off & (up_den > DEN_TOL)
+    down = off & (down_den > DEN_TOL)
+    up_r = np.full(ctx.m, np.inf)
+    up_r[up] = np.maximum((bound - resid[up]) / up_den[up], 0.0)
+    down_r = np.full(ctx.m, np.inf)
+    down_r[down] = np.maximum((bound + resid[down]) / down_den[down], 0.0)
+    # a degenerate bound coefficient (col_sign 0) is non-blocking by convention
+    cols = J_P.array
+    cols = cols[(np.abs(col_sign[cols]) > NONZERO_TOL)
+                & (col_sign[cols] * d[cols] > ZERO_STEP_TOL)]
+    col_r = np.maximum(-xi[cols] / d[cols], 0.0)
+    blocking = float(min(up_r.min(initial=np.inf), down_r.min(initial=np.inf),
+                         col_r.min(initial=np.inf)))
     if gap <= blocking * (1.0 + TIE_RTOL) + ZERO_STEP_TOL:
         return gap, True, [], IndexSet.empty(ctx.n)
     if not np.isfinite(blocking):
         raise UnboundedDirectionError("primal subproblem direction is unblocked")
     width = blocking + TIE_RTOL * (1.0 + blocking)
-    new_rows: list[tuple[int, float]] = []
-    seen = set()
-    for r, i, side in ratios_rows:
-        if r <= width and i not in seen:
-            new_rows.append((i, side))
-            seen.add(i)
-    leaving = IndexSet.from_iterable((j for r, j in ratios_cols if r <= width), ctx.n)
+    up_hit = up_r <= width
+    rows = np.flatnonzero(up_hit | (down_r <= width))
+    new_rows = list(zip(rows.tolist(), np.where(up_hit[rows], 1.0, -1.0).tolist()))
+    leaving = IndexSet(tuple(cols[col_r <= width].tolist()), ctx.n)
     return blocking, False, new_rows, leaving
 
 
 def primal_multipliers(ctx: PrimalContext, I_P: IndexSet, J_P: IndexSet,
-                       signs: np.ndarray,
-                       col_sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multipliers once no direction exists: solve
-    (A^{I_P}_{J_P})^T e = 0, signs^T e = 1; mu on I_P \\ I_D, nu on J_D \\ J_P."""
-    rows_i = I_P.array
-    m = np.vstack([ctx.A[rows_i][:, J_P.array].T, signs[rows_i][None, :]])
-    rhs = np.zeros(len(J_P) + 1)
-    rhs[-1] = 1.0
-    report = solve_consistent(m, rhs)
-    if not report.consistent:
+                       signs: np.ndarray, col_sign: np.ndarray,
+                       report: SolveReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multipliers once no direction exists, from the solution z of
+    [A^{I_P}_{J_P}^T; -signs_{I_P}^T] z = (0, ..., 0, 1) in the
+    ``alternative`` of the failed ``primal_direction`` report: e = -z solves
+    (A^{I_P}_{J_P})^T e = 0, signs^T e = 1; mu on I_P \\ I_D, nu on
+    J_D \\ J_P."""
+    found = report.alternative
+    if not found.consistent:
         raise AsmError("primal multiplier system inconsistent although no direction exists")
     e_hat = np.zeros(ctx.m)
-    e_hat[rows_i] = report.solution
+    e_hat[I_P.array] = -found.solution
     extra_rows = I_P.difference(ctx.I_D).array
     mu = signs[extra_rows] * e_hat[extra_rows]
     free_cols = ctx.J_D.difference(J_P).array
@@ -152,8 +154,9 @@ def primal_update(ctx: PrimalContext, max_iters: int | None = None,
     if ctx.delta_target > ctx.delta_k + ZERO_STEP_TOL:
         raise ValueError("delta_target exceeds the current bound")
     xi = np.asarray(ctx.x_start, dtype=float).copy()
-    off = ctx.J_D.complement().array
-    if off.size and np.max(np.abs(xi[off]), initial=0.0) > SUPPORT_TOL:
+    off = np.ones(ctx.n, dtype=bool)
+    off[ctx.J_D.array] = False
+    if np.max(np.abs(xi[off]), initial=0.0) > SUPPORT_TOL:
         raise ValueError("x_start has support outside the dual active columns")
     xi[off] = 0.0
     tau = 0.0
@@ -225,7 +228,7 @@ def primal_update(ctx: PrimalContext, max_iters: int | None = None,
                 trace(("primal", it, alpha, len(I_P), len(J_P), tau, xi.copy()))
             continue
 
-        e_hat, mu, nu = primal_multipliers(ctx, I_P, J_P, signs, col_sign)
+        e_hat, mu, nu = primal_multipliers(ctx, I_P, J_P, signs, col_sign, report)
         mu_best, i_minus = _argmin_with_ties(mu, I_P.difference(ctx.I_D).array)
         nu_best, j_plus = _argmin_with_ties(nu, ctx.J_D.difference(J_P).array)
         if mu_best >= -opt_tol and nu_best >= -opt_tol:

@@ -89,8 +89,10 @@ def test_dual_step_tie_applies_both_updates():
 
 def test_dual_multipliers_scalar_terminal():
     ctx = scalar_ctx()
-    d_hat, mu, nu = dual_multipliers(ctx, np.array([-1.0]), IndexSet((0,), 1),
-                                     IndexSet((0,), 1))
+    i_d, j_d = IndexSet((0,), 1), IndexSet((0,), 1)
+    report = dual_direction(ctx, i_d, j_d)
+    assert not report.consistent
+    d_hat, mu, nu = dual_multipliers(ctx, np.array([-1.0]), i_d, j_d, report)
     np.testing.assert_allclose(d_hat, [1.0], atol=1e-12)
     # J_P is empty here, so the single active column carries mu = 1 >= 0
     np.testing.assert_allclose(mu, [1.0], atol=1e-12)
@@ -179,3 +181,62 @@ def test_dual_update_intermediate_iterates_feasible():
                 assert np.max(np.abs(g[jp] + np.sign(ctx.x_k[jp]))) <= 1e-8
             assert np.max(np.abs(g)) <= 1 + 1e-8
             assert np.min(psi * ctx.residual_signs, initial=0.0) >= -1e-8
+
+
+def loop_dual_step(ctx, e, psi, I_D, J_D):
+    """Reference: the per-column and per-row loop form of dual_step."""
+    from l1linf.asm import TIE_RTOL, ZERO_STEP_TOL
+    in_jd = np.zeros(ctx.n, dtype=bool)
+    in_jd[J_D.array] = True
+    col_e = ctx.A.T @ e
+    col_psi = ctx.A.T @ psi
+    ratios_cols = []
+    for j in range(ctx.n):
+        if in_jd[j]:
+            continue
+        v = col_e[j]
+        if v > ZERO_STEP_TOL:
+            ratios_cols.append((max((1.0 - col_psi[j]) / v, 0.0), j))
+        elif v < -ZERO_STEP_TOL:
+            ratios_cols.append((max((1.0 + col_psi[j]) / (-v), 0.0), j))
+    ratios_rows = []
+    for i in I_D:
+        if ctx.residual_signs[i] * e[i] < -ZERO_STEP_TOL:
+            ratios_rows.append((max(-psi[i] / e[i], 0.0), i))
+    if not ratios_cols and not ratios_rows:
+        raise UnboundedDirectionError("unblocked")
+    alpha = min(r for r, _ in ratios_cols + ratios_rows)
+    width = alpha + TIE_RTOL * (1.0 + alpha)
+    new_cols = IndexSet.from_iterable((j for r, j in ratios_cols if r <= width), ctx.n)
+    zero_rows = IndexSet.from_iterable((i for r, i in ratios_rows if r <= width), ctx.m)
+    return alpha, new_cols, zero_rows
+
+
+def test_dual_step_matches_loop_reference_with_exact_ties():
+    # small-integer data on a half-integer grid: many ratios tie exactly
+    rng = np.random.default_rng(36)
+    ties = 0
+    for _ in range(300):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        i_p = IndexSet.from_mask(rng.random(m) < 0.8)
+        signs = np.zeros(m)
+        signs[i_p.array] = rng.choice([-1.0, 1.0], len(i_p))
+        psi = np.zeros(m)
+        psi[i_p.array] = signs[i_p.array] * rng.integers(0, 3, len(i_p)) / 4.0
+        e = np.zeros(m)
+        e[i_p.array] = rng.integers(-2, 3, len(i_p)) / 2.0
+        i_d = IndexSet.from_mask(psi != 0.0)
+        j_d = IndexSet.from_mask(rng.random(n) < 0.3)
+        ctx = DualContext(a, np.zeros(m), np.zeros(n), i_p, IndexSet.empty(n),
+                          signs, y_start=psi)
+        try:
+            expected = loop_dual_step(ctx, e, psi, i_d, j_d)
+        except UnboundedDirectionError:
+            with pytest.raises(UnboundedDirectionError):
+                dual_step(ctx, e, psi, i_d, j_d)
+            continue
+        alpha, new_cols, zero_rows = dual_step(ctx, e, psi, i_d, j_d)
+        assert (alpha, new_cols, zero_rows) == expected
+        ties += len(new_cols) + len(zero_rows) > 1
+    assert ties > 20

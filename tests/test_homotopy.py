@@ -219,3 +219,89 @@ def test_exact_low_rank_matrix():
     assert path.terminated == "target-reached"
     for bp in path.breakpoints:
         assert check_optimal_pair(inst, bp.x, bp.y, bp.delta_k)
+
+
+def loop_check_optimal_pair(inst, x, y, delta, tol=1e-8):
+    """Reference: the per-entry loop form of check_optimal_pair."""
+    g = inst.A.T @ y
+    for j in range(inst.n):
+        if abs(x[j]) > tol:
+            if abs(g[j] + np.sign(x[j])) > tol:
+                return False
+        elif abs(g[j]) > 1.0 + tol:
+            return False
+    r = inst.A @ x - inst.b
+    rtol = tol * (1.0 + delta)
+    for i in range(inst.m):
+        if abs(y[i]) > tol:
+            if abs(r[i] - delta * np.sign(y[i])) > rtol:
+                return False
+        elif abs(r[i]) > delta + rtol:
+            return False
+    return True
+
+
+def test_check_optimal_pair_matches_loop_reference():
+    # breakpoints as computed, and with one entry of x or y nudged so that
+    # each of the four per-entry tests is the one that fails
+    rng = np.random.default_rng(54)
+    outcomes = set()
+    for _ in range(6):
+        inst = random_instance(rng)
+        for bp in solve_path(inst).breakpoints:
+            for which in ("none", "x", "y"):
+                x, y = bp.x.copy(), bp.y.copy()
+                v = x if which == "x" else y
+                if which != "none":
+                    v[int(rng.integers(v.size))] += float(rng.choice([-1e-6, 1e-3, 0.5]))
+                got = check_optimal_pair(inst, x, y, bp.delta_k)
+                assert type(got) is bool
+                assert got == loop_check_optimal_pair(inst, x, y, bp.delta_k)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_one_kernel_solve_per_direction_attempt(monkeypatch):
+    # the multipliers come from the failed direction's kernel solve
+    import l1linf.dual_update as dual_mod
+    import l1linf.primal_update as primal_mod
+    counts = {}
+
+    def count(module, name, label):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[label] = counts.get(label, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, side in ((dual_mod, "dual"), (primal_mod, "primal")):
+        count(module, "solve_consistent", (side, "kernel"))
+        count(module, f"{side}_direction", (side, "direction"))
+        count(module, f"{side}_multipliers", (side, "multipliers"))
+    path = solve_path(random_instance(np.random.default_rng(55), delta_zero=True))
+    assert path.terminated == "target-reached"
+    for side in ("dual", "primal"):
+        assert counts[(side, "multipliers")] > 0
+        assert counts[(side, "kernel")] == counts[(side, "direction")]
+
+
+def test_pinned_breakpoint_counts():
+    # a change of kernel or ratio test must keep these paths step for step
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((30, 60)), rng.standard_normal(30)
+    path = solve_path(ProblemInstance(a, b, 0.05 * np.max(np.abs(b))))
+    assert path.terminated == "target-reached"
+    assert len(path.breakpoints) - 1 == 62
+
+    # Dantzig-selector form: A = X^T X is 24 x 24 of rank 12
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((12, 24))
+    x /= np.linalg.norm(x, axis=0)
+    beta = np.zeros(24)
+    beta[[3, 11, 17]] = [1.5, -1.0, 2.0]
+    y = x @ beta + 0.1 * rng.standard_normal(12)
+    a, b = x.T @ x, x.T @ y
+    path = solve_path(ProblemInstance(a, b, 1e-3 * np.max(np.abs(b))))
+    assert path.terminated == "target-reached"
+    assert len(path.breakpoints) - 1 == 33

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from l1linf.homotopy import check_optimal_pair, solve_path
+from l1linf.homotopy import ProblemInstance, check_optimal_pair, solve_path
 from l1linf.instances import (GeneralizedBounds, dense_certificate,
-                              instance_from_dict, instance_to_dict,
+                              instance_digest, instance_from_dict,
+                              instance_to_dict,
                               load_instance, make_ground_truth,
                               random_bp_pair, random_ground_truth,
                               save_instance, sparse_certificate, to_linf_form)
@@ -142,3 +143,17 @@ def test_instance_dict_is_json_clean():
     gti = random_ground_truth(5, 10, 2, delta=0.2, seed=8)
     text = json.dumps(instance_to_dict(gti.inst, gti.x_bar, gti.y_bar, seed=8))
     assert "NaN" not in text
+
+
+def test_instance_digest_covers_shape_and_every_value():
+    inst = ProblemInstance([[1.0, 2.0, 3.0]], [4.0], 0.5)
+    digest = instance_digest(inst)
+    assert digest.startswith("sha256:") and len(digest) == len("sha256:") + 16
+    assert instance_digest(ProblemInstance([[1.0, 2.0, 3.0]], [4.0], 0.5)) == digest
+    # the same values 1, 2, 3, 4, 0.5 in another shape, and a change in A,
+    # b or delta, all give other digests
+    others = [ProblemInstance([[1.0], [2.0]], [3.0, 4.0], 0.5),
+              ProblemInstance([[1.0, 2.0, -3.0]], [4.0], 0.5),
+              ProblemInstance([[1.0, 2.0, 3.0]], [4.5], 0.5),
+              ProblemInstance([[1.0, 2.0, 3.0]], [4.0], 0.25)]
+    assert len({digest, *(instance_digest(o) for o in others)}) == 5

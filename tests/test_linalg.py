@@ -123,3 +123,49 @@ def test_solve_random_inconsistent_systems():
             continue
         assert not solve_consistent(m, rhs).consistent
         checked += 1
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, 8))
+    gram = x.T @ x                                   # 8 x 8 of rank 4
+    signs = rng.choice([-1.0, 1.0], size=8)
+    cases = [
+        ("full-rank", rng.standard_normal((6, 6)), rng.standard_normal(6)),
+        ("rank-deficient", gram, -signs),
+        ("rank-deficient-consistent", gram, gram @ rng.standard_normal(8)),
+        ("tall", rng.standard_normal((8, 3)), rng.standard_normal(8)),
+        ("wide", rng.standard_normal((3, 8)), rng.standard_normal(3)),
+        ("no-columns", np.zeros((3, 0)), rng.standard_normal(3)),
+        ("no-rows", np.zeros((0, 3)), np.zeros(0)),
+        ("empty", np.zeros((0, 0)), np.zeros(0)),
+    ]
+    return [pytest.param(m, rhs, id=name) for name, m, rhs in cases]
+
+
+def _close(a, b):
+    return np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(b), 1.0)
+
+
+@pytest.mark.parametrize("m,rhs", _kernel_cases())
+def test_kernel_gives_exactly_one_fredholm_alternative(m, rhs):
+    rep = solve_consistent(m, rhs)
+    alt = rep.alternative
+    assert rep.consistent != alt.consistent
+    # w is the least-squares residual rhs - M x of the minimum-norm solution
+    if m.size:
+        ls, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+        assert _close(rep.w, rhs - m @ ls)
+        assert rep.residual_norm == pytest.approx(np.max(np.abs(m @ ls - rhs)), rel=1e-9, abs=1e-14)
+    if rep.consistent:
+        expected = ls if m.size else np.zeros(m.shape[1])
+        assert _close(rep.solution, expected)
+        assert alt.solution is None
+    else:
+        # the alternative solves [M^T; rhs^T] z = (0, ..., 0, 1)
+        stacked = np.vstack([m.T, rhs[None, :]])
+        target = np.zeros(stacked.shape[0])
+        target[-1] = 1.0
+        ls_z, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+        assert _close(alt.solution, ls_z)
+        assert rep.solution is None

@@ -207,3 +207,78 @@ def test_primal_update_final_bound_tightness():
             assert resid_norm <= ctx.delta_target + 1e-8
         else:
             assert abs(resid_norm - (ctx.delta_k - res.t)) <= 1e-8
+
+
+def loop_primal_step(ctx, d, xi, tau, I_P, J_P, col_sign):
+    """Reference: the per-row and per-column loop form of primal_step."""
+    from l1linf.asm import TIE_RTOL, ZERO_STEP_TOL
+    from l1linf.primal_update import DEN_TOL, NONZERO_TOL
+    bound = ctx.delta_k - tau
+    gap = max(bound - ctx.delta_target, 0.0)
+    resid = ctx.A @ xi - ctx.b
+    a_d = ctx.A @ d
+    ratios_rows = []
+    for i in I_P.complement():
+        up_den = a_d[i] + 1.0
+        if up_den > DEN_TOL:
+            ratios_rows.append((max((bound - resid[i]) / up_den, 0.0), i, 1.0))
+        dn_den = 1.0 - a_d[i]
+        if dn_den > DEN_TOL:
+            ratios_rows.append((max((bound + resid[i]) / dn_den, 0.0), i, -1.0))
+    ratios_cols = []
+    for j in J_P:
+        if abs(col_sign[j]) <= NONZERO_TOL:
+            continue
+        if col_sign[j] * d[j] > ZERO_STEP_TOL:
+            ratios_cols.append((max(-xi[j] / d[j], 0.0), j))
+    blocking = min((r for r, *_ in ratios_rows + ratios_cols), default=np.inf)
+    if gap <= blocking * (1.0 + TIE_RTOL) + ZERO_STEP_TOL:
+        return gap, True, [], IndexSet.empty(ctx.n)
+    if not np.isfinite(blocking):
+        raise UnboundedDirectionError("unblocked")
+    width = blocking + TIE_RTOL * (1.0 + blocking)
+    new_rows, seen = [], set()
+    for r, i, side in ratios_rows:
+        if r <= width and i not in seen:
+            new_rows.append((i, side))
+            seen.add(i)
+    leaving = IndexSet.from_iterable((j for r, j in ratios_cols if r <= width), ctx.n)
+    return blocking, False, new_rows, leaving
+
+
+def test_primal_step_matches_loop_reference_with_exact_ties():
+    # small-integer data on a half-integer grid: many ratios tie exactly,
+    # and rows with a.d = 0 and zero residual tie with themselves on both sides
+    rng = np.random.default_rng(48)
+    row_ties = both_sides = 0
+    for _ in range(300):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 7))
+        a = rng.integers(-1, 2, size=(m, n)).astype(float)
+        b = rng.integers(-2, 3, size=m) / 2.0
+        j_d = IndexSet.from_mask(rng.random(n) < 0.7)
+        j_p = IndexSet.from_mask((rng.random(n) < 0.7) & np.isin(np.arange(n), j_d.array))
+        i_p = IndexSet.from_mask(rng.random(m) < 0.4)
+        xi = np.zeros(n)
+        xi[j_p.array] = rng.integers(-2, 3, len(j_p)) / 2.0
+        d = np.zeros(n)
+        d[j_p.array] = rng.integers(-2, 3, len(j_p)) / 2.0
+        col_sign = np.zeros(n)
+        col_sign[j_d.array] = rng.choice([-1.0, 0.0, 1.0], len(j_d))
+        delta_k = float(np.max(np.abs(a @ xi - b))) + float(rng.integers(0, 3)) / 2.0
+        tau = float(rng.integers(0, 2)) / 4.0
+        ctx = PrimalContext(a, b, np.zeros(m), delta_k, float(rng.integers(-8, 1)),
+                            xi, I_P=i_p, J_P=j_p, I_D=IndexSet.empty(m), J_D=j_d,
+                            residual_signs=np.zeros(m))
+        try:
+            expected = loop_primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
+        except UnboundedDirectionError:
+            with pytest.raises(UnboundedDirectionError):
+                primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
+            continue
+        got = primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
+        assert got == expected
+        new_rows = got[2]
+        row_ties += len(new_rows) > 1
+        a_d, resid = a @ d, a @ xi - b
+        both_sides += any(a_d[i] == 0.0 and resid[i] == 0.0 for i, _ in new_rows)
+    assert row_ties > 20 and both_sides > 5

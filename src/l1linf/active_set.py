@@ -1,0 +1,111 @@
+"""The active-set loop shared by the dual and the primal subproblem.
+
+Each subproblem moves a point, supported on a *support* set that may grow
+inside an *outer* set, while a block of tight *active* constraints, which
+always contains a *fixed* set, stays tight.  The two are mirror images:
+
+    face     point  support            active
+    dual     psi    I_D inside I_P     J_D containing J_P
+    primal   xi     J_P inside J_D     I_P containing I_D
+
+A face object supplies what differs: ``name``, the masks ``fixed`` and
+``outer``, the block's direction report (``direction``), the ratio test
+(``step``), the multipliers (``multipliers``), a warm-start direction's
+distance from keeping each constraint tight (``warm_slack``), the ledger's
+stay test (``stays``) and the objective shown in trace records (``value``).
+The loop keeps both sets as boolean masks and takes their sorted index
+arrays once per iteration.
+
+Degenerate steps are handled by a ledger as in ``asm.py``: the constraints
+removed from the active set and the entries added to the support since the
+last productive step.  A zero-length step takes the indices it touches off
+the ledger.  After a positive step with more than one ledger entry, removed
+constraints that are still tight and not loosened by the step rejoin the
+active set, and added entries that the step left at zero leave the support;
+then the ledger is cleared.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .asm import (OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
+                  _argmin_with_ties)
+
+NONZERO_TOL = 1e-9  # zero test for warm-start entries and products
+
+
+def index_mask(size: int, indices) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[indices] = True
+    return mask
+
+
+def run_active_set(face, point: np.ndarray, support: np.ndarray,
+                   active: np.ndarray, warm: np.ndarray | None,
+                   max_iters: int | None = None, opt_tol: float = OPT_TOL,
+                   trace=None):
+    """Run the ledger-driven active-set loop from a feasible point.
+
+    ``support`` and ``active`` are updated in place.  A warm-start direction
+    first grows the support by its nonzero entries inside the outer set and
+    drops the removable constraints it does not keep tight, then serves as
+    the first direction.  Returns (point, support, active, multiplier-system
+    solution, iterations); the solution is None when a step ended the run.
+    """
+    if max_iters is None:
+        max_iters = 50 * (support.size + active.size + 5)
+    removed = np.zeros(active.size, dtype=bool)   # ledger: left the active set
+    added = np.zeros(support.size, dtype=bool)    # ledger: joined the support
+    pending = None if warm is None else np.asarray(warm, dtype=float)
+    if pending is not None:
+        support |= face.outer & (np.abs(pending) > NONZERO_TOL)
+        active &= face.fixed | (np.abs(face.warm_slack(pending)) <= NONZERO_TOL)
+
+    for it in range(max_iters):
+        sup, act = np.flatnonzero(support), np.flatnonzero(active)
+        if pending is not None:
+            direction, pending = pending, None
+        else:
+            report = face.direction(sup, act)
+            direction = report.solution
+
+        if direction is not None:
+            alpha, entering, leaving, done = face.step(direction, point, sup, act)
+            point = point + alpha * direction
+            if not done:
+                point[leaving] = 0.0
+                active[entering] = True
+                support[leaving] = False
+                if alpha <= ZERO_STEP_TOL:
+                    removed[entering] = False
+                    added[leaving] = False
+                elif np.count_nonzero(removed) + np.count_nonzero(added) > 1:
+                    active |= removed & face.stays(direction, point)
+                    drop = added & (np.abs(direction) <= TIE_RTOL) \
+                        & (np.abs(point) <= SUPPORT_TOL)
+                    point[drop] = 0.0
+                    support &= ~drop
+                    removed[:] = False
+                    added[:] = False
+            if trace is not None:
+                trace((face.name, it, alpha, int(np.count_nonzero(active)),
+                       int(np.count_nonzero(support)), face.value(point), point.copy()))
+            if done:
+                return point, support, active, None, it + 1
+            continue
+
+        removable = np.flatnonzero(active & ~face.fixed)
+        candidates = np.flatnonzero(face.outer & ~support)
+        solution, mu, nu = face.multipliers(report, point, act, removable, candidates)
+        mu_best, leave = _argmin_with_ties(mu, removable)
+        nu_best, join = _argmin_with_ties(nu, candidates)
+        if mu_best >= -opt_tol and nu_best >= -opt_tol:
+            return point, support, active, solution, it + 1
+        if mu_best < nu_best:
+            active[leave] = False
+            removed[leave] = True
+        else:
+            support[join] = True
+            added[join] = True
+    raise AsmError(f"{face.name} update iteration cap {max_iters} exceeded")

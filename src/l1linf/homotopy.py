@@ -6,7 +6,9 @@ requested target.  Each iteration first refreshes the dual certificate
 (``dual_update``), then takes the maximal primal step (``primal_update``),
 producing one breakpoint of the piecewise-linear primal solution path; the
 dual path is piecewise constant between breakpoints.  Multiplier-system
-solutions are passed across subproblems as warm starts.
+solutions are passed across subproblems as warm starts, and each
+breakpoint records the index sets and residual signs that the two
+subsolvers end with.
 """
 
 from __future__ import annotations
@@ -100,13 +102,6 @@ class SolutionPath:
         return float(np.sum(np.abs(self.x_final)))
 
 
-def sign_vector(v: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    out = np.zeros_like(v)
-    out[v > tol] = 1.0
-    out[v < -tol] = -1.0
-    return out
-
-
 def check_optimal_pair(inst: ProblemInstance, x, y, delta: float,
                        tol: float = PAIR_TOL) -> bool:
     """Subgradient certification of an optimal pair:
@@ -140,7 +135,7 @@ def _build_sets(inst: ProblemInstance, x, y, delta: float) -> IndexSets:
     return IndexSets(
         J_P=j_p, I_P=i_p, J_D=j_d, I_D=i_d,
         primal_signs=np.sign(x[j_p.array]),
-        residual_signs=sign_vector(resid[i_p.array], tol=0.0),
+        residual_signs=np.sign(resid[i_p.array]),
         dual_signs=np.sign(y[i_d.array]),
     )
 
@@ -158,7 +153,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
 
     ``trace`` receives one dict per homotopy iteration; ``capture``, when
     given, receives ("dual", DualContext) / ("primal", PrimalContext) before
-    each subproblem solve (used by cross-validation harnesses).
+    each subproblem solve, degenerate-step retries included (used by
+    cross-validation harnesses).
     """
     m, n = inst.m, inst.n
     delta0 = float(np.max(np.abs(inst.b)))
@@ -174,99 +170,78 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     # initial active rows: all i with |b_i| = ||b||_inf up to a relative tie
     i_p = IndexSet.from_mask(np.abs(inst.b) >= delta0 * (1.0 - INIT_TIE_RTOL))
     sets = IndexSets(sets.J_P, i_p, sets.J_D, sets.I_D, sets.primal_signs,
-                     sign_vector(-inst.b[i_p.array], tol=0.0), sets.dual_signs)
+                     np.sign(-inst.b[i_p.array]), sets.dual_signs)
     path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
                         "failure")
-    path.timing = {"dual_s": 0.0, "primal_s": 0.0, "refresh_s": 0.0}
+    path.timing = {"dual_s": 0.0, "primal_s": 0.0}
     delta_k = delta0
     warm_e: np.ndarray | None = None
     if max_iters is None:
         max_iters = 20 * (m + n)
 
     for k in range(max_iters):
-        i_p = path.breakpoints[-1].sets.I_P
-        j_p = path.breakpoints[-1].sets.J_P
-        full_signs = _full_residual_signs(inst, path.breakpoints[-1].sets)
-        dual_ctx = DualContext(inst.A, inst.b, x, i_p, j_p, full_signs,
-                               y_start=y,
-                               warm_direction=warm_e if use_warm_starts else None)
-        if capture is not None:
-            capture("dual", dual_ctx)
-        tick = time.perf_counter()
-        try:
-            dual_res = dual_update(dual_ctx)
-        except UnboundedDirectionError:
-            # unbounded certificate face: the bound cannot shrink any further,
-            # so the target lies below the least feasible value of ||Ax-b||_inf
-            # (possible whenever A has more rows than columns)
-            path.failure_reason = (
-                f"target delta={inst.delta:g} is below the minimal feasible "
-                f"bound; path stopped at delta={delta_k:g}")
-            return path
-        except (AsmError, ValueError) as exc:
-            path.failure_reason = f"dual update failed at iteration {k}: {exc}"
-            return path
-        path.timing["dual_s"] += time.perf_counter() - tick
-        path.dual_iterations += dual_res.iterations
-        y_next = dual_res.y
-        col = inst.A.T @ y_next
-        i_d = IndexSet.from_mask(np.abs(y_next) > SUPPORT_TOL)
-        j_d = IndexSet.from_mask(np.abs(np.abs(col) - 1.0) <= 2 * ACTIVE_TOL).union(j_p)
-
-        primal_ctx = PrimalContext(
-            inst.A, inst.b, y_next, delta_k, inst.delta, x, i_p, j_p, i_d, j_d,
-            full_signs,
-            warm_direction=dual_res.d_hat if use_warm_starts else None)
-        if capture is not None:
-            capture("primal", primal_ctx)
-        tick = time.perf_counter()
-        try:
-            primal_res = primal_update(primal_ctx)
-        except (AsmError, ValueError) as exc:
-            path.failure_reason = f"primal update failed at iteration {k}: {exc}"
-            return path
-        path.timing["primal_s"] += time.perf_counter() - tick
-        path.primal_iterations += primal_res.iterations
-
-        if primal_res.t <= T_MIN and not primal_res.reached_target:
-            # theory rules out a zero step at an exact dual optimum; retry
-            # once, cold and with a tighter multiplier tolerance
-            path.retries += 1
+        sets = path.breakpoints[-1].sets
+        full_signs = _full_residual_signs(inst, sets)
+        # theory rules out a zero step at an exact dual optimum; after one,
+        # the step is retried once, cold and with a tighter multiplier tolerance
+        for retry in (False, True):
+            warm = use_warm_starts and not retry
+            opt_tol = OPT_TOL / 100.0 if retry else OPT_TOL
+            stage = "dual"
             try:
-                dual_res = dual_update(
-                    DualContext(inst.A, inst.b, x, i_p, j_p, full_signs,
-                                y_start=y, warm_direction=None),
-                    opt_tol=OPT_TOL / 100.0)
+                dual_ctx = DualContext(inst.A, inst.b, x, sets.I_P, sets.J_P, full_signs,
+                                       y_start=y, warm_direction=warm_e if warm else None)
+                if capture is not None:
+                    capture("dual", dual_ctx)
+                tick = time.perf_counter()
+                dual_res = dual_update(dual_ctx, opt_tol=opt_tol)
+                path.timing["dual_s"] += time.perf_counter() - tick
                 path.dual_iterations += dual_res.iterations
-                y_next = dual_res.y
-                col = inst.A.T @ y_next
-                i_d = IndexSet.from_mask(np.abs(y_next) > SUPPORT_TOL)
-                j_d = IndexSet.from_mask(
-                    np.abs(np.abs(col) - 1.0) <= 2 * ACTIVE_TOL).union(j_p)
-                primal_res = primal_update(
-                    PrimalContext(inst.A, inst.b, y_next, delta_k, inst.delta,
-                                  x, i_p, j_p, i_d, j_d, full_signs,
-                                  warm_direction=None),
-                    opt_tol=OPT_TOL / 100.0)
+
+                stage = "primal"
+                primal_ctx = PrimalContext(
+                    inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, sets.I_P, sets.J_P,
+                    dual_res.I_D, dual_res.J_D, full_signs,
+                    warm_direction=dual_res.d_hat if warm else None)
+                if capture is not None:
+                    capture("primal", primal_ctx)
+                tick = time.perf_counter()
+                primal_res = primal_update(primal_ctx, opt_tol=opt_tol)
+                path.timing["primal_s"] += time.perf_counter() - tick
                 path.primal_iterations += primal_res.iterations
             except (AsmError, ValueError) as exc:
-                path.failure_reason = f"degenerate-step retry failed at iteration {k}: {exc}"
+                if retry:
+                    path.failure_reason = f"degenerate-step retry failed at iteration {k}: {exc}"
+                elif stage == "dual" and isinstance(exc, UnboundedDirectionError):
+                    # unbounded certificate face: the bound cannot shrink any
+                    # further, so the target lies below the least feasible value
+                    # of ||Ax-b||_inf (possible whenever A has more rows than columns)
+                    path.failure_reason = (
+                        f"target delta={inst.delta:g} is below the minimal feasible "
+                        f"bound; path stopped at delta={delta_k:g}")
+                else:
+                    path.failure_reason = f"{stage} update failed at iteration {k}: {exc}"
                 return path
-            if primal_res.t <= T_MIN and not primal_res.reached_target:
+            if primal_res.t > T_MIN or primal_res.reached_target:
+                break
+            if retry:
                 path.failure_reason = (
                     f"degenerate step at iteration {k}: t={primal_res.t:.3e} "
                     f"with delta_k={delta_k:.6e}")
                 return path
+            path.retries += 1
 
         t = float(primal_res.t)
         x = primal_res.x
+        y = dual_res.y
         delta_next = inst.delta if primal_res.reached_target else delta_k - t
         if delta_next < inst.delta + T_MIN * (1.0 + inst.delta):
             delta_next = inst.delta
-        y = y_next
-        tick = time.perf_counter()
-        sets = _build_sets(inst, x, y, delta_next)
-        path.timing["refresh_s"] += time.perf_counter() - tick
+        sets = IndexSets(J_P=primal_res.J_P, I_P=primal_res.I_P,
+                         J_D=dual_res.J_D, I_D=dual_res.I_D,
+                         primal_signs=np.sign(x[primal_res.J_P.array]),
+                         residual_signs=primal_res.signs[primal_res.I_P.array],
+                         dual_signs=np.sign(y[dual_res.I_D.array]))
         path.breakpoints.append(
             PathBreakpoint(k + 1, delta_next, x.copy(), y.copy(), sets, t))
         if trace is not None:

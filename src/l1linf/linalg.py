@@ -64,10 +64,6 @@ class IndexSet:
     def empty(universe: int) -> "IndexSet":
         return IndexSet((), universe)
 
-    @staticmethod
-    def full(universe: int) -> "IndexSet":
-        return IndexSet(tuple(range(universe)), universe)
-
     @property
     def array(self) -> np.ndarray:
         return np.array(self.indices, dtype=int)

@@ -63,7 +63,9 @@ def path_to_export(inst: ProblemInstance, path: SolutionPath,
 
 
 def export_to_json(export: dict) -> str:
-    return json.dumps(export, sort_keys=True, indent=1) + "\n"
+    # compact separators keep json on its C encoder; indent forces the
+    # Python one, which holds every chunk of the text before joining them
+    return json.dumps(export, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def export_from_json(text: str) -> dict:

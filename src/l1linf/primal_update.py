@@ -9,10 +9,14 @@ decrease t of the bound solve, over x supported on J_D = {j : |A_j^T y| = 1},
          (A_j^T y) x_j <= 0                           for j in J_D
          0 <= t <= delta_k - delta_target.
 
-The active-set scheme fixes d_t = 1, so a direction is a solution of
-A^{I_P}_{J_P} d = -sign(A^{I_P} xi - b_{I_P}) with d zero on J_D \\ J_P.
+This module is the primal face of the shared loop in ``active_set.py``: the
+support is J_P inside J_D, and the removable constraints are the active
+rows I_P \\ I_D.  The face fixes d_t = 1, so a direction is a solution of
+A^{I_P}_{J_P} d = -sign(A^{I_P} xi - b_{I_P}) with d zero off J_P.
 Residual signs on the active rows are carried as state (on I_D they equal
-sign(y_i)) instead of being re-derived from near-tight residuals.
+sign(y_i)) instead of being re-derived from near-tight residuals, and are
+returned with the result.  Index-set arguments of the face functions are
+sorted int arrays.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .active_set import NONZERO_TOL, index_mask, run_active_set
 from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
-                  AsmError, UnboundedDirectionError, _argmin_with_ties)
+                  AsmError, UnboundedDirectionError)
 from .linalg import IndexSet, SolveReport, solve_consistent
 
-NONZERO_TOL = 1e-9   # zero tests in the warm-start set updates
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
 
 
@@ -62,27 +66,27 @@ class PrimalUpdateResult:
     J_P: IndexSet
     reached_target: bool
     iterations: int
+    signs: np.ndarray          # full m; the residual signs on I_P
 
 
-def primal_direction(ctx: PrimalContext, I_P: IndexSet, J_P: IndexSet,
+def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
                      signs: np.ndarray) -> SolveReport:
     """Ascent direction (with the t component fixed at 1): solve
     A^{I_P}_{J_P} d_{J_P} = -signs_{I_P}, zero elsewhere.  The report's
     ``alternative`` is the kernel's other Fredholm alternative, which
     ``primal_multipliers`` reads when no direction exists."""
-    rows_i = I_P.array
-    kernel = solve_consistent(ctx.A[np.ix_(rows_i, J_P.array)], -signs[rows_i])
+    kernel = solve_consistent(ctx.A[np.ix_(I_P, J_P)], -signs[I_P])
     d = None
     if kernel.consistent:
         d = np.zeros(ctx.n)
-        d[J_P.array] = kernel.solution
+        d[J_P] = kernel.solution
     return SolveReport(d, kernel.residual_norm, kernel.consistent,
                        alternative=kernel.alternative)
 
 
 def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
-                I_P: IndexSet, J_P: IndexSet,
-                col_sign: np.ndarray) -> tuple[float, bool, list[tuple[int, float]], IndexSet]:
+                I_P: np.ndarray, J_P: np.ndarray,
+                col_sign: np.ndarray) -> tuple[float, bool, list[tuple[int, float]], np.ndarray]:
     """Largest feasible step: min over inactive-row ratios, support-sign
     ratios and the remaining homotopy gap delta_k - tau - delta_target.
 
@@ -95,7 +99,7 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
     resid = ctx.A @ xi - ctx.b
     a_d = ctx.A @ d
     off = np.ones(ctx.m, dtype=bool)
-    off[I_P.array] = False
+    off[I_P] = False
     up_den = a_d + 1.0
     down_den = 1.0 - a_d
     up = off & (up_den > DEN_TOL)
@@ -105,42 +109,84 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
     down_r = np.full(ctx.m, np.inf)
     down_r[down] = np.maximum((bound + resid[down]) / down_den[down], 0.0)
     # a degenerate bound coefficient (col_sign 0) is non-blocking by convention
-    cols = J_P.array
-    cols = cols[(np.abs(col_sign[cols]) > NONZERO_TOL)
-                & (col_sign[cols] * d[cols] > ZERO_STEP_TOL)]
+    cols = J_P[(np.abs(col_sign[J_P]) > NONZERO_TOL)
+               & (col_sign[J_P] * d[J_P] > ZERO_STEP_TOL)]
     col_r = np.maximum(-xi[cols] / d[cols], 0.0)
     blocking = float(min(up_r.min(initial=np.inf), down_r.min(initial=np.inf),
                          col_r.min(initial=np.inf)))
     if gap <= blocking * (1.0 + TIE_RTOL) + ZERO_STEP_TOL:
-        return gap, True, [], IndexSet.empty(ctx.n)
+        return gap, True, [], np.empty(0, dtype=int)
     if not np.isfinite(blocking):
         raise UnboundedDirectionError("primal subproblem direction is unblocked")
     width = blocking + TIE_RTOL * (1.0 + blocking)
     up_hit = up_r <= width
     rows = np.flatnonzero(up_hit | (down_r <= width))
     new_rows = list(zip(rows.tolist(), np.where(up_hit[rows], 1.0, -1.0).tolist()))
-    leaving = IndexSet(tuple(cols[col_r <= width].tolist()), ctx.n)
-    return blocking, False, new_rows, leaving
+    return blocking, False, new_rows, cols[col_r <= width]
 
 
-def primal_multipliers(ctx: PrimalContext, I_P: IndexSet, J_P: IndexSet,
-                       signs: np.ndarray, col_sign: np.ndarray,
+def primal_multipliers(ctx: PrimalContext, I_P: np.ndarray, extra_rows: np.ndarray,
+                       free_cols: np.ndarray, signs: np.ndarray, col_sign: np.ndarray,
                        report: SolveReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multipliers once no direction exists, from the solution z of
     [A^{I_P}_{J_P}^T; -signs_{I_P}^T] z = (0, ..., 0, 1) in the
     ``alternative`` of the failed ``primal_direction`` report: e = -z solves
-    (A^{I_P}_{J_P})^T e = 0, signs^T e = 1; mu on I_P \\ I_D, nu on
-    J_D \\ J_P."""
+    (A^{I_P}_{J_P})^T e = 0, signs^T e = 1; mu on extra_rows = I_P \\ I_D,
+    nu on free_cols = J_D \\ J_P."""
     found = report.alternative
     if not found.consistent:
         raise AsmError("primal multiplier system inconsistent although no direction exists")
     e_hat = np.zeros(ctx.m)
-    e_hat[I_P.array] = -found.solution
-    extra_rows = I_P.difference(ctx.I_D).array
+    e_hat[I_P] = -found.solution
     mu = signs[extra_rows] * e_hat[extra_rows]
-    free_cols = ctx.J_D.difference(J_P).array
     nu = -col_sign[free_cols] * (ctx.A[:, free_cols].T @ e_hat)
     return e_hat, mu, nu
+
+
+class _PrimalFace:
+    """Carries the bound decrease tau, the residual signs of the active rows
+    and the signs of A_j^T y on J_D."""
+
+    name = "primal"
+
+    def __init__(self, ctx: PrimalContext):
+        self.ctx = ctx
+        self.outer = index_mask(ctx.n, ctx.J_D.array)
+        self.fixed = index_mask(ctx.m, ctx.I_D.array)
+        self.tau = 0.0
+        self.signs = np.asarray(ctx.residual_signs, dtype=float).copy()
+        signed = self.fixed & (np.abs(ctx.y_next) > SUPPORT_TOL)
+        self.signs[signed] = np.sign(ctx.y_next[signed])
+        cols = ctx.J_D.array
+        self.col_sign = np.zeros(ctx.n)
+        self.col_sign[cols] = np.sign(ctx.A[:, cols].T @ ctx.y_next)
+
+    def direction(self, support, active):
+        return primal_direction(self.ctx, active, support, self.signs)
+
+    def step(self, d, xi, support, active):
+        alpha, reached_target, new_rows, leaving = primal_step(
+            self.ctx, d, xi, self.tau, active, support, self.col_sign)
+        self.tau += alpha
+        rows = [i for i, _ in new_rows]
+        self.signs[rows] = [side for _, side in new_rows]
+        return alpha, rows, leaving, reached_target
+
+    def multipliers(self, report, xi, active, removable, candidates):
+        return primal_multipliers(self.ctx, active, removable, candidates,
+                                  self.signs, self.col_sign, report)
+
+    def warm_slack(self, d):
+        return self.ctx.A @ d + self.signs
+
+    def stays(self, d, xi):
+        bound = self.ctx.delta_k - self.tau
+        resid = self.ctx.A @ xi - self.ctx.b
+        return (np.abs(self.ctx.A @ d + self.signs) <= TIE_RTOL) \
+            & (np.abs(np.abs(resid) - bound) <= ACTIVE_TOL * (1.0 + bound))
+
+    def value(self, xi):
+        return self.tau
 
 
 def primal_update(ctx: PrimalContext, max_iters: int | None = None,
@@ -149,94 +195,19 @@ def primal_update(ctx: PrimalContext, max_iters: int | None = None,
 
     Returns the new primal iterate, the achieved decrease t, the final
     multiplier-system solution e_hat (warm start for the next dual update;
-    None when the target bound was reached) and the final sets.
+    None when the target bound was reached), the final sets and the
+    residual signs.
     """
     if ctx.delta_target > ctx.delta_k + ZERO_STEP_TOL:
         raise ValueError("delta_target exceeds the current bound")
+    face = _PrimalFace(ctx)
     xi = np.asarray(ctx.x_start, dtype=float).copy()
-    off = np.ones(ctx.n, dtype=bool)
-    off[ctx.J_D.array] = False
-    if np.max(np.abs(xi[off]), initial=0.0) > SUPPORT_TOL:
+    if np.max(np.abs(xi[~face.outer]), initial=0.0) > SUPPORT_TOL:
         raise ValueError("x_start has support outside the dual active columns")
-    xi[off] = 0.0
-    tau = 0.0
-    signs = np.asarray(ctx.residual_signs, dtype=float).copy()
-    for i in ctx.I_D:
-        if abs(ctx.y_next[i]) > SUPPORT_TOL:
-            signs[i] = 1.0 if ctx.y_next[i] > 0 else -1.0
-    col_sign = np.zeros(ctx.n)
-    cols = ctx.J_D.array
-    col_sign[cols] = np.sign(ctx.A[:, cols].T @ ctx.y_next)
-
-    I_P, J_P = ctx.I_P, ctx.J_P
-    pending_d = None
-    if ctx.warm_direction is not None:
-        d_hat = np.asarray(ctx.warm_direction, dtype=float)
-        grow = [j for j in ctx.J_D.difference(J_P) if abs(d_hat[j]) > NONZERO_TOL]
-        J_P = J_P.union(grow)
-        a_dhat = ctx.A @ d_hat
-        shrink = [i for i in I_P.difference(ctx.I_D)
-                  if abs(a_dhat[i] + signs[i]) > NONZERO_TOL]
-        I_P = I_P.difference(shrink)
-        pending_d = d_hat
-
-    ledger_rows = IndexSet.empty(ctx.m)   # rows removed from I_P \ I_D
-    ledger_cols = IndexSet.empty(ctx.n)   # columns added to J_P
-    if max_iters is None:
-        max_iters = 50 * (ctx.m + ctx.n + 5)
-
-    for it in range(max_iters):
-        if pending_d is not None:
-            d, have_direction = pending_d, True
-            pending_d = None
-        else:
-            report = primal_direction(ctx, I_P, J_P, signs)
-            d, have_direction = report.solution, report.consistent
-
-        if have_direction:
-            alpha, hit_target, new_rows, leaving = primal_step(
-                ctx, d, xi, tau, I_P, J_P, col_sign)
-            xi = xi + alpha * d
-            tau += alpha
-            if hit_target:
-                if trace is not None:
-                    trace(("primal", it, alpha, len(I_P), len(J_P), tau, xi.copy()))
-                return PrimalUpdateResult(xi, tau, None, I_P, J_P, True, it + 1)
-            xi[leaving.array] = 0.0
-            for i, side in new_rows:
-                signs[i] = side
-            I_P = I_P.union([i for i, _ in new_rows])
-            J_P = J_P.difference(leaving)
-            if alpha <= ZERO_STEP_TOL:
-                ledger_rows = ledger_rows.difference([i for i, _ in new_rows])
-                ledger_cols = ledger_cols.difference(leaving)
-            elif len(ledger_rows) + len(ledger_cols) > 1:
-                resid = ctx.A @ xi - ctx.b
-                a_d = ctx.A @ d
-                bound = ctx.delta_k - tau
-                stay = [i for i in ledger_rows
-                        if abs(a_d[i] + signs[i]) <= TIE_RTOL
-                        and abs(abs(resid[i]) - bound) <= ACTIVE_TOL * (1.0 + bound)]
-                drop = [j for j in ledger_cols
-                        if abs(d[j]) <= TIE_RTOL and abs(xi[j]) <= SUPPORT_TOL]
-                I_P = I_P.union(stay)
-                xi[np.array(drop, dtype=int)] = 0.0
-                J_P = J_P.difference(drop)
-                ledger_rows = IndexSet.empty(ctx.m)
-                ledger_cols = IndexSet.empty(ctx.n)
-            if trace is not None:
-                trace(("primal", it, alpha, len(I_P), len(J_P), tau, xi.copy()))
-            continue
-
-        e_hat, mu, nu = primal_multipliers(ctx, I_P, J_P, signs, col_sign, report)
-        mu_best, i_minus = _argmin_with_ties(mu, I_P.difference(ctx.I_D).array)
-        nu_best, j_plus = _argmin_with_ties(nu, ctx.J_D.difference(J_P).array)
-        if mu_best >= -opt_tol and nu_best >= -opt_tol:
-            return PrimalUpdateResult(xi, tau, e_hat, I_P, J_P, False, it + 1)
-        if mu_best < nu_best:
-            I_P = I_P.difference([i_minus])
-            ledger_rows = ledger_rows.union([i_minus])
-        else:
-            J_P = J_P.union([j_plus])
-            ledger_cols = ledger_cols.union([j_plus])
-    raise AsmError(f"primal update iteration cap {max_iters} exceeded")
+    xi[~face.outer] = 0.0
+    xi, support, active, e_hat, iterations = run_active_set(
+        face, xi, index_mask(ctx.n, ctx.J_P.array), index_mask(ctx.m, ctx.I_P.array),
+        ctx.warm_direction, max_iters, opt_tol, trace)
+    return PrimalUpdateResult(xi, face.tau, e_hat, IndexSet.from_mask(active),
+                              IndexSet.from_mask(support), e_hat is None,
+                              iterations, face.signs)

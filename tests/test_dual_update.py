@@ -10,6 +10,14 @@ from l1linf.homotopy import ProblemInstance, solve_path
 from l1linf.linalg import IndexSet
 
 
+def dual_step_sets(ctx, e, psi, I_D, J_D):
+    """dual_step on IndexSet arguments, with its index arrays returned as
+    IndexSets."""
+    alpha, new_cols, zero_rows = dual_step(ctx, e, psi, I_D.array, J_D.array)
+    return (alpha, IndexSet(tuple(new_cols.tolist()), ctx.n),
+            IndexSet(tuple(zero_rows.tolist()), ctx.m))
+
+
 def scalar_ctx():
     # A = [1], b = (2), x = 0: one active row with residual sign -1
     signs = np.array([-1.0])
@@ -20,7 +28,7 @@ def scalar_ctx():
 
 def test_dual_direction_scalar():
     ctx = scalar_ctx()
-    rep = dual_direction(ctx, IndexSet((0,), 1), IndexSet.empty(1))
+    rep = dual_direction(ctx, IndexSet((0,), 1).array, IndexSet.empty(1).array)
     assert rep.consistent
     np.testing.assert_allclose(rep.solution, [-1.0], atol=1e-12)
 
@@ -29,7 +37,7 @@ def test_dual_direction_contradiction():
     # with the single column active, e must be orthogonal to it and still
     # have unit product with the sign: impossible for a 1x1 nonzero matrix
     ctx = scalar_ctx()
-    rep = dual_direction(ctx, IndexSet((0,), 1), IndexSet((0,), 1))
+    rep = dual_direction(ctx, IndexSet((0,), 1).array, IndexSet((0,), 1).array)
     assert not rep.consistent
 
 
@@ -45,7 +53,7 @@ def test_dual_direction_substitution_random():
         signs[i_p.array] = rng.choice([-1.0, 1.0], len(i_p))
         ctx = DualContext(a, np.zeros(m), np.zeros(n), i_p, IndexSet.empty(n),
                           signs, y_start=np.zeros(m))
-        rep = dual_direction(ctx, i_d, j_d)
+        rep = dual_direction(ctx, i_d.array, j_d.array)
         if rep.consistent:
             e = rep.solution
             assert np.max(np.abs(a[i_d.array][:, j_d.array].T @ e[i_d.array])) <= 1e-9
@@ -56,8 +64,8 @@ def test_dual_step_scalar_trace():
     # from psi = 0 along e = -1 the first column bound blocks at alpha = 1
     ctx = scalar_ctx()
     e = np.array([-1.0])
-    alpha, new_cols, zero_rows = dual_step(ctx, e, np.zeros(1),
-                                           IndexSet((0,), 1), IndexSet.empty(1))
+    alpha, new_cols, zero_rows = dual_step_sets(ctx, e, np.zeros(1),
+                                                IndexSet((0,), 1), IndexSet.empty(1))
     assert alpha == pytest.approx(1.0, abs=1e-12)
     assert new_cols.indices == (0,)
     assert len(zero_rows) == 0
@@ -69,8 +77,8 @@ def test_dual_step_unbounded():
                       IndexSet((0,), 1), IndexSet.empty(1), np.array([-1.0]),
                       y_start=np.zeros(1))
     with pytest.raises(UnboundedDirectionError):
-        dual_step(ctx, np.array([-1.0]), np.zeros(1), IndexSet((0,), 1),
-                  IndexSet.empty(1))
+        dual_step_sets(ctx, np.array([-1.0]), np.zeros(1), IndexSet((0,), 1),
+                       IndexSet.empty(1))
 
 
 def test_dual_step_tie_applies_both_updates():
@@ -80,8 +88,8 @@ def test_dual_step_tie_applies_both_updates():
                       IndexSet.empty(1), signs, y_start=np.zeros(2))
     psi = np.array([0.5, 0.5])
     e = np.array([0.5, -0.5])
-    alpha, new_cols, zero_rows = dual_step(ctx, e, psi, IndexSet((0, 1), 2),
-                                           IndexSet.empty(1))
+    alpha, new_cols, zero_rows = dual_step_sets(ctx, e, psi, IndexSet((0, 1), 2),
+                                                IndexSet.empty(1))
     assert alpha == pytest.approx(1.0, abs=1e-12)
     assert new_cols.indices == (0,)
     assert zero_rows.indices == (1,)
@@ -90,9 +98,11 @@ def test_dual_step_tie_applies_both_updates():
 def test_dual_multipliers_scalar_terminal():
     ctx = scalar_ctx()
     i_d, j_d = IndexSet((0,), 1), IndexSet((0,), 1)
-    report = dual_direction(ctx, i_d, j_d)
+    report = dual_direction(ctx, i_d.array, j_d.array)
     assert not report.consistent
-    d_hat, mu, nu = dual_multipliers(ctx, np.array([-1.0]), i_d, j_d, report)
+    d_hat, mu, nu = dual_multipliers(ctx, np.array([-1.0]), j_d.array,
+                                     j_d.difference(ctx.J_P).array,
+                                     ctx.I_P.difference(i_d).array, report)
     np.testing.assert_allclose(d_hat, [1.0], atol=1e-12)
     # J_P is empty here, so the single active column carries mu = 1 >= 0
     np.testing.assert_allclose(mu, [1.0], atol=1e-12)
@@ -234,9 +244,9 @@ def test_dual_step_matches_loop_reference_with_exact_ties():
             expected = loop_dual_step(ctx, e, psi, i_d, j_d)
         except UnboundedDirectionError:
             with pytest.raises(UnboundedDirectionError):
-                dual_step(ctx, e, psi, i_d, j_d)
+                dual_step_sets(ctx, e, psi, i_d, j_d)
             continue
-        alpha, new_cols, zero_rows = dual_step(ctx, e, psi, i_d, j_d)
+        alpha, new_cols, zero_rows = dual_step_sets(ctx, e, psi, i_d, j_d)
         assert (alpha, new_cols, zero_rows) == expected
         ties += len(new_cols) + len(zero_rows) > 1
     assert ties > 20

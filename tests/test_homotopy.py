@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from l1linf.homotopy import (ProblemInstance, check_alternatives,
+from l1linf import homotopy
+from l1linf.asm import OPT_TOL
+from l1linf.homotopy import (ProblemInstance, _build_sets, check_alternatives,
                              check_optimal_pair, duality_gap, eval_path,
                              solve_path)
+from l1linf.linalg import IndexSet
 
 
 def test_check_optimal_pair_scalar():
@@ -286,14 +291,13 @@ def test_one_kernel_solve_per_direction_attempt(monkeypatch):
         assert counts[(side, "kernel")] == counts[(side, "direction")]
 
 
-def test_pinned_breakpoint_counts():
-    # a change of kernel or ratio test must keep these paths step for step
+def pinned_gaussian():
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((30, 60)), rng.standard_normal(30)
-    path = solve_path(ProblemInstance(a, b, 0.05 * np.max(np.abs(b))))
-    assert path.terminated == "target-reached"
-    assert len(path.breakpoints) - 1 == 62
+    return ProblemInstance(a, b, 0.05 * np.max(np.abs(b)))
 
+
+def pinned_dantzig():
     # Dantzig-selector form: A = X^T X is 24 x 24 of rank 12
     rng = np.random.default_rng(8)
     x = rng.standard_normal((12, 24))
@@ -302,6 +306,90 @@ def test_pinned_breakpoint_counts():
     beta[[3, 11, 17]] = [1.5, -1.0, 2.0]
     y = x @ beta + 0.1 * rng.standard_normal(12)
     a, b = x.T @ x, x.T @ y
-    path = solve_path(ProblemInstance(a, b, 1e-3 * np.max(np.abs(b))))
+    return ProblemInstance(a, b, 1e-3 * np.max(np.abs(b)))
+
+
+def test_pinned_breakpoint_counts():
+    # a change of kernel or ratio test must keep these paths step for step
+    path = solve_path(pinned_gaussian())
+    assert path.terminated == "target-reached"
+    assert len(path.breakpoints) - 1 == 62
+
+    path = solve_path(pinned_dantzig())
     assert path.terminated == "target-reached"
     assert len(path.breakpoints) - 1 == 33
+
+
+def test_breakpoint_sets_are_the_classified_sets():
+    # solve_path records the sets the subsolvers end with; at every
+    # breakpoint they equal what classifying the residuals by tolerance gives
+    rng = np.random.default_rng(20260808)   # the acceptance suite's instances
+    instances = [pinned_gaussian(), pinned_dantzig()]
+    for _ in range(6):
+        m = int(rng.integers(5, 21))
+        a = rng.standard_normal((m, 2 * m))
+        b = rng.standard_normal(m) * float(rng.uniform(0.5, 5.0))
+        instances.append(ProblemInstance(a, b, float(rng.uniform(0.02, 0.98))
+                                         * float(np.max(np.abs(b)))))
+    for inst in instances:
+        path = solve_path(inst)
+        assert path.terminated == "target-reached"
+        for bp in path.breakpoints:
+            ref = _build_sets(inst, bp.x, bp.y, bp.delta_k)
+            for name in ("J_P", "I_P", "J_D", "I_D"):
+                assert getattr(bp.sets, name) == getattr(ref, name), (bp.k, name)
+            for name in ("primal_signs", "residual_signs", "dual_signs"):
+                np.testing.assert_array_equal(getattr(bp.sets, name), getattr(ref, name))
+
+
+def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
+    # the subsolvers work on masks; IndexSet values are made only for the
+    # contexts, results and breakpoints
+    built = []
+    original = IndexSet.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+    monkeypatch.setattr(IndexSet, "__post_init__", counting)
+    path = solve_path(pinned_gaussian())
+    assert path.terminated == "target-reached"
+    assert len(built) <= 8 * (len(path.breakpoints) - 1)
+
+
+def test_degenerate_step_retry(monkeypatch):
+    # a zero primal step is retried once, cold and at OPT_TOL / 100; on a
+    # path without degeneracy the retry reproduces the same breakpoint
+    inst = pinned_gaussian()
+    reference = solve_path(inst)
+    calls = []
+    dual_update, primal_update = homotopy.dual_update, homotopy.primal_update
+
+    def recording_dual(ctx, **kwargs):
+        calls.append(("dual", ctx, kwargs.get("opt_tol", OPT_TOL)))
+        return dual_update(ctx, **kwargs)
+
+    def zero_step_once(ctx, **kwargs):
+        calls.append(("primal", ctx, kwargs.get("opt_tol", OPT_TOL)))
+        res = primal_update(ctx, **kwargs)
+        if len(calls) == 2 * 10 + 2:   # the first primal call at iteration 10
+            return dataclasses.replace(res, t=0.0)
+        return res
+
+    monkeypatch.setattr(homotopy, "dual_update", recording_dual)
+    monkeypatch.setattr(homotopy, "primal_update", zero_step_once)
+    path = solve_path(inst)
+    assert path.retries == 1
+    assert path.terminated == "target-reached"
+    retry = calls[22:24]
+    assert [kind for kind, _, _ in retry] == ["dual", "primal"]
+    for _, ctx, opt_tol in retry:
+        assert ctx.warm_direction is None
+        assert opt_tol == OPT_TOL / 100.0
+    assert all(ctx.warm_direction is not None and opt_tol == OPT_TOL
+               for _, ctx, opt_tol in calls[2:22] + calls[24:])
+    assert len(path.breakpoints) == len(reference.breakpoints)
+    for got, want in zip(path.breakpoints, reference.breakpoints):
+        assert got.delta_k == want.delta_k
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.y, want.y)

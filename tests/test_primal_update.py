@@ -11,6 +11,14 @@ from l1linf.primal_update import (PrimalContext, primal_direction,
                                   primal_update)
 
 
+def primal_step_sets(ctx, d, xi, tau, I_P, J_P, col_sign):
+    """primal_step on IndexSet arguments, with the leaving columns returned
+    as an IndexSet."""
+    alpha, hit, new_rows, leaving = primal_step(ctx, d, xi, tau, I_P.array,
+                                                J_P.array, col_sign)
+    return alpha, hit, new_rows, IndexSet(tuple(leaving.tolist()), ctx.n)
+
+
 def scalar_ctx(delta_target=0.0):
     # A = [1], b = (2), x = 0, fresh certificate y = -1, delta_k = 2
     return PrimalContext(np.array([[1.0]]), np.array([2.0]), np.array([-1.0]),
@@ -22,7 +30,7 @@ def scalar_ctx(delta_target=0.0):
 
 def test_primal_direction_scalar():
     ctx = scalar_ctx()
-    rep = primal_direction(ctx, IndexSet((0,), 1), IndexSet((0,), 1),
+    rep = primal_direction(ctx, IndexSet((0,), 1).array, IndexSet((0,), 1).array,
                            np.array([-1.0]))
     assert rep.consistent
     np.testing.assert_allclose(rep.solution, [1.0], atol=1e-12)
@@ -35,7 +43,7 @@ def test_primal_direction_overdetermined_inconsistent():
                         IndexSet((0, 1, 2), 4), IndexSet((0,), 6),
                         IndexSet.empty(4), IndexSet((0,), 6),
                         residual_signs=np.array([1.0, 1.0, -1.0, 0.0]))
-    rep = primal_direction(ctx, IndexSet((0, 1, 2), 4), IndexSet((0,), 6),
+    rep = primal_direction(ctx, IndexSet((0, 1, 2), 4).array, IndexSet((0,), 6).array,
                            ctx.residual_signs)
     assert not rep.consistent
 
@@ -52,7 +60,7 @@ def test_primal_direction_substitution_random():
         ctx = PrimalContext(a, np.zeros(m), np.zeros(n), 1.0, 0.0, np.zeros(n),
                             i_p, j_p, IndexSet.empty(m), j_p,
                             residual_signs=signs)
-        rep = primal_direction(ctx, i_p, j_p, signs)
+        rep = primal_direction(ctx, i_p.array, j_p.array, signs)
         if rep.consistent:
             d = rep.solution
             for i in i_p:
@@ -64,9 +72,9 @@ def test_primal_step_reaches_target():
     ctx = scalar_ctx(delta_target=0.0)
     d = np.array([1.0])
     col_sign = np.array([-1.0])
-    alpha, hit, new_rows, leaving = primal_step(ctx, d, np.zeros(1), 0.0,
-                                                IndexSet((0,), 1),
-                                                IndexSet((0,), 1), col_sign)
+    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(1), 0.0,
+                                                     IndexSet((0,), 1),
+                                                     IndexSet((0,), 1), col_sign)
     assert hit and alpha == pytest.approx(2.0, abs=1e-12)
     assert not new_rows and len(leaving) == 0
 
@@ -82,9 +90,9 @@ def test_primal_step_identity_second_row_ratios():
                         residual_signs=np.array([-1.0, 0.0]))
     d = np.array([1.0, 0.0])
     col_sign = np.array([-1.0, 0.0])
-    alpha, hit, new_rows, leaving = primal_step(ctx, d, np.zeros(2), 0.0,
-                                                ctx.I_P, IndexSet((0,), 2),
-                                                col_sign)
+    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(2), 0.0,
+                                                     ctx.I_P, IndexSet((0,), 2),
+                                                     col_sign)
     assert hit and alpha == pytest.approx(2.0, abs=1e-12)
 
 
@@ -99,9 +107,9 @@ def test_primal_step_blocking_tie_adds_all_rows():
                         residual_signs=np.array([-1.0, 0.0, 0.0]))
     d = np.array([1.0])
     col_sign = np.array([-1.0])
-    alpha, hit, new_rows, leaving = primal_step(ctx, d, np.zeros(1), 0.0,
-                                                ctx.I_P, IndexSet((0,), 3),
-                                                col_sign)
+    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(1), 0.0,
+                                                     ctx.I_P, IndexSet((0,), 3),
+                                                     col_sign)
     # rows 1 and 2 start at residual -1 and tie at the upper bound
     assert not hit
     assert sorted(i for i, _ in new_rows) == [1, 2]
@@ -273,9 +281,9 @@ def test_primal_step_matches_loop_reference_with_exact_ties():
             expected = loop_primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
         except UnboundedDirectionError:
             with pytest.raises(UnboundedDirectionError):
-                primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
+                primal_step_sets(ctx, d, xi, tau, i_p, j_p, col_sign)
             continue
-        got = primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
+        got = primal_step_sets(ctx, d, xi, tau, i_p, j_p, col_sign)
         assert got == expected
         new_rows = got[2]
         row_ties += len(new_rows) > 1

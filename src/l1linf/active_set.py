@@ -63,7 +63,7 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
         active &= face.fixed | (np.abs(face.warm_slack(pending)) <= NONZERO_TOL)
 
     for it in range(max_iters):
-        sup, act = np.flatnonzero(support), np.flatnonzero(active)
+        sup, act = support.nonzero()[0], active.nonzero()[0]
         if pending is not None:
             direction, pending = pending, None
         else:
@@ -95,8 +95,8 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
                 return point, support, active, None, it + 1
             continue
 
-        removable = np.flatnonzero(active & ~face.fixed)
-        candidates = np.flatnonzero(face.outer & ~support)
+        removable = (active & ~face.fixed).nonzero()[0]
+        candidates = (face.outer & ~support).nonzero()[0]
         solution, mu, nu = face.multipliers(report, point, act, removable, candidates)
         mu_best, leave = _argmin_with_ties(mu, removable)
         nu_best, join = _argmin_with_ties(nu, candidates)

@@ -8,6 +8,7 @@ coerce and validate them (finite entries only).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -16,6 +17,18 @@ import numpy as np
 # Residual threshold for declaring a linear system consistent:
 # ||M x - rhs||_inf <= CONSISTENCY_TOL * (1 + ||rhs||_inf).
 CONSISTENCY_TOL = 1e-9
+
+# solve_consistent factors square and tall blocks by Householder QR from
+# this many columns up; below it the thin SVD is as cheap or cheaper.  One
+# whole call on k x k and (k+1) x k blocks, one BLAS thread on a 2-vCPU
+# Xeon, SVD against QR: 90 against 90-100 us at k = 10, 240 against
+# 110-135 us at k = 30, 5.3 ms against 1.5 ms at k = 180.
+QR_MIN_COLS = 12
+# A QR factor counts as full column rank when min |R_ii| > QR_RANK_RTOL *
+# max |R_ii|.  This is five orders above the SVD's eps * max(shape) rank
+# cutoff, so the two rank decisions agree away from the margin; blocks
+# that fail it go to the SVD.
+QR_RANK_RTOL = 1e-8
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
@@ -44,9 +57,9 @@ class IndexSet:
     universe: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(map(int, self.indices))
         object.__setattr__(self, "indices", idx)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if not all(map(operator.lt, idx, idx[1:])):
             raise ValueError("indices must be strictly increasing")
         if idx and (idx[0] < 0 or idx[-1] >= self.universe):
             raise ValueError(f"index out of range for universe {self.universe}")
@@ -58,7 +71,7 @@ class IndexSet:
     @staticmethod
     def from_mask(mask) -> "IndexSet":
         mask = np.asarray(mask, dtype=bool)
-        return IndexSet(tuple(int(i) for i in np.flatnonzero(mask)), mask.size)
+        return IndexSet(mask.nonzero()[0].tolist(), mask.size)
 
     @staticmethod
     def empty(universe: int) -> "IndexSet":
@@ -127,12 +140,19 @@ def solve_consistent(m, rhs, tol: float = CONSISTENCY_TOL) -> SolveReport:
     Fredholm alternative [M^T; rhs^T] z = (0, ..., 0, 1) from the same
     factorisation.
 
-    M may be rectangular and rank-deficient.  One thin SVD M = U S V^T,
-    truncated at lstsq's rank cutoff eps * max(shape) * sigma_max, gives
-    the minimum-2-norm least-squares solution x = V_r S_r^-1 U_r^T rhs and
-    w = rhs - U_r U_r^T rhs; z = w / ||w||^2 is the minimum-norm solution of
-    the alternative system.  Each answer is accepted by the residual test of
-    its own system, ||residual||_inf <= tol * (1 + ||right-hand side||_inf).
+    M may be rectangular and rank-deficient.  A square or tall block with
+    at least ``QR_MIN_COLS`` columns is factored by a complete Householder
+    QR, M = [Q_1 Q_2] [R; 0].  If R passes the rank test
+    min |R_ii| > QR_RANK_RTOL * max |R_ii|, then x = R^-1 Q_1^T rhs is the
+    unique least-squares solution and w = Q_2 Q_2^T rhs is the part of rhs
+    outside range(M).  A square block has no Q_2, so w = 0 exactly and Q
+    is never formed: rhs is factored along as one more column.  Every
+    other block (wide, empty, small or numerically rank-deficient) goes to
+    ``_svd_solve``, which gives the minimum-2-norm solution and w from a
+    truncated thin SVD.  Either way z = w / ||w||^2 is the minimum-norm
+    solution of the alternative system, and each answer is accepted by the
+    residual test of its own system against the block M itself:
+    ||residual||_inf <= tol * (1 + ||right-hand side||_inf).
     Repeated calls on identical inputs are bit-for-bit reproducible.
     """
     m = as_matrix(m, "M")
@@ -141,16 +161,21 @@ def solve_consistent(m, rhs, tol: float = CONSISTENCY_TOL) -> SolveReport:
         raise ValueError(f"dimension mismatch: M has {m.shape[0]} rows, rhs has {rhs.shape[0]}")
     rows, cols = m.shape
 
-    if rows and cols:
-        u, sig, vt = np.linalg.svd(m, full_matrices=False)
-        rank = int(np.count_nonzero(sig > np.finfo(float).eps * max(rows, cols) * sig[0]))
-        u, sig, vt = u[:, :rank], sig[:rank], vt[:rank]
-        coef = u.T @ rhs
-        sol = vt.T @ (coef / sig)
-        w = rhs - u @ coef
-    else:
-        sol = np.zeros(cols)
-        w = rhs.copy()
+    sol = None
+    if rows >= cols >= QR_MIN_COLS:
+        if rows == cols:
+            # the reflectors that factor M turn the extra column into Q^T rhs
+            r = np.linalg.qr(np.column_stack((m, rhs)), mode="r")
+            r, coef, w = r[:, :cols], r[:, cols], np.zeros(rows)
+        else:
+            q, r = np.linalg.qr(m, mode="complete")
+            coef = q.T @ rhs
+            w = q[:, cols:] @ coef[cols:]
+        diag = np.abs(np.diagonal(r))
+        if diag.min() > QR_RANK_RTOL * diag.max():
+            sol = np.linalg.solve(r[:cols], coef[:cols])
+    if sol is None:
+        sol, w = _svd_solve(m, rhs)
     resid = float(np.max(np.abs(m @ sol - rhs), initial=0.0))
     ok = resid <= tol * (1.0 + np.max(np.abs(rhs), initial=0.0))
 
@@ -160,3 +185,17 @@ def solve_consistent(m, rhs, tol: float = CONSISTENCY_TOL) -> SolveReport:
     z_ok = z_resid <= tol * 2.0
     alternative = SolveReport(z if z_ok else None, z_resid, z_ok)
     return SolveReport(sol if ok else None, resid, ok, w, alternative)
+
+
+def _svd_solve(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-2-norm least-squares solution x and w = rhs - U_r U_r^T rhs
+    from one thin SVD M = U S V^T, truncated at lstsq's rank cutoff
+    eps * max(shape) * sigma_max."""
+    rows, cols = m.shape
+    if not (rows and cols):
+        return np.zeros(cols), rhs.copy()
+    u, sig, vt = np.linalg.svd(m, full_matrices=False)
+    rank = int(np.count_nonzero(sig > np.finfo(float).eps * max(rows, cols) * sig[0]))
+    u, sig, vt = u[:, :rank], sig[:rank], vt[:rank]
+    coef = u.T @ rhs
+    return vt.T @ (coef / sig), rhs - u @ coef

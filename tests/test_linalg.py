@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
-from l1linf.linalg import IndexSet, solve_consistent, submatrix
+from l1linf import dual_update, linalg, primal_update, solve_path
+from l1linf.linalg import QR_MIN_COLS, IndexSet, _svd_solve, solve_consistent, submatrix
+from test_homotopy import pinned_gaussian
 
 
 def test_indexset_validation():
@@ -139,6 +143,8 @@ def _kernel_cases():
         ("no-columns", np.zeros((3, 0)), rng.standard_normal(3)),
         ("no-rows", np.zeros((0, 3)), np.zeros(0)),
         ("empty", np.zeros((0, 0)), np.zeros(0)),
+        ("tall-qr", rng.standard_normal((20, 14)), rng.standard_normal(20)),
+        ("square-qr", rng.standard_normal((14, 14)), rng.standard_normal(14)),
     ]
     return [pytest.param(m, rhs, id=name) for name, m, rhs in cases]
 
@@ -169,3 +175,87 @@ def test_kernel_gives_exactly_one_fredholm_alternative(m, rhs):
         ls_z, *_ = np.linalg.lstsq(stacked, target, rcond=None)
         assert _close(alt.solution, ls_z)
         assert rep.solution is None
+
+
+
+def _svd_calls(monkeypatch):
+    calls = []
+
+    def counting(m, rhs):
+        calls.append(m.shape)
+        return _svd_solve(m, rhs)
+    monkeypatch.setattr(linalg, "_svd_solve", counting)
+    return calls
+
+
+def _rel_close(a, b, scale):
+    return np.linalg.norm(a - b) <= 1e-10 * scale
+
+
+def test_qr_branch_replays_the_svd_branch_on_a_path(monkeypatch):
+    # every block of the pinned path gives the same report from the QR
+    # branch as from the SVD branch, and only small blocks reach the SVD
+    blocks = []
+
+    def capture(m, rhs):
+        blocks.append((m, rhs))
+        return solve_consistent(m, rhs)
+    monkeypatch.setattr(dual_update, "solve_consistent", capture)
+    monkeypatch.setattr(primal_update, "solve_consistent", capture)
+    assert solve_path(pinned_gaussian()).terminated == "target-reached"
+    monkeypatch.undo()
+
+    calls = _svd_calls(monkeypatch)
+    reports = [solve_consistent(m, rhs) for m, rhs in blocks]
+    qr_blocks = sum(m.shape[0] >= m.shape[1] >= QR_MIN_COLS for m, _ in blocks)
+    assert qr_blocks > 0 and len(calls) == len(blocks) - qr_blocks
+    monkeypatch.setattr(linalg, "QR_MIN_COLS", sys.maxsize)
+    for (m, rhs), rep in zip(blocks, reports):
+        ref = solve_consistent(m, rhs)
+        assert rep.consistent == ref.consistent
+        assert rep.alternative.consistent == ref.alternative.consistent
+        assert _rel_close(rep.w, ref.w, np.linalg.norm(rhs))
+        if ref.consistent:
+            assert _rel_close(rep.solution, ref.solution, np.linalg.norm(ref.solution))
+        if ref.alternative.consistent:
+            z = ref.alternative.solution
+            assert _rel_close(rep.alternative.solution, z, np.linalg.norm(z))
+
+
+def _near_singular_cases():
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((20, 14))
+    repeated = np.column_stack([g, g[:, 3]])            # rank 14
+    u, _ = np.linalg.qr(rng.standard_normal((20, 15)))
+    v, _ = np.linalg.qr(rng.standard_normal((15, 15)))
+    graded = (u * np.logspace(0, -12, 15)) @ v.T        # condition number 1e12
+    return [pytest.param(m, m @ rng.standard_normal(15), id=name)
+            for name, m in (("repeated-column", repeated), ("cond-1e12", graded))]
+
+
+@pytest.mark.parametrize("m,rhs", _near_singular_cases())
+def test_near_singular_tall_block_takes_the_svd_branch(monkeypatch, m, rhs):
+    diag = np.abs(np.diagonal(np.linalg.qr(m, mode="r")))
+    assert diag.min() < linalg.QR_RANK_RTOL * diag.max()
+    calls = _svd_calls(monkeypatch)
+    rep = solve_consistent(m, rhs)
+    assert calls == [m.shape]
+    assert rep.consistent and not rep.alternative.consistent
+    if np.linalg.matrix_rank(m) < m.shape[1]:
+        # the minimum-norm solution is well determined; the solution of a
+        # full-rank block of condition 1e12 is fixed only to about cond * eps
+        ls, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+        assert _close(rep.solution, ls)
+
+
+def test_square_block_has_no_alternative(monkeypatch):
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((QR_MIN_COLS + 3, QR_MIN_COLS + 3))
+    rhs = rng.standard_normal(m.shape[0])
+    calls = _svd_calls(monkeypatch)
+    rep = solve_consistent(m, rhs)
+    assert calls == []
+    assert np.all(rep.w == 0.0)
+    assert rep.consistent and not rep.alternative.consistent
+    assert rep.alternative.solution is None
+    assert _close(rep.solution, np.linalg.solve(m, rhs))

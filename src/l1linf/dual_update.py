@@ -25,7 +25,7 @@ import numpy as np
 from .active_set import index_mask, run_active_set
 from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
                   AsmError, UnboundedDirectionError)
-from .linalg import IndexSet, SolveReport, solve_consistent
+from .linalg import IndexSet, InverseCarry, SolveReport, solve_consistent
 
 
 @dataclass
@@ -38,6 +38,7 @@ class DualContext:
     residual_signs: np.ndarray           # full length m, +-1 on I_P, 0 elsewhere
     y_start: np.ndarray                  # full length m, zero off I_P
     warm_direction: np.ndarray | None = None  # full length m, zero off I_P
+    carry: InverseCarry | None = None         # the path's kernel inverse
 
     @property
     def m(self) -> int:
@@ -65,7 +66,8 @@ def dual_direction(ctx: DualContext, I_D: np.ndarray, J_D: np.ndarray) -> SolveR
     is the Fredholm alternative e = -w / ||w||^2.  The report's
     ``alternative`` is the kernel report of d, which ``dual_multipliers``
     reads when no direction exists."""
-    kernel = solve_consistent(ctx.A[np.ix_(I_D, J_D)], -ctx.residual_signs[I_D])
+    kernel = solve_consistent(ctx.A.take(I_D, 0).take(J_D, 1), -ctx.residual_signs[I_D],
+                              carry=ctx.carry, rows=I_D, cols=J_D)
     found = kernel.alternative
     e = None
     if found.consistent:
@@ -93,7 +95,7 @@ def dual_step(ctx: DualContext, e: np.ndarray, psi: np.ndarray,
         raise UnboundedDirectionError("dual subproblem direction is unblocked")
     alpha = float(min(col_r.min(), row_r.min(initial=np.inf)))
     width = alpha + TIE_RTOL * (1.0 + alpha)
-    return alpha, np.flatnonzero(col_r <= width), rows_i[row_r <= width]
+    return alpha, (col_r <= width).nonzero()[0], rows_i[row_r <= width]
 
 
 def dual_multipliers(ctx: DualContext, psi: np.ndarray, J_D: np.ndarray,

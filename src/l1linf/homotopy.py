@@ -23,7 +23,7 @@ from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, AsmError,
                   UnboundedDirectionError)
 from .dual_update import DualContext, dual_update
 from .encodings import improvement_system_dual, improvement_system_primal
-from .linalg import IndexSet, as_matrix, as_vector
+from .linalg import IndexSet, InverseCarry, KernelCounts, as_matrix, as_vector
 from .primal_update import PrimalContext, primal_update
 
 PAIR_TOL = 1e-8        # optimal-pair certification tolerance
@@ -92,6 +92,7 @@ class SolutionPath:
     primal_iterations: int = 0
     retries: int = 0
     timing: dict = field(default_factory=dict)
+    kernel: KernelCounts = field(default_factory=KernelCounts)
 
     @property
     def x_final(self) -> np.ndarray:
@@ -174,6 +175,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
                         "failure")
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
+    carry = InverseCarry(n)   # one kernel inverse follows the whole path
+    path.kernel = carry.counts
     delta_k = delta0
     warm_e: np.ndarray | None = None
     if max_iters is None:
@@ -190,7 +193,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             stage = "dual"
             try:
                 dual_ctx = DualContext(inst.A, inst.b, x, sets.I_P, sets.J_P, full_signs,
-                                       y_start=y, warm_direction=warm_e if warm else None)
+                                       y_start=y, warm_direction=warm_e if warm else None,
+                                       carry=carry)
                 if capture is not None:
                     capture("dual", dual_ctx)
                 tick = time.perf_counter()
@@ -202,7 +206,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                 primal_ctx = PrimalContext(
                     inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, sets.I_P, sets.J_P,
                     dual_res.I_D, dual_res.J_D, full_signs,
-                    warm_direction=dual_res.d_hat if warm else None)
+                    warm_direction=dual_res.d_hat if warm else None, carry=carry)
                 if capture is not None:
                     capture("primal", primal_ctx)
                 tick = time.perf_counter()
@@ -249,7 +253,9 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                    "nnz_x": len(sets.J_P), "nnz_y": len(sets.I_D),
                    "active_rows": len(sets.I_P), "active_cols": len(sets.J_D),
                    "dual_iters": dual_res.iterations,
-                   "primal_iters": primal_res.iterations})
+                   "primal_iters": primal_res.iterations,
+                   "kernel_updates": path.kernel.updates, "kernel_fresh": path.kernel.fresh,
+                   "kernel_drift": path.kernel.drift, "kernel_svd": path.kernel.svd})
         if delta_next <= inst.delta:
             path.terminated = "target-reached"
             return path

@@ -28,7 +28,7 @@ import numpy as np
 from .active_set import NONZERO_TOL, index_mask, run_active_set
 from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
                   AsmError, UnboundedDirectionError)
-from .linalg import IndexSet, SolveReport, solve_consistent
+from .linalg import IndexSet, InverseCarry, SolveReport, solve_consistent
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
 
@@ -47,6 +47,7 @@ class PrimalContext:
     J_D: IndexSet
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
     warm_direction: np.ndarray | None = None  # d_hat, full length n
+    carry: InverseCarry | None = None         # the path's kernel inverse
 
     @property
     def m(self) -> int:
@@ -75,7 +76,8 @@ def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
     A^{I_P}_{J_P} d_{J_P} = -signs_{I_P}, zero elsewhere.  The report's
     ``alternative`` is the kernel's other Fredholm alternative, which
     ``primal_multipliers`` reads when no direction exists."""
-    kernel = solve_consistent(ctx.A[np.ix_(I_P, J_P)], -signs[I_P])
+    kernel = solve_consistent(ctx.A.take(I_P, 0).take(J_P, 1), -signs[I_P],
+                              carry=ctx.carry, rows=I_P, cols=J_P)
     d = None
     if kernel.consistent:
         d = np.zeros(ctx.n)
@@ -120,7 +122,7 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
         raise UnboundedDirectionError("primal subproblem direction is unblocked")
     width = blocking + TIE_RTOL * (1.0 + blocking)
     up_hit = up_r <= width
-    rows = np.flatnonzero(up_hit | (down_r <= width))
+    rows = (up_hit | (down_r <= width)).nonzero()[0]
     new_rows = list(zip(rows.tolist(), np.where(up_hit[rows], 1.0, -1.0).tolist()))
     return blocking, False, new_rows, cols[col_r <= width]
 

@@ -9,6 +9,7 @@ from l1linf.homotopy import (ProblemInstance, _build_sets, check_alternatives,
                              check_optimal_pair, duality_gap, eval_path,
                              solve_path)
 from l1linf.linalg import IndexSet
+from l1linf.pathexport import export_to_json, path_to_export
 
 
 def test_check_optimal_pair_scalar():
@@ -393,3 +394,14 @@ def test_degenerate_step_retry(monkeypatch):
         assert got.delta_k == want.delta_k
         np.testing.assert_array_equal(got.x, want.x)
         np.testing.assert_array_equal(got.y, want.y)
+
+
+def test_kernel_counts_reach_the_trace_but_not_the_export():
+    inst = pinned_gaussian()
+    records = []
+    path = solve_path(inst, trace=records.append)
+    counts = path.kernel
+    assert counts.updates > 0 and counts.fresh >= 1
+    shown = {key: records[-1][f"kernel_{key}"] for key in ("updates", "fresh", "drift", "svd")}
+    assert shown == dataclasses.asdict(counts)
+    assert "kernel" not in export_to_json(path_to_export(inst, path))

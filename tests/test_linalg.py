@@ -1,10 +1,12 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from l1linf import dual_update, linalg, primal_update, solve_path
-from l1linf.linalg import QR_MIN_COLS, IndexSet, _svd_solve, solve_consistent, submatrix
+from l1linf.linalg import (QR_MIN_COLS, IndexSet, InverseCarry, _svd_solve, solve_consistent,
+                           submatrix)
 from test_homotopy import pinned_gaussian
 
 
@@ -197,9 +199,9 @@ def test_qr_branch_replays_the_svd_branch_on_a_path(monkeypatch):
     # branch as from the SVD branch, and only small blocks reach the SVD
     blocks = []
 
-    def capture(m, rhs):
+    def capture(m, rhs, **kwargs):
         blocks.append((m, rhs))
-        return solve_consistent(m, rhs)
+        return solve_consistent(m, rhs, **kwargs)
     monkeypatch.setattr(dual_update, "solve_consistent", capture)
     monkeypatch.setattr(primal_update, "solve_consistent", capture)
     assert solve_path(pinned_gaussian()).terminated == "target-reached"
@@ -259,3 +261,150 @@ def test_square_block_has_no_alternative(monkeypatch):
     assert rep.consistent and not rep.alternative.consistent
     assert rep.alternative.solution is None
     assert _close(rep.solution, np.linalg.solve(m, rhs))
+
+
+def _assert_same_report(rep, ref, rhs):
+    assert rep.consistent == ref.consistent
+    assert rep.alternative.consistent == ref.alternative.consistent
+    assert _rel_close(rep.w, ref.w, np.linalg.norm(rhs))
+    if ref.consistent:
+        assert _rel_close(rep.solution, ref.solution, np.linalg.norm(ref.solution))
+    if ref.alternative.consistent:
+        z = ref.alternative.solution
+        assert _rel_close(rep.alternative.solution, z, np.linalg.norm(z))
+
+
+def _carried_system_error(carry, m, rhs):
+    """||H S - I||_max for the carried H against the block's square system,
+    S in the carried order of rows and columns."""
+    s = m if m.shape[0] == m.shape[1] else np.column_stack((m, rhs))
+    s = s[np.ix_(carry.rp, carry.cp)]
+    return np.max(np.abs(carry.h @ s - np.eye(s.shape[0])))
+
+
+def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
+    # the block sequence of the pinned path, fed through one carried
+    # inverse, gives the stateless kernel's reports, and the updates keep H
+    # the inverse of the square system
+    blocks = []
+
+    def capture(m, rhs, **kwargs):
+        blocks.append((m, rhs, kwargs["rows"], kwargs["cols"]))
+        return solve_consistent(m, rhs, **kwargs)
+    monkeypatch.setattr(dual_update, "solve_consistent", capture)
+    monkeypatch.setattr(primal_update, "solve_consistent", capture)
+    inst = pinned_gaussian()
+    assert solve_path(inst).terminated == "target-reached"
+    monkeypatch.undo()
+
+    carry = InverseCarry(inst.n)
+    counts = carry.counts
+    for m, rhs, rows, cols in blocks:
+        served = counts.updates
+        rep = solve_consistent(m, rhs, carry=carry, rows=rows, cols=cols)
+        _assert_same_report(rep, solve_consistent(m, rhs), rhs)
+        if counts.updates > served:
+            assert _carried_system_error(carry, m, rhs) <= 1e-10
+    eligible = counts.updates + counts.fresh + counts.svd
+    assert eligible > 50 and counts.updates >= 0.9 * eligible
+
+
+def test_each_kind_of_update_keeps_the_inverse():
+    # one carried inverse through a bordering, a replaced row, a replaced
+    # column, the rhs column taking an A column's place, new rhs values, an
+    # un-bordering and an A column taking the rhs column's place
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((30, 40))
+    signs = rng.choice([-1.0, 1.0], size=30)
+    k = QR_MIN_COLS + 2
+    base = list(range(k))
+    flipped = signs.copy()
+    flipped[[2, 9]] *= -1.0
+    steps = [                                    # rows, cols (n: tall), signs
+        (base, base, signs),
+        (base + [k], base + [k], signs),
+        (base + [20], base + [k], signs),
+        (base + [20], base + [25], signs),
+        (base + [20], base + [40], signs),
+        (base + [20], base + [40], flipped),
+        ([i for i in base if i != 5] + [20], [j for j in base if j != 7] + [40], flipped),
+        ([i for i in base if i != 5] + [20], [j for j in base if j != 7] + [30], flipped),
+    ]
+    carry = InverseCarry(a.shape[1])
+    for step, (rows, cols, sgn) in enumerate(steps):
+        rows, cols = np.array(rows), np.array(cols)
+        if cols[-1] == a.shape[1]:
+            cols = cols[:-1]
+        m, rhs = a.take(rows, 0).take(cols, 1), -sgn[rows]
+        rep = solve_consistent(m, rhs, carry=carry, rows=rows, cols=cols)
+        assert (carry.counts.fresh, carry.counts.updates) == (1, step)
+        assert _carried_system_error(carry, m, rhs) <= 1e-10
+        _assert_same_report(rep, solve_consistent(m, rhs), rhs)
+
+
+def _near_singular_next_block(tall):
+    """A path's well-conditioned block and its next block, which replaces
+    column 5 by a copy of column 3 up to 1e-10."""
+    rng = np.random.default_rng(13)
+    k = QR_MIN_COLS + 3
+    a = rng.standard_normal((k + tall, k + 1))
+    a[:, k] = a[:, 3] + 1e-10 * rng.standard_normal(k + tall)
+    rows, first, second = np.arange(k + tall), np.arange(k), np.r_[0:5, 6:k + 1]
+    return a, rows, first, second, rng.standard_normal(k + tall)
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["square", "k+1-by-k"])
+def test_near_singular_square_system_takes_the_svd(monkeypatch, tall):
+    a, rows, first, second, rhs = _near_singular_next_block(tall)
+    m = a[:, second]
+    s = np.column_stack((m, rhs)) if tall else m
+    diag = np.abs(np.diagonal(np.linalg.qr(s, mode="r")))
+    assert diag.min() < linalg.QR_RANK_RTOL * diag.max()
+    calls = _svd_calls(monkeypatch)
+    ref = solve_consistent(m, rhs)
+    assert calls == [m.shape]
+    carry = InverseCarry(a.shape[1])
+    solve_consistent(a[:, first], rhs, carry=carry, rows=rows, cols=first)
+    rep = solve_consistent(m, rhs, carry=carry, rows=rows, cols=second)
+    assert calls == [m.shape, m.shape]
+    assert vars(carry.counts) == {"updates": 0, "fresh": 1, "drift": 0, "svd": 1}
+    assert carry.h is None
+    assert rep.consistent == ref.consistent and rep.residual_norm == ref.residual_norm
+    assert rep.alternative.consistent == ref.alternative.consistent
+
+
+def test_update_to_a_singular_system_is_refused_without_warnings(monkeypatch):
+    rng = np.random.default_rng(17)
+    k = QR_MIN_COLS + 3
+    a = rng.standard_normal((k, k + 1))
+    a[:, k] = a[:, 3]                           # column k duplicates column 3
+    rows, first, second = np.arange(k), np.arange(k), np.r_[0:5, 6:k + 1]
+    rhs = rng.standard_normal(k)
+    carry = InverseCarry(a.shape[1])
+    calls = _svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solve_consistent(a[:, first], rhs, carry=carry, rows=rows, cols=first)
+        rep = solve_consistent(a[:, second], rhs, carry=carry, rows=rows, cols=second)
+        assert calls == [(k, k)] and carry.h is None
+        assert not rep.consistent and rep.alternative.consistent
+        # the next call starts fresh rather than from a refused update
+        solve_consistent(a[:, first], rhs, carry=carry, rows=rows, cols=first)
+    assert vars(carry.counts) == {"updates": 0, "fresh": 2, "drift": 0, "svd": 1}
+
+
+def test_refinement_corrects_a_small_drift_and_refuses_a_large_one():
+    rng = np.random.default_rng(19)
+    k = QR_MIN_COLS + 3
+    m, rhs, labels = rng.standard_normal((k, k)), rng.standard_normal(k), np.arange(k)
+    ref = solve_consistent(m, rhs)
+    carry = InverseCarry(k)
+    solve_consistent(m, rhs, carry=carry, rows=labels, cols=labels)
+    carry.h *= 1.0 + 1e-11                      # within DRIFT_RTOL: kept, refined
+    rep = solve_consistent(m, rhs, carry=carry, rows=labels, cols=labels)
+    assert carry.counts.updates == 1
+    assert np.linalg.norm(rep.solution - ref.solution) <= 1e-12 * np.linalg.norm(ref.solution)
+    carry.h *= 1.0 + 1e-8                       # beyond it: a fresh factor
+    rep = solve_consistent(m, rhs, carry=carry, rows=labels, cols=labels)
+    assert vars(carry.counts) == {"updates": 1, "fresh": 2, "drift": 1, "svd": 0}
+    _assert_same_report(rep, ref, rhs)

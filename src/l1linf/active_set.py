@@ -43,8 +43,7 @@ def index_mask(size: int, indices) -> np.ndarray:
 
 def run_active_set(face, point: np.ndarray, support: np.ndarray,
                    active: np.ndarray, warm: np.ndarray | None,
-                   max_iters: int | None = None, opt_tol: float = OPT_TOL,
-                   trace=None):
+                   opt_tol: float = OPT_TOL, trace=None):
     """Run the ledger-driven active-set loop from a feasible point.
 
     ``support`` and ``active`` are updated in place.  A warm-start direction
@@ -53,8 +52,7 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
     the first direction.  Returns (point, support, active, multiplier-system
     solution, iterations); the solution is None when a step ended the run.
     """
-    if max_iters is None:
-        max_iters = 50 * (support.size + active.size + 5)
+    max_iters = 50 * (support.size + active.size + 5)
     removed = np.zeros(active.size, dtype=bool)   # ledger: left the active set
     added = np.zeros(support.size, dtype=bool)    # ledger: joined the support
     pending = None if warm is None else np.asarray(warm, dtype=float)

@@ -46,6 +46,8 @@ def _load_problem(args) -> ProblemInstance:
     a = read_matrixmarket_array(path)
     if args.b is None:
         raise ParseError("MatrixMarket input needs --b VECTOR_FILE")
+    if not Path(args.b).exists():
+        raise ParseError(f"vector file not found: {args.b}")
     b = read_vector(args.b)
     if args.delta is None:
         raise ParseError("--delta is required with MatrixMarket input")
@@ -59,7 +61,7 @@ def _trace_printer(rec: dict) -> None:
 def cmd_solve(args) -> int:
     try:
         inst = _load_problem(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         _err(str(exc))
         return EXIT_INPUT
     trace = _trace_printer if os.environ.get("HOUDINI_TRACE") == "1" else None

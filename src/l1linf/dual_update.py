@@ -145,8 +145,8 @@ class _DualFace:
         return float(-self.ctx.residual_signs @ psi)
 
 
-def dual_update(ctx: DualContext, max_iters: int | None = None,
-                opt_tol: float = OPT_TOL, trace=None) -> DualUpdateResult:
+def dual_update(ctx: DualContext, opt_tol: float = OPT_TOL,
+                trace=None) -> DualUpdateResult:
     """Solve the dual-certificate subproblem by the specialized active-set
     scheme; returns the new certificate embedded in R^m together with the
     final multiplier-system solution d_hat (warm start for the next primal
@@ -159,6 +159,6 @@ def dual_update(ctx: DualContext, max_iters: int | None = None,
     support = face.outer & (np.abs(psi) > SUPPORT_TOL)
     active = (np.abs(np.abs(ctx.A.T @ psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
     psi, support, active, d_hat, iterations = run_active_set(
-        face, psi, support, active, ctx.warm_direction, max_iters, opt_tol, trace)
+        face, psi, support, active, ctx.warm_direction, opt_tol, trace)
     return DualUpdateResult(psi, d_hat, IndexSet.from_mask(support),
                             IndexSet.from_mask(active), iterations)

@@ -32,10 +32,6 @@ T_MIN = 1e-12          # a primal step at or below this is a degenerate step
 QUERY_TOL = 1e-9       # breakpoint matching in eval_path
 
 
-class HomotopyError(RuntimeError):
-    pass
-
-
 @dataclass
 class ProblemInstance:
     A: np.ndarray
@@ -68,9 +64,7 @@ class IndexSets:
     I_P: IndexSet
     J_D: IndexSet
     I_D: IndexSet
-    primal_signs: np.ndarray    # aligned with J_P
     residual_signs: np.ndarray  # aligned with I_P
-    dual_signs: np.ndarray      # aligned with I_D
 
 
 @dataclass
@@ -133,12 +127,8 @@ def _build_sets(inst: ProblemInstance, x, y, delta: float) -> IndexSets:
     j_p = IndexSet.from_mask(np.abs(x) > SUPPORT_TOL)
     col = inst.A.T @ y
     j_d = IndexSet.from_mask(np.abs(np.abs(col) - 1.0) <= 2 * ACTIVE_TOL).union(j_p)
-    return IndexSets(
-        J_P=j_p, I_P=i_p, J_D=j_d, I_D=i_d,
-        primal_signs=np.sign(x[j_p.array]),
-        residual_signs=np.sign(resid[i_p.array]),
-        dual_signs=np.sign(y[i_d.array]),
-    )
+    return IndexSets(J_P=j_p, I_P=i_p, J_D=j_d, I_D=i_d,
+                     residual_signs=np.sign(resid[i_p.array]))
 
 
 def _full_residual_signs(inst: ProblemInstance, sets: IndexSets) -> np.ndarray:
@@ -148,14 +138,10 @@ def _full_residual_signs(inst: ProblemInstance, sets: IndexSets) -> np.ndarray:
 
 
 def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
-               max_iters: int | None = None, trace=None,
-               capture=None) -> SolutionPath:
+               max_iters: int | None = None, trace=None) -> SolutionPath:
     """Compute the full breakpoint path from ||b||_inf down to inst.delta.
 
-    ``trace`` receives one dict per homotopy iteration; ``capture``, when
-    given, receives ("dual", DualContext) / ("primal", PrimalContext) before
-    each subproblem solve, degenerate-step retries included (used by
-    cross-validation harnesses).
+    ``trace`` receives one dict per homotopy iteration.
     """
     m, n = inst.m, inst.n
     delta0 = float(np.max(np.abs(inst.b)))
@@ -167,11 +153,11 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         bp = PathBreakpoint(0, inst.delta, x, y, sets, 0.0)
         return SolutionPath([bp], "target-reached")
 
-    sets = _build_sets(inst, x, y, delta0)
-    # initial active rows: all i with |b_i| = ||b||_inf up to a relative tie
+    # at x = 0, y = 0 the active rows are all i with |b_i| = ||b||_inf up
+    # to a relative tie, and every other set is empty
     i_p = IndexSet.from_mask(np.abs(inst.b) >= delta0 * (1.0 - INIT_TIE_RTOL))
-    sets = IndexSets(sets.J_P, i_p, sets.J_D, sets.I_D, sets.primal_signs,
-                     np.sign(-inst.b[i_p.array]), sets.dual_signs)
+    sets = IndexSets(IndexSet.empty(n), i_p, IndexSet.empty(n), IndexSet.empty(m),
+                     np.sign(-inst.b[i_p.array]))
     path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
                         "failure")
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
@@ -195,8 +181,6 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                 dual_ctx = DualContext(inst.A, inst.b, x, sets.I_P, sets.J_P, full_signs,
                                        y_start=y, warm_direction=warm_e if warm else None,
                                        carry=carry)
-                if capture is not None:
-                    capture("dual", dual_ctx)
                 tick = time.perf_counter()
                 dual_res = dual_update(dual_ctx, opt_tol=opt_tol)
                 path.timing["dual_s"] += time.perf_counter() - tick
@@ -207,8 +191,6 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                     inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, sets.I_P, sets.J_P,
                     dual_res.I_D, dual_res.J_D, full_signs,
                     warm_direction=dual_res.d_hat if warm else None, carry=carry)
-                if capture is not None:
-                    capture("primal", primal_ctx)
                 tick = time.perf_counter()
                 primal_res = primal_update(primal_ctx, opt_tol=opt_tol)
                 path.timing["primal_s"] += time.perf_counter() - tick
@@ -243,9 +225,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             delta_next = inst.delta
         sets = IndexSets(J_P=primal_res.J_P, I_P=primal_res.I_P,
                          J_D=dual_res.J_D, I_D=dual_res.I_D,
-                         primal_signs=np.sign(x[primal_res.J_P.array]),
-                         residual_signs=primal_res.signs[primal_res.I_P.array],
-                         dual_signs=np.sign(y[dual_res.I_D.array]))
+                         residual_signs=primal_res.signs[primal_res.I_P.array])
         path.breakpoints.append(
             PathBreakpoint(k + 1, delta_next, x.copy(), y.copy(), sets, t))
         if trace is not None:

@@ -174,8 +174,9 @@ class InverseCarry:
     so an update never reorders it; ``rp`` and ``cp`` place the carried
     rows and columns in the current block.  ``follow`` brings H to the
     next system in O(k^2) when that differs from S by one bordering, one
-    un-bordering, one replaced column (new values in the rhs column count
-    as one) or one replaced row; any other change clears it.
+    un-bordering, one replaced column or one replaced row; any other
+    change, new values in the rhs column included, clears it, so the
+    system gets a fresh factor.
     """
 
     def __init__(self, n: int):
@@ -205,9 +206,7 @@ class InverseCarry:
         change = (len(rgone), len(rnew), len(cgone), len(cnew))
         if cols[-1] == self.n and self.cols.max() == self.n \
                 and (rhs[rpos[rin]] != self.rhs[rin]).any():
-            # new values in the rhs column: one replaced column, n for n
-            change = (0, 0, 1, 1) if change == (0, 0, 0, 0) else None
-            cgone, cnew = [int(self.cols.argmax())], [k]
+            change = None           # new values in the rhs column: factor afresh
         ok = True
         if change == (0, 0, 1, 1):
             q, j = cgone[0], cnew[0]
@@ -215,7 +214,7 @@ class InverseCarry:
             self.cols[q], cpos[q] = cols[j], j
         elif change == (1, 1, 0, 0):
             p, i = rgone[0], rnew[0]
-            ok = _replace_row(self.h, p, _row(m, rhs, i)[cpos])
+            ok = _replace_column(self.h.T, p, _row(m, rhs, i)[cpos])
             self.rows[p], rpos[p] = rows[i], i
         elif change == (0, 1, 0, 1):
             i, j = rnew[0], cnew[0]
@@ -311,7 +310,7 @@ def _row(m: np.ndarray, rhs: np.ndarray, i: int) -> np.ndarray:
 def _replace_column(h: np.ndarray, q: int, col: np.ndarray) -> bool:
     """Sherman-Morrison in place for column q of S replaced by col: with
     v = H col, row q of the new inverse is H_q / v_q, and every other row
-    loses v_i times it."""
+    loses v_i times it.  Called on H^T, it replaces row q of S by col."""
     v = h @ col
     piv = v[q]
     if not abs(piv) > QR_RANK_RTOL * np.abs(v).max():
@@ -319,18 +318,6 @@ def _replace_column(h: np.ndarray, q: int, col: np.ndarray) -> bool:
     hq = h[q] / piv
     h -= np.outer(v, hq)
     h[q] = hq
-    return True
-
-
-def _replace_row(h: np.ndarray, p: int, row: np.ndarray) -> bool:
-    """The transpose of ``_replace_column`` for row p of S."""
-    g = row @ h
-    piv = g[p]
-    if not abs(piv) > QR_RANK_RTOL * np.abs(g).max():
-        return False
-    hp = h[:, p] / piv
-    h -= np.outer(hp, g)
-    h[:, p] = hp
     return True
 
 
@@ -352,8 +339,7 @@ def _border(h: np.ndarray, col: np.ndarray, row: np.ndarray,
     return out
 
 
-def solve_consistent(m, rhs, tol: float = CONSISTENCY_TOL, *,
-                     carry: InverseCarry | None = None, rows=None,
+def solve_consistent(m, rhs, *, carry: InverseCarry | None = None, rows=None,
                      cols=None) -> SolveReport:
     """Solve M x = rhs if a solution exists within tolerance, and its
     Fredholm alternative [M^T; rhs^T] z = (0, ..., 0, 1).
@@ -369,15 +355,16 @@ def solve_consistent(m, rhs, tol: float = CONSISTENCY_TOL, *,
     needs ``rows`` and ``cols``, the sorted labels of the block's rows and
     columns in A, H is brought to this block by an O(k^2) update when it
     differs from the last square system by one row, one column or one
-    border (see ``InverseCarry``).  Each answer gets one step of iterative
-    refinement against S; a carried answer that the refinement moves by
-    more than DRIFT_RTOL is refused for a fresh factor.  Every other block
+    border (see ``InverseCarry``); new values in the rhs column of a
+    (k+1) x k block take a fresh factor.  Each answer gets one step of
+    iterative refinement against S; a carried answer that the refinement
+    moves by more than DRIFT_RTOL is refused for a fresh factor.  Every other block
     (wide, empty, small, taller than k+1, or a system that fails the rank
     test) goes to ``_svd_solve``, which gives the minimum-2-norm solution
     and w from a truncated thin SVD.  Either way z = w / ||w||^2 is the
     minimum-norm solution of the alternative system, and each answer is
     accepted by the residual test of its own system against the block M
-    itself: ||residual||_inf <= tol * (1 + ||right-hand side||_inf).
+    itself: ||residual||_inf <= CONSISTENCY_TOL * (1 + ||right-hand side||_inf).
     Repeated calls on identical inputs without a carry are bit-for-bit
     reproducible; a carried answer depends on the earlier blocks of its
     path through rounding only.
@@ -397,12 +384,12 @@ def solve_consistent(m, rhs, tol: float = CONSISTENCY_TOL, *,
                               else np.asarray(cols))
     sol, w = found if found is not None else _svd_solve(m, rhs)
     resid = float(np.max(np.abs(m @ sol - rhs), initial=0.0))
-    ok = resid <= tol * (1.0 + np.max(np.abs(rhs), initial=0.0))
+    ok = resid <= CONSISTENCY_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0))
 
     ww = float(w @ w)
     z = w / ww if ww > 0.0 else np.zeros(rows_n)
     z_resid = max(float(np.max(np.abs(m.T @ z), initial=0.0)), abs(float(rhs @ z) - 1.0))
-    z_ok = z_resid <= tol * 2.0
+    z_ok = z_resid <= CONSISTENCY_TOL * 2.0
     alternative = SolveReport(z if z_ok else None, z_resid, z_ok)
     return SolveReport(sol if ok else None, resid, ok, w, alternative)
 

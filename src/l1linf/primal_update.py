@@ -191,8 +191,8 @@ class _PrimalFace:
         return self.tau
 
 
-def primal_update(ctx: PrimalContext, max_iters: int | None = None,
-                  opt_tol: float = OPT_TOL, trace=None) -> PrimalUpdateResult:
+def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
+                  trace=None) -> PrimalUpdateResult:
     """Solve the primal subproblem with the specialized active-set scheme.
 
     Returns the new primal iterate, the achieved decrease t, the final
@@ -209,7 +209,7 @@ def primal_update(ctx: PrimalContext, max_iters: int | None = None,
     xi[~face.outer] = 0.0
     xi, support, active, e_hat, iterations = run_active_set(
         face, xi, index_mask(ctx.n, ctx.J_P.array), index_mask(ctx.m, ctx.I_P.array),
-        ctx.warm_direction, max_iters, opt_tol, trace)
+        ctx.warm_direction, opt_tol, trace)
     return PrimalUpdateResult(xi, face.tau, e_hat, IndexSet.from_mask(active),
                               IndexSet.from_mask(support), e_hat is None,
                               iterations, face.signs)

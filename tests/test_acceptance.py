@@ -20,6 +20,7 @@ from l1linf.homotopy import (ProblemInstance, check_alternatives,
 from l1linf.instances import (GeneralizedBounds, random_ground_truth,
                               to_linf_form)
 from l1linf.primal_update import primal_update
+from test_homotopy import subproblem_contexts
 
 SUITE_SEED = 20260808
 SUITE_SIZE = 200
@@ -222,13 +223,10 @@ def test_warm_start_consistency(suite):
 def test_generic_vs_specialized_subsolvers():
     rng = np.random.default_rng(SUITE_SEED + 3)
     captured = {"dual": [], "primal": []}
-
-    def grab(kind, ctx):
-        if len(captured[kind]) < 25:
-            captured[kind].append(ctx)
-
     while len(captured["dual"]) < 25 or len(captured["primal"]) < 25:
-        solve_path(random_suite_instance(rng), capture=grab)
+        for kind, ctx in subproblem_contexts(random_suite_instance(rng)):
+            if len(captured[kind]) < 25:
+                captured[kind].append(ctx)
 
     bad = []
     for ctx in captured["dual"]:

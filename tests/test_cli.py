@@ -61,6 +61,23 @@ def test_solve_malformed_matrix_exit_2(tmp_path, capsys):
     assert "l1linf:" in capsys.readouterr().err
 
 
+def test_solve_missing_matrixmarket_named_by_json_exit_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    missing = tmp_path / "missing.mtx"
+    inst.write_text(json.dumps({"A": {"matrixmarket": str(missing)}, "b": [1.0],
+                                "delta": 0.1}))
+    assert main(["solve", str(inst)]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_solve_missing_vector_file_exit_2(tmp_path, capsys):
+    mm = tmp_path / "a.mtx"
+    mm.write_text(write_matrixmarket_array(np.eye(2)))
+    missing = tmp_path / "missing.txt"
+    assert main(["solve", str(mm), "--b", str(missing), "--delta", "0.1"]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_solve_csv_format(tmp_path, capsys):
     inst = write_scalar_instance(tmp_path)
     assert main(["solve", str(inst), "--format", "csv"]) == 0

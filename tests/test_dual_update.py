@@ -6,8 +6,9 @@ from l1linf.asm import UnboundedDirectionError, asm_solve
 from l1linf.dual_update import (DualContext, dual_direction, dual_multipliers,
                                 dual_step, dual_update)
 from l1linf.encodings import dual_lp_encoding
-from l1linf.homotopy import ProblemInstance, solve_path
+from l1linf.homotopy import ProblemInstance
 from l1linf.linalg import IndexSet
+from test_homotopy import subproblem_contexts
 
 
 def dual_step_sets(ctx, e, psi, I_D, J_D):
@@ -135,9 +136,7 @@ def capture_contexts(kind, count, seed):
         inst = ProblemInstance(rng.standard_normal((m, 2 * m)),
                                rng.standard_normal(m) * 2,
                                float(rng.uniform(0.1, 0.9)) * 1.0)
-        grab = []
-        solve_path(inst, capture=lambda k, c: grab.append((k, c)))
-        captured.extend(c for k, c in grab if k == kind)
+        captured.extend(c for k, c in subproblem_contexts(inst) if k == kind)
     return captured[:count]
 
 

@@ -309,36 +309,56 @@ def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
     assert eligible > 50 and counts.updates >= 0.9 * eligible
 
 
+def _carried_steps(a, steps, carry):
+    """Feed (rows, cols, signs) blocks of a through one carry, a label
+    a.shape[1] in cols standing for the rhs column; yields each block's
+    (m, rhs, report)."""
+    for rows, cols, sgn in steps:
+        rows, cols = np.array(rows), np.array(cols)
+        if cols[-1] == a.shape[1]:
+            cols = cols[:-1]
+        m, rhs = a.take(rows, 0).take(cols, 1), -sgn[rows]
+        yield m, rhs, solve_consistent(m, rhs, carry=carry, rows=rows, cols=cols)
+
+
 def test_each_kind_of_update_keeps_the_inverse():
     # one carried inverse through a bordering, a replaced row, a replaced
-    # column, the rhs column taking an A column's place, new rhs values, an
-    # un-bordering and an A column taking the rhs column's place
+    # column, the rhs column taking an A column's place, an un-bordering and
+    # an A column taking the rhs column's place
     rng = np.random.default_rng(15)
     a = rng.standard_normal((30, 40))
     signs = rng.choice([-1.0, 1.0], size=30)
     k = QR_MIN_COLS + 2
     base = list(range(k))
-    flipped = signs.copy()
-    flipped[[2, 9]] *= -1.0
     steps = [                                    # rows, cols (n: tall), signs
         (base, base, signs),
         (base + [k], base + [k], signs),
         (base + [20], base + [k], signs),
         (base + [20], base + [25], signs),
         (base + [20], base + [40], signs),
-        (base + [20], base + [40], flipped),
-        ([i for i in base if i != 5] + [20], [j for j in base if j != 7] + [40], flipped),
-        ([i for i in base if i != 5] + [20], [j for j in base if j != 7] + [30], flipped),
+        ([i for i in base if i != 5] + [20], [j for j in base if j != 7] + [40], signs),
+        ([i for i in base if i != 5] + [20], [j for j in base if j != 7] + [30], signs),
     ]
     carry = InverseCarry(a.shape[1])
-    for step, (rows, cols, sgn) in enumerate(steps):
-        rows, cols = np.array(rows), np.array(cols)
-        if cols[-1] == a.shape[1]:
-            cols = cols[:-1]
-        m, rhs = a.take(rows, 0).take(cols, 1), -sgn[rows]
-        rep = solve_consistent(m, rhs, carry=carry, rows=rows, cols=cols)
+    for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
         assert (carry.counts.fresh, carry.counts.updates) == (1, step)
         assert _carried_system_error(carry, m, rhs) <= 1e-10
+        _assert_same_report(rep, solve_consistent(m, rhs), rhs)
+
+
+def test_new_rhs_values_take_a_fresh_factor():
+    # a carried (k+1) x k system whose rhs column changes values is not
+    # updated: the carry clears and the system is factored afresh
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((30, 40))
+    signs = rng.choice([-1.0, 1.0], size=30)
+    flipped = signs.copy()
+    flipped[[2, 9]] *= -1.0
+    rows, cols = list(range(QR_MIN_COLS + 3)), list(range(QR_MIN_COLS + 2)) + [40]
+    carry = InverseCarry(a.shape[1])
+    steps = [(rows, cols, signs), (rows, cols, flipped)]
+    for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
+        assert vars(carry.counts) == {"updates": 0, "fresh": step + 1, "drift": 0, "svd": 0}
         _assert_same_report(rep, solve_consistent(m, rhs), rhs)
 
 

@@ -4,11 +4,12 @@ import pytest
 from l1linf import oracle
 from l1linf.asm import asm_solve
 from l1linf.encodings import primal_lp_encoding
-from l1linf.homotopy import ProblemInstance, solve_path
+from l1linf.homotopy import ProblemInstance
 from l1linf.linalg import IndexSet
 from l1linf.primal_update import (PrimalContext, primal_direction,
                                   primal_multipliers, primal_step,
                                   primal_update)
+from test_homotopy import subproblem_contexts
 
 
 def primal_step_sets(ctx, d, xi, tau, I_P, J_P, col_sign):
@@ -137,9 +138,7 @@ def capture_primal_contexts(count, seed):
         b = rng.standard_normal(m) * 2
         inst = ProblemInstance(rng.standard_normal((m, 2 * m)), b,
                                float(rng.uniform(0.05, 0.9)) * np.max(np.abs(b)))
-        grab = []
-        solve_path(inst, capture=lambda k, c: grab.append((k, c)))
-        captured.extend(c for k, c in grab if k == "primal")
+        captured.extend(c for k, c in subproblem_contexts(inst) if k == "primal")
     return captured[:count]
 
 

@@ -8,13 +8,13 @@ from .homotopy import (IndexSets, PathBreakpoint, ProblemInstance,
 from .instances import (GeneralizedBounds, GroundTruthInstance,
                         load_instance, make_ground_truth, random_bp_pair,
                         random_ground_truth, save_instance, to_linf_form)
-from .linalg import IndexSet, SolveReport, solve_consistent, submatrix
+from .linalg import IndexSet, SolveReport, solve_consistent
 
 __all__ = [
     "IndexSet", "IndexSets", "SolveReport", "ProblemInstance",
     "PathBreakpoint", "SolutionPath", "GroundTruthInstance",
     "GeneralizedBounds", "solve_path", "eval_path", "check_optimal_pair",
-    "check_alternatives", "duality_gap", "solve_consistent", "submatrix",
+    "check_alternatives", "duality_gap", "solve_consistent",
     "make_ground_truth", "random_bp_pair", "random_ground_truth",
     "to_linf_form", "save_instance", "load_instance",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IndexSet, SolveReport, as_matrix, as_vector, solve_consistent
+from .linalg import SolveReport, as_matrix, as_vector, solve_consistent
 
 ACTIVE_TOL = 1e-9       # inequality i is active iff |d_i^T x - e_i| <= ACTIVE_TOL*(1+|e_i|)
 SUPPORT_TOL = 1e-9      # variable j is in the support iff |x_j| > SUPPORT_TOL
@@ -76,11 +76,13 @@ class StandardLp:
 
 @dataclass
 class AsmState:
+    """Index sets are sorted int arrays."""
+
     x: np.ndarray
-    active: IndexSet           # tight D rows
-    support: IndexSet          # nonzero variables
-    recently_removed: IndexSet
-    recently_added: IndexSet
+    active: np.ndarray             # tight D rows
+    support: np.ndarray            # nonzero variables
+    recently_removed: np.ndarray
+    recently_added: np.ndarray
     iteration: int = 0
 
 
@@ -88,20 +90,25 @@ class AsmState:
 class Multipliers:
     lam: np.ndarray          # equality multipliers, length m
     mu_active: np.ndarray    # aligned with state.active
-    nu_inactive: np.ndarray  # aligned with state.support.complement()
+    nu_inactive: np.ndarray  # aligned with complement(state.support, lp.n)
 
     def expand(self, lp: StandardLp, state: AsmState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mu = np.zeros(lp.n_ineq)
-        mu[state.active.array] = self.mu_active
+        mu[state.active] = self.mu_active
         nu = np.zeros(lp.n)
-        nu[state.support.complement().array] = self.nu_inactive
+        nu[complement(state.support, lp.n)] = self.nu_inactive
         return self.lam, mu, nu
 
 
-def classify(lp: StandardLp, x: np.ndarray) -> tuple[IndexSet, IndexSet]:
+def complement(indices: np.ndarray, size: int) -> np.ndarray:
+    """The sorted indices of {0..size-1} outside ``indices``."""
+    return np.setdiff1d(np.arange(size), indices)
+
+
+def classify(lp: StandardLp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slack = lp.D @ x - lp.e if lp.n_ineq else np.zeros(0)
-    active = IndexSet.from_mask(np.abs(slack) <= ACTIVE_TOL * (1.0 + np.abs(lp.e)))
-    support = IndexSet.from_mask(np.abs(x) > SUPPORT_TOL)
+    active = (np.abs(slack) <= ACTIVE_TOL * (1.0 + np.abs(lp.e))).nonzero()[0]
+    support = (np.abs(x) > SUPPORT_TOL).nonzero()[0]
     return active, support
 
 
@@ -143,8 +150,8 @@ def find_direction(lp: StandardLp, state: AsmState) -> SolveReport:
 
         [A_eq_S; D^act_S; c_S^T] xi_S = (0, ..., 0, -1),   xi on support only.
     """
-    s = state.support.array
-    rows = [lp.A_eq[:, s], lp.D[state.active.array][:, s], lp.c[s][None, :]]
+    s = state.support
+    rows = [lp.A_eq[:, s], lp.D[state.active][:, s], lp.c[s][None, :]]
     m = np.vstack(rows)
     rhs = np.zeros(m.shape[0])
     rhs[-1] = -1.0
@@ -161,9 +168,9 @@ def _direction_after_support_add(lp: StandardLp, state: AsmState, j: int) -> Sol
     xi_j = sigma_j, drop the cost row, solve the smaller homogeneous system,
     then rescale so that c^T xi = -1.  Falls back to the full system when the
     reduced one is inconsistent or numerically unusable."""
-    s_rest = state.support.difference([j]).array
-    m = np.vstack([lp.A_eq[:, s_rest], lp.D[state.active.array][:, s_rest]])
-    rhs = -lp.sigma[j] * np.concatenate([lp.A_eq[:, j], lp.D[state.active.array][:, j]])
+    s_rest = np.setdiff1d(state.support, [j])
+    m = np.vstack([lp.A_eq[:, s_rest], lp.D[state.active][:, s_rest]])
+    rhs = -lp.sigma[j] * np.concatenate([lp.A_eq[:, j], lp.D[state.active][:, j]])
     report = solve_consistent(m, rhs)
     if report.consistent:
         xi = np.zeros(lp.n)
@@ -175,12 +182,13 @@ def _direction_after_support_add(lp: StandardLp, state: AsmState, j: int) -> Sol
     return find_direction(lp, state)
 
 
-def step_size(lp: StandardLp, state: AsmState, xi: np.ndarray) -> tuple[float, IndexSet, IndexSet]:
+def step_size(lp: StandardLp, state: AsmState,
+              xi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Largest feasible step along xi and the blocking index sets
     (inactive rows that become tight, support variables that hit zero)."""
     xi = as_vector(xi, "xi")
     ratios_a: list[tuple[float, int]] = []
-    for i in state.active.complement():
+    for i in complement(state.active, lp.n_ineq):
         d_xi = float(lp.D[i] @ xi)
         if d_xi < -ZERO_STEP_TOL:
             ratios_a.append((max((lp.e[i] - float(lp.D[i] @ state.x)) / d_xi, 0.0), i))
@@ -192,16 +200,16 @@ def step_size(lp: StandardLp, state: AsmState, xi: np.ndarray) -> tuple[float, I
         raise UnboundedDirectionError("no blocking constraint limits the step")
     alpha = min(r for r, _ in ratios_a + ratios_s)
     width = alpha + TIE_RTOL * (1.0 + alpha)
-    new_active = IndexSet.from_iterable((i for r, i in ratios_a if r <= width), lp.n_ineq)
-    leaving = IndexSet.from_iterable((j for r, j in ratios_s if r <= width), lp.n)
+    new_active = np.array([i for r, i in ratios_a if r <= width], dtype=np.intp)
+    leaving = np.array([j for r, j in ratios_s if r <= width], dtype=np.intp)
     return alpha, new_active, leaving
 
 
 def multipliers(lp: StandardLp, state: AsmState) -> Multipliers:
     """Solve the stationarity system on the support for (lambda, mu_active)
     and read off nu on the inactive variables."""
-    s = state.support.array
-    act = state.active.array
+    s = state.support
+    act = state.active
     m = np.hstack([lp.A_eq[:, s].T, lp.D[act][:, s].T])
     report = solve_consistent(m, lp.c[s])
     if not report.consistent:
@@ -209,7 +217,7 @@ def multipliers(lp: StandardLp, state: AsmState) -> Multipliers:
     n_eq = lp.b_eq.size
     lam = report.solution[:n_eq]
     mu_act = report.solution[n_eq:]
-    sc = state.support.complement().array
+    sc = complement(s, lp.n)
     nu = lp.sigma[sc] * (lp.c[sc] - lp.A_eq[:, sc].T @ lam - lp.D[act][:, sc].T @ mu_act)
     return Multipliers(lam, mu_act, nu)
 
@@ -239,8 +247,8 @@ def asm_solve(lp: StandardLp, x0, xi0=None, max_iters: int | None = None,
         raise ValueError("x0 is not feasible")
     x[np.abs(x) <= SUPPORT_TOL] = 0.0
     active, support = classify(lp, x)
-    state = AsmState(x, active, support,
-                     IndexSet.empty(lp.n_ineq), IndexSet.empty(lp.n))
+    state = AsmState(x, active, support, np.empty(0, dtype=np.intp),
+                     np.empty(0, dtype=np.intp))
     if max_iters is None:
         max_iters = 50 * (lp.n + lp.n_ineq + lp.b_eq.size + 5)
 
@@ -262,43 +270,44 @@ def asm_solve(lp: StandardLp, x0, xi0=None, max_iters: int | None = None,
             last_added = None
             alpha, blocked_active, blocked_support = step_size(lp, state, xi)
             state.x = state.x + alpha * xi
-            state.x[blocked_support.array] = 0.0
-            state.active = state.active.union(blocked_active)
-            state.support = state.support.difference(blocked_support)
+            state.x[blocked_support] = 0.0
+            state.active = np.union1d(state.active, blocked_active)
+            state.support = np.setdiff1d(state.support, blocked_support)
             if alpha <= ZERO_STEP_TOL:
-                state.recently_removed = state.recently_removed.difference(blocked_active)
-                state.recently_added = state.recently_added.difference(blocked_support)
-            elif len(state.recently_removed) + len(state.recently_added) > 1:
+                state.recently_removed = np.setdiff1d(state.recently_removed, blocked_active)
+                state.recently_added = np.setdiff1d(state.recently_added, blocked_support)
+            elif state.recently_removed.size + state.recently_added.size > 1:
                 # entries the direction kept tight stay active / out of support;
                 # the extra activity test filters entries that pre-date the
                 # last positive step and have drifted off their bound
-                stay = [i for i in state.recently_removed
-                        if abs(float(lp.D[i] @ xi)) <= TIE_RTOL
-                        and abs(float(lp.D[i] @ state.x) - lp.e[i]) <= ACTIVE_TOL * (1.0 + abs(lp.e[i]))]
-                drop = [j for j in state.recently_added
-                        if abs(xi[j]) <= TIE_RTOL and abs(state.x[j]) <= SUPPORT_TOL]
-                state.active = state.active.union(stay)
-                state.x[np.array(drop, dtype=int)] = 0.0
-                state.support = state.support.difference(drop)
-                state.recently_removed = IndexSet.empty(lp.n_ineq)
-                state.recently_added = IndexSet.empty(lp.n)
+                stay = np.array([i for i in state.recently_removed
+                                 if abs(float(lp.D[i] @ xi)) <= TIE_RTOL
+                                 and abs(float(lp.D[i] @ state.x) - lp.e[i])
+                                 <= ACTIVE_TOL * (1.0 + abs(lp.e[i]))], dtype=np.intp)
+                added = state.recently_added
+                drop = added[(np.abs(xi[added]) <= TIE_RTOL)
+                             & (np.abs(state.x[added]) <= SUPPORT_TOL)]
+                state.active = np.union1d(state.active, stay)
+                state.x[drop] = 0.0
+                state.support = np.setdiff1d(state.support, drop)
+                state.recently_removed = np.empty(0, dtype=np.intp)
+                state.recently_added = np.empty(0, dtype=np.intp)
             if trace is not None:
                 trace((it, alpha, len(state.active), len(state.support),
                        float(lp.c @ state.x)))
             continue
 
         mult = multipliers(lp, state)
-        mu_best, i_minus = _argmin_with_ties(mult.mu_active, state.active.array)
-        nu_best, j_plus = _argmin_with_ties(mult.nu_inactive,
-                                            state.support.complement().array)
+        mu_best, i_minus = _argmin_with_ties(mult.mu_active, state.active)
+        nu_best, j_plus = _argmin_with_ties(mult.nu_inactive, complement(state.support, lp.n))
         if mu_best >= -OPT_TOL and nu_best >= -OPT_TOL:
             return state.x, state, mult
         if mu_best < nu_best:
-            state.active = state.active.difference([i_minus])
-            state.recently_removed = state.recently_removed.union([i_minus])
+            state.active = np.setdiff1d(state.active, [i_minus])
+            state.recently_removed = np.union1d(state.recently_removed, [i_minus])
             last_added = None
         else:
-            state.support = state.support.union([j_plus])
-            state.recently_added = state.recently_added.union([j_plus])
+            state.support = np.union1d(state.support, [j_plus])
+            state.recently_added = np.union1d(state.recently_added, [j_plus])
             last_added = j_plus
     raise AsmError(f"iteration cap {max_iters} exceeded (cycling or numerical failure)")

@@ -46,9 +46,7 @@ def _load_problem(args) -> ProblemInstance:
     a = read_matrixmarket_array(path)
     if args.b is None:
         raise ParseError("MatrixMarket input needs --b VECTOR_FILE")
-    if not Path(args.b).exists():
-        raise ParseError(f"vector file not found: {args.b}")
-    b = read_vector(args.b)
+    b = read_vector(Path(args.b))
     if args.delta is None:
         raise ParseError("--delta is required with MatrixMarket input")
     return ProblemInstance(a, b, args.delta)

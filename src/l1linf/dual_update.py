@@ -12,8 +12,8 @@ This module is the dual face of the shared loop in ``active_set.py``: the
 support is the dual support I_D = {i : y_i != 0} inside I_P, and the
 removable constraints are J_D \\ J_P with J_D = {j : |A_j^T y| = 1}.
 Directions e live on I_D and solve (A^{I_D}_{J_D})^T e = 0 together with
-s_{I_D}^T e = 1.  Index-set arguments of the face functions are sorted int
-arrays.
+s_{I_D}^T e = 1.  Index sets, in the context, the result and the face
+functions, are sorted int arrays.
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ import numpy as np
 from .active_set import index_mask, run_active_set
 from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
                   AsmError, UnboundedDirectionError)
-from .linalg import IndexSet, InverseCarry, SolveReport, solve_consistent
+from .linalg import InverseCarry, SolveReport, solve_consistent
 
 
 @dataclass
 class DualContext:
     A: np.ndarray
-    b: np.ndarray
     x_k: np.ndarray
-    I_P: IndexSet
-    J_P: IndexSet
+    I_P: np.ndarray                      # sorted row indices
+    J_P: np.ndarray                      # sorted column indices
     residual_signs: np.ndarray           # full length m, +-1 on I_P, 0 elsewhere
     y_start: np.ndarray                  # full length m, zero off I_P
     warm_direction: np.ndarray | None = None  # full length m, zero off I_P
@@ -53,8 +52,8 @@ class DualContext:
 class DualUpdateResult:
     y: np.ndarray
     d_hat: np.ndarray
-    I_D: IndexSet
-    J_D: IndexSet
+    I_D: np.ndarray
+    J_D: np.ndarray
     iterations: int
 
 
@@ -121,8 +120,8 @@ class _DualFace:
 
     def __init__(self, ctx: DualContext):
         self.ctx = ctx
-        self.outer = index_mask(ctx.m, ctx.I_P.array)
-        self.fixed = index_mask(ctx.n, ctx.J_P.array)
+        self.outer = index_mask(ctx.m, ctx.I_P)
+        self.fixed = index_mask(ctx.n, ctx.J_P)
 
     def direction(self, support, active):
         return dual_direction(self.ctx, support, active)
@@ -134,7 +133,7 @@ class _DualFace:
         return dual_multipliers(self.ctx, psi, active, removable, candidates, report)
 
     def warm_slack(self, e):
-        rows = self.ctx.I_P.array
+        rows = self.ctx.I_P
         return self.ctx.A[rows].T @ e[rows]
 
     def stays(self, e, psi):
@@ -160,5 +159,5 @@ def dual_update(ctx: DualContext, opt_tol: float = OPT_TOL,
     active = (np.abs(np.abs(ctx.A.T @ psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
     psi, support, active, d_hat, iterations = run_active_set(
         face, psi, support, active, ctx.warm_direction, opt_tol, trace)
-    return DualUpdateResult(psi, d_hat, IndexSet.from_mask(support),
-                            IndexSet.from_mask(active), iterations)
+    return DualUpdateResult(psi, d_hat, support.nonzero()[0], active.nonzero()[0],
+                            iterations)

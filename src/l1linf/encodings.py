@@ -1,12 +1,13 @@
 """Encodings of the update subproblems and alternative systems as explicit
 LPs.  Used for cross-validation only: the specialized solvers in
-``dual_update`` / ``primal_update`` never go through these."""
+``dual_update`` / ``primal_update`` never go through these.  Index sets are
+sorted int arrays."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .asm import StandardLp
+from .asm import StandardLp, complement
 from .dual_update import DualContext
 from .oracle import GeneralLp
 from .primal_update import PrimalContext
@@ -20,11 +21,11 @@ def dual_lp_encoding(ctx: DualContext) -> tuple[StandardLp, np.ndarray]:
 
     Returns the LP and the feasible starting point y_start restricted to I_P.
     """
-    rows = ctx.I_P.array
+    rows = ctx.I_P
     s = ctx.residual_signs[rows]
     a_ip = ctx.A[rows]
-    jp = ctx.J_P.array
-    jpc = ctx.J_P.complement().array
+    jp = ctx.J_P
+    jpc = complement(jp, ctx.n)
     c = -s
     a_eq = -a_ip[:, jp].T
     b_eq = np.sign(ctx.x_k[jp])
@@ -44,9 +45,9 @@ def primal_lp_encoding(ctx: PrimalContext) -> tuple[StandardLp, np.ndarray]:
 
     Returns the LP and the feasible starting point (x_k on J_D, 0).
     """
-    jd = ctx.J_D.array
-    idx_id = ctx.I_D.array
-    idc = ctx.I_D.complement().array
+    jd = ctx.J_D
+    idx_id = ctx.I_D
+    idc = complement(idx_id, ctx.m)
     s = np.sign(ctx.y_next[idx_id])
     n_lp = jd.size + 1
     a_eq = np.hstack([ctx.A[idx_id][:, jd], s[:, None]])
@@ -77,20 +78,18 @@ def improvement_system_dual(a, residual_signs, y_hat, i_p, j_p, j_d, i_d) -> Gen
     I_P): strict decrease row first (index 0 of the <= block), then the
     sign-preservation rows.  Feasibility must be tested with the first row
     strict."""
-    rows = i_p.array
-    s = residual_signs[rows]
-    k = rows.size
-    eq = a[rows][:, j_p.array].T
-    eq_rhs = np.zeros(len(j_p))
+    s = residual_signs[i_p]
+    k = i_p.size
+    eq = a[i_p][:, j_p].T
+    eq_rhs = np.zeros(j_p.size)
     ub_rows = [-s[None, :]]
     ub_rhs = [np.zeros(1)]
-    free_cols = j_d.difference(j_p).array
+    free_cols = np.setdiff1d(j_d, j_p)
     if free_cols.size:
         w = (a[:, free_cols].T @ y_hat)[:, None]
-        ub_rows.append(w * a[rows][:, free_cols].T)
+        ub_rows.append(w * a[i_p][:, free_cols].T)
         ub_rhs.append(np.zeros(free_cols.size))
-    extra = [pos for pos, i in enumerate(rows) if i not in i_d]
-    for pos in extra:
+    for pos in np.isin(i_p, i_d, invert=True).nonzero()[0]:
         row = np.zeros(k)
         row[pos] = -s[pos]
         ub_rows.append(row[None, :])
@@ -103,20 +102,17 @@ def improvement_system_primal(a, residual_signs, y_hat, i_p, j_p, j_d, i_d) -> G
     """Feasibility system for a primal improvement direction d (supported on
     J_D): equalities on the dual support rows, unit-margin decrease on the
     remaining active rows, sign compatibility on the free columns."""
-    jd = j_d.array
-    idx_id = i_d.array
-    eq = a[idx_id][:, jd]
-    eq_rhs = -np.sign(y_hat[idx_id])
+    eq = a[i_d][:, j_d]
+    eq_rhs = -np.sign(y_hat[i_d])
     ub_rows = []
     ub_rhs = []
-    extra = i_p.difference(i_d).array
+    extra = np.setdiff1d(i_p, i_d)
     if extra.size:
-        ub_rows.append(residual_signs[extra][:, None] * a[extra][:, jd])
+        ub_rows.append(residual_signs[extra][:, None] * a[extra][:, j_d])
         ub_rhs.append(-np.ones(extra.size))
-    free_cols = j_d.difference(j_p)
-    for j in free_cols:
-        pos = int(np.searchsorted(jd, j))
-        row = np.zeros(jd.size)
+    for j in np.setdiff1d(j_d, j_p):
+        pos = int(np.searchsorted(j_d, j))
+        row = np.zeros(j_d.size)
         row[pos] = float(a[:, j] @ y_hat)
         ub_rows.append(row[None, :])
         ub_rhs.append(np.zeros(1))
@@ -124,7 +120,7 @@ def improvement_system_primal(a, residual_signs, y_hat, i_p, j_p, j_d, i_d) -> G
         ub = np.vstack(ub_rows)
         ub_b = np.concatenate(ub_rhs)
     else:
-        ub = np.zeros((0, jd.size))
+        ub = np.zeros((0, j_d.size))
         ub_b = np.zeros(0)
-    return GeneralLp(np.zeros(jd.size), eq, eq_rhs, ub, ub_b,
-                     np.full(jd.size, -np.inf))
+    return GeneralLp(np.zeros(j_d.size), eq, eq_rhs, ub, ub_b,
+                     np.full(j_d.size, -np.inf))

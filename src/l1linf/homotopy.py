@@ -119,22 +119,25 @@ def duality_gap(inst: ProblemInstance, x, y, delta: float) -> float:
 
 
 def _build_sets(inst: ProblemInstance, x, y, delta: float) -> IndexSets:
+    """The sets of (x, y) at bound delta, classified by tolerance."""
     resid = inst.A @ x - inst.b
     scale = ACTIVE_TOL * (1.0 + delta + np.max(np.abs(inst.b)))
-    i_p = IndexSet.from_mask(np.abs(np.abs(resid) - delta) <= scale)
-    i_d = IndexSet.from_mask(np.abs(y) > SUPPORT_TOL)
-    i_p = i_p.union(i_d)
-    j_p = IndexSet.from_mask(np.abs(x) > SUPPORT_TOL)
-    col = inst.A.T @ y
-    j_d = IndexSet.from_mask(np.abs(np.abs(col) - 1.0) <= 2 * ACTIVE_TOL).union(j_p)
-    return IndexSets(J_P=j_p, I_P=i_p, J_D=j_d, I_D=i_d,
-                     residual_signs=np.sign(resid[i_p.array]))
+    i_d = np.abs(y) > SUPPORT_TOL
+    i_p = (np.abs(np.abs(resid) - delta) <= scale) | i_d
+    j_p = np.abs(x) > SUPPORT_TOL
+    j_d = (np.abs(np.abs(inst.A.T @ y) - 1.0) <= 2 * ACTIVE_TOL) | j_p
+    return IndexSets(J_P=IndexSet.from_mask(j_p), I_P=IndexSet.from_mask(i_p),
+                     J_D=IndexSet.from_mask(j_d), I_D=IndexSet.from_mask(i_d),
+                     residual_signs=np.sign(resid[i_p]))
 
 
-def _full_residual_signs(inst: ProblemInstance, sets: IndexSets) -> np.ndarray:
-    full = np.zeros(inst.m)
-    full[sets.I_P.array] = sets.residual_signs
-    return full
+def _record(inst: ProblemInstance, j_p, i_p, j_d, i_d, signs: np.ndarray) -> IndexSets:
+    """The breakpoint record of the solver's sorted index arrays; ``signs``
+    is full length m."""
+    m, n = inst.m, inst.n
+    return IndexSets(J_P=IndexSet(j_p.tolist(), n), I_P=IndexSet(i_p.tolist(), m),
+                     J_D=IndexSet(j_d.tolist(), n), I_D=IndexSet(i_d.tolist(), m),
+                     residual_signs=signs[i_p])
 
 
 def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
@@ -154,10 +157,13 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         return SolutionPath([bp], "target-reached")
 
     # at x = 0, y = 0 the active rows are all i with |b_i| = ||b||_inf up
-    # to a relative tie, and every other set is empty
-    i_p = IndexSet.from_mask(np.abs(inst.b) >= delta0 * (1.0 - INIT_TIE_RTOL))
-    sets = IndexSets(IndexSet.empty(n), i_p, IndexSet.empty(n), IndexSet.empty(m),
-                     np.sign(-inst.b[i_p.array]))
+    # to a relative tie, and every other set is empty; signs holds the
+    # residual signs on I_P and zeros elsewhere
+    i_p = (np.abs(inst.b) >= delta0 * (1.0 - INIT_TIE_RTOL)).nonzero()[0]
+    j_p = empty = np.empty(0, dtype=np.intp)
+    signs = np.zeros(m)
+    signs[i_p] = np.sign(-inst.b[i_p])
+    sets = _record(inst, j_p, i_p, empty, empty, signs)
     path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
                         "failure")
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
@@ -169,8 +175,6 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         max_iters = 20 * (m + n)
 
     for k in range(max_iters):
-        sets = path.breakpoints[-1].sets
-        full_signs = _full_residual_signs(inst, sets)
         # theory rules out a zero step at an exact dual optimum; after one,
         # the step is retried once, cold and with a tighter multiplier tolerance
         for retry in (False, True):
@@ -178,8 +182,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             opt_tol = OPT_TOL / 100.0 if retry else OPT_TOL
             stage = "dual"
             try:
-                dual_ctx = DualContext(inst.A, inst.b, x, sets.I_P, sets.J_P, full_signs,
-                                       y_start=y, warm_direction=warm_e if warm else None,
+                dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y,
+                                       warm_direction=warm_e if warm else None,
                                        carry=carry)
                 tick = time.perf_counter()
                 dual_res = dual_update(dual_ctx, opt_tol=opt_tol)
@@ -188,8 +192,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
 
                 stage = "primal"
                 primal_ctx = PrimalContext(
-                    inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, sets.I_P, sets.J_P,
-                    dual_res.I_D, dual_res.J_D, full_signs,
+                    inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
+                    dual_res.I_D, dual_res.J_D, signs,
                     warm_direction=dual_res.d_hat if warm else None, carry=carry)
                 tick = time.perf_counter()
                 primal_res = primal_update(primal_ctx, opt_tol=opt_tol)
@@ -223,9 +227,10 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         delta_next = inst.delta if primal_res.reached_target else delta_k - t
         if delta_next < inst.delta + T_MIN * (1.0 + inst.delta):
             delta_next = inst.delta
-        sets = IndexSets(J_P=primal_res.J_P, I_P=primal_res.I_P,
-                         J_D=dual_res.J_D, I_D=dual_res.I_D,
-                         residual_signs=primal_res.signs[primal_res.I_P.array])
+        i_p, j_p = primal_res.I_P, primal_res.J_P
+        signs = np.zeros(m)
+        signs[i_p] = primal_res.signs[i_p]
+        sets = _record(inst, j_p, i_p, dual_res.J_D, dual_res.I_D, signs)
         path.breakpoints.append(
             PathBreakpoint(k + 1, delta_next, x.copy(), y.copy(), sets, t))
         if trace is not None:
@@ -276,9 +281,9 @@ def check_alternatives(inst: ProblemInstance, x_hat, y_hat,
     if not check_optimal_pair(inst, x_hat, y_hat, delta_hat):
         raise ValueError("(x_hat, y_hat) is not an optimal pair at delta_hat")
     sets = _build_sets(inst, x_hat, y_hat, delta_hat)
-    full_signs = _full_residual_signs(inst, sets)
-    sys1 = improvement_system_dual(inst.A, full_signs, y_hat,
-                                   sets.I_P, sets.J_P, sets.J_D, sets.I_D)
-    sys2 = improvement_system_primal(inst.A, full_signs, y_hat,
-                                     sets.I_P, sets.J_P, sets.J_D, sets.I_D)
+    i_p, j_p, j_d, i_d = (s.array for s in (sets.I_P, sets.J_P, sets.J_D, sets.I_D))
+    signs = np.zeros(inst.m)
+    signs[i_p] = sets.residual_signs
+    sys1 = improvement_system_dual(inst.A, signs, y_hat, i_p, j_p, j_d, i_d)
+    sys2 = improvement_system_primal(inst.A, signs, y_hat, i_p, j_p, j_d, i_d)
     return (oracle.feasibility(sys1, strict_ub_row=0), oracle.feasibility(sys2))

@@ -1,4 +1,4 @@
-"""Dense linear algebra kernel: index sets, sub-matrix selection and
+"""Dense linear algebra kernel: the breakpoint index-set record and
 consistency-detecting solves for possibly rank-deficient systems.
 
 Everything here is deliberately dense and deterministic.  Matrices and
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -66,7 +66,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Strictly increasing 0-based positions inside a universe {0..universe-1}."""
+    """Strictly increasing 0-based positions inside a universe {0..universe-1}.
+
+    The validated, immutable record of one index set at a path breakpoint;
+    the solver itself works on sorted int arrays and boolean masks."""
 
     indices: tuple[int, ...]
     universe: int
@@ -80,41 +83,13 @@ class IndexSet:
             raise ValueError(f"index out of range for universe {self.universe}")
 
     @staticmethod
-    def from_iterable(items: Iterable[int], universe: int) -> "IndexSet":
-        return IndexSet(tuple(sorted(set(int(i) for i in items))), universe)
-
-    @staticmethod
     def from_mask(mask) -> "IndexSet":
         mask = np.asarray(mask, dtype=bool)
         return IndexSet(mask.nonzero()[0].tolist(), mask.size)
 
-    @staticmethod
-    def empty(universe: int) -> "IndexSet":
-        return IndexSet((), universe)
-
     @property
     def array(self) -> np.ndarray:
-        return np.array(self.indices, dtype=int)
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.indices)
-        return IndexSet(tuple(i for i in range(self.universe) if i not in inside),
-                        self.universe)
-
-    def union(self, other: "IndexSet | Iterable[int]") -> "IndexSet":
-        other_idx = other.indices if isinstance(other, IndexSet) else other
-        return IndexSet.from_iterable(list(self.indices) + list(other_idx), self.universe)
-
-    def difference(self, other: "IndexSet | Iterable[int]") -> "IndexSet":
-        drop = set(other.indices if isinstance(other, IndexSet) else other)
-        return IndexSet(tuple(i for i in self.indices if i not in drop), self.universe)
-
-    def intersection(self, other: "IndexSet | Iterable[int]") -> "IndexSet":
-        keep = set(other.indices if isinstance(other, IndexSet) else other)
-        return IndexSet(tuple(i for i in self.indices if i in keep), self.universe)
-
-    def __contains__(self, i: int) -> bool:
-        return i in set(self.indices)
+        return np.array(self.indices, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -141,13 +116,6 @@ class SolveReport:
     consistent: bool
     w: np.ndarray | None = None
     alternative: "SolveReport | None" = None
-
-
-def submatrix(a: np.ndarray, rows: IndexSet, cols: IndexSet) -> np.ndarray:
-    a = as_matrix(a)
-    if rows.universe != a.shape[0] or cols.universe != a.shape[1]:
-        raise ValueError("index set universe does not match matrix shape")
-    return a.take(rows.array, 0).take(cols.array, 1)
 
 
 @dataclass

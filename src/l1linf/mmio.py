@@ -67,9 +67,13 @@ def write_matrixmarket_array(a: np.ndarray) -> str:
 
 
 def read_vector(source) -> np.ndarray:
-    """Read a vector from plain text (whitespace-separated) or a JSON array."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source) and Path(str(source)).exists():
-        text = Path(source).read_text()
+    """Read a vector, whitespace-separated or a JSON array, from the file
+    at a ``Path`` or from the text of a ``str``."""
+    if isinstance(source, Path):
+        try:
+            text = source.read_text()
+        except FileNotFoundError as exc:
+            raise ParseError(f"vector file not found: {source}") from exc
     else:
         text = str(source)
     stripped = text.strip()

@@ -15,8 +15,8 @@ rows I_P \\ I_D.  The face fixes d_t = 1, so a direction is a solution of
 A^{I_P}_{J_P} d = -sign(A^{I_P} xi - b_{I_P}) with d zero off J_P.
 Residual signs on the active rows are carried as state (on I_D they equal
 sign(y_i)) instead of being re-derived from near-tight residuals, and are
-returned with the result.  Index-set arguments of the face functions are
-sorted int arrays.
+returned with the result.  Index sets, in the context, the result and the
+face functions, are sorted int arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .active_set import NONZERO_TOL, index_mask, run_active_set
 from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
                   AsmError, UnboundedDirectionError)
-from .linalg import IndexSet, InverseCarry, SolveReport, solve_consistent
+from .linalg import InverseCarry, SolveReport, solve_consistent
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
 
@@ -41,10 +41,10 @@ class PrimalContext:
     delta_k: float
     delta_target: float
     x_start: np.ndarray
-    I_P: IndexSet
-    J_P: IndexSet
-    I_D: IndexSet
-    J_D: IndexSet
+    I_P: np.ndarray                           # sorted index arrays
+    J_P: np.ndarray
+    I_D: np.ndarray
+    J_D: np.ndarray
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
     warm_direction: np.ndarray | None = None  # d_hat, full length n
     carry: InverseCarry | None = None         # the path's kernel inverse
@@ -63,8 +63,8 @@ class PrimalUpdateResult:
     x: np.ndarray
     t: float
     e_hat: np.ndarray | None   # None when the run stopped at the target bound
-    I_P: IndexSet
-    J_P: IndexSet
+    I_P: np.ndarray
+    J_P: np.ndarray
     reached_target: bool
     iterations: int
     signs: np.ndarray          # full m; the residual signs on I_P
@@ -153,15 +153,14 @@ class _PrimalFace:
 
     def __init__(self, ctx: PrimalContext):
         self.ctx = ctx
-        self.outer = index_mask(ctx.n, ctx.J_D.array)
-        self.fixed = index_mask(ctx.m, ctx.I_D.array)
+        self.outer = index_mask(ctx.n, ctx.J_D)
+        self.fixed = index_mask(ctx.m, ctx.I_D)
         self.tau = 0.0
         self.signs = np.asarray(ctx.residual_signs, dtype=float).copy()
         signed = self.fixed & (np.abs(ctx.y_next) > SUPPORT_TOL)
         self.signs[signed] = np.sign(ctx.y_next[signed])
-        cols = ctx.J_D.array
         self.col_sign = np.zeros(ctx.n)
-        self.col_sign[cols] = np.sign(ctx.A[:, cols].T @ ctx.y_next)
+        self.col_sign[ctx.J_D] = np.sign(ctx.A[:, ctx.J_D].T @ ctx.y_next)
 
     def direction(self, support, active):
         return primal_direction(self.ctx, active, support, self.signs)
@@ -208,8 +207,8 @@ def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
         raise ValueError("x_start has support outside the dual active columns")
     xi[~face.outer] = 0.0
     xi, support, active, e_hat, iterations = run_active_set(
-        face, xi, index_mask(ctx.n, ctx.J_P.array), index_mask(ctx.m, ctx.I_P.array),
+        face, xi, index_mask(ctx.n, ctx.J_P), index_mask(ctx.m, ctx.I_P),
         ctx.warm_direction, opt_tol, trace)
-    return PrimalUpdateResult(xi, face.tau, e_hat, IndexSet.from_mask(active),
-                              IndexSet.from_mask(support), e_hat is None,
-                              iterations, face.signs)
+    return PrimalUpdateResult(xi, face.tau, e_hat, active.nonzero()[0],
+                              support.nonzero()[0], e_hat is None, iterations,
+                              face.signs)

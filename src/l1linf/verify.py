@@ -72,10 +72,10 @@ def _path_checks(inst: ProblemInstance, path: SolutionPath, pair_tol: float,
         out["strict-progress"] = f"{path.retries} degeneracy retries"
 
     for bp in path.breakpoints:
-        if not set(bp.sets.J_P.indices) <= set(bp.sets.J_D.indices):
+        if not set(bp.sets.J_P) <= set(bp.sets.J_D):
             out["set-containments"] = f"J_P not within J_D at k={bp.k}"
             break
-        if not set(bp.sets.I_D.indices) <= set(bp.sets.I_P.indices):
+        if not set(bp.sets.I_D) <= set(bp.sets.I_P):
             out["set-containments"] = f"I_D not within I_P at k={bp.k}"
             break
 

@@ -3,9 +3,10 @@ import pytest
 
 from l1linf import oracle
 from l1linf.asm import (AsmState, StandardLp, UnboundedDirectionError,
-                        asm_solve, check_feasible, classify, find_direction,
-                        kkt_check, multipliers, step_size)
-from l1linf.linalg import IndexSet
+                        asm_solve, check_feasible, classify, complement,
+                        find_direction, kkt_check, multipliers, step_size)
+
+NONE = np.empty(0, dtype=np.intp)
 
 
 def one_var_eq_lp():
@@ -51,8 +52,7 @@ def test_kkt_check_accepts_oracle_multipliers():
 
 def state_for(lp, x):
     active, support = classify(lp, np.asarray(x, dtype=float))
-    return AsmState(np.asarray(x, dtype=float), active, support,
-                    IndexSet.empty(lp.n_ineq), IndexSet.empty(lp.n))
+    return AsmState(np.asarray(x, dtype=float), active, support, NONE, NONE)
 
 
 def test_find_direction_scalar():
@@ -76,18 +76,16 @@ def test_find_direction_postconditions_random():
         lp = StandardLp(rng.standard_normal(n), rng.standard_normal((m, n)),
                         rng.standard_normal(m), rng.standard_normal((k, n)),
                         rng.standard_normal(k), rng.choice([-1.0, 1.0], n))
-        st = AsmState(np.zeros(n),
-                      IndexSet.from_iterable(rng.choice(k, size=1), k),
-                      IndexSet.from_iterable(rng.choice(n, size=min(3, n), replace=False), n),
-                      IndexSet.empty(k), IndexSet.empty(n))
+        st = AsmState(np.zeros(n), rng.choice(k, size=1),
+                      np.sort(rng.choice(n, size=min(3, n), replace=False)), NONE, NONE)
         rep = find_direction(lp, st)
         if rep.consistent:
             xi = rep.solution
             assert lp.c @ xi == pytest.approx(-1.0, abs=1e-8)
             if m:
                 assert np.max(np.abs(lp.A_eq @ xi)) <= 1e-8
-            assert np.max(np.abs(lp.D[st.active.array] @ xi), initial=0.0) <= 1e-8
-            assert np.max(np.abs(xi[st.support.complement().array]), initial=0.0) == 0.0
+            assert np.max(np.abs(lp.D[st.active] @ xi), initial=0.0) <= 1e-8
+            assert np.max(np.abs(xi[complement(st.support, n)]), initial=0.0) == 0.0
 
 
 def test_step_size_support_hits_zero():
@@ -96,7 +94,7 @@ def test_step_size_support_hits_zero():
     st = state_for(lp, [1.0])
     alpha, new_active, leaving = step_size(lp, st, np.array([-1.0]))
     assert alpha == pytest.approx(1.0, abs=1e-12)
-    assert leaving.indices == (0,)
+    assert leaving.tolist() == [0]
     assert len(new_active) == 0
 
 
@@ -107,7 +105,7 @@ def test_step_size_upper_bound_blocks():
     st = state_for(lp, [0.5])
     alpha, new_active, leaving = step_size(lp, st, np.array([1.0]))
     assert alpha == pytest.approx(1.5, abs=1e-12)
-    assert new_active.indices == (0,)
+    assert new_active.tolist() == [0]
     assert len(leaving) == 0
 
 
@@ -117,11 +115,10 @@ def test_step_size_tie_returns_both():
                     D=[[-1.0, 0.0], [0.0, -1.0]], e=[-1.0, -1.0],
                     sigma=[1.0, 1.0])
     st = state_for(lp, [0.0, 0.0])
-    st = AsmState(st.x, st.active, IndexSet((0, 1), 2),
-                  IndexSet.empty(2), IndexSet.empty(2))
+    st = AsmState(st.x, st.active, np.array([0, 1]), NONE, NONE)
     alpha, new_active, _ = step_size(lp, st, np.array([1.0, 1.0]))
     assert alpha == pytest.approx(1.0, abs=1e-12)
-    assert new_active.indices == (0, 1)
+    assert new_active.tolist() == [0, 1]
 
 
 def test_step_size_unbounded_error():
@@ -247,11 +244,11 @@ def test_relaxed_constraint_direction_property():
                     D=[[-1.0, -1.0], [0.0, -1.0]], e=[-2.0, -1.0],
                     sigma=[1.0, 1.0])
     st = state_for(lp, [1.0, 1.0])
-    assert st.active.indices == (0, 1)
+    assert st.active.tolist() == [0, 1]
     assert not find_direction(lp, st).consistent
     mult = multipliers(lp, st)
     assert mult.mu_active[1] == pytest.approx(-1.0, abs=1e-10)
-    st.active = st.active.difference([1])
+    st.active = np.setdiff1d(st.active, [1])
     rep = find_direction(lp, st)
     assert rep.consistent
     assert lp.D[1] @ rep.solution == pytest.approx(1.0, abs=1e-9)

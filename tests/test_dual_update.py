@@ -7,29 +7,28 @@ from l1linf.dual_update import (DualContext, dual_direction, dual_multipliers,
                                 dual_step, dual_update)
 from l1linf.encodings import dual_lp_encoding
 from l1linf.homotopy import ProblemInstance
-from l1linf.linalg import IndexSet
 from test_homotopy import subproblem_contexts
+
+NONE = np.empty(0, dtype=np.intp)
 
 
 def dual_step_sets(ctx, e, psi, I_D, J_D):
-    """dual_step on IndexSet arguments, with its index arrays returned as
-    IndexSets."""
-    alpha, new_cols, zero_rows = dual_step(ctx, e, psi, I_D.array, J_D.array)
-    return (alpha, IndexSet(tuple(new_cols.tolist()), ctx.n),
-            IndexSet(tuple(zero_rows.tolist()), ctx.m))
+    """dual_step with its index arrays returned as lists, so that whole
+    results compare with ==."""
+    alpha, new_cols, zero_rows = dual_step(ctx, e, psi, I_D, J_D)
+    return alpha, new_cols.tolist(), zero_rows.tolist()
 
 
 def scalar_ctx():
     # A = [1], b = (2), x = 0: one active row with residual sign -1
     signs = np.array([-1.0])
-    return DualContext(np.array([[1.0]]), np.array([2.0]), np.array([0.0]),
-                       IndexSet((0,), 1), IndexSet.empty(1), signs,
+    return DualContext(np.array([[1.0]]), np.array([0.0]), np.array([0]), NONE, signs,
                        y_start=np.zeros(1))
 
 
 def test_dual_direction_scalar():
     ctx = scalar_ctx()
-    rep = dual_direction(ctx, IndexSet((0,), 1).array, IndexSet.empty(1).array)
+    rep = dual_direction(ctx, np.array([0]), NONE)
     assert rep.consistent
     np.testing.assert_allclose(rep.solution, [-1.0], atol=1e-12)
 
@@ -38,7 +37,7 @@ def test_dual_direction_contradiction():
     # with the single column active, e must be orthogonal to it and still
     # have unit product with the sign: impossible for a 1x1 nonzero matrix
     ctx = scalar_ctx()
-    rep = dual_direction(ctx, IndexSet((0,), 1).array, IndexSet((0,), 1).array)
+    rep = dual_direction(ctx, np.array([0]), np.array([0]))
     assert not rep.consistent
 
 
@@ -47,17 +46,16 @@ def test_dual_direction_substitution_random():
     for _ in range(20):
         m, n = 6, 9
         a = rng.standard_normal((m, n))
-        i_p = IndexSet.from_iterable(rng.choice(m, size=4, replace=False), m)
-        i_d = IndexSet.from_iterable(list(i_p)[:3], m)
-        j_d = IndexSet.from_iterable(rng.choice(n, size=2, replace=False), n)
+        i_p = np.sort(rng.choice(m, size=4, replace=False))
+        i_d = i_p[:3]
+        j_d = np.sort(rng.choice(n, size=2, replace=False))
         signs = np.zeros(m)
-        signs[i_p.array] = rng.choice([-1.0, 1.0], len(i_p))
-        ctx = DualContext(a, np.zeros(m), np.zeros(n), i_p, IndexSet.empty(n),
-                          signs, y_start=np.zeros(m))
-        rep = dual_direction(ctx, i_d.array, j_d.array)
+        signs[i_p] = rng.choice([-1.0, 1.0], len(i_p))
+        ctx = DualContext(a, np.zeros(n), i_p, NONE, signs, y_start=np.zeros(m))
+        rep = dual_direction(ctx, i_d, j_d)
         if rep.consistent:
             e = rep.solution
-            assert np.max(np.abs(a[i_d.array][:, j_d.array].T @ e[i_d.array])) <= 1e-9
+            assert np.max(np.abs(a[i_d][:, j_d].T @ e[i_d])) <= 1e-9
             assert signs @ e == pytest.approx(1.0, abs=1e-9)
 
 
@@ -65,45 +63,40 @@ def test_dual_step_scalar_trace():
     # from psi = 0 along e = -1 the first column bound blocks at alpha = 1
     ctx = scalar_ctx()
     e = np.array([-1.0])
-    alpha, new_cols, zero_rows = dual_step_sets(ctx, e, np.zeros(1),
-                                                IndexSet((0,), 1), IndexSet.empty(1))
+    alpha, new_cols, zero_rows = dual_step_sets(ctx, e, np.zeros(1), np.array([0]), NONE)
     assert alpha == pytest.approx(1.0, abs=1e-12)
-    assert new_cols.indices == (0,)
+    assert new_cols == [0]
     assert len(zero_rows) == 0
 
 
 def test_dual_step_unbounded():
     # zero column: nothing blocks a direction with the right sign pattern
-    ctx = DualContext(np.array([[0.0]]), np.array([2.0]), np.array([0.0]),
-                      IndexSet((0,), 1), IndexSet.empty(1), np.array([-1.0]),
-                      y_start=np.zeros(1))
+    ctx = DualContext(np.array([[0.0]]), np.array([0.0]), np.array([0]), NONE,
+                      np.array([-1.0]), y_start=np.zeros(1))
     with pytest.raises(UnboundedDirectionError):
-        dual_step_sets(ctx, np.array([-1.0]), np.zeros(1), IndexSet((0,), 1),
-                       IndexSet.empty(1))
+        dual_step_sets(ctx, np.array([-1.0]), np.zeros(1), np.array([0]), NONE)
 
 
 def test_dual_step_tie_applies_both_updates():
     a = np.array([[1.0], [0.0]])
     signs = np.array([1.0, 1.0])
-    ctx = DualContext(a, np.zeros(2), np.zeros(1), IndexSet((0, 1), 2),
-                      IndexSet.empty(1), signs, y_start=np.zeros(2))
+    ctx = DualContext(a, np.zeros(1), np.array([0, 1]), NONE, signs, y_start=np.zeros(2))
     psi = np.array([0.5, 0.5])
     e = np.array([0.5, -0.5])
-    alpha, new_cols, zero_rows = dual_step_sets(ctx, e, psi, IndexSet((0, 1), 2),
-                                                IndexSet.empty(1))
+    alpha, new_cols, zero_rows = dual_step_sets(ctx, e, psi, np.array([0, 1]), NONE)
     assert alpha == pytest.approx(1.0, abs=1e-12)
-    assert new_cols.indices == (0,)
-    assert zero_rows.indices == (1,)
+    assert new_cols == [0]
+    assert zero_rows == [1]
 
 
 def test_dual_multipliers_scalar_terminal():
     ctx = scalar_ctx()
-    i_d, j_d = IndexSet((0,), 1), IndexSet((0,), 1)
-    report = dual_direction(ctx, i_d.array, j_d.array)
+    i_d, j_d = np.array([0]), np.array([0])
+    report = dual_direction(ctx, i_d, j_d)
     assert not report.consistent
-    d_hat, mu, nu = dual_multipliers(ctx, np.array([-1.0]), j_d.array,
-                                     j_d.difference(ctx.J_P).array,
-                                     ctx.I_P.difference(i_d).array, report)
+    d_hat, mu, nu = dual_multipliers(ctx, np.array([-1.0]), j_d,
+                                     np.setdiff1d(j_d, ctx.J_P),
+                                     np.setdiff1d(ctx.I_P, i_d), report)
     np.testing.assert_allclose(d_hat, [1.0], atol=1e-12)
     # J_P is empty here, so the single active column carries mu = 1 >= 0
     np.testing.assert_allclose(mu, [1.0], atol=1e-12)
@@ -114,16 +107,14 @@ def test_dual_update_scalar():
     res = dual_update(scalar_ctx())
     np.testing.assert_allclose(res.y, [-1.0], atol=1e-10)
     np.testing.assert_allclose(res.d_hat, [1.0], atol=1e-10)
-    assert res.J_D.indices == (0,)
+    assert res.J_D.tolist() == [0]
 
 
 def test_dual_update_identity_two_rows():
     # A = I2, b = (3, -0.5), x = 0, delta0 = 3: only row 0 is active
     a = np.eye(2)
     signs = np.array([-1.0, 0.0])
-    ctx = DualContext(a, np.array([3.0, -0.5]), np.zeros(2),
-                      IndexSet((0,), 2), IndexSet.empty(2), signs,
-                      y_start=np.zeros(2))
+    ctx = DualContext(a, np.zeros(2), np.array([0]), NONE, signs, y_start=np.zeros(2))
     res = dual_update(ctx)
     np.testing.assert_allclose(res.y, [-1.0, 0.0], atol=1e-10)
 
@@ -150,7 +141,7 @@ def test_dual_update_certificate_property():
         assert np.max(np.abs(g)) <= 1 + 1e-8
         # sign compatibility and confinement to the active rows
         assert np.min(res.y * ctx.residual_signs, initial=0.0) >= -1e-8
-        assert np.max(np.abs(res.y[ctx.I_P.complement().array]), initial=0.0) == 0.0
+        assert np.max(np.abs(np.delete(res.y, ctx.I_P)), initial=0.0) == 0.0
 
 
 def test_dual_update_matches_generic_and_oracle():
@@ -183,7 +174,7 @@ def test_dual_update_intermediate_iterates_feasible():
     for ctx in capture_contexts("dual", 8, seed=35):
         iterates = []
         res = dual_update(ctx, trace=lambda rec: iterates.append(rec[6]))
-        jp = ctx.J_P.array
+        jp = ctx.J_P
         for psi in iterates + [res.y]:
             g = ctx.A.T @ psi
             if jp.size:
@@ -196,7 +187,7 @@ def loop_dual_step(ctx, e, psi, I_D, J_D):
     """Reference: the per-column and per-row loop form of dual_step."""
     from l1linf.asm import TIE_RTOL, ZERO_STEP_TOL
     in_jd = np.zeros(ctx.n, dtype=bool)
-    in_jd[J_D.array] = True
+    in_jd[J_D] = True
     col_e = ctx.A.T @ e
     col_psi = ctx.A.T @ psi
     ratios_cols = []
@@ -216,8 +207,8 @@ def loop_dual_step(ctx, e, psi, I_D, J_D):
         raise UnboundedDirectionError("unblocked")
     alpha = min(r for r, _ in ratios_cols + ratios_rows)
     width = alpha + TIE_RTOL * (1.0 + alpha)
-    new_cols = IndexSet.from_iterable((j for r, j in ratios_cols if r <= width), ctx.n)
-    zero_rows = IndexSet.from_iterable((i for r, i in ratios_rows if r <= width), ctx.m)
+    new_cols = [j for r, j in ratios_cols if r <= width]
+    zero_rows = [i for r, i in ratios_rows if r <= width]
     return alpha, new_cols, zero_rows
 
 
@@ -228,17 +219,16 @@ def test_dual_step_matches_loop_reference_with_exact_ties():
     for _ in range(300):
         m, n = int(rng.integers(2, 7)), int(rng.integers(2, 9))
         a = rng.integers(-2, 3, size=(m, n)).astype(float)
-        i_p = IndexSet.from_mask(rng.random(m) < 0.8)
+        i_p = (rng.random(m) < 0.8).nonzero()[0]
         signs = np.zeros(m)
-        signs[i_p.array] = rng.choice([-1.0, 1.0], len(i_p))
+        signs[i_p] = rng.choice([-1.0, 1.0], len(i_p))
         psi = np.zeros(m)
-        psi[i_p.array] = signs[i_p.array] * rng.integers(0, 3, len(i_p)) / 4.0
+        psi[i_p] = signs[i_p] * rng.integers(0, 3, len(i_p)) / 4.0
         e = np.zeros(m)
-        e[i_p.array] = rng.integers(-2, 3, len(i_p)) / 2.0
-        i_d = IndexSet.from_mask(psi != 0.0)
-        j_d = IndexSet.from_mask(rng.random(n) < 0.3)
-        ctx = DualContext(a, np.zeros(m), np.zeros(n), i_p, IndexSet.empty(n),
-                          signs, y_start=psi)
+        e[i_p] = rng.integers(-2, 3, len(i_p)) / 2.0
+        i_d = (psi != 0.0).nonzero()[0]
+        j_d = (rng.random(n) < 0.3).nonzero()[0]
+        ctx = DualContext(a, np.zeros(n), i_p, NONE, signs, y_start=psi)
         try:
             expected = loop_dual_step(ctx, e, psi, i_d, j_d)
         except UnboundedDirectionError:

@@ -361,18 +361,31 @@ def test_breakpoint_sets_are_the_classified_sets():
 
 
 def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
-    # the subsolvers work on masks; IndexSet values are made only for the
-    # contexts, results and breakpoints
+    # the subsolvers work on masks and sorted int arrays; IndexSet values
+    # are made only for the breakpoint records, four for each
     built = []
+    inside = []
     original = IndexSet.__post_init__
 
     def counting(self):
         built.append(1)
         original(self)
+
+    def watching(update):
+        def wrapper(ctx, **kwargs):
+            before = len(built)
+            res = update(ctx, **kwargs)
+            inside.append(len(built) - before)
+            return res
+        return wrapper
     monkeypatch.setattr(IndexSet, "__post_init__", counting)
+    for name in ("dual_update", "primal_update"):
+        monkeypatch.setattr(homotopy, name, watching(getattr(homotopy, name)))
     path = solve_path(pinned_gaussian())
     assert path.terminated == "target-reached"
-    assert len(built) <= 8 * (len(path.breakpoints) - 1)
+    assert len(inside) == 2 * (len(path.breakpoints) - 1 + path.retries)
+    assert not any(inside)
+    assert len(built) == 4 * len(path.breakpoints)
 
 
 def test_degenerate_step_retry(monkeypatch):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from l1linf import dual_update, linalg, primal_update, solve_path
-from l1linf.linalg import (QR_MIN_COLS, IndexSet, InverseCarry, _svd_solve, solve_consistent,
-                           submatrix)
+from l1linf.linalg import QR_MIN_COLS, IndexSet, InverseCarry, _svd_solve, solve_consistent
 from test_homotopy import pinned_gaussian
 
 
@@ -20,51 +19,13 @@ def test_indexset_validation():
         IndexSet((0, 7), 5)
 
 
-def test_indexset_algebra():
-    s = IndexSet((1, 3), 5)
-    assert s.complement().indices == (0, 2, 4)
-    assert s.union([0]).indices == (0, 1, 3)
-    assert s.difference([3]).indices == (1,)
-    assert s.intersection([3, 4]).indices == (3,)
-    assert 3 in s and 2 not in s
-    assert IndexSet.from_mask(np.array([True, False, True])).indices == (0, 2)
-
-
-def test_submatrix_identity_selection():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    full = IndexSet((0, 1), 2)
-    np.testing.assert_array_equal(submatrix(a, full, full), a)
-
-
-def test_submatrix_single_entry():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = submatrix(a, IndexSet((1,), 2), IndexSet((0,), 2))
-    np.testing.assert_array_equal(out, [[3.0]])
-
-
-def test_submatrix_iota():
-    a = np.arange(12, dtype=float).reshape(3, 4)
-    out = submatrix(a, IndexSet((0, 2), 3), IndexSet((1, 3), 4))
-    np.testing.assert_array_equal(out, [[1.0, 3.0], [9.0, 11.0]])
-
-
-def test_submatrix_out_of_bounds():
-    a = np.ones((2, 2))
-    with pytest.raises(ValueError):
-        submatrix(a, IndexSet((0,), 3), IndexSet((0,), 2))
-
-
-def test_submatrix_composition():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((6, 7))
-    r = IndexSet((0, 2, 3, 5), 6)
-    c = IndexSet((1, 2, 4, 6), 7)
-    r2 = IndexSet((1, 3), 4)
-    c2 = IndexSet((0, 2), 4)
-    inner = submatrix(submatrix(a, r, c), r2, c2)
-    composed_rows = IndexSet(tuple(r.indices[i] for i in r2.indices), 6)
-    composed_cols = IndexSet(tuple(c.indices[j] for j in c2.indices), 7)
-    np.testing.assert_array_equal(inner, submatrix(a, composed_rows, composed_cols))
+def test_indexset_from_mask_len_and_iteration():
+    s = IndexSet.from_mask(np.array([False, True, False, True, False]))
+    assert s.indices == (1, 3) and s.universe == 5
+    assert len(s) == 2 and list(s) == [1, 3]
+    np.testing.assert_array_equal(s.array, [1, 3])
+    assert s.array.dtype == np.intp
+    assert IndexSet(np.array([1, 3]), 5) == s
 
 
 def test_solve_identity():

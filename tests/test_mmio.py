@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,10 @@ def test_read_vector_plain_and_json(tmp_path):
     np.testing.assert_array_equal(read_vector(f), [7.0, 8.0])
     with pytest.raises(ParseError):
         read_vector("1 two 3")
+
+
+def test_read_vector_missing_path_is_named_and_str_is_text(tmp_path):
+    missing = tmp_path / "3"
+    with pytest.raises(ParseError, match=re.escape(str(missing))):
+        read_vector(missing)
+    np.testing.assert_array_equal(read_vector("3"), [3.0])

@@ -10,9 +10,14 @@ always contains a *fixed* set, stays tight.  The two are mirror images:
 
 A face object supplies what differs: ``name``, the masks ``fixed`` and
 ``outer``, the block's direction report (``direction``), the ratio test
-(``step``), the multipliers (``multipliers``), a warm-start direction's
-distance from keeping each constraint tight (``warm_slack``), the ledger's
-stay test (``stays``) and the objective shown in trace records (``value``).
+(``step``), the zeroing of point entries (``zero``), the multipliers
+(``multipliers``), a warm-start direction's distance from keeping each
+constraint tight (``warm_slack``), the ledger's stay test (``stays``) and
+the objective shown in trace records (``value``).  A face may carry
+products of the point and of the current direction with A: the direction
+comes from its ``direction`` or ``warm_slack`` call, ``step`` sees the
+point before the loop moves it by alpha times the direction, and every
+entry that the loop sets to zero goes through ``zero``.
 The loop keeps both sets as boolean masks and takes their sorted index
 arrays once per iteration.
 
@@ -72,7 +77,7 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
             alpha, entering, leaving, done = face.step(direction, point, sup, act)
             point = point + alpha * direction
             if not done:
-                point[leaving] = 0.0
+                face.zero(point, leaving)
                 active[entering] = True
                 support[leaving] = False
                 if alpha <= ZERO_STEP_TOL:
@@ -82,7 +87,7 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
                     active |= removed & face.stays(direction, point)
                     drop = added & (np.abs(direction) <= TIE_RTOL) \
                         & (np.abs(point) <= SUPPORT_TOL)
-                    point[drop] = 0.0
+                    face.zero(point, drop.nonzero()[0])
                     support &= ~drop
                     removed[:] = False
                     added[:] = False

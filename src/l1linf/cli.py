@@ -1,7 +1,7 @@
 """Command-line front end: solve, plot, gen, verify.
 
 Exit codes: 0 success, 1 solver failure or property violation, 2 input or
-parse errors.  Setting HOUDINI_TRACE=1 prints a per-iteration trace of the
+parse errors and output files that cannot be written.  Setting HOUDINI_TRACE=1 prints a per-iteration trace of the
 homotopy loop to stderr.
 """
 
@@ -32,6 +32,11 @@ EXIT_INPUT = 2
 
 def _err(msg: str) -> None:
     print(f"l1linf: {msg}", file=sys.stderr)
+
+
+def _unwritable(path, exc: OSError) -> int:
+    _err(f"cannot write {path}: {exc.strerror or exc}")
+    return EXIT_INPUT
 
 
 def _load_problem(args) -> ProblemInstance:
@@ -72,7 +77,10 @@ def cmd_solve(args) -> int:
     export = path_to_export(inst, path, timing=timing)
     text = export_to_csv(export) if args.format == "csv" else export_to_json(export)
     if args.output and args.output != "-":
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            return _unwritable(args.output, exc)
     else:
         sys.stdout.write(text)
     if path.terminated != "target-reached":
@@ -88,7 +96,10 @@ def cmd_plot(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         _err(f"cannot plot: {exc}")
         return EXIT_INPUT
-    Path(args.output).write_text(svg)
+    try:
+        Path(args.output).write_text(svg)
+    except OSError as exc:
+        return _unwritable(args.output, exc)
     return EXIT_OK
 
 
@@ -105,7 +116,10 @@ def cmd_gen(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
     if args.output and args.output != "-":
-        save_instance(args.output, gti.inst, gti.x_bar, gti.y_bar, seed=args.seed)
+        try:
+            save_instance(args.output, gti.inst, gti.x_bar, gti.y_bar, seed=args.seed)
+        except OSError as exc:
+            return _unwritable(args.output, exc)
     else:
         json.dump(instance_to_dict(gti.inst, gti.x_bar, gti.y_bar, seed=args.seed),
                   sys.stdout, indent=1)
@@ -130,7 +144,10 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     if failing is not None:
         replay = Path("l1linf-failing-instance.json")
-        replay.write_text(json.dumps(failing, indent=1) + "\n")
+        try:
+            replay.write_text(json.dumps(failing, indent=1) + "\n")
+        except OSError as exc:
+            return _unwritable(replay, exc)
         _err(f"first failing instance written to {replay}")
     return EXIT_SOLVE
 

@@ -14,6 +14,12 @@ removable constraints are J_D \\ J_P with J_D = {j : |A_j^T y| = 1}.
 Directions e live on I_D and solve (A^{I_D}_{J_D})^T e = 0 together with
 s_{I_D}^T e = 1.  Index sets, in the context, the result and the face
 functions, are sorted int arrays.
+
+The face carries c = A^T psi: computed once when the update starts,
+moved by alpha A^T e with each step, and corrected for every entry of psi
+that the loop sets to zero.  A^T e is formed once per direction (the warm
+start's comes from the context) and serves the ratio test, the warm-start
+edits and the ledger's stay test; the final c goes out with the result.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 from .active_set import index_mask, run_active_set
 from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
                   AsmError, UnboundedDirectionError)
-from .linalg import InverseCarry, SolveReport, solve_consistent
+from .linalg import Block, InverseCarry, SolveReport, solve_consistent
 
 
 @dataclass
@@ -38,6 +44,7 @@ class DualContext:
     y_start: np.ndarray                  # full length m, zero off I_P
     warm_direction: np.ndarray | None = None  # full length m, zero off I_P
     carry: InverseCarry | None = None         # the path's kernel inverse
+    warm_col: np.ndarray | None = None        # A^T warm_direction, when known
 
     @property
     def m(self) -> int:
@@ -55,17 +62,19 @@ class DualUpdateResult:
     I_D: np.ndarray
     J_D: np.ndarray
     iterations: int
+    col_y: np.ndarray        # A^T y, carried through the update
 
 
 def dual_direction(ctx: DualContext, I_D: np.ndarray, J_D: np.ndarray) -> SolveReport:
     """Descent direction on the dual support: orthogonal to all active
     columns, unit inner product with the residual signs.
 
-    One kernel solve of B d = -s_{I_D} with B = A^{I_D}_{J_D}: the direction
-    is the Fredholm alternative e = -w / ||w||^2.  The report's
-    ``alternative`` is the kernel report of d, which ``dual_multipliers``
-    reads when no direction exists."""
-    kernel = solve_consistent(ctx.A.take(I_D, 0).take(J_D, 1), -ctx.residual_signs[I_D],
+    One kernel solve of B d = -s_{I_D} with B = A^{I_D}_{J_D}, passed as a
+    ``Block`` of A, which the kernel gathers only when it factors afresh:
+    the direction is the Fredholm alternative e = -w / ||w||^2.  The
+    report's ``alternative`` is the kernel report of d, which
+    ``dual_multipliers`` reads when no direction exists."""
+    kernel = solve_consistent(Block(ctx.A, I_D, J_D), -ctx.residual_signs[I_D],
                               carry=ctx.carry, rows=I_D, cols=J_D)
     found = kernel.alternative
     e = None
@@ -76,11 +85,11 @@ def dual_direction(ctx: DualContext, I_D: np.ndarray, J_D: np.ndarray) -> SolveR
 
 
 def dual_step(ctx: DualContext, e: np.ndarray, psi: np.ndarray,
-              I_D: np.ndarray, J_D: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Largest feasible step along e; returns (alpha, columns hitting the
-    unit bound, support rows hitting zero)."""
-    col_e = ctx.A.T @ e
-    col_psi = ctx.A.T @ psi
+              I_D: np.ndarray, J_D: np.ndarray, col_e: np.ndarray,
+              col_psi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Largest feasible step along e, given col_e = A^T e and
+    col_psi = A^T psi; returns (alpha, columns hitting the unit bound,
+    support rows hitting zero)."""
     free = np.ones(ctx.n, dtype=bool)
     free[J_D] = False
     up = free & (col_e > ZERO_STEP_TOL)
@@ -97,48 +106,64 @@ def dual_step(ctx: DualContext, e: np.ndarray, psi: np.ndarray,
     return alpha, (col_r <= width).nonzero()[0], rows_i[row_r <= width]
 
 
-def dual_multipliers(ctx: DualContext, psi: np.ndarray, J_D: np.ndarray,
+def dual_multipliers(ctx: DualContext, col_psi: np.ndarray, J_D: np.ndarray,
                      free_cols: np.ndarray, out_rows: np.ndarray,
                      report: SolveReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multipliers once no direction exists, from the solution of
-    A^{I_D}_{J_D} d = -s_{I_D} in the ``alternative`` of the failed
-    ``dual_direction`` report; mu on free_cols = J_D \\ J_P, nu on
-    out_rows = I_P \\ I_D (aligned with those arrays)."""
+    """Multipliers at psi, with col_psi = A^T psi, once no direction
+    exists, from the solution of A^{I_D}_{J_D} d = -s_{I_D} in the
+    ``alternative`` of the failed ``dual_direction`` report; mu on
+    free_cols = J_D \\ J_P, nu on out_rows = I_P \\ I_D (aligned with those
+    arrays)."""
     kernel = report.alternative
     if not kernel.consistent:
         raise AsmError("dual multiplier system inconsistent although no direction exists")
     d_hat = np.zeros(ctx.n)
     d_hat[J_D] = kernel.solution
-    col_psi = ctx.A.T @ psi
     mu = -(col_psi[free_cols]) * d_hat[free_cols]
     nu = -ctx.residual_signs[out_rows] * (ctx.A[out_rows] @ d_hat) - 1.0
     return d_hat, mu, nu
 
 
 class _DualFace:
+    """Carries col_psi = A^T psi and col_e = A^T e of the last direction."""
+
     name = "dual"
 
     def __init__(self, ctx: DualContext):
         self.ctx = ctx
         self.outer = index_mask(ctx.m, ctx.I_P)
         self.fixed = index_mask(ctx.n, ctx.J_P)
+        self.col_psi = self.col_e = None
 
     def direction(self, support, active):
-        return dual_direction(self.ctx, support, active)
+        report = dual_direction(self.ctx, support, active)
+        if report.consistent:
+            self.col_e = self.ctx.A.T @ report.solution
+        return report
 
     def step(self, e, psi, support, active):
-        return (*dual_step(self.ctx, e, psi, support, active), False)
+        alpha, entering, leaving = dual_step(self.ctx, e, psi, support, active,
+                                             self.col_e, self.col_psi)
+        self.col_psi += alpha * self.col_e
+        return alpha, entering, leaving, False
+
+    def zero(self, psi, rows):
+        if len(rows):
+            self.col_psi -= self.ctx.A[rows].T @ psi[rows]
+            psi[rows] = 0.0
 
     def multipliers(self, report, psi, active, removable, candidates):
-        return dual_multipliers(self.ctx, psi, active, removable, candidates, report)
+        return dual_multipliers(self.ctx, self.col_psi, active, removable, candidates,
+                                report)
 
     def warm_slack(self, e):
-        rows = self.ctx.I_P
-        return self.ctx.A[rows].T @ e[rows]
+        warm = self.ctx.warm_col
+        self.col_e = self.ctx.A.T @ e if warm is None else warm
+        return self.col_e
 
     def stays(self, e, psi):
-        return (np.abs(self.ctx.A.T @ e) <= TIE_RTOL) \
-            & (np.abs(np.abs(self.ctx.A.T @ psi) - 1.0) <= ACTIVE_TOL * 2.0)
+        return (np.abs(self.col_e) <= TIE_RTOL) \
+            & (np.abs(np.abs(self.col_psi) - 1.0) <= ACTIVE_TOL * 2.0)
 
     def value(self, psi):
         return float(-self.ctx.residual_signs @ psi)
@@ -149,15 +174,16 @@ def dual_update(ctx: DualContext, opt_tol: float = OPT_TOL,
     """Solve the dual-certificate subproblem by the specialized active-set
     scheme; returns the new certificate embedded in R^m together with the
     final multiplier-system solution d_hat (warm start for the next primal
-    update) and the final dual sets."""
+    update), the final dual sets and A^T y."""
     face = _DualFace(ctx)
     psi = np.asarray(ctx.y_start, dtype=float).copy()
-    if np.max(np.abs(psi[~face.outer]), initial=0.0) > SUPPORT_TOL:
+    if np.abs(psi[~face.outer]).max(initial=0.0) > SUPPORT_TOL:
         raise ValueError("y_start has mass outside the primal active rows")
     psi[~face.outer] = 0.0
+    face.col_psi = ctx.A.T @ psi
     support = face.outer & (np.abs(psi) > SUPPORT_TOL)
-    active = (np.abs(np.abs(ctx.A.T @ psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
+    active = (np.abs(np.abs(face.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
     psi, support, active, d_hat, iterations = run_active_set(
         face, psi, support, active, ctx.warm_direction, opt_tol, trace)
     return DualUpdateResult(psi, d_hat, support.nonzero()[0], active.nonzero()[0],
-                            iterations)
+                            iterations, face.col_psi)

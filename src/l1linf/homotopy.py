@@ -167,10 +167,10 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
                         "failure")
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
-    carry = InverseCarry(n)   # one kernel inverse follows the whole path
+    carry = InverseCarry(n)   # one kernel system and inverse follow the whole path
     path.kernel = carry.counts
     delta_k = delta0
-    warm_e: np.ndarray | None = None
+    warm_e = warm_col = None     # the last e_hat and A^T e_hat
     if max_iters is None:
         max_iters = 20 * (m + n)
 
@@ -184,7 +184,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             try:
                 dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y,
                                        warm_direction=warm_e if warm else None,
-                                       carry=carry)
+                                       carry=carry, warm_col=warm_col if warm else None)
                 tick = time.perf_counter()
                 dual_res = dual_update(dual_ctx, opt_tol=opt_tol)
                 path.timing["dual_s"] += time.perf_counter() - tick
@@ -194,7 +194,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                 primal_ctx = PrimalContext(
                     inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
                     dual_res.I_D, dual_res.J_D, signs,
-                    warm_direction=dual_res.d_hat if warm else None, carry=carry)
+                    warm_direction=dual_res.d_hat if warm else None, carry=carry,
+                    col_y=dual_res.col_y)
                 tick = time.perf_counter()
                 primal_res = primal_update(primal_ctx, opt_tol=opt_tol)
                 path.timing["primal_s"] += time.perf_counter() - tick
@@ -245,7 +246,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             path.terminated = "target-reached"
             return path
         delta_k = delta_next
-        warm_e = primal_res.e_hat
+        warm_e, warm_col = primal_res.e_hat, primal_res.col_e_hat
     path.failure_reason = f"homotopy iteration cap {max_iters} exceeded"
     return path
 

@@ -131,20 +131,41 @@ class KernelCounts:
     svd: int = 0
 
 
+class Block:
+    """The block A[rows][:, cols] of a matrix A that its owner has already
+    validated, without gathering it.  An index pair reads block entries as
+    on an ndarray when one of the two indices is a scalar, or when both
+    come from ``np.ix_``; ``np.asarray`` gathers the whole block."""
+
+    __slots__ = ("a", "rows", "cols", "shape")
+
+    def __init__(self, a: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        self.a, self.rows, self.cols = a, rows, cols
+        self.shape = (rows.size, cols.size)
+
+    def __getitem__(self, key):
+        i, j = key if isinstance(key, tuple) else (key, slice(None))
+        return self.a[self.rows[i], self.cols[j]]
+
+    def __array__(self, dtype=None, copy=None):
+        return self.a.take(self.rows, 0).take(self.cols, 1)
+
+
 class InverseCarry:
-    """The inverse H = S^-1 of the last square system S of one path, kept
-    from one kernel call to the next.
+    """The last square system S of one path and its inverse H = S^-1,
+    kept from one kernel call to the next.
 
     S is the block itself for a square block and [M | rhs] for a (k+1) x k
     block.  Its rows carry the labels of the rows of A they come from and
     its columns the labels of A's columns; the label ``n`` stands for the
-    rhs column.  H stays in the order in which rows and columns joined S,
-    so an update never reorders it; ``rp`` and ``cp`` place the carried
-    rows and columns in the current block.  ``follow`` brings H to the
-    next system in O(k^2) when that differs from S by one bordering, one
-    un-bordering, one replaced column or one replaced row; any other
-    change, new values in the rhs column included, clears it, so the
-    system gets a fresh factor.
+    rhs column.  S and H stay in the order in which rows and columns
+    joined S, so an update never reorders them; ``rp`` and ``cp`` place
+    the carried rows and columns in the current block.  ``follow`` brings
+    both to the next system in O(k^2) when that differs from S by one
+    bordering, one un-bordering, one replaced column or one replaced row,
+    reading the O(k) new entries of S from the block; any other change,
+    new values in the rhs column included, clears them, so the system is
+    gathered and factored afresh.
     """
 
     def __init__(self, n: int):
@@ -153,19 +174,18 @@ class InverseCarry:
         self.clear()
 
     def clear(self) -> None:
-        self.h = None
-        self.rows = self.cols = self.rhs = self.rp = self.cp = None
+        self.s = self.h = None
+        self.rows = self.cols = self.rp = self.cp = None
 
-    def start(self, h: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-              rhs: np.ndarray) -> None:
-        self.h, self.rows, self.cols, self.rhs = h, rows.copy(), cols.copy(), rhs.copy()
+    def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
+              cols: np.ndarray) -> None:
+        self.s, self.h, self.rows, self.cols = s, h, rows.copy(), cols.copy()
         self.rp, self.cp = np.arange(rows.size), np.arange(cols.size)
 
-    def follow(self, m: np.ndarray, rhs: np.ndarray, rows: np.ndarray,
-               cols: np.ndarray) -> bool:
-        """Update H to the system of (m, rhs) whose sorted labels are rows
-        and cols.  Returns False, and clears, when no update applies or an
-        update's pivot is too small."""
+    def follow(self, m, rhs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+        """Update S and H to the system of (m, rhs) whose sorted labels are
+        rows and cols.  Returns False, and clears, when no update applies
+        or an update's pivot is too small."""
         if self.h is None:
             return False
         k = m.shape[1]
@@ -173,23 +193,29 @@ class InverseCarry:
         cpos, _, cgone, cnew = _match(cols, self.cols)
         change = (len(rgone), len(rnew), len(cgone), len(cnew))
         if cols[-1] == self.n and self.cols.max() == self.n \
-                and (rhs[rpos[rin]] != self.rhs[rin]).any():
+                and (rhs[rpos[rin]] != self.s[rin, self.cols.argmax()]).any():
             change = None           # new values in the rhs column: factor afresh
         ok = True
         if change == (0, 0, 1, 1):
             q, j = cgone[0], cnew[0]
-            ok = _replace_column(self.h, q, (m[:, j] if j < k else rhs)[rpos])
+            col = m[rpos, j] if j < k else rhs[rpos]
+            ok = _replace_column(self.h, q, col)
+            self.s[:, q] = col
             self.cols[q], cpos[q] = cols[j], j
         elif change == (1, 1, 0, 0):
             p, i = rgone[0], rnew[0]
-            ok = _replace_column(self.h.T, p, _row(m, rhs, i)[cpos])
+            row = _row(m, rhs, i)[cpos]
+            ok = _replace_column(self.h.T, p, row)
+            self.s[p] = row
             self.rows[p], rpos[p] = rows[i], i
         elif change == (0, 1, 0, 1):
             i, j = rnew[0], cnew[0]
-            col = (m[:, j] if j < k else rhs)[rpos]
+            col = m[rpos, j] if j < k else rhs[rpos]
+            row = _row(m, rhs, i)[cpos]
             corner = m[i, j] if j < k else rhs[i]
-            self.h = _border(self.h, col, _row(m, rhs, i)[cpos], corner)
+            self.h = _border(self.h, col, row, corner)
             ok = self.h is not None
+            self.s = _bordered(self.s, col, row, corner)
             self.rows, rpos = _appended(self.rows, rows[i]), _appended(rpos, i)
             self.cols, cpos = _appended(self.cols, cols[j]), _appended(cpos, j)
         elif change == (1, 0, 1, 0):
@@ -200,53 +226,72 @@ class InverseCarry:
         if not ok:
             self.clear()
             return False
-        self.rp, self.cp, self.rhs = rpos, cpos, rhs[rpos]
+        self.rp, self.cp = rpos, cpos
         return True
 
     def _unborder(self, p: int, q: int, rpos: np.ndarray, cpos: np.ndarray) -> bool:
         """Remove row p and column q of S.  With f = H e_p, g = e_q^T H and
         h = H_qp, the rank-one step H - f g^T / h zeroes column p and row q
         of H and leaves the new inverse in the rest; the last row and
-        column then move into the freed places."""
-        h = self.h
+        column of S and H then move into the freed places."""
+        h, s = self.h, self.s
         f, g, piv = h[:, p], h[q], h[q, p]
         if not abs(piv) > QR_RANK_RTOL * max(np.abs(f).max(), np.abs(g).max()):
             return False
         h -= np.outer(f / piv, g)
         last = h.shape[0] - 1
         h[q], h[:, p] = h[last], h[:, last]
+        s[:, q], s[p] = s[:, last], s[last]
         self.cols[q], cpos[q] = self.cols[last], cpos[last]
         self.rows[p], rpos[p] = self.rows[last], rpos[last]
-        self.h, self.rows, self.cols = h[:last, :last], self.rows[:last], self.cols[:last]
+        self.h, self.s = h[:last, :last], s[:last, :last]
+        self.rows, self.cols = self.rows[:last], self.cols[:last]
         return True
 
-    def answer(self, m: np.ndarray, rhs: np.ndarray,
+    def answer(self, rhs: np.ndarray, k: int,
                carried: bool) -> tuple[np.ndarray, np.ndarray] | None:
-        """(solution, w) from H after one step of iterative refinement
-        against S.  A carried H's answer is None when it is not finite or
-        the refinement moved it by more than DRIFT_RTOL."""
-        h, rp, cp, k = self.h, self.rp, self.cp, m.shape[1]
+        """(solution, w) of the block with k columns and right-hand side
+        rhs, from H after one step of iterative refinement against S.  A
+        carried H's answer is None when it is not finite or the refinement
+        moved it by more than DRIFT_RTOL."""
+        s, h, rp, cp = self.s, self.h, self.rp, self.cp
         tall = cp.size > k
-        u, du = np.empty(cp.size), np.empty(cp.size)
         if tall:
             # S^T u = e_last, that is M^T u = 0 and rhs^T u = 1
-            u[rp] = h[cp.argmax()]
-            du[rp] = np.concatenate((-(m.T @ u), (1.0 - rhs @ u,)))[cp] @ h
+            last = cp.argmax()
+            u = h[last].copy()
+            res = -(u @ s)
+            res[last] += 1.0
+            du = res @ h
         else:
-            u[cp] = h @ rhs[rp]
-            du[cp] = h @ (rhs - m @ u)[rp]
+            b = rhs[rp]
+            u = h @ b
+            du = h @ (b - s @ u)
         u += du
         size = float(np.abs(u).max())
         if carried and not (math.isfinite(size) and np.abs(du).max() <= DRIFT_RTOL * size):
             return None
         if not tall:
-            return u, np.zeros(k)
+            x = np.empty(k)
+            x[cp] = u
+            return x, np.zeros(k)
         unit = u / size                 # u . u itself could overflow
-        w = unit / ((unit @ unit) * size)
+        ws = unit / ((unit @ unit) * size)
         # S [x; -1] = M x - rhs = -w at the least-squares point x
-        x = np.empty(k + 1)
-        x[cp] = h @ w[rp]
+        x, w = np.empty(k + 1), np.empty(k + 1)
+        x[cp], w[rp] = h @ ws, ws
         return -x[:k], w
+
+    def residuals(self, sol: np.ndarray, z: np.ndarray,
+                  rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """M sol - rhs, and M^T z with rhs^T z - 1 after it, from S; each
+        in S's order."""
+        s, rp, cp = self.s, self.rp, self.cp
+        if cp.size > sol.size:
+            g = z[rp] @ s
+            g[cp.argmax()] -= 1.0
+            return s @ _appended(sol, -1.0)[cp], g
+        return s @ sol[cp] - rhs[rp], _appended(z[rp] @ s, rhs @ z - 1.0)
 
 
 def _match(labels: np.ndarray, carried: np.ndarray) -> tuple:
@@ -270,7 +315,7 @@ def _appended(a: np.ndarray, x) -> np.ndarray:
     return np.concatenate((a, (x,)))
 
 
-def _row(m: np.ndarray, rhs: np.ndarray, i: int) -> np.ndarray:
+def _row(m, rhs: np.ndarray, i: int) -> np.ndarray:
     """Row i of S, sorted: the block's row, then rhs_i for a (k+1) x k block."""
     return m[i] if m.shape[0] == m.shape[1] else _appended(m[i], rhs[i])
 
@@ -307,37 +352,53 @@ def _border(h: np.ndarray, col: np.ndarray, row: np.ndarray,
     return out
 
 
+def _bordered(s: np.ndarray, col: np.ndarray, row: np.ndarray,
+              corner: float) -> np.ndarray:
+    """[[S, col], [row^T, corner]]."""
+    size = s.shape[0]
+    out = np.empty((size + 1, size + 1))
+    out[:size, :size] = s
+    out[:size, size] = col
+    out[size, :size] = row
+    out[size, size] = corner
+    return out
+
+
 def solve_consistent(m, rhs, *, carry: InverseCarry | None = None, rows=None,
                      cols=None) -> SolveReport:
     """Solve M x = rhs if a solution exists within tolerance, and its
     Fredholm alternative [M^T; rhs^T] z = (0, ..., 0, 1).
 
-    M may be rectangular and rank-deficient.  A square or (k+1) x k block
-    with k >= ``QR_MIN_COLS`` is turned into one square system S: a square
-    block solves S x = rhs with S = M, and a (k+1) x k block solves
-    S^T z = e_last with S = [M | rhs], whose solution is exactly the
-    alternative z (M^T z = 0, rhs^T z = 1), so w = z / (z . z).  S is
-    solved with its inverse H: fresh, after the rank test
-    min |R_ii| > QR_RANK_RTOL * max |R_ii| on the R of a Householder QR of
-    S, or carried from the last call along a path.  With ``carry``, which
-    needs ``rows`` and ``cols``, the sorted labels of the block's rows and
-    columns in A, H is brought to this block by an O(k^2) update when it
-    differs from the last square system by one row, one column or one
-    border (see ``InverseCarry``); new values in the rhs column of a
-    (k+1) x k block take a fresh factor.  Each answer gets one step of
-    iterative refinement against S; a carried answer that the refinement
-    moves by more than DRIFT_RTOL is refused for a fresh factor.  Every other block
-    (wide, empty, small, taller than k+1, or a system that fails the rank
-    test) goes to ``_svd_solve``, which gives the minimum-2-norm solution
-    and w from a truncated thin SVD.  Either way z = w / ||w||^2 is the
-    minimum-norm solution of the alternative system, and each answer is
-    accepted by the residual test of its own system against the block M
-    itself: ||residual||_inf <= CONSISTENCY_TOL * (1 + ||right-hand side||_inf).
-    Repeated calls on identical inputs without a carry are bit-for-bit
-    reproducible; a carried answer depends on the earlier blocks of its
-    path through rounding only.
+    M may be rectangular and rank-deficient.  It is an array, validated
+    here, or a ``Block`` of a matrix validated by its owner, which is read
+    entry by entry and gathered only for a fresh factor or the SVD.  A
+    square or (k+1) x k block with k >= ``QR_MIN_COLS`` is turned into one
+    square system S: a square block solves S x = rhs with S = M, and a
+    (k+1) x k block solves S^T z = e_last with S = [M | rhs], whose
+    solution is exactly the alternative z (M^T z = 0, rhs^T z = 1), so
+    w = z / (z . z).  S is solved with its inverse H: fresh, after the
+    rank test min |R_ii| > QR_RANK_RTOL * max |R_ii| on the R of a
+    Householder QR of S, or carried from the last call along a path.
+    With ``carry``, which needs ``rows`` and ``cols``, the sorted labels
+    of the block's rows and columns in A, S and H are brought to this
+    block by an O(k^2) update when it differs from the last square system
+    by one row, one column or one border (see ``InverseCarry``); new
+    values in the rhs column of a (k+1) x k block take a fresh factor.
+    Each answer gets one step of iterative refinement against S; a
+    carried answer that the refinement moves by more than DRIFT_RTOL is
+    refused for a fresh factor.  Every other block (wide, empty, small,
+    taller than k+1, or a system that fails the rank test) goes to
+    ``_svd_solve``, which gives the minimum-2-norm solution and w from a
+    truncated thin SVD.  Either way z = w / ||w||^2 is the minimum-norm
+    solution of the alternative system, and each answer is accepted by
+    the residual test of its own system against the block, through S when
+    there is one: ||residual||_inf <= CONSISTENCY_TOL * (1 + ||right-hand
+    side||_inf).  Repeated calls on identical inputs without a carry are
+    bit-for-bit reproducible; a carried answer depends on the earlier
+    blocks of its path through rounding only.
     """
-    m = as_matrix(m, "M")
+    if not isinstance(m, Block):
+        m = as_matrix(m, "M")
     rhs = as_vector(rhs, "rhs")
     if m.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: M has {m.shape[0]} rows, rhs has {rhs.shape[0]}")
@@ -350,38 +411,45 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None, rows=None,
         found = _square_solve(m, rhs, carry, np.asarray(rows),
                               np.concatenate((cols, (carry.n,))) if rows_n > cols_n
                               else np.asarray(cols))
-    sol, w = found if found is not None else _svd_solve(m, rhs)
-    resid = float(np.max(np.abs(m @ sol - rhs), initial=0.0))
-    ok = resid <= CONSISTENCY_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0))
-
+    if found is None:
+        m = np.asarray(m)
+        sol, w = _svd_solve(m, rhs)
+    else:
+        sol, w = found
     ww = float(w @ w)
     z = w / ww if ww > 0.0 else np.zeros(rows_n)
-    z_resid = max(float(np.max(np.abs(m.T @ z), initial=0.0)), abs(float(rhs @ z) - 1.0))
+    if found is None:
+        r, g = m @ sol - rhs, _appended(m.T @ z, rhs @ z - 1.0)
+    else:
+        r, g = carry.residuals(sol, z, rhs)
+    resid = float(np.abs(r).max(initial=0.0))
+    ok = resid <= CONSISTENCY_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
+    z_resid = float(np.abs(g).max())
     z_ok = z_resid <= CONSISTENCY_TOL * 2.0
     alternative = SolveReport(z if z_ok else None, z_resid, z_ok)
     return SolveReport(sol if ok else None, resid, ok, w, alternative)
 
 
-def _square_solve(m: np.ndarray, rhs: np.ndarray, carry: InverseCarry,
-                  rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _square_solve(m, rhs: np.ndarray, carry: InverseCarry, rows: np.ndarray,
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(solution, w) of a square or (k+1) x k block from the inverse of
     its square system S, or None when S fails the rank test."""
-    counts = carry.counts
+    counts, k = carry.counts, m.shape[1]
     if carry.follow(m, rhs, rows, cols):
-        found = carry.answer(m, rhs, carried=True)
+        found = carry.answer(rhs, k, carried=True)
         if found is not None:
             counts.updates += 1
             return found
         counts.drift += 1
-    s = m if cols.size == m.shape[1] else np.column_stack((m, rhs))
+    s = np.array(m) if cols.size == k else np.column_stack((m, rhs))
     diag = np.abs(np.diagonal(np.linalg.qr(s, mode="r")))
     if not diag.min() > QR_RANK_RTOL * diag.max():
         counts.svd += 1
         carry.clear()
         return None
-    carry.start(np.linalg.inv(s), rows, cols, rhs)
+    carry.start(s, np.linalg.inv(s), rows, cols)
     counts.fresh += 1
-    return carry.answer(m, rhs, carried=False)
+    return carry.answer(rhs, k, carried=False)
 
 
 def _svd_solve(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

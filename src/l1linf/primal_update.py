@@ -17,6 +17,14 @@ Residual signs on the active rows are carried as state (on I_D they equal
 sign(y_i)) instead of being re-derived from near-tight residuals, and are
 returned with the result.  Index sets, in the context, the result and the
 face functions, are sorted int arrays.
+
+The face carries r = A xi - b: computed once when the update starts,
+moved by alpha A d with each step, and corrected for every entry of xi
+that the loop sets to zero.  A d is formed once per direction and serves
+the ratio test, the warm-start edits and the ledger's stay test.  The
+signs of A^T y on J_D come from the dual update's A^T y, and the final
+multipliers' A^T e_hat goes out with the result as the next dual update's
+warm A^T e.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 from .active_set import NONZERO_TOL, index_mask, run_active_set
 from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
                   AsmError, UnboundedDirectionError)
-from .linalg import InverseCarry, SolveReport, solve_consistent
+from .linalg import Block, InverseCarry, SolveReport, solve_consistent
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
 
@@ -48,6 +56,7 @@ class PrimalContext:
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
     warm_direction: np.ndarray | None = None  # d_hat, full length n
     carry: InverseCarry | None = None         # the path's kernel inverse
+    col_y: np.ndarray | None = None           # A^T y_next, when known
 
     @property
     def m(self) -> int:
@@ -68,15 +77,18 @@ class PrimalUpdateResult:
     reached_target: bool
     iterations: int
     signs: np.ndarray          # full m; the residual signs on I_P
+    col_e_hat: np.ndarray | None   # A^T e_hat
 
 
 def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
                      signs: np.ndarray) -> SolveReport:
     """Ascent direction (with the t component fixed at 1): solve
-    A^{I_P}_{J_P} d_{J_P} = -signs_{I_P}, zero elsewhere.  The report's
-    ``alternative`` is the kernel's other Fredholm alternative, which
-    ``primal_multipliers`` reads when no direction exists."""
-    kernel = solve_consistent(ctx.A.take(I_P, 0).take(J_P, 1), -signs[I_P],
+    A^{I_P}_{J_P} d_{J_P} = -signs_{I_P}, zero elsewhere, with the block
+    passed as a ``Block`` of A, which the kernel gathers only when it
+    factors afresh.  The report's ``alternative`` is the kernel's other
+    Fredholm alternative, which ``primal_multipliers`` reads when no
+    direction exists."""
+    kernel = solve_consistent(Block(ctx.A, I_P, J_P), -signs[I_P],
                               carry=ctx.carry, rows=I_P, cols=J_P)
     d = None
     if kernel.consistent:
@@ -87,10 +99,12 @@ def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
 
 
 def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
-                I_P: np.ndarray, J_P: np.ndarray,
-                col_sign: np.ndarray) -> tuple[float, bool, list[tuple[int, float]], np.ndarray]:
-    """Largest feasible step: min over inactive-row ratios, support-sign
-    ratios and the remaining homotopy gap delta_k - tau - delta_target.
+                I_P: np.ndarray, J_P: np.ndarray, col_sign: np.ndarray,
+                resid: np.ndarray,
+                a_d: np.ndarray) -> tuple[float, bool, list[tuple[int, float]], np.ndarray]:
+    """Largest feasible step, given resid = A xi - b and a_d = A d: min
+    over inactive-row ratios, support-sign ratios and the remaining
+    homotopy gap delta_k - tau - delta_target.
 
     Returns (alpha, reached_target, [(row, bound side)], leaving columns).
     The target bound takes precedence on ties, ending the whole run; a row
@@ -98,8 +112,6 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
     """
     bound = ctx.delta_k - tau
     gap = max(bound - ctx.delta_target, 0.0)
-    resid = ctx.A @ xi - ctx.b
-    a_d = ctx.A @ d
     off = np.ones(ctx.m, dtype=bool)
     off[I_P] = False
     up_den = a_d + 1.0
@@ -146,8 +158,9 @@ def primal_multipliers(ctx: PrimalContext, I_P: np.ndarray, extra_rows: np.ndarr
 
 
 class _PrimalFace:
-    """Carries the bound decrease tau, the residual signs of the active rows
-    and the signs of A_j^T y on J_D."""
+    """Carries the bound decrease tau, the residual signs of the active rows,
+    the signs of A_j^T y on J_D, resid = A xi - b and a_d = A d of the
+    last direction."""
 
     name = "primal"
 
@@ -159,32 +172,45 @@ class _PrimalFace:
         self.signs = np.asarray(ctx.residual_signs, dtype=float).copy()
         signed = self.fixed & (np.abs(ctx.y_next) > SUPPORT_TOL)
         self.signs[signed] = np.sign(ctx.y_next[signed])
+        col_y = ctx.col_y[ctx.J_D] if ctx.col_y is not None \
+            else ctx.A[:, ctx.J_D].T @ ctx.y_next
         self.col_sign = np.zeros(ctx.n)
-        self.col_sign[ctx.J_D] = np.sign(ctx.A[:, ctx.J_D].T @ ctx.y_next)
+        self.col_sign[ctx.J_D] = np.sign(col_y)
+        self.resid = self.a_d = None
 
     def direction(self, support, active):
-        return primal_direction(self.ctx, active, support, self.signs)
+        report = primal_direction(self.ctx, active, support, self.signs)
+        if report.consistent:
+            self.a_d = self.ctx.A @ report.solution
+        return report
 
     def step(self, d, xi, support, active):
         alpha, reached_target, new_rows, leaving = primal_step(
-            self.ctx, d, xi, self.tau, active, support, self.col_sign)
+            self.ctx, d, xi, self.tau, active, support, self.col_sign,
+            self.resid, self.a_d)
         self.tau += alpha
+        self.resid += alpha * self.a_d
         rows = [i for i, _ in new_rows]
         self.signs[rows] = [side for _, side in new_rows]
         return alpha, rows, leaving, reached_target
+
+    def zero(self, xi, cols):
+        if len(cols):
+            self.resid -= self.ctx.A[:, cols] @ xi[cols]
+            xi[cols] = 0.0
 
     def multipliers(self, report, xi, active, removable, candidates):
         return primal_multipliers(self.ctx, active, removable, candidates,
                                   self.signs, self.col_sign, report)
 
     def warm_slack(self, d):
-        return self.ctx.A @ d + self.signs
+        self.a_d = self.ctx.A @ d
+        return self.a_d + self.signs
 
     def stays(self, d, xi):
         bound = self.ctx.delta_k - self.tau
-        resid = self.ctx.A @ xi - self.ctx.b
-        return (np.abs(self.ctx.A @ d + self.signs) <= TIE_RTOL) \
-            & (np.abs(np.abs(resid) - bound) <= ACTIVE_TOL * (1.0 + bound))
+        return (np.abs(self.a_d + self.signs) <= TIE_RTOL) \
+            & (np.abs(np.abs(self.resid) - bound) <= ACTIVE_TOL * (1.0 + bound))
 
     def value(self, xi):
         return self.tau
@@ -195,20 +221,21 @@ def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
     """Solve the primal subproblem with the specialized active-set scheme.
 
     Returns the new primal iterate, the achieved decrease t, the final
-    multiplier-system solution e_hat (warm start for the next dual update;
-    None when the target bound was reached), the final sets and the
-    residual signs.
+    multiplier-system solution e_hat and A^T e_hat (warm start for the
+    next dual update; None when the target bound was reached), the final
+    sets and the residual signs.
     """
     if ctx.delta_target > ctx.delta_k + ZERO_STEP_TOL:
         raise ValueError("delta_target exceeds the current bound")
     face = _PrimalFace(ctx)
     xi = np.asarray(ctx.x_start, dtype=float).copy()
-    if np.max(np.abs(xi[~face.outer]), initial=0.0) > SUPPORT_TOL:
+    if np.abs(xi[~face.outer]).max(initial=0.0) > SUPPORT_TOL:
         raise ValueError("x_start has support outside the dual active columns")
     xi[~face.outer] = 0.0
+    face.resid = ctx.A @ xi - ctx.b
     xi, support, active, e_hat, iterations = run_active_set(
         face, xi, index_mask(ctx.n, ctx.J_P), index_mask(ctx.m, ctx.I_P),
         ctx.warm_direction, opt_tol, trace)
     return PrimalUpdateResult(xi, face.tau, e_hat, active.nonzero()[0],
                               support.nonzero()[0], e_hat is None, iterations,
-                              face.signs)
+                              face.signs, None if e_hat is None else ctx.A.T @ e_hat)

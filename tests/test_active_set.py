@@ -30,6 +30,9 @@ class ScriptedFace:
         _, _, alpha, entering, leaving = self.entry
         return alpha, entering, leaving, False
 
+    def zero(self, point, indices):
+        point[indices] = 0.0
+
     def multipliers(self, report, point, active, removable, candidates):
         _, mu, nu = self.entry
         return (None, np.array([mu.get(i, 1.0) for i in removable.tolist()]),

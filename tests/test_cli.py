@@ -198,3 +198,38 @@ def test_solve_then_plot_never_fails_on_random_instances(tmp_path):
         pj = tmp_path / f"p{trial}.json"
         assert main(["solve", str(f), "-o", str(pj)]) == 0
         assert main(["plot", str(pj), "-o", str(tmp_path / f"p{trial}.svg")]) == 0
+
+
+def _missing_dir_file(tmp_path, name):
+    return str(tmp_path / "missing" / name)
+
+
+def test_solve_unwritable_output_exit_2(tmp_path, capsys):
+    inst = write_scalar_instance(tmp_path)
+    out = _missing_dir_file(tmp_path, "p.json")
+    assert main(["solve", str(inst), "-o", out]) == 2
+    assert f"l1linf: cannot write {out}" in capsys.readouterr().err
+
+
+def test_plot_unwritable_output_exit_2(tmp_path, capsys):
+    inst = write_scalar_instance(tmp_path)
+    pj = tmp_path / "path.json"
+    assert main(["solve", str(inst), "-o", str(pj)]) == 0
+    out = _missing_dir_file(tmp_path, "p.svg")
+    assert main(["plot", str(pj), "-o", out]) == 2
+    assert f"l1linf: cannot write {out}" in capsys.readouterr().err
+
+
+def test_gen_unwritable_output_exit_2(tmp_path, capsys):
+    out = _missing_dir_file(tmp_path, "i.json")
+    assert main(["gen", "--m", "4", "--n", "8", "--sparsity", "2",
+                 "--delta", "0.5", "-o", out]) == 2
+    assert f"l1linf: cannot write {out}" in capsys.readouterr().err
+
+
+def test_verify_unwritable_replay_file_exit_2(tmp_path, monkeypatch, capsys):
+    # a directory in the way of the replay file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l1linf-failing-instance.json").mkdir()
+    assert main(["verify", "--count", "1", "--seed", "3", "--perturb-y"]) == 2
+    assert "l1linf: cannot write l1linf-failing-instance.json" in capsys.readouterr().err

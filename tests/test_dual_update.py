@@ -15,7 +15,8 @@ NONE = np.empty(0, dtype=np.intp)
 def dual_step_sets(ctx, e, psi, I_D, J_D):
     """dual_step with its index arrays returned as lists, so that whole
     results compare with ==."""
-    alpha, new_cols, zero_rows = dual_step(ctx, e, psi, I_D, J_D)
+    alpha, new_cols, zero_rows = dual_step(ctx, e, psi, I_D, J_D, ctx.A.T @ e,
+                                           ctx.A.T @ psi)
     return alpha, new_cols.tolist(), zero_rows.tolist()
 
 
@@ -94,7 +95,7 @@ def test_dual_multipliers_scalar_terminal():
     i_d, j_d = np.array([0]), np.array([0])
     report = dual_direction(ctx, i_d, j_d)
     assert not report.consistent
-    d_hat, mu, nu = dual_multipliers(ctx, np.array([-1.0]), j_d,
+    d_hat, mu, nu = dual_multipliers(ctx, ctx.A.T @ np.array([-1.0]), j_d,
                                      np.setdiff1d(j_d, ctx.J_P),
                                      np.setdiff1d(ctx.I_P, i_d), report)
     np.testing.assert_allclose(d_hat, [1.0], atol=1e-12)

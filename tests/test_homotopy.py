@@ -339,6 +339,106 @@ def test_pinned_breakpoint_counts():
     assert len(path.breakpoints) - 1 == 33
 
 
+# carried A^T y and A x - b against fresh products, relative to the
+# largest |A|^T |y| and |A| |x| + |b| entry
+PRODUCT_RTOL = 1e-12
+
+
+def _planting(cls, state, product):
+    """A ``zero`` for a face class that first puts unit mass into the
+    entries it is about to zero, and the mass's product with A into the
+    carried state ``state``: a correction that ``zero`` leaves out then
+    shows as a unit error rather than as rounding."""
+    original = cls.zero
+
+    def zero(self, point, indices):
+        if len(indices):
+            point[indices] += 1.0
+            setattr(self, state, getattr(self, state)
+                    + product(self.ctx.A, indices, np.ones(len(indices))))
+        original(self, point, indices)
+    return zero
+
+
+def test_carried_state_matches_fresh_products(monkeypatch):
+    # every S carried into a kernel call is the gathered block (with the
+    # rhs column) bit for bit, and every breakpoint's carried A^T y and
+    # A x - b agree with fresh products
+    import l1linf.dual_update as dual_mod
+    import l1linf.primal_update as primal_mod
+    from l1linf.linalg import InverseCarry
+    follows, errors, faces = [], [], []
+    follow = InverseCarry.follow
+
+    def checked_follow(self, m, rhs, rows, cols):
+        if not follow(self, m, rhs, rows, cols):
+            return False
+        s = np.asarray(m)
+        s = s if s.shape[0] == s.shape[1] else np.column_stack((s, rhs))
+        follows.append(np.array_equal(self.s, s[np.ix_(self.rp, self.cp)]))
+        return True
+
+    def recorded(cls):
+        init = cls.__init__
+
+        def wrapper(self, ctx):
+            init(self, ctx)
+            faces.append(self)
+        return wrapper
+
+    def checked(update, carried, fresh, scale):
+        def wrapper(ctx, **kw):
+            res = update(ctx, **kw)
+            a = ctx.A
+            errors.append(np.abs(carried(res) - fresh(a, ctx, res)).max()
+                          / scale(np.abs(a), ctx, res))
+            return res
+        return wrapper
+
+    monkeypatch.setattr(InverseCarry, "follow", checked_follow)
+    monkeypatch.setattr(primal_mod._PrimalFace, "__init__", recorded(primal_mod._PrimalFace))
+    monkeypatch.setattr(dual_mod._DualFace, "zero", _planting(
+        dual_mod._DualFace, "col_psi", lambda a, rows, v: a[rows].T @ v))
+    monkeypatch.setattr(primal_mod._PrimalFace, "zero", _planting(
+        primal_mod._PrimalFace, "resid", lambda a, cols, v: a[:, cols] @ v))
+    monkeypatch.setattr(homotopy, "dual_update", checked(
+        homotopy.dual_update, lambda res: res.col_y,
+        lambda a, ctx, res: a.T @ res.y,
+        lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.y)).max()))
+    monkeypatch.setattr(homotopy, "primal_update", checked(
+        homotopy.primal_update, lambda res: faces[-1].resid,
+        lambda a, ctx, res: a @ res.x - ctx.b,
+        lambda abs_a, ctx, res: (abs_a @ np.abs(res.x) + np.abs(ctx.b)).max()))
+    for inst in (pinned_gaussian(), pinned_dantzig()):
+        assert solve_path(inst).terminated == "target-reached"
+    assert len(follows) > 50 and all(follows)
+    assert len(errors) > 100 and max(errors) <= PRODUCT_RTOL
+
+
+def test_kernel_calls_carry_the_block_shape(monkeypatch):
+    # the faces pass the kernel a block whose shape is that of its rows and
+    # columns, as tracers read it; a stateless call on an array still
+    # validates its entries
+    import l1linf.dual_update as dual_mod
+    import l1linf.primal_update as primal_mod
+    from l1linf.linalg import QR_MIN_COLS, solve_consistent
+    shapes = []
+
+    def capture(m, rhs, **kwargs):
+        shapes.append((np.shape(m), (len(kwargs["rows"]), len(kwargs["cols"]))))
+        return solve_consistent(m, rhs, **kwargs)
+    monkeypatch.setattr(dual_mod, "solve_consistent", capture)
+    monkeypatch.setattr(primal_mod, "solve_consistent", capture)
+    assert solve_path(pinned_gaussian()).terminated == "target-reached"
+    assert len(shapes) > 100
+    assert all(shape == labels for shape, labels in shapes)
+    assert max(cols for (_, cols), _ in shapes) >= QR_MIN_COLS
+    bad = np.eye(QR_MIN_COLS + 1)
+    bad[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_consistent(bad, np.ones(QR_MIN_COLS + 1))
+
+
 def test_breakpoint_sets_are_the_classified_sets():
     # solve_path records the sets the subsolvers end with; at every
     # breakpoint they equal what classifying the residuals by tolerance gives

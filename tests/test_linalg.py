@@ -285,7 +285,8 @@ def _carried_steps(a, steps, carry):
 def test_each_kind_of_update_keeps_the_inverse():
     # one carried inverse through a bordering, a replaced row, a replaced
     # column, the rhs column taking an A column's place, an un-bordering and
-    # an A column taking the rhs column's place
+    # an A column taking the rhs column's place; the carried S stays the
+    # gathered system bit for bit
     rng = np.random.default_rng(15)
     a = rng.standard_normal((30, 40))
     signs = rng.choice([-1.0, 1.0], size=30)
@@ -304,6 +305,8 @@ def test_each_kind_of_update_keeps_the_inverse():
     for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
         assert (carry.counts.fresh, carry.counts.updates) == (1, step)
         assert _carried_system_error(carry, m, rhs) <= 1e-10
+        s = m if m.shape[0] == m.shape[1] else np.column_stack((m, rhs))
+        assert np.array_equal(carry.s, s[np.ix_(carry.rp, carry.cp)])
         _assert_same_report(rep, solve_consistent(m, rhs), rhs)
 
 

@@ -17,7 +17,8 @@ ZERO = np.array([0])
 def primal_step_sets(ctx, d, xi, tau, I_P, J_P, col_sign):
     """primal_step with the leaving columns returned as a list, so that
     whole results compare with ==."""
-    alpha, hit, new_rows, leaving = primal_step(ctx, d, xi, tau, I_P, J_P, col_sign)
+    alpha, hit, new_rows, leaving = primal_step(ctx, d, xi, tau, I_P, J_P, col_sign,
+                                                ctx.A @ xi - ctx.b, ctx.A @ d)
     return alpha, hit, new_rows, leaving.tolist()
 
 

@@ -17,9 +17,9 @@ functions, are sorted int arrays.
 
 The face carries c = A^T psi: computed once when the update starts,
 moved by alpha A^T e with each step, and corrected for every entry of psi
-that the loop sets to zero.  A^T e is formed once per direction (the warm
-start's comes from the context) and serves the ratio test, the warm-start
-edits and the ledger's stay test; the final c goes out with the result.
+that the loop sets to zero.  A^T e is formed once per direction, the
+warm start's included, and serves the ratio test, the warm-start edits
+and the ledger's stay test; the final c goes out with the result.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class DualContext:
     y_start: np.ndarray                  # full length m, zero off I_P
     warm_direction: np.ndarray | None = None  # full length m, zero off I_P
     carry: InverseCarry | None = None         # the path's kernel inverse
-    warm_col: np.ndarray | None = None        # A^T warm_direction, when known
 
     @property
     def m(self) -> int:
@@ -157,8 +156,7 @@ class _DualFace:
                                 report)
 
     def warm_slack(self, e):
-        warm = self.ctx.warm_col
-        self.col_e = self.ctx.A.T @ e if warm is None else warm
+        self.col_e = self.ctx.A.T @ e
         return self.col_e
 
     def stays(self, e, psi):

@@ -170,7 +170,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     carry = InverseCarry(n)   # one kernel system and inverse follow the whole path
     path.kernel = carry.counts
     delta_k = delta0
-    warm_e = warm_col = None     # the last e_hat and A^T e_hat
+    warm_e: np.ndarray | None = None
     if max_iters is None:
         max_iters = 20 * (m + n)
 
@@ -184,7 +184,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             try:
                 dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y,
                                        warm_direction=warm_e if warm else None,
-                                       carry=carry, warm_col=warm_col if warm else None)
+                                       carry=carry)
                 tick = time.perf_counter()
                 dual_res = dual_update(dual_ctx, opt_tol=opt_tol)
                 path.timing["dual_s"] += time.perf_counter() - tick
@@ -193,9 +193,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                 stage = "primal"
                 primal_ctx = PrimalContext(
                     inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
-                    dual_res.I_D, dual_res.J_D, signs,
-                    warm_direction=dual_res.d_hat if warm else None, carry=carry,
-                    col_y=dual_res.col_y)
+                    dual_res.I_D, dual_res.J_D, signs, dual_res.col_y,
+                    warm_direction=dual_res.d_hat if warm else None, carry=carry)
                 tick = time.perf_counter()
                 primal_res = primal_update(primal_ctx, opt_tol=opt_tol)
                 path.timing["primal_s"] += time.perf_counter() - tick
@@ -246,7 +245,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             path.terminated = "target-reached"
             return path
         delta_k = delta_next
-        warm_e, warm_col = primal_res.e_hat, primal_res.col_e_hat
+        warm_e = primal_res.e_hat
     path.failure_reason = f"homotopy iteration cap {max_iters} exceeded"
     return path
 

@@ -22,9 +22,7 @@ The face carries r = A xi - b: computed once when the update starts,
 moved by alpha A d with each step, and corrected for every entry of xi
 that the loop sets to zero.  A d is formed once per direction and serves
 the ratio test, the warm-start edits and the ledger's stay test.  The
-signs of A^T y on J_D come from the dual update's A^T y, and the final
-multipliers' A^T e_hat goes out with the result as the next dual update's
-warm A^T e.
+signs of A^T y on J_D come from the dual update's A^T y.
 """
 
 from __future__ import annotations
@@ -54,9 +52,9 @@ class PrimalContext:
     I_D: np.ndarray
     J_D: np.ndarray
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
+    col_y: np.ndarray                         # A^T y_next
     warm_direction: np.ndarray | None = None  # d_hat, full length n
     carry: InverseCarry | None = None         # the path's kernel inverse
-    col_y: np.ndarray | None = None           # A^T y_next, when known
 
     @property
     def m(self) -> int:
@@ -77,7 +75,6 @@ class PrimalUpdateResult:
     reached_target: bool
     iterations: int
     signs: np.ndarray          # full m; the residual signs on I_P
-    col_e_hat: np.ndarray | None   # A^T e_hat
 
 
 def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
@@ -172,10 +169,8 @@ class _PrimalFace:
         self.signs = np.asarray(ctx.residual_signs, dtype=float).copy()
         signed = self.fixed & (np.abs(ctx.y_next) > SUPPORT_TOL)
         self.signs[signed] = np.sign(ctx.y_next[signed])
-        col_y = ctx.col_y[ctx.J_D] if ctx.col_y is not None \
-            else ctx.A[:, ctx.J_D].T @ ctx.y_next
         self.col_sign = np.zeros(ctx.n)
-        self.col_sign[ctx.J_D] = np.sign(col_y)
+        self.col_sign[ctx.J_D] = np.sign(ctx.col_y[ctx.J_D])
         self.resid = self.a_d = None
 
     def direction(self, support, active):
@@ -221,9 +216,9 @@ def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
     """Solve the primal subproblem with the specialized active-set scheme.
 
     Returns the new primal iterate, the achieved decrease t, the final
-    multiplier-system solution e_hat and A^T e_hat (warm start for the
-    next dual update; None when the target bound was reached), the final
-    sets and the residual signs.
+    multiplier-system solution e_hat (warm start for the next dual update;
+    None when the target bound was reached), the final sets and the
+    residual signs.
     """
     if ctx.delta_target > ctx.delta_k + ZERO_STEP_TOL:
         raise ValueError("delta_target exceeds the current bound")
@@ -238,4 +233,4 @@ def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
         ctx.warm_direction, opt_tol, trace)
     return PrimalUpdateResult(xi, face.tau, e_hat, active.nonzero()[0],
                               support.nonzero()[0], e_hat is None, iterations,
-                              face.signs, None if e_hat is None else ctx.A.T @ e_hat)
+                              face.signs)

@@ -27,7 +27,7 @@ def scalar_ctx(delta_target=0.0):
     return PrimalContext(np.array([[1.0]]), np.array([2.0]), np.array([-1.0]),
                          2.0, delta_target, np.zeros(1),
                          I_P=ZERO, J_P=NONE, I_D=ZERO, J_D=ZERO,
-                         residual_signs=np.array([-1.0]))
+                         residual_signs=np.array([-1.0]), col_y=np.array([-1.0]))
 
 
 def test_primal_direction_scalar():
@@ -42,7 +42,7 @@ def test_primal_direction_overdetermined_inconsistent():
     a = rng.standard_normal((4, 6))
     ctx = PrimalContext(a, np.zeros(4), np.zeros(4), 1.0, 0.0, np.zeros(6),
                         np.array([0, 1, 2]), ZERO, NONE, ZERO,
-                        residual_signs=np.array([1.0, 1.0, -1.0, 0.0]))
+                        residual_signs=np.array([1.0, 1.0, -1.0, 0.0]), col_y=np.zeros(6))
     rep = primal_direction(ctx, np.array([0, 1, 2]), ZERO, ctx.residual_signs)
     assert not rep.consistent
 
@@ -57,7 +57,7 @@ def test_primal_direction_substitution_random():
         signs = np.zeros(m)
         signs[i_p] = rng.choice([-1.0, 1.0], len(i_p))
         ctx = PrimalContext(a, np.zeros(m), np.zeros(n), 1.0, 0.0, np.zeros(n),
-                            i_p, j_p, NONE, j_p, residual_signs=signs)
+                            i_p, j_p, NONE, j_p, residual_signs=signs, col_y=np.zeros(n))
         rep = primal_direction(ctx, i_p, j_p, signs)
         if rep.consistent:
             d = rep.solution
@@ -83,7 +83,7 @@ def test_primal_step_identity_second_row_ratios():
     ctx = PrimalContext(a, np.array([3.0, -0.5]), np.array([-1.0, 0.0]),
                         3.0, 1.0, np.zeros(2),
                         I_P=ZERO, J_P=NONE, I_D=ZERO, J_D=ZERO,
-                        residual_signs=np.array([-1.0, 0.0]))
+                        residual_signs=np.array([-1.0, 0.0]), col_y=np.array([-1.0, 0.0]))
     d = np.array([1.0, 0.0])
     col_sign = np.array([-1.0, 0.0])
     alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(2), 0.0,
@@ -98,7 +98,7 @@ def test_primal_step_blocking_tie_adds_all_rows():
     ctx = PrimalContext(a, b, np.array([-1.0, 0.0, 0.0]), 2.0, 0.0,
                         np.zeros(1),
                         I_P=ZERO, J_P=NONE, I_D=ZERO, J_D=ZERO,
-                        residual_signs=np.array([-1.0, 0.0, 0.0]))
+                        residual_signs=np.array([-1.0, 0.0, 0.0]), col_y=np.array([-1.0]))
     d = np.array([1.0])
     col_sign = np.array([-1.0])
     alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(1), 0.0,
@@ -267,7 +267,7 @@ def test_primal_step_matches_loop_reference_with_exact_ties():
         tau = float(rng.integers(0, 2)) / 4.0
         ctx = PrimalContext(a, b, np.zeros(m), delta_k, float(rng.integers(-8, 1)),
                             xi, I_P=i_p, J_P=j_p, I_D=NONE, J_D=j_d,
-                            residual_signs=np.zeros(m))
+                            residual_signs=np.zeros(m), col_y=np.zeros(n))
         try:
             expected = loop_primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
         except UnboundedDirectionError:

@@ -11,13 +11,12 @@ path's fingerprint is its status, failure reason, breakpoint count, dual
 and primal iterations, retries, kernel counts, the number of its
 breakpoints that ``check_optimal_pair`` certifies, and the bytes of its
 breakpoint bounds ``delta_k``.  ``compare`` asks every field to be equal,
-and the bounds to agree within ``--rtol`` times the path's scale
-delta_0 = ||b||_inf (exact by default); it lists each difference and exits
-1 when there is one.  The scale is the path's and not each bound's
-because delta_k = delta_{k-1} - t_k carries a rounding difference in an
-early step unchanged down the path: measured against a bound a thousand
-times below delta_0, the same difference reads a thousand times larger.
-The largest difference relative to each bound itself is printed as well.
+and each bound to agree within ``--rtol`` times the bound itself (exact by
+default); it lists each difference and exits 1 when there is one.  It
+also prints the largest difference relative to the path's start bound
+delta_0 = ||b||_inf: since delta_k = delta_{k-1} - t_k carries a rounding
+difference in an early step unchanged down the path, a bound a thousand
+times below delta_0 reads the same difference a thousand times larger.
 
 Run with one BLAS thread for repeatable timings; the fingerprint itself
 does not depend on it.
@@ -82,7 +81,7 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
     a, b = (json.loads(Path(f).read_text()) for f in (a_file, b_file))
     diffs = [f"{key}: only in {a_file if key in a else b_file}"
              for key in sorted(set(a) ^ set(b))]
-    worst = worst_own = 0.0
+    worst = worst_start = 0.0
     for key in sorted(set(a) & set(b)):
         fa, fb = a[key], b[key]
         for field in sorted(set(fa) | set(fb)):
@@ -95,17 +94,16 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
             continue                 # the breakpoint counts differ, listed above
         gap = np.abs(da - db)
         scale = float(np.abs(da).max(initial=0.0))
-        rel = float(gap.max(initial=0.0)) / scale if scale else 0.0
+        worst_start = max(worst_start, float(gap.max(initial=0.0)) / scale if scale else 0.0)
+        rel = float((gap[gap > 0.0] / np.abs(da[gap > 0.0])).max(initial=0.0))
         worst = max(worst, rel)
-        own = gap[gap > 0.0] / np.abs(da[gap > 0.0])
-        worst_own = max(worst_own, float(own.max(initial=0.0)))
-        if (gap > rtol * scale).any():
-            diffs.append(f"{key}: delta_k differs by {rel:.3e} of delta_0")
+        if rel > rtol:
+            diffs.append(f"{key}: delta_k differs by {rel:.3e} of itself")
     for line in diffs:
         print(line)
     print(f"{len(a)} vs {len(b)} paths; {len(diffs)} differences; largest delta_k "
-          f"difference {worst:.3e} of delta_0 (rtol {rtol:g}), {worst_own:.3e} of "
-          f"delta_k itself")
+          f"difference {worst:.3e} of delta_k itself (rtol {rtol:g}), "
+          f"{worst_start:.3e} of delta_0")
     return 1 if diffs else 0
 
 
@@ -118,7 +116,7 @@ def main(argv=None) -> int:
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
     p.add_argument("--rtol", type=float, default=0.0,
-                   help="tolerance on delta_k, relative to delta_0 (default: exact)")
+                   help="tolerance on each delta_k, relative to itself (default: exact)")
     args = parser.parse_args(argv)
     if args.mode == "compare":
         return compare(args.a, args.b, args.rtol)

@@ -1,4 +1,5 @@
-"""The active-set loop shared by the dual and the primal subproblem.
+"""The active-set loop shared by the dual and the primal subproblem, and by
+the generic reference ``asm.asm_solve``.
 
 Each subproblem moves a point, supported on a *support* set that may grow
 inside an *outer* set, while a block of tight *active* constraints, which
@@ -12,7 +13,8 @@ A face object supplies what differs: ``name``, the masks ``fixed`` and
 ``outer``, the block's direction report (``direction``), the ratio test
 (``step``), the zeroing of point entries (``zero``), the multipliers
 (``multipliers``), a warm-start direction's distance from keeping each
-constraint tight (``warm_slack``), the ledger's stay test (``stays``) and
+constraint tight (``warm_slack``, needed only by a face that is given a
+warm start), the ledger's stay test (``stays``) and
 the objective shown in trace records (``value``).  A face may carry
 products of the point and of the current direction with A: the direction
 comes from its ``direction`` or ``warm_slack`` call, ``step`` sees the
@@ -21,7 +23,7 @@ entry that the loop sets to zero goes through ``zero``.
 The loop keeps both sets as boolean masks and takes their sorted index
 arrays once per iteration.
 
-Degenerate steps are handled by a ledger as in ``asm.py``: the constraints
+Degenerate steps are handled by a ledger: the constraints
 removed from the active set and the entries added to the support since the
 last productive step.  A zero-length step takes the indices it touches off
 the ledger.  After a positive step with more than one ledger entry, removed
@@ -34,10 +36,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .asm import (OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
-                  _argmin_with_ties)
+ACTIVE_TOL = 1e-9       # a constraint is active iff its slack is within ACTIVE_TOL*(1+|rhs|)
+SUPPORT_TOL = 1e-9      # an entry is in the support iff its magnitude exceeds SUPPORT_TOL
+OPT_TOL = 1e-9          # multiplier nonnegativity slack
+TIE_RTOL = 1e-9         # blocking-set membership width around the minimal ratio
+ZERO_STEP_TOL = 1e-12   # alpha at or below this counts as a zero step
+NONZERO_TOL = 1e-9      # zero test for warm-start entries and products
 
-NONZERO_TOL = 1e-9  # zero test for warm-start entries and products
+
+class AsmError(RuntimeError):
+    pass
+
+
+class UnboundedDirectionError(AsmError):
+    """No blocking index limits the step: the boundedness contract is violated."""
+
+
+def _argmin_with_ties(values: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
+    """Smallest value; labels arrive sorted, so ties keep the smallest label."""
+    best_val, best_label = np.inf, -1
+    for v, lab in zip(values, labels):
+        if v < best_val:
+            best_val, best_label = float(v), int(lab)
+    return best_val, best_label
 
 
 def index_mask(size: int, indices) -> np.ndarray:

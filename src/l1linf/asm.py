@@ -1,20 +1,17 @@
-"""Active-set method for linear programs of the structured form
+"""Generic reference solver for linear programs of the structured form
 
     min  c^T x
     s.t. A_eq x  = b_eq
          D x    >= e
          diag(sigma) x >= 0,          sigma in {+1, -1}^n,
 
-assumed feasible and bounded.  The solver walks from a feasible point
-along directions that preserve the current active set (tight D rows) and
-support (nonzero variables), alternating with Lagrange-multiplier rounds
-that relax one active constraint or open one support variable at a time.
-
-Degenerate steps are handled with two ledgers: indices recently removed
-from the active set and indices recently added to the support.  A
-zero-length step re-adds/re-removes the blocking subset of the ledgers; a
-positive step with more than one ledger entry re-activates entries the
-direction left tight and then clears both ledgers.
+assumed feasible and bounded.  ``StandardFace`` presents such an LP to the
+shared active-set loop ``active_set.run_active_set``: the point is x, its
+support may grow over all n variables, and the active constraints are the
+tight D rows, none of them fixed.  Directions preserve the equalities, the
+active rows and the zero variables while decreasing the cost at unit rate;
+multipliers come from the stationarity system on the support.  The
+subproblem encodings in ``encodings.py`` are cross-checked against it.
 """
 
 from __future__ import annotations
@@ -23,22 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .active_set import (ACTIVE_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
+                         UnboundedDirectionError, index_mask, run_active_set)
 from .linalg import SolveReport, as_matrix, as_vector, solve_consistent
 
-ACTIVE_TOL = 1e-9       # inequality i is active iff |d_i^T x - e_i| <= ACTIVE_TOL*(1+|e_i|)
-SUPPORT_TOL = 1e-9      # variable j is in the support iff |x_j| > SUPPORT_TOL
-OPT_TOL = 1e-9          # multiplier nonnegativity slack
-TIE_RTOL = 1e-9         # blocking-set membership width around the minimal ratio
-ZERO_STEP_TOL = 1e-12   # alpha at or below this counts as a zero step
 FEAS_TOL = 1e-8         # feasibility validation of supplied starting points
-
-
-class AsmError(RuntimeError):
-    pass
-
-
-class UnboundedDirectionError(AsmError):
-    """No blocking index limits the step: the boundedness contract is violated."""
 
 
 @dataclass
@@ -72,32 +58,6 @@ class StandardLp:
     @property
     def n_ineq(self) -> int:
         return self.e.size
-
-
-@dataclass
-class AsmState:
-    """Index sets are sorted int arrays."""
-
-    x: np.ndarray
-    active: np.ndarray             # tight D rows
-    support: np.ndarray            # nonzero variables
-    recently_removed: np.ndarray
-    recently_added: np.ndarray
-    iteration: int = 0
-
-
-@dataclass
-class Multipliers:
-    lam: np.ndarray          # equality multipliers, length m
-    mu_active: np.ndarray    # aligned with state.active
-    nu_inactive: np.ndarray  # aligned with complement(state.support, lp.n)
-
-    def expand(self, lp: StandardLp, state: AsmState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mu = np.zeros(lp.n_ineq)
-        mu[state.active] = self.mu_active
-        nu = np.zeros(lp.n)
-        nu[complement(state.support, lp.n)] = self.nu_inactive
-        return self.lam, mu, nu
 
 
 def complement(indices: np.ndarray, size: int) -> np.ndarray:
@@ -144,101 +104,89 @@ def kkt_check(lp: StandardLp, x, lam, mu, nu, tol: float = 1e-8) -> bool:
     return bool(np.min(mu, initial=0.0) >= -tol and np.min(nu, initial=0.0) >= -tol)
 
 
-def find_direction(lp: StandardLp, state: AsmState) -> SolveReport:
-    """Direction preserving equalities, active rows and zero variables while
-    decreasing cost at unit rate: solve
+class StandardFace:
+    """The LP as a face of ``run_active_set``: the point is x, ``outer`` is
+    all n variables and no D row is ``fixed``."""
 
-        [A_eq_S; D^act_S; c_S^T] xi_S = (0, ..., 0, -1),   xi on support only.
-    """
-    s = state.support
-    rows = [lp.A_eq[:, s], lp.D[state.active][:, s], lp.c[s][None, :]]
-    m = np.vstack(rows)
-    rhs = np.zeros(m.shape[0])
-    rhs[-1] = -1.0
-    report = solve_consistent(m, rhs)
-    if report.consistent:
-        xi = np.zeros(lp.n)
-        xi[s] = report.solution
-        return SolveReport(xi, report.residual_norm, True)
-    return report
+    name = "standard"
 
+    def __init__(self, lp: StandardLp):
+        self.lp = lp
+        self.outer = np.ones(lp.n, dtype=bool)
+        self.fixed = np.zeros(lp.n_ineq, dtype=bool)
 
-def _direction_after_support_add(lp: StandardLp, state: AsmState, j: int) -> SolveReport:
-    """Variable-fixing variant usable right after j entered the support: fix
-    xi_j = sigma_j, drop the cost row, solve the smaller homogeneous system,
-    then rescale so that c^T xi = -1.  Falls back to the full system when the
-    reduced one is inconsistent or numerically unusable."""
-    s_rest = np.setdiff1d(state.support, [j])
-    m = np.vstack([lp.A_eq[:, s_rest], lp.D[state.active][:, s_rest]])
-    rhs = -lp.sigma[j] * np.concatenate([lp.A_eq[:, j], lp.D[state.active][:, j]])
-    report = solve_consistent(m, rhs)
-    if report.consistent:
-        xi = np.zeros(lp.n)
-        xi[s_rest] = report.solution
-        xi[j] = lp.sigma[j]
-        descent = float(lp.c @ xi)
-        if descent < -1e-12:
-            return SolveReport(xi / (-descent), report.residual_norm, True)
-    return find_direction(lp, state)
+    def direction(self, support, active) -> SolveReport:
+        """Solve [A_eq_S; D^act_S; c_S^T] xi_S = (0, ..., 0, -1), xi zero
+        off the support S."""
+        lp = self.lp
+        m = np.vstack([lp.A_eq[:, support], lp.D[active][:, support],
+                       lp.c[support][None, :]])
+        rhs = np.zeros(m.shape[0])
+        rhs[-1] = -1.0
+        report = solve_consistent(m, rhs)
+        if report.consistent:
+            xi = np.zeros(lp.n)
+            xi[support] = report.solution
+            return SolveReport(xi, report.residual_norm, True)
+        return report
 
+    def step(self, xi, x, support, active):
+        """Largest feasible step along xi: returns (alpha, inactive rows that
+        become tight, support variables that hit zero, False)."""
+        lp = self.lp
+        d_xi = lp.D @ xi
+        rows = (~index_mask(lp.n_ineq, active) & (d_xi < -ZERO_STEP_TOL)).nonzero()[0]
+        row_r = np.maximum((lp.e[rows] - lp.D[rows] @ x) / d_xi[rows], 0.0)
+        cols = support[lp.sigma[support] * xi[support] < -ZERO_STEP_TOL]
+        col_r = np.maximum(-x[cols] / xi[cols], 0.0)
+        if not (rows.size or cols.size):
+            raise UnboundedDirectionError("no blocking constraint limits the step")
+        alpha = float(min(row_r.min(initial=np.inf), col_r.min(initial=np.inf)))
+        width = alpha + TIE_RTOL * (1.0 + alpha)
+        return alpha, rows[row_r <= width], cols[col_r <= width], False
 
-def step_size(lp: StandardLp, state: AsmState,
-              xi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Largest feasible step along xi and the blocking index sets
-    (inactive rows that become tight, support variables that hit zero)."""
-    xi = as_vector(xi, "xi")
-    ratios_a: list[tuple[float, int]] = []
-    for i in complement(state.active, lp.n_ineq):
-        d_xi = float(lp.D[i] @ xi)
-        if d_xi < -ZERO_STEP_TOL:
-            ratios_a.append((max((lp.e[i] - float(lp.D[i] @ state.x)) / d_xi, 0.0), i))
-    ratios_s: list[tuple[float, int]] = []
-    for j in state.support:
-        if lp.sigma[j] * xi[j] < -ZERO_STEP_TOL:
-            ratios_s.append((max(-state.x[j] / xi[j], 0.0), j))
-    if not ratios_a and not ratios_s:
-        raise UnboundedDirectionError("no blocking constraint limits the step")
-    alpha = min(r for r, _ in ratios_a + ratios_s)
-    width = alpha + TIE_RTOL * (1.0 + alpha)
-    new_active = np.array([i for r, i in ratios_a if r <= width], dtype=np.intp)
-    leaving = np.array([j for r, j in ratios_s if r <= width], dtype=np.intp)
-    return alpha, new_active, leaving
+    def zero(self, x, indices):
+        x[indices] = 0.0
 
+    def multipliers(self, report, x, active, removable, candidates):
+        """Solve the stationarity system [A_eq_S; D^act_S]^T (lam, mu) = c_S
+        on the support S and read off nu on the other variables.  Returns
+        the full-length (lam, mu, nu), mu on ``removable`` (the active rows)
+        and nu on ``candidates`` (the variables outside the support).
 
-def multipliers(lp: StandardLp, state: AsmState) -> Multipliers:
-    """Solve the stationarity system on the support for (lambda, mu_active)
-    and read off nu on the inactive variables."""
-    s = state.support
-    act = state.active
-    m = np.hstack([lp.A_eq[:, s].T, lp.D[act][:, s].T])
-    report = solve_consistent(m, lp.c[s])
-    if not report.consistent:
-        raise AsmError("stationarity system inconsistent although no direction exists")
-    n_eq = lp.b_eq.size
-    lam = report.solution[:n_eq]
-    mu_act = report.solution[n_eq:]
-    sc = complement(s, lp.n)
-    nu = lp.sigma[sc] * (lp.c[sc] - lp.A_eq[:, sc].T @ lam - lp.D[act][:, sc].T @ mu_act)
-    return Multipliers(lam, mu_act, nu)
+        The system is solved afresh rather than read from the failed
+        direction report's alternative: that alternative's residual test is
+        absolute, and it refuses some stationarity systems that this solve
+        accepts with a residual far below the tolerance."""
+        lp = self.lp
+        support = complement(candidates, lp.n)
+        m = np.hstack([lp.A_eq[:, support].T, lp.D[active][:, support].T])
+        found = solve_consistent(m, lp.c[support])
+        if not found.consistent:
+            raise AsmError("stationarity system inconsistent although no direction exists")
+        lam = found.solution[:lp.b_eq.size]
+        mu = np.zeros(lp.n_ineq)
+        mu[active] = found.solution[lp.b_eq.size:]
+        nu = np.zeros(lp.n)
+        nu[candidates] = (lp.sigma * (lp.c - lp.A_eq.T @ lam - lp.D.T @ mu))[candidates]
+        return (lam, mu, nu), mu[active], nu[candidates]
+
+    def stays(self, xi, x):
+        lp = self.lp
+        return (np.abs(lp.D @ xi) <= TIE_RTOL) \
+            & (np.abs(lp.D @ x - lp.e) <= ACTIVE_TOL * (1.0 + np.abs(lp.e)))
+
+    def value(self, x):
+        return float(self.lp.c @ x)
 
 
-def _argmin_with_ties(values: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
-    """Smallest value; labels arrive sorted, so ties keep the smallest label."""
-    best_val, best_label = np.inf, -1
-    for v, lab in zip(values, labels):
-        if v < best_val:
-            best_val, best_label = float(v), int(lab)
-    return best_val, best_label
+def asm_solve(lp: StandardLp, x0,
+              trace=None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run the shared active-set loop on ``lp`` from a feasible x0.
 
-
-def asm_solve(lp: StandardLp, x0, xi0=None, max_iters: int | None = None,
-              trace=None) -> tuple[np.ndarray, AsmState, Multipliers]:
-    """Run the active-set method from a feasible x0.
-
-    ``xi0``, when given, is used as the first direction (it must satisfy the
-    direction-system equations for the initial active set and support).
-    ``trace`` receives (iteration, alpha, |active|, |support|, objective)
-    after every step.
+    Returns x and the full-length multipliers (lam, mu, nu).  ``trace``
+    receives the loop's record after every step, the objective c^T x at
+    index 5.
     """
     x = as_vector(x0, "x0").copy()
     if x.size != lp.n:
@@ -247,67 +195,7 @@ def asm_solve(lp: StandardLp, x0, xi0=None, max_iters: int | None = None,
         raise ValueError("x0 is not feasible")
     x[np.abs(x) <= SUPPORT_TOL] = 0.0
     active, support = classify(lp, x)
-    state = AsmState(x, active, support, np.empty(0, dtype=np.intp),
-                     np.empty(0, dtype=np.intp))
-    if max_iters is None:
-        max_iters = 50 * (lp.n + lp.n_ineq + lp.b_eq.size + 5)
-
-    pending_xi = None if xi0 is None else as_vector(xi0, "xi0").copy()
-    last_added: int | None = None
-    for it in range(max_iters):
-        state.iteration = it
-        if pending_xi is not None:
-            xi, have_direction = pending_xi, True
-            pending_xi = None
-        else:
-            if last_added is not None:
-                report = _direction_after_support_add(lp, state, last_added)
-            else:
-                report = find_direction(lp, state)
-            xi, have_direction = report.solution, report.consistent
-
-        if have_direction:
-            last_added = None
-            alpha, blocked_active, blocked_support = step_size(lp, state, xi)
-            state.x = state.x + alpha * xi
-            state.x[blocked_support] = 0.0
-            state.active = np.union1d(state.active, blocked_active)
-            state.support = np.setdiff1d(state.support, blocked_support)
-            if alpha <= ZERO_STEP_TOL:
-                state.recently_removed = np.setdiff1d(state.recently_removed, blocked_active)
-                state.recently_added = np.setdiff1d(state.recently_added, blocked_support)
-            elif state.recently_removed.size + state.recently_added.size > 1:
-                # entries the direction kept tight stay active / out of support;
-                # the extra activity test filters entries that pre-date the
-                # last positive step and have drifted off their bound
-                stay = np.array([i for i in state.recently_removed
-                                 if abs(float(lp.D[i] @ xi)) <= TIE_RTOL
-                                 and abs(float(lp.D[i] @ state.x) - lp.e[i])
-                                 <= ACTIVE_TOL * (1.0 + abs(lp.e[i]))], dtype=np.intp)
-                added = state.recently_added
-                drop = added[(np.abs(xi[added]) <= TIE_RTOL)
-                             & (np.abs(state.x[added]) <= SUPPORT_TOL)]
-                state.active = np.union1d(state.active, stay)
-                state.x[drop] = 0.0
-                state.support = np.setdiff1d(state.support, drop)
-                state.recently_removed = np.empty(0, dtype=np.intp)
-                state.recently_added = np.empty(0, dtype=np.intp)
-            if trace is not None:
-                trace((it, alpha, len(state.active), len(state.support),
-                       float(lp.c @ state.x)))
-            continue
-
-        mult = multipliers(lp, state)
-        mu_best, i_minus = _argmin_with_ties(mult.mu_active, state.active)
-        nu_best, j_plus = _argmin_with_ties(mult.nu_inactive, complement(state.support, lp.n))
-        if mu_best >= -OPT_TOL and nu_best >= -OPT_TOL:
-            return state.x, state, mult
-        if mu_best < nu_best:
-            state.active = np.setdiff1d(state.active, [i_minus])
-            state.recently_removed = np.union1d(state.recently_removed, [i_minus])
-            last_added = None
-        else:
-            state.support = np.union1d(state.support, [j_plus])
-            state.recently_added = np.union1d(state.recently_added, [j_plus])
-            last_added = j_plus
-    raise AsmError(f"iteration cap {max_iters} exceeded (cycling or numerical failure)")
+    x, _, _, multipliers, _ = run_active_set(
+        StandardFace(lp), x, index_mask(lp.n, support), index_mask(lp.n_ineq, active),
+        None, trace=trace)
+    return x, multipliers

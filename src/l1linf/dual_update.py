@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import index_mask, run_active_set
-from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
-                  AsmError, UnboundedDirectionError)
+from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
+                         AsmError, UnboundedDirectionError, index_mask,
+                         run_active_set)
 from .linalg import Block, InverseCarry, SolveReport, solve_consistent
 
 

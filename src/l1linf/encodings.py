@@ -1,7 +1,10 @@
 """Encodings of the update subproblems and alternative systems as explicit
 LPs.  Used for cross-validation only: the specialized solvers in
-``dual_update`` / ``primal_update`` never go through these.  Index sets are
-sorted int arrays."""
+``dual_update`` / ``primal_update`` never go through these.  A subproblem's
+``StandardLp`` is solved by the generic reference ``asm.asm_solve`` and, in
+the ``GeneralLp`` form of ``general_form``, by the Bland simplex
+``oracle.simplex_solve``, which shares no code with the active-set loop.
+Index sets are sorted int arrays."""
 
 from __future__ import annotations
 
@@ -11,6 +14,14 @@ from .asm import StandardLp, complement
 from .dual_update import DualContext
 from .oracle import GeneralLp
 from .primal_update import PrimalContext
+
+
+def general_form(lp: StandardLp) -> GeneralLp:
+    """``lp`` over the nonnegative variables z = diag(sigma) x: the columns
+    with sigma = -1 change sign and D x >= e becomes -D x <= -e.  Both LPs
+    have the same optimal value."""
+    return GeneralLp(lp.sigma * lp.c, lp.A_eq * lp.sigma, lp.b_eq,
+                     -lp.D * lp.sigma, -lp.e, np.zeros(lp.n))
 
 
 def dual_lp_encoding(ctx: DualContext) -> tuple[StandardLp, np.ndarray]:

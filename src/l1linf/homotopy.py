@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, AsmError,
-                  UnboundedDirectionError)
+from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, AsmError,
+                         UnboundedDirectionError)
 from .dual_update import DualContext, dual_update
 from .encodings import improvement_system_dual, improvement_system_primal
 from .linalg import IndexSet, InverseCarry, KernelCounts, as_matrix, as_vector

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import NONZERO_TOL, index_mask, run_active_set
-from .asm import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
-                  AsmError, UnboundedDirectionError)
+from .active_set import (ACTIVE_TOL, NONZERO_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL,
+                         ZERO_STEP_TOL, AsmError, UnboundedDirectionError,
+                         index_mask, run_active_set)
 from .linalg import Block, InverseCarry, SolveReport, solve_consistent
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from l1linf import oracle
-from l1linf.asm import UnboundedDirectionError, asm_solve
+from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL, UnboundedDirectionError
+from l1linf.asm import asm_solve
 from l1linf.dual_update import (DualContext, dual_direction, dual_multipliers,
                                 dual_step, dual_update)
-from l1linf.encodings import dual_lp_encoding
+from l1linf.encodings import dual_lp_encoding, general_form
 from l1linf.homotopy import ProblemInstance
 from test_homotopy import subproblem_contexts
 
@@ -150,16 +151,10 @@ def test_dual_update_matches_generic_and_oracle():
         res = dual_update(ctx)
         value = float(-ctx.residual_signs @ res.y)
         lp, psi0 = dual_lp_encoding(ctx)
-        x_star, _, _ = asm_solve(lp, psi0)
+        x_star, _ = asm_solve(lp, psi0)
         assert abs(float(lp.c @ x_star) - value) <= 1e-8 * (1 + abs(value))
         # independent simplex check on the same encoding
-        flip = lp.sigma < 0
-        c2, ae2, d2 = lp.c.copy(), lp.A_eq.copy(), lp.D.copy()
-        c2[flip] *= -1
-        ae2[:, flip] *= -1
-        d2[:, flip] *= -1
-        glp = oracle.GeneralLp(c2, ae2, lp.b_eq, -d2, -lp.e, np.zeros(lp.n))
-        simplex = oracle.simplex_solve(glp)
+        simplex = oracle.simplex_solve(general_form(lp))
         assert simplex.status == "optimal"
         assert abs(simplex.value - value) <= 1e-7 * (1 + abs(value))
 
@@ -186,7 +181,6 @@ def test_dual_update_intermediate_iterates_feasible():
 
 def loop_dual_step(ctx, e, psi, I_D, J_D):
     """Reference: the per-column and per-row loop form of dual_step."""
-    from l1linf.asm import TIE_RTOL, ZERO_STEP_TOL
     in_jd = np.zeros(ctx.n, dtype=bool)
     in_jd[J_D] = True
     col_e = ctx.A.T @ e

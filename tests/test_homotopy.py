@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from l1linf import homotopy
-from l1linf.asm import OPT_TOL
+from l1linf.active_set import OPT_TOL
 from l1linf.homotopy import (ProblemInstance, _build_sets, check_alternatives,
                              check_optimal_pair, duality_gap, eval_path,
                              solve_path)

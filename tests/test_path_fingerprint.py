@@ -1,0 +1,53 @@
+"""``tools/path_fingerprint.py compare`` on hand-written fingerprint files;
+no path is solved."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "path_fingerprint.py"
+_spec = importlib.util.spec_from_file_location("path_fingerprint", TOOL)
+path_fingerprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(path_fingerprint)
+
+
+def fingerprint(deltas):
+    return {"status": "target-reached", "failure_reason": None,
+            "breakpoints": len(deltas) - 1, "dual_iterations": 3,
+            "primal_iterations": 2, "retries": 0,
+            "kernel": {"fresh": 1, "updated": 2}, "certified": len(deltas),
+            "delta_k": np.array(deltas, dtype="<f8").tobytes().hex()}
+
+
+REFERENCE = {"gauss/0/warm": fingerprint([2.0, 1.5, 0.75, 0.5]),
+             "gauss/0/cold": fingerprint([2.0, 1.0, 0.5])}
+
+
+def compare(tmp_path, other, *options):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(REFERENCE))
+    b.write_text(json.dumps(other))
+    return path_fingerprint.main(["compare", str(a), str(b), *options])
+
+
+def test_identical_files_compare_equal(tmp_path, capsys):
+    assert compare(tmp_path, REFERENCE) == 0
+    assert "0 differences" in capsys.readouterr().out
+
+
+def test_changed_breakpoint_count_is_listed(tmp_path, capsys):
+    other = dict(REFERENCE, **{"gauss/0/cold": fingerprint([2.0, 1.0, 0.75, 0.5])})
+    assert compare(tmp_path, other) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("gauss/0/cold: breakpoints 2 != 3") for line in lines)
+    assert not any(line.startswith("gauss/0/warm") for line in lines)
+
+
+def test_delta_k_moved_within_rtol(tmp_path, capsys):
+    moved = 0.75 * (1 + 1e-11)
+    other = dict(REFERENCE, **{"gauss/0/warm": fingerprint([2.0, 1.5, moved, 0.5])})
+    assert compare(tmp_path, other) == 1
+    assert "gauss/0/warm: delta_k differs by" in capsys.readouterr().out
+    assert compare(tmp_path, other, "--rtol", "1e-10") == 0

@@ -3,7 +3,7 @@ import pytest
 
 from l1linf import oracle
 from l1linf.asm import asm_solve
-from l1linf.encodings import primal_lp_encoding
+from l1linf.encodings import general_form, primal_lp_encoding
 from l1linf.homotopy import ProblemInstance
 from l1linf.primal_update import (PrimalContext, primal_direction,
                                   primal_multipliers, primal_step,
@@ -164,15 +164,9 @@ def test_primal_update_matches_generic_and_oracle():
     for ctx in capture_primal_contexts(12, seed=45):
         res = primal_update(ctx)
         lp, z0 = primal_lp_encoding(ctx)
-        z_star, _, _ = asm_solve(lp, z0)
+        z_star, _ = asm_solve(lp, z0)
         assert abs(float(lp.c @ z_star) - (-res.t)) <= 1e-8 * (1 + abs(res.t))
-        flip = lp.sigma < 0
-        c2, ae2, d2 = lp.c.copy(), lp.A_eq.copy(), lp.D.copy()
-        c2[flip] *= -1
-        ae2[:, flip] *= -1
-        d2[:, flip] *= -1
-        glp = oracle.GeneralLp(c2, ae2, lp.b_eq, -d2, -lp.e, np.zeros(lp.n))
-        simplex = oracle.simplex_solve(glp)
+        simplex = oracle.simplex_solve(general_form(lp))
         assert simplex.status == "optimal"
         assert abs(simplex.value - (-res.t)) <= 1e-7 * (1 + abs(res.t))
 
@@ -210,7 +204,7 @@ def test_primal_update_final_bound_tightness():
 
 def loop_primal_step(ctx, d, xi, tau, I_P, J_P, col_sign):
     """Reference: the per-row and per-column loop form of primal_step."""
-    from l1linf.asm import TIE_RTOL, ZERO_STEP_TOL
+    from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL
     from l1linf.primal_update import DEN_TOL, NONZERO_TOL
     bound = ctx.delta_k - tau
     gap = max(bound - ctx.delta_target, 0.0)

@@ -93,7 +93,7 @@ def cmd_plot(args) -> int:
     try:
         export = export_from_json(Path(args.input).read_text())
         svg = path_svg(export)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _err(f"cannot plot: {exc}")
         return EXIT_INPUT
     try:

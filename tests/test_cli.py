@@ -1,10 +1,15 @@
+import base64
 import json
 
 import numpy as np
+import pytest
 
+from l1linf import solve_path
 from l1linf.cli import main
 from l1linf.mmio import write_matrixmarket_array
-from l1linf.pathexport import export_from_json, export_vectors
+from l1linf.pathexport import (_encode_vector, export_from_json, export_to_csv,
+                               export_to_json, export_vectors, path_to_export)
+from test_homotopy import pinned_dantzig, pinned_gaussian
 
 
 def write_scalar_instance(tmp_path, delta=0.0):
@@ -180,10 +185,85 @@ def test_export_json_lossless_round_trip(tmp_path):
     inst = write_scalar_instance(tmp_path, delta=0.25)
     out = tmp_path / "path.json"
     assert main(["solve", str(inst), "-o", str(out)]) == 0
-    text = out.read_text()
-    export = export_from_json(text)
-    from l1linf.pathexport import export_to_json
+    export = export_from_json(out.read_text())
     assert export_from_json(export_to_json(export)) == export
+    for inst in (pinned_gaussian(), pinned_dantzig()):
+        path = solve_path(inst)
+        export = path_to_export(inst, path)
+        assert export_from_json(export_to_json(export)) == export
+        vectors = export_vectors(export_from_json(export_to_json(export)))
+        assert len(vectors) == len(path.breakpoints)
+        for (k, delta, x, y), bp in zip(vectors, path.breakpoints):
+            assert k == bp.k and delta == bp.delta_k
+            assert x.tobytes() == bp.x.tobytes() and y.tobytes() == bp.y.tobytes()
+        rows = export_to_csv(export).splitlines()[1:]
+        assert [r.split(",")[3:] for r in rows] == [
+            [str(np.count_nonzero(bp.x)), str(np.count_nonzero(bp.y)),
+             repr(float(np.sum(np.abs(bp.x))))] for bp in path.breakpoints]
+
+
+def test_export_vector_encoding_is_pinned():
+    # a subnormal, both extreme normals, a -0.0 among nonzeros and a value
+    # that needs 17 significant digits; like every zero, -0.0 is not stored
+    v = np.array([5e-324, 0.0, 1.7976931348623157e308, -0.0,
+                  -1.7976931348623157e308, 0.1 + 0.2])
+    field = _encode_vector(v)
+    assert field == {"i": "AAAAAAIAAAAEAAAABQAAAA==",
+                     "v": "AQAAAAAAAAD////////vf////////+//NDMzMzMz0z8="}
+    export = {"n": 6, "m": 0, "breakpoints": [
+        {"k": 0, "delta": 1.0, "t": 0.0, "x": field, "y": _encode_vector(np.zeros(0))}]}
+    (_, _, x, _), = export_vectors(export)
+    assert x.tobytes() == np.where(v == 0.0, 0.0, v).tobytes()
+
+
+def _b64(values, dtype) -> str:
+    return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _vector(i, v) -> dict:
+    return {"i": _b64(i, "<i4"), "v": _b64(v, "<f8")}
+
+
+def _set_x(field):
+    def mutate(export):
+        export["breakpoints"][-1]["x"] = field
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_x({"i": "AAAA!AAA=", "v": ""}), "not valid base64"),
+    (_set_x({"i": "AAAAAA", "v": ""}), "not valid base64"),
+    (_set_x({"i": _b64([0], "<i4")[:4], "v": ""}), "not a multiple of 4"),
+    (_set_x({"i": _b64([0], "<i4"), "v": _b64([1.0], "<f4")}), "not a multiple of 8"),
+    (_set_x(_vector([0, 1], [1.0])), "2 indices but 1 values"),
+    (_set_x(_vector([7], [1.0])), "index outside [0, 2)"),
+    (_set_x(_vector([-1], [5.0])), "index outside [0, 2)"),
+    (_set_x(_vector([1, 0], [1.0, 2.0])), "not strictly increasing"),
+    (_set_x(_vector([0, 0], [1.0, 2.0])), "not strictly increasing"),
+    (_set_x(_vector([0], [np.nan])), "non-finite value"),
+    (_set_x(_vector([1], [-np.inf])), "non-finite value"),
+    (_set_x(5), 'not an {"i", "v"} object'),
+    (_set_x([[0, 1.0]]), 'not an {"i", "v"} object'),
+    (_set_x({"i": 5, "v": ""}), "not a base64 string"),
+    (lambda e: e["breakpoints"][0].pop("k"), "breakpoint 0 lacks one of"),
+    (lambda e: e["breakpoints"][1].update(delta=10 ** 400), "breakpoint 1 needs"),
+    (lambda e: e["breakpoints"][1].update(t=float("nan")), "breakpoint 1 needs"),
+    (lambda e: e["breakpoints"][0].update(k=None), "breakpoint 0 needs"),
+    (lambda e: e.update(breakpoints=[]), "has no breakpoints"),
+    (lambda e: e.update(schema_version=1), "unsupported schema_version 1"),
+])
+def test_plot_malformed_export_exit_2(tmp_path, capsys, mutate, message):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 1.0]],
+                             "b": [3.0, -0.5], "delta": 0.0}))
+    pj = tmp_path / "path.json"
+    assert main(["solve", str(f), "-o", str(pj)]) == 0
+    export = json.loads(pj.read_text())
+    mutate(export)
+    pj.write_text(json.dumps(export))
+    assert main(["plot", str(pj), "-o", str(tmp_path / "p.svg")]) == 2
+    err = capsys.readouterr().err
+    assert "l1linf: cannot plot: " in err and message in err
 
 
 def test_solve_then_plot_never_fails_on_random_instances(tmp_path):

@@ -53,12 +53,20 @@ class UnboundedDirectionError(AsmError):
 
 
 def _argmin_with_ties(values: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
-    """Smallest value; labels arrive sorted, so ties keep the smallest label."""
-    best_val, best_label = np.inf, -1
-    for v, lab in zip(values, labels):
-        if v < best_val:
-            best_val, best_label = float(v), int(lab)
-    return best_val, best_label
+    """Smallest value and its label, (inf, -1) when there is none below
+    inf; labels arrive sorted, and argmin takes the first of tied values,
+    so ties keep the smallest label."""
+    if not values.size:
+        return np.inf, -1
+    i = int(values.argmin())
+    best = float(values[i])
+    return (best, int(labels[i])) if best < np.inf else (np.inf, -1)
+
+
+def smallest(values: np.ndarray) -> float:
+    """The smallest entry of an array, inf when it is empty; argmin spares
+    the set-up of a numpy reduction."""
+    return float(values.flat[values.argmin()]) if values.size else np.inf
 
 
 def index_mask(size: int, indices) -> np.ndarray:
@@ -79,8 +87,7 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
     solution, iterations); the solution is None when a step ended the run.
     """
     max_iters = 50 * (support.size + active.size + 5)
-    removed = np.zeros(active.size, dtype=bool)   # ledger: left the active set
-    added = np.zeros(support.size, dtype=bool)    # ledger: joined the support
+    removed, added = set(), set()   # ledger: left the active set, joined the support
     pending = None if warm is None else np.asarray(warm, dtype=float)
     if pending is not None:
         support |= face.outer & (np.abs(pending) > NONZERO_TOL)
@@ -99,19 +106,22 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
             point = point + alpha * direction
             if not done:
                 face.zero(point, leaving)
-                active[entering] = True
-                support[leaving] = False
+                if len(entering):
+                    active[entering] = True
+                if len(leaving):
+                    support[leaving] = False
                 if alpha <= ZERO_STEP_TOL:
-                    removed[entering] = False
-                    added[leaving] = False
-                elif np.count_nonzero(removed) + np.count_nonzero(added) > 1:
-                    active |= removed & face.stays(direction, point)
-                    drop = added & (np.abs(direction) <= TIE_RTOL) \
-                        & (np.abs(point) <= SUPPORT_TOL)
+                    removed.difference_update(entering)
+                    added.difference_update(leaving)
+                elif len(removed) + len(added) > 1:
+                    active |= index_mask(active.size, list(removed)) \
+                        & face.stays(direction, point)
+                    drop = index_mask(support.size, list(added)) \
+                        & (np.abs(direction) <= TIE_RTOL) & (np.abs(point) <= SUPPORT_TOL)
                     face.zero(point, drop.nonzero()[0])
                     support &= ~drop
-                    removed[:] = False
-                    added[:] = False
+                    removed.clear()
+                    added.clear()
             if trace is not None:
                 trace((face.name, it, alpha, int(np.count_nonzero(active)),
                        int(np.count_nonzero(support)), face.value(point), point.copy()))
@@ -128,8 +138,8 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
             return point, support, active, solution, it + 1
         if mu_best < nu_best:
             active[leave] = False
-            removed[leave] = True
+            removed.add(leave)
         else:
             support[join] = True
-            added[join] = True
+            added.add(join)
     raise AsmError(f"{face.name} update iteration cap {max_iters} exceeded")

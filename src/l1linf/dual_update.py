@@ -30,7 +30,7 @@ import numpy as np
 
 from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
                          AsmError, UnboundedDirectionError, index_mask,
-                         run_active_set)
+                         run_active_set, smallest)
 from .linalg import Block, InverseCarry, SolveReport, solve_consistent
 
 
@@ -88,21 +88,22 @@ def dual_step(ctx: DualContext, e: np.ndarray, psi: np.ndarray,
               col_psi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Largest feasible step along e, given col_e = A^T e and
     col_psi = A^T psi; returns (alpha, columns hitting the unit bound,
-    support rows hitting zero)."""
-    free = np.ones(ctx.n, dtype=bool)
-    free[J_D] = False
-    up = free & (col_e > ZERO_STEP_TOL)
-    down = free & (col_e < -ZERO_STEP_TOL)
-    col_r = np.full(ctx.n, np.inf)
-    col_r[up] = np.maximum((1.0 - col_psi[up]) / col_e[up], 0.0)
-    col_r[down] = np.maximum((1.0 + col_psi[down]) / (-col_e[down]), 0.0)
-    rows_i = I_D[ctx.residual_signs[I_D] * e[I_D] < -ZERO_STEP_TOL]
+    support rows hitting zero).
+
+    A column j outside J_D with |c_j| > ZERO_STEP_TOL, c = col_e, moves
+    A_j^T psi towards sign(c_j) and blocks at (1 - sign(c_j) A_j^T psi) / |c_j|."""
+    moving = np.abs(col_e) > ZERO_STEP_TOL
+    moving[J_D] = False
+    cols = moving.nonzero()[0]
+    c = col_e[cols]
+    col_r = np.maximum((1.0 - col_psi[cols] * np.sign(c)) / np.abs(c), 0.0)
+    rows_i = I_D[(ctx.residual_signs * e)[I_D] < -ZERO_STEP_TOL]
     row_r = np.maximum(-psi[rows_i] / e[rows_i], 0.0)
-    if not (up.any() or down.any() or rows_i.size):
+    if not (cols.size or rows_i.size):
         raise UnboundedDirectionError("dual subproblem direction is unblocked")
-    alpha = float(min(col_r.min(), row_r.min(initial=np.inf)))
+    alpha = min(smallest(col_r), smallest(row_r))
     width = alpha + TIE_RTOL * (1.0 + alpha)
-    return alpha, (col_r <= width).nonzero()[0], rows_i[row_r <= width]
+    return alpha, cols[col_r <= width], rows_i[row_r <= width]
 
 
 def dual_multipliers(ctx: DualContext, col_psi: np.ndarray, J_D: np.ndarray,
@@ -174,12 +175,13 @@ def dual_update(ctx: DualContext, opt_tol: float = OPT_TOL,
     final multiplier-system solution d_hat (warm start for the next primal
     update), the final dual sets and A^T y."""
     face = _DualFace(ctx)
-    psi = np.asarray(ctx.y_start, dtype=float).copy()
-    if np.abs(psi[~face.outer]).max(initial=0.0) > SUPPORT_TOL:
+    psi = np.array(ctx.y_start, dtype=float)
+    support = np.abs(psi) > SUPPORT_TOL
+    off = ~face.outer
+    if np.count_nonzero(support & off):
         raise ValueError("y_start has mass outside the primal active rows")
-    psi[~face.outer] = 0.0
+    psi[off] = 0.0
     face.col_psi = ctx.A.T @ psi
-    support = face.outer & (np.abs(psi) > SUPPORT_TOL)
     active = (np.abs(np.abs(face.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
     psi, support, active, d_hat, iterations = run_active_set(
         face, psi, support, active, ctx.warm_direction, opt_tol, trace)

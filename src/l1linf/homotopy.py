@@ -133,11 +133,11 @@ def _build_sets(inst: ProblemInstance, x, y, delta: float) -> IndexSets:
 
 def _record(inst: ProblemInstance, j_p, i_p, j_d, i_d, signs: np.ndarray) -> IndexSets:
     """The breakpoint record of the solver's sorted index arrays; ``signs``
-    is full length m."""
+    is aligned with i_p."""
     m, n = inst.m, inst.n
-    return IndexSets(J_P=IndexSet(j_p.tolist(), n), I_P=IndexSet(i_p.tolist(), m),
-                     J_D=IndexSet(j_d.tolist(), n), I_D=IndexSet(i_d.tolist(), m),
-                     residual_signs=signs[i_p])
+    return IndexSets(J_P=IndexSet(j_p, n), I_P=IndexSet(i_p, m),
+                     J_D=IndexSet(j_d, n), I_D=IndexSet(i_d, m),
+                     residual_signs=signs)
 
 
 def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
@@ -163,7 +163,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     j_p = empty = np.empty(0, dtype=np.intp)
     signs = np.zeros(m)
     signs[i_p] = np.sign(-inst.b[i_p])
-    sets = _record(inst, j_p, i_p, empty, empty, signs)
+    sets = _record(inst, j_p, i_p, empty, empty, signs[i_p])
     path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
                         "failure")
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
@@ -228,11 +228,13 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         if delta_next < inst.delta + T_MIN * (1.0 + inst.delta):
             delta_next = inst.delta
         i_p, j_p = primal_res.I_P, primal_res.J_P
+        i_p_signs = primal_res.signs[i_p]
         signs = np.zeros(m)
-        signs[i_p] = primal_res.signs[i_p]
-        sets = _record(inst, j_p, i_p, dual_res.J_D, dual_res.I_D, signs)
-        path.breakpoints.append(
-            PathBreakpoint(k + 1, delta_next, x.copy(), y.copy(), sets, t))
+        signs[i_p] = i_p_signs
+        sets = _record(inst, j_p, i_p, dual_res.J_D, dual_res.I_D, i_p_signs)
+        # x and y are fresh arrays of the two updates, which the next
+        # iteration only reads: the breakpoint keeps them uncopied
+        path.breakpoints.append(PathBreakpoint(k + 1, delta_next, x, y, sets, t))
         if trace is not None:
             trace({"k": k + 1, "delta": delta_next, "t": t,
                    "nnz_x": len(sets.J_P), "nnz_y": len(sets.I_D),

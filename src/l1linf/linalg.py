@@ -46,11 +46,19 @@ QR_RANK_RTOL = 1e-8
 DRIFT_RTOL = 1e-10
 
 
+def _max_abs(v: np.ndarray) -> float:
+    """max_i |v_i| of a vector, 0 when it is empty.  argmax spares the
+    set-up of a numpy reduction, which costs more than the work itself on
+    the vectors of a path."""
+    a = np.abs(v)
+    return float(a[a.argmax()]) if a.size else 0.0
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     out = np.asarray(v, dtype=float)
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    if np.count_nonzero(np.isfinite(out)) < out.size:
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -59,7 +67,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    if np.count_nonzero(np.isfinite(out)) < out.size:
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -75,9 +83,21 @@ class IndexSet:
     universe: int
 
     def __post_init__(self):
-        idx = tuple(map(int, self.indices))
+        idx = self.indices
+        if isinstance(idx, np.ndarray):     # the solver's sorted int arrays
+            if idx.ndim != 1 or idx.dtype.kind not in "iu":
+                raise ValueError("indices must be a 1-d integer array")
+            increasing = not np.count_nonzero(idx[1:] <= idx[:-1])
+            idx = tuple(idx.tolist())
+        else:
+            idx = tuple(idx)
+            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                       for i in idx):
+                raise ValueError("indices must be integers")
+            idx = tuple(map(int, idx))
+            increasing = all(map(operator.lt, idx, idx[1:]))
         object.__setattr__(self, "indices", idx)
-        if not all(map(operator.lt, idx, idx[1:])):
+        if not increasing:
             raise ValueError("indices must be strictly increasing")
         if idx and (idx[0] < 0 or idx[-1] >= self.universe):
             raise ValueError(f"index out of range for universe {self.universe}")
@@ -85,7 +105,7 @@ class IndexSet:
     @staticmethod
     def from_mask(mask) -> "IndexSet":
         mask = np.asarray(mask, dtype=bool)
-        return IndexSet(mask.nonzero()[0].tolist(), mask.size)
+        return IndexSet(mask.nonzero()[0], mask.size)
 
     @property
     def array(self) -> np.ndarray:
@@ -158,29 +178,39 @@ class InverseCarry:
     S is the block itself for a square block and [M | rhs] for a (k+1) x k
     block.  Its rows carry the labels of the rows of A they come from and
     its columns the labels of A's columns; the label ``n`` stands for the
-    rhs column.  S and H stay in the order in which rows and columns
-    joined S, so an update never reorders them; ``rp`` and ``cp`` place
-    the carried rows and columns in the current block.  ``follow`` brings
-    both to the next system in O(k^2) when that differs from S by one
-    bordering, one un-bordering, one replaced column or one replaced row,
-    reading the O(k) new entries of S from the block; any other change,
-    new values in the rhs column included, clears them, so the system is
-    gathered and factored afresh.
+    rhs column, whose place in S is ``slot`` (-1 when S has none).  S and
+    H stay in the order in which rows and columns joined S, so an update
+    never reorders them; ``rp`` and ``cp`` place the carried rows and
+    columns in the current block.  S is the leading block of a buffer
+    that grows, up to the row count of the block's matrix, when a
+    bordering needs room; H is a contiguous array, since the subtraction
+    of its rank-one updates runs 3-5 times faster on one than on a view.
+    ``follow`` brings both to the next system in O(k^2) when that differs
+    from S by one bordering, one un-bordering, one replaced column or one
+    replaced row, reading the O(k) new entries of S from the block; any
+    other change, new values in the rhs column included, clears them, so
+    the system is gathered and factored afresh.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.counts = KernelCounts()
+        self._sbuf = None
         self.clear()
 
     def clear(self) -> None:
         self.s = self.h = None
         self.rows = self.cols = self.rp = self.cp = None
+        self.slot = -1
 
     def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
               cols: np.ndarray) -> None:
-        self.s, self.h, self.rows, self.cols = s, h, rows.copy(), cols.copy()
+        """Carry S, which becomes the buffer, and H = S^-1."""
+        self.s = self._sbuf = s
+        self.h = h
+        self.rows, self.cols = rows.copy(), cols.copy()
         self.rp, self.cp = np.arange(rows.size), np.arange(cols.size)
+        self.slot = cols.size - 1 if cols[-1] == self.n else -1
 
     def follow(self, m, rhs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
         """Update S and H to the system of (m, rhs) whose sorted labels are
@@ -189,12 +219,21 @@ class InverseCarry:
         if self.h is None:
             return False
         k = m.shape[1]
-        rpos, rin, rgone, rnew = _match(rows, self.rows)
-        cpos, _, cgone, cnew = _match(cols, self.cols)
+        rmatch, cmatch = _match(rows, self.rows), _match(cols, self.cols)
+        if rmatch is None or cmatch is None:
+            self.clear()
+            return False
+        rpos, rgone, rnew = rmatch
+        cpos, cgone, cnew = cmatch
+        if cols[-1] == self.n and self.slot >= 0:
+            # new values in the rhs column of a kept row: factor afresh
+            moved = rhs.take(rpos, mode="clip") != self.s[:, self.slot]
+            if rgone:
+                moved[rgone[0]] = False
+            if np.count_nonzero(moved):
+                self.clear()
+                return False
         change = (len(rgone), len(rnew), len(cgone), len(cnew))
-        if cols[-1] == self.n and self.cols.max() == self.n \
-                and (rhs[rpos[rin]] != self.s[rin, self.cols.argmax()]).any():
-            change = None           # new values in the rhs column: factor afresh
         ok = True
         if change == (0, 0, 1, 1):
             q, j = cgone[0], cnew[0]
@@ -202,6 +241,10 @@ class InverseCarry:
             ok = _replace_column(self.h, q, col)
             self.s[:, q] = col
             self.cols[q], cpos[q] = cols[j], j
+            if j == k:
+                self.slot = q
+            elif q == self.slot:
+                self.slot = -1
         elif change == (1, 1, 0, 0):
             p, i = rgone[0], rnew[0]
             row = _row(m, rhs, i)[cpos]
@@ -213,9 +256,10 @@ class InverseCarry:
             col = m[rpos, j] if j < k else rhs[rpos]
             row = _row(m, rhs, i)[cpos]
             corner = m[i, j] if j < k else rhs[i]
-            self.h = _border(self.h, col, row, corner)
-            ok = self.h is not None
-            self.s = _bordered(self.s, col, row, corner)
+            ok = self._border(col, row, corner, m.a.shape[0] if isinstance(m, Block)
+                              else m.shape[0])
+            if j == k:
+                self.slot = cpos.size
             self.rows, rpos = _appended(self.rows, rows[i]), _appended(rpos, i)
             self.cols, cpos = _appended(self.cols, cols[j]), _appended(cpos, j)
         elif change == (1, 0, 1, 0):
@@ -229,6 +273,35 @@ class InverseCarry:
         self.rp, self.cp = rpos, cpos
         return True
 
+    def _border(self, col: np.ndarray, row: np.ndarray, corner: float,
+                limit: int) -> bool:
+        """S becomes [[S, col], [row^T, corner]] and H its inverse, from
+        the Schur complement sigma = corner - row^T H col; False when sigma
+        is too small.  limit, the row count of the block's matrix, bounds
+        the size of S and so of its buffer."""
+        h = self.h
+        hc, rh = h @ col, row @ h
+        sigma = corner - row @ hc
+        if not abs(sigma) > QR_RANK_RTOL * (abs(corner) + np.abs(row) @ np.abs(hc)):
+            return False
+        size = h.shape[0]
+        out = np.empty((size + 1, size + 1))
+        a = hc / sigma
+        np.add(h, np.outer(a, rh), out=out[:size, :size])
+        out[:size, size] = -a
+        out[size, :size] = rh / -sigma
+        out[size, size] = 1.0 / sigma
+        self.h = out
+        if size == self._sbuf.shape[0]:     # a full buffer doubles, up to limit
+            buf = np.empty((max(size + 1, min(2 * size, limit)),) * 2)
+            buf[:size, :size] = self.s
+            self._sbuf = buf
+        s = self.s = self._sbuf[:size + 1, :size + 1]
+        s[:size, size] = col
+        s[size, :size] = row
+        s[size, size] = corner
+        return True
+
     def _unborder(self, p: int, q: int, rpos: np.ndarray, cpos: np.ndarray) -> bool:
         """Remove row p and column q of S.  With f = H e_p, g = e_q^T H and
         h = H_qp, the rank-one step H - f g^T / h zeroes column p and row q
@@ -236,7 +309,7 @@ class InverseCarry:
         column of S and H then move into the freed places."""
         h, s = self.h, self.s
         f, g, piv = h[:, p], h[q], h[q, p]
-        if not abs(piv) > QR_RANK_RTOL * max(np.abs(f).max(), np.abs(g).max()):
+        if not abs(piv) > QR_RANK_RTOL * max(_max_abs(f), _max_abs(g)):
             return False
         h -= np.outer(f / piv, g)
         last = h.shape[0] - 1
@@ -244,71 +317,72 @@ class InverseCarry:
         s[:, q], s[p] = s[:, last], s[last]
         self.cols[q], cpos[q] = self.cols[last], cpos[last]
         self.rows[p], rpos[p] = self.rows[last], rpos[last]
-        self.h, self.s = h[:last, :last], s[:last, :last]
+        self.slot = -1 if self.slot == q else q if self.slot == last else self.slot
+        self.h, self.s = h[:last, :last].copy(), s[:last, :last]
         self.rows, self.cols = self.rows[:last], self.cols[:last]
         return True
 
     def answer(self, rhs: np.ndarray, k: int,
-               carried: bool) -> tuple[np.ndarray, np.ndarray] | None:
-        """(solution, w) of the block with k columns and right-hand side
-        rhs, from H after one step of iterative refinement against S.  A
-        carried H's answer is None when it is not finite or the refinement
-        moved it by more than DRIFT_RTOL."""
+               carried: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(solution, w, M solution - rhs in S's order) of the block with k
+        columns and right-hand side rhs, from H after one step of
+        iterative refinement against S.  A carried H's answer is None when
+        it is not finite or the refinement moved it by more than
+        DRIFT_RTOL."""
         s, h, rp, cp = self.s, self.h, self.rp, self.cp
-        tall = cp.size > k
-        if tall:
+        if self.slot >= 0:
             # S^T u = e_last, that is M^T u = 0 and rhs^T u = 1
-            last = cp.argmax()
-            u = h[last].copy()
+            u = h[self.slot].copy()
             res = -(u @ s)
-            res[last] += 1.0
+            res[self.slot] += 1.0
             du = res @ h
         else:
             b = rhs[rp]
             u = h @ b
             du = h @ (b - s @ u)
         u += du
-        size = float(np.abs(u).max())
-        if carried and not (math.isfinite(size) and np.abs(du).max() <= DRIFT_RTOL * size):
+        size = _max_abs(u)
+        if carried and not (math.isfinite(size) and _max_abs(du) <= DRIFT_RTOL * size):
             return None
-        if not tall:
+        if self.slot < 0:
             x = np.empty(k)
             x[cp] = u
-            return x, np.zeros(k)
+            return x, np.zeros(k), s @ u - b
         unit = u / size                 # u . u itself could overflow
         ws = unit / ((unit @ unit) * size)
         # S [x; -1] = M x - rhs = -w at the least-squares point x
+        v = -(h @ ws)
         x, w = np.empty(k + 1), np.empty(k + 1)
-        x[cp], w[rp] = h @ ws, ws
-        return -x[:k], w
+        x[cp], w[rp] = v, ws
+        v[self.slot] = -1.0
+        return x[:k], w, s @ v
 
-    def residuals(self, sol: np.ndarray, z: np.ndarray,
-                  rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """M sol - rhs, and M^T z with rhs^T z - 1 after it, from S; each
-        in S's order."""
-        s, rp, cp = self.s, self.rp, self.cp
-        if cp.size > sol.size:
-            g = z[rp] @ s
-            g[cp.argmax()] -= 1.0
-            return s @ _appended(sol, -1.0)[cp], g
-        return s @ sol[cp] - rhs[rp], _appended(z[rp] @ s, rhs @ z - 1.0)
+    def alternative_residual(self, z: np.ndarray) -> np.ndarray:
+        """M^T z with rhs^T z - 1 in the rhs column's place, in S's order,
+        for a (k+1) x k block; a square block's w, and so its z, is 0."""
+        g = z[self.rp] @ self.s
+        g[self.slot] -= 1.0
+        return g
 
 
-def _match(labels: np.ndarray, carried: np.ndarray) -> tuple:
-    """(positions of the carried labels in the sorted labels, which of them
-    are there, the carried positions of those that are not, the positions
-    of the labels that are new).  A position of a missing label is
-    meaningless."""
+def _match(labels: np.ndarray, carried: np.ndarray) -> tuple | None:
+    """(positions of the carried labels in the sorted labels, the carried
+    positions of those that are not there, the positions of the labels
+    that are new), or None when more than one label is gone or more than
+    one is new, which no update follows.  A position of a missing label
+    is meaningless."""
     pos = labels.searchsorted(carried)
     found = labels.take(pos, mode="clip") == carried
-    kept = np.count_nonzero(found)
-    gone = () if kept == carried.size else (~found).nonzero()[0]
+    kept = int(np.count_nonzero(found))
+    if carried.size - kept > 1 or labels.size - kept > 1:
+        return None
+    gone = () if kept == carried.size else (int(found.argmin()),)
     new = ()
     if kept < labels.size:
-        unseen = np.ones(labels.size, dtype=bool)
-        unseen[pos[found] if len(gone) else pos] = False
-        new = unseen.nonzero()[0]
-    return pos, found, gone, new
+        # the kept labels take every position of 0..labels.size-1 but one
+        taken = int(pos.sum()) - (int(pos[gone[0]]) if gone else 0)
+        new = (labels.size * (labels.size - 1) // 2 - taken,)
+    return pos, gone, new
 
 
 def _appended(a: np.ndarray, x) -> np.ndarray:
@@ -326,42 +400,12 @@ def _replace_column(h: np.ndarray, q: int, col: np.ndarray) -> bool:
     loses v_i times it.  Called on H^T, it replaces row q of S by col."""
     v = h @ col
     piv = v[q]
-    if not abs(piv) > QR_RANK_RTOL * np.abs(v).max():
+    if not abs(piv) > QR_RANK_RTOL * _max_abs(v):
         return False
     hq = h[q] / piv
     h -= np.outer(v, hq)
     h[q] = hq
     return True
-
-
-def _border(h: np.ndarray, col: np.ndarray, row: np.ndarray,
-            corner: float) -> np.ndarray | None:
-    """Inverse of [[S, col], [row^T, corner]] from the Schur complement
-    sigma = corner - row^T H col; None when sigma is too small."""
-    hc, rh = h @ col, row @ h
-    sigma = corner - row @ hc
-    if not abs(sigma) > QR_RANK_RTOL * (abs(corner) + np.abs(row) @ np.abs(hc)):
-        return None
-    size = h.shape[0]
-    out = np.empty((size + 1, size + 1))
-    a = hc / sigma
-    np.add(h, np.outer(a, rh), out=out[:size, :size])
-    out[:size, size] = -a
-    out[size, :size] = rh / -sigma
-    out[size, size] = 1.0 / sigma
-    return out
-
-
-def _bordered(s: np.ndarray, col: np.ndarray, row: np.ndarray,
-              corner: float) -> np.ndarray:
-    """[[S, col], [row^T, corner]]."""
-    size = s.shape[0]
-    out = np.empty((size + 1, size + 1))
-    out[:size, :size] = s
-    out[:size, size] = col
-    out[size, :size] = row
-    out[size, size] = corner
-    return out
 
 
 def solve_consistent(m, rhs, *, carry: InverseCarry | None = None, rows=None,
@@ -414,26 +458,29 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None, rows=None,
     if found is None:
         m = np.asarray(m)
         sol, w = _svd_solve(m, rhs)
+        r = m @ sol - rhs
     else:
-        sol, w = found
+        sol, w, r = found
     ww = float(w @ w)
-    z = w / ww if ww > 0.0 else np.zeros(rows_n)
-    if found is None:
-        r, g = m @ sol - rhs, _appended(m.T @ z, rhs @ z - 1.0)
-    else:
-        r, g = carry.residuals(sol, z, rhs)
-    resid = float(np.abs(r).max(initial=0.0))
-    ok = resid <= CONSISTENCY_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
-    z_resid = float(np.abs(g).max())
+    if ww > 0.0:
+        z = w / ww
+        g = _appended(m.T @ z, rhs @ z - 1.0) if found is None \
+            else carry.alternative_residual(z)
+        z_resid = _max_abs(g)
+    else:   # M^T 0 = 0 and rhs^T 0 - 1 = -1 exactly: every square block's case
+        z, z_resid = np.zeros(rows_n), 1.0
+    resid = _max_abs(r)
+    ok = resid <= CONSISTENCY_TOL * (1.0 + _max_abs(rhs))
     z_ok = z_resid <= CONSISTENCY_TOL * 2.0
     alternative = SolveReport(z if z_ok else None, z_resid, z_ok)
     return SolveReport(sol if ok else None, resid, ok, w, alternative)
 
 
 def _square_solve(m, rhs: np.ndarray, carry: InverseCarry, rows: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(solution, w) of a square or (k+1) x k block from the inverse of
-    its square system S, or None when S fails the rank test."""
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(solution, w, M solution - rhs) of a square or (k+1) x k block from
+    the inverse of its square system S, or None when S fails the rank
+    test."""
     counts, k = carry.counts, m.shape[1]
     if carry.follow(m, rhs, rows, cols):
         found = carry.answer(rhs, k, carried=True)

@@ -45,6 +45,8 @@ def read_matrixmarket_array(source) -> np.ndarray:
         rows, cols = (int(tok) for tok in body[0].split())
     except ValueError as exc:
         raise ParseError(f"bad size line: {body[0]!r}") from exc
+    if rows < 0 or cols < 0:
+        raise ParseError(f"bad size line: {body[0]!r} (negative dimension)")
     values = []
     for ln in body[1:]:
         values.extend(ln.split())

@@ -27,16 +27,18 @@ signs of A^T y on J_D come from the dual update's A^T y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import (ACTIVE_TOL, NONZERO_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL,
+from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL,
                          ZERO_STEP_TOL, AsmError, UnboundedDirectionError,
-                         index_mask, run_active_set)
+                         index_mask, run_active_set, smallest)
 from .linalg import Block, InverseCarry, SolveReport, solve_consistent
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
+_SIDES = np.array([[1.0], [-1.0]])   # a row's upper and lower bound
 
 
 @dataclass
@@ -101,7 +103,9 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
                 a_d: np.ndarray) -> tuple[float, bool, list[tuple[int, float]], np.ndarray]:
     """Largest feasible step, given resid = A xi - b and a_d = A d: min
     over inactive-row ratios, support-sign ratios and the remaining
-    homotopy gap delta_k - tau - delta_target.
+    homotopy gap delta_k - tau - delta_target.  col_sign holds the signs
+    of A_j^T y, in {-1, 0, 1}; a degenerate coefficient 0 is
+    non-blocking by convention, since 0 * d_j is not above ZERO_STEP_TOL.
 
     Returns (alpha, reached_target, [(row, bound side)], leaving columns).
     The target bound takes precedence on ties, ending the whole run; a row
@@ -109,30 +113,26 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
     """
     bound = ctx.delta_k - tau
     gap = max(bound - ctx.delta_target, 0.0)
-    off = np.ones(ctx.m, dtype=bool)
-    off[I_P] = False
-    up_den = a_d + 1.0
-    down_den = 1.0 - a_d
-    up = off & (up_den > DEN_TOL)
-    down = off & (down_den > DEN_TOL)
-    up_r = np.full(ctx.m, np.inf)
-    up_r[up] = np.maximum((bound - resid[up]) / up_den[up], 0.0)
-    down_r = np.full(ctx.m, np.inf)
-    down_r[down] = np.maximum((bound + resid[down]) / down_den[down], 0.0)
-    # a degenerate bound coefficient (col_sign 0) is non-blocking by convention
-    cols = J_P[(np.abs(col_sign[J_P]) > NONZERO_TOL)
-               & (col_sign[J_P] * d[J_P] > ZERO_STEP_TOL)]
+    # each row's ratio to its upper bound (row 0 of num / den) and to its
+    # lower bound (row 1): (bound -+ resid_i) / (1 +- a_i^T d)
+    num = bound - _SIDES * resid
+    den = _SIDES * a_d + 1.0
+    blocks = den > DEN_TOL
+    blocks[0][I_P] = blocks[1][I_P] = False
+    row_r = np.where(blocks, num, np.inf) / np.where(blocks, den, 1.0)
+    np.maximum(row_r, 0.0, out=row_r)
+    cols = J_P[(col_sign * d)[J_P] > ZERO_STEP_TOL]
     col_r = np.maximum(-xi[cols] / d[cols], 0.0)
-    blocking = float(min(up_r.min(initial=np.inf), down_r.min(initial=np.inf),
-                         col_r.min(initial=np.inf)))
+    blocking = min(smallest(row_r), smallest(col_r))
     if gap <= blocking * (1.0 + TIE_RTOL) + ZERO_STEP_TOL:
         return gap, True, [], np.empty(0, dtype=int)
-    if not np.isfinite(blocking):
+    if not math.isfinite(blocking):
         raise UnboundedDirectionError("primal subproblem direction is unblocked")
     width = blocking + TIE_RTOL * (1.0 + blocking)
-    up_hit = up_r <= width
-    rows = (up_hit | (down_r <= width)).nonzero()[0]
-    new_rows = list(zip(rows.tolist(), np.where(up_hit[rows], 1.0, -1.0).tolist()))
+    up_hit, down_hit = row_r <= width
+    rows = (up_hit | down_hit).nonzero()[0]
+    new_rows = list(zip(rows.tolist(), np.where(up_hit[rows], 1.0, -1.0).tolist())) \
+        if rows.size else []
     return blocking, False, new_rows, cols[col_r <= width]
 
 
@@ -166,11 +166,10 @@ class _PrimalFace:
         self.outer = index_mask(ctx.n, ctx.J_D)
         self.fixed = index_mask(ctx.m, ctx.I_D)
         self.tau = 0.0
-        self.signs = np.asarray(ctx.residual_signs, dtype=float).copy()
-        signed = self.fixed & (np.abs(ctx.y_next) > SUPPORT_TOL)
-        self.signs[signed] = np.sign(ctx.y_next[signed])
-        self.col_sign = np.zeros(ctx.n)
-        self.col_sign[ctx.J_D] = np.sign(ctx.col_y[ctx.J_D])
+        self.signs = np.array(ctx.residual_signs, dtype=float)
+        np.copyto(self.signs, np.sign(ctx.y_next),
+                  where=self.fixed & (np.abs(ctx.y_next) > SUPPORT_TOL))
+        self.col_sign = np.sign(ctx.col_y)     # read on J_D only
         self.resid = self.a_d = None
 
     def direction(self, support, active):
@@ -186,7 +185,8 @@ class _PrimalFace:
         self.tau += alpha
         self.resid += alpha * self.a_d
         rows = [i for i, _ in new_rows]
-        self.signs[rows] = [side for _, side in new_rows]
+        if rows:
+            self.signs[rows] = [side for _, side in new_rows]
         return alpha, rows, leaving, reached_target
 
     def zero(self, xi, cols):
@@ -223,10 +223,11 @@ def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
     if ctx.delta_target > ctx.delta_k + ZERO_STEP_TOL:
         raise ValueError("delta_target exceeds the current bound")
     face = _PrimalFace(ctx)
-    xi = np.asarray(ctx.x_start, dtype=float).copy()
-    if np.abs(xi[~face.outer]).max(initial=0.0) > SUPPORT_TOL:
+    xi = np.array(ctx.x_start, dtype=float)
+    off = ~face.outer
+    if np.count_nonzero(np.abs(xi[off]) > SUPPORT_TOL):
         raise ValueError("x_start has support outside the dual active columns")
-    xi[~face.outer] = 0.0
+    xi[off] = 0.0
     face.resid = ctx.A @ xi - ctx.b
     xi, support, active, e_hat, iterations = run_active_set(
         face, xi, index_mask(ctx.n, ctx.J_P), index_mask(ctx.m, ctx.I_P),

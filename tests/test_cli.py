@@ -66,6 +66,15 @@ def test_solve_malformed_matrix_exit_2(tmp_path, capsys):
     assert "l1linf:" in capsys.readouterr().err
 
 
+def test_solve_negative_matrixmarket_size_exit_2(tmp_path, capsys):
+    mm, bf = tmp_path / "a.mtx", tmp_path / "b.txt"
+    mm.write_text("%%MatrixMarket matrix array real general\n-1 -2\n1.0\n2.0\n")
+    bf.write_text("1.0\n")
+    assert main(["solve", str(mm), "--b", str(bf), "--delta", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "l1linf:" in err and "size line: '-1 -2'" in err
+
+
 def test_solve_missing_matrixmarket_named_by_json_exit_2(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     missing = tmp_path / "missing.mtx"

@@ -1,14 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
-from l1linf import oracle
+import l1linf.dual_update as dual_module
+from l1linf import oracle, solve_path
 from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL, UnboundedDirectionError
 from l1linf.asm import asm_solve
 from l1linf.dual_update import (DualContext, dual_direction, dual_multipliers,
                                 dual_step, dual_update)
 from l1linf.encodings import dual_lp_encoding, general_form
 from l1linf.homotopy import ProblemInstance
-from test_homotopy import subproblem_contexts
+from test_homotopy import pinned_gaussian, subproblem_contexts
 
 NONE = np.empty(0, dtype=np.intp)
 
@@ -179,12 +182,13 @@ def test_dual_update_intermediate_iterates_feasible():
             assert np.min(psi * ctx.residual_signs, initial=0.0) >= -1e-8
 
 
-def loop_dual_step(ctx, e, psi, I_D, J_D):
-    """Reference: the per-column and per-row loop form of dual_step."""
+def loop_dual_step(ctx, e, psi, I_D, J_D, col_e=None, col_psi=None):
+    """Reference: the per-column and per-row loop form of dual_step, on
+    the given A^T e and A^T psi or, by default, on fresh products."""
     in_jd = np.zeros(ctx.n, dtype=bool)
     in_jd[J_D] = True
-    col_e = ctx.A.T @ e
-    col_psi = ctx.A.T @ psi
+    col_e = ctx.A.T @ e if col_e is None else col_e
+    col_psi = ctx.A.T @ psi if col_psi is None else col_psi
     ratios_cols = []
     for j in range(ctx.n):
         if in_jd[j]:
@@ -234,3 +238,21 @@ def test_dual_step_matches_loop_reference_with_exact_ties():
         assert (alpha, new_cols, zero_rows) == expected
         ties += len(new_cols) + len(zero_rows) > 1
     assert ties > 20
+
+
+def test_dual_step_matches_loop_reference_on_a_path(monkeypatch):
+    # every ratio test of the pinned path, replayed on its carried A^T e
+    # and A^T psi: the same alpha to the bit and the same sets as the loop
+    calls = []
+
+    def capture(ctx, e, psi, I_D, J_D, col_e, col_psi):
+        calls.append((ctx, e.copy(), psi.copy(), I_D, J_D, col_e.copy(), col_psi.copy()))
+        return dual_step(ctx, e, psi, I_D, J_D, col_e, col_psi)
+    monkeypatch.setattr(dual_module, "dual_step", capture)
+    assert solve_path(pinned_gaussian()).terminated == "target-reached"
+    assert len(calls) > 50
+    for ctx, e, psi, I_D, J_D, col_e, col_psi in calls:
+        alpha, new_cols, zero_rows = dual_step(ctx, e, psi, I_D, J_D, col_e, col_psi)
+        ref_alpha, ref_cols, ref_rows = loop_dual_step(ctx, e, psi, I_D, J_D, col_e, col_psi)
+        assert struct.pack("<d", alpha) == struct.pack("<d", ref_alpha)
+        assert (new_cols.tolist(), zero_rows.tolist()) == (ref_cols, ref_rows)

@@ -17,6 +17,16 @@ def test_indexset_validation():
         IndexSet((3, 1), 5)
     with pytest.raises(ValueError):
         IndexSet((0, 7), 5)
+    # non-integral indices are refused, not truncated
+    for bad in ([0.5, 1.7], np.array([0.9, 2.2]), [True, 2]):
+        with pytest.raises(ValueError):
+            IndexSet(bad, 5)
+    # the solver's int arrays are checked like tuples
+    with pytest.raises(ValueError):
+        IndexSet(np.array([3, 1]), 5)
+    with pytest.raises(ValueError):
+        IndexSet(np.array([0, 5]), 5)
+    assert IndexSet(np.array([0, 2], dtype=np.intp), 5).indices == (0, 2)
 
 
 def test_indexset_from_mask_len_and_iteration():

@@ -44,6 +44,17 @@ def test_rejects_garbage():
         read_matrixmarket_array("%%MatrixMarket matrix array real general\n2 2\n1.0\n")
 
 
+def test_rejects_negative_size_line():
+    # -1 x -2 declares as many entries as are given; it must still be
+    # refused by the parser, naming the size line
+    for size in ("-1 -2", "-2 1", "3 -1"):
+        text = f"%%MatrixMarket matrix array real general\n{size}\n1.0\n2.0\n3.0\n"
+        with pytest.raises(ParseError, match=f"size line: '{size}'"):
+            read_matrixmarket_array(text)
+    empty = read_matrixmarket_array("%%MatrixMarket matrix array real general\n0 3\n")
+    assert empty.shape == (0, 3)
+
+
 def test_read_vector_plain_and_json(tmp_path):
     np.testing.assert_array_equal(read_vector("1.5 -2 3e0"), [1.5, -2.0, 3.0])
     np.testing.assert_array_equal(read_vector("[1, 2.5]"), [1.0, 2.5])

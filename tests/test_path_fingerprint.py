@@ -1,11 +1,14 @@
-"""``tools/path_fingerprint.py compare`` on hand-written fingerprint files;
-no path is solved."""
+"""``tools/path_fingerprint.py compare`` on hand-written fingerprint files,
+and the per-path digest on one small solved path."""
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
+
+from l1linf import ProblemInstance, solve_path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "path_fingerprint.py"
 _spec = importlib.util.spec_from_file_location("path_fingerprint", TOOL)
@@ -51,3 +54,26 @@ def test_delta_k_moved_within_rtol(tmp_path, capsys):
     assert compare(tmp_path, other) == 1
     assert "gauss/0/warm: delta_k differs by" in capsys.readouterr().out
     assert compare(tmp_path, other, "--rtol", "1e-10") == 0
+
+
+def test_x_moved_by_one_ulp_changes_the_digest(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    inst = ProblemInstance(rng.standard_normal((6, 12)), rng.standard_normal(6), 0.1)
+    path = solve_path(inst)
+    assert path.terminated == "target-reached" and len(path.breakpoints) > 2
+    moved = copy.deepcopy(path)
+    x = moved.breakpoints[1].x
+    j = int(np.flatnonzero(x)[0])
+    x[j] = np.nextafter(x[j], np.inf)
+    digest = path_fingerprint.path_digest
+    assert digest(path) == digest(copy.deepcopy(path)) != digest(moved)
+    fp = fingerprint([2.0, 1.5, 0.75, 0.5])
+    ref = {"gauss/0/warm": dict(fp, digest=digest(path))}
+    other = {"gauss/0/warm": dict(fp, digest=digest(moved))}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(ref))
+    b.write_text(json.dumps(other))
+    assert path_fingerprint.main(["compare", str(a), str(b)]) == 1
+    assert "gauss/0/warm: digest" in capsys.readouterr().out
+    # a positive rtol bounds delta_k alone and leaves the digests aside
+    assert path_fingerprint.main(["compare", str(a), str(b), "--rtol", "1e-12"]) == 0

@@ -1,14 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
-from l1linf import oracle
+import l1linf.primal_update as primal_module
+from l1linf import oracle, solve_path
 from l1linf.asm import asm_solve
 from l1linf.encodings import general_form, primal_lp_encoding
 from l1linf.homotopy import ProblemInstance
 from l1linf.primal_update import (PrimalContext, primal_direction,
                                   primal_multipliers, primal_step,
                                   primal_update)
-from test_homotopy import subproblem_contexts
+from test_homotopy import pinned_gaussian, subproblem_contexts
 
 NONE = np.empty(0, dtype=np.intp)
 ZERO = np.array([0])
@@ -202,14 +205,15 @@ def test_primal_update_final_bound_tightness():
             assert abs(resid_norm - (ctx.delta_k - res.t)) <= 1e-8
 
 
-def loop_primal_step(ctx, d, xi, tau, I_P, J_P, col_sign):
-    """Reference: the per-row and per-column loop form of primal_step."""
-    from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL
-    from l1linf.primal_update import DEN_TOL, NONZERO_TOL
+def loop_primal_step(ctx, d, xi, tau, I_P, J_P, col_sign, resid=None, a_d=None):
+    """Reference: the per-row and per-column loop form of primal_step, on
+    the given A xi - b and A d or, by default, on fresh products."""
+    from l1linf.active_set import NONZERO_TOL, TIE_RTOL, ZERO_STEP_TOL
+    from l1linf.primal_update import DEN_TOL
     bound = ctx.delta_k - tau
     gap = max(bound - ctx.delta_target, 0.0)
-    resid = ctx.A @ xi - ctx.b
-    a_d = ctx.A @ d
+    resid = ctx.A @ xi - ctx.b if resid is None else resid
+    a_d = ctx.A @ d if a_d is None else a_d
     ratios_rows = []
     for i in np.delete(np.arange(ctx.m), I_P):
         up_den = a_d[i] + 1.0
@@ -275,3 +279,22 @@ def test_primal_step_matches_loop_reference_with_exact_ties():
         a_d, resid = a @ d, a @ xi - b
         both_sides += any(a_d[i] == 0.0 and resid[i] == 0.0 for i, _ in new_rows)
     assert row_ties > 20 and both_sides > 5
+
+
+def test_primal_step_matches_loop_reference_on_a_path(monkeypatch):
+    # every ratio test of the pinned path, replayed on its carried A xi - b
+    # and A d: the same alpha to the bit and the same sets as the loop
+    calls = []
+
+    def capture(ctx, d, xi, tau, I_P, J_P, col_sign, resid, a_d):
+        calls.append((ctx, d.copy(), xi.copy(), tau, I_P, J_P, col_sign.copy(),
+                      resid.copy(), a_d.copy()))
+        return primal_step(ctx, d, xi, tau, I_P, J_P, col_sign, resid, a_d)
+    monkeypatch.setattr(primal_module, "primal_step", capture)
+    assert solve_path(pinned_gaussian()).terminated == "target-reached"
+    assert len(calls) > 50
+    for args in calls:
+        alpha, hit, new_rows, leaving = primal_step(*args)
+        ref = loop_primal_step(*args)
+        assert struct.pack("<d", alpha) == struct.pack("<d", ref[0])
+        assert (hit, new_rows, leaving.tolist()) == ref[1:]

@@ -9,14 +9,18 @@ read-only from ``perfbench/workloads.py``) and the instances of
 ``l1linf verify --count 200 --seed 0``, each solved warm and cold.  A
 path's fingerprint is its status, failure reason, breakpoint count, dual
 and primal iterations, retries, kernel counts, the number of its
-breakpoints that ``check_optimal_pair`` certifies, and the bytes of its
-breakpoint bounds ``delta_k``.  ``compare`` asks every field to be equal,
-and each bound to agree within ``--rtol`` times the bound itself (exact by
-default); it lists each difference and exits 1 when there is one.  It
-also prints the largest difference relative to the path's start bound
-delta_0 = ||b||_inf: since delta_k = delta_{k-1} - t_k carries a rounding
-difference in an early step unchanged down the path, a bound a thousand
-times below delta_0 reads the same difference a thousand times larger.
+breakpoints that ``check_optimal_pair`` certifies, the bytes of its
+breakpoint bounds ``delta_k``, and ``digest``, a SHA-256 over every
+breakpoint's ``x`` and ``y`` bytes, its four index sets and its
+``residual_signs``.  ``compare`` asks every field to be equal, and each
+bound to agree within ``--rtol`` times the bound itself (exact by
+default); the digest is compared in the exact mode only, since a positive
+``--rtol`` admits paths that differ by rounding.  It lists each
+difference and exits 1 when there is one.  It also prints the largest
+difference relative to the path's start bound delta_0 = ||b||_inf:
+since delta_k = delta_{k-1} - t_k carries a rounding difference in an
+early step unchanged down the path, a bound a thousand times below
+delta_0 reads the same difference a thousand times larger.
 
 Run with one BLAS thread for repeatable timings; the fingerprint itself
 does not depend on it.
@@ -25,6 +29,7 @@ does not depend on it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -47,6 +52,22 @@ def _cases():
         yield f"verify-0/{i}", random_instance(rng)
 
 
+def path_digest(path) -> str:
+    """SHA-256 over every breakpoint's x, y, four index sets and residual
+    signs, each array preceded by its length."""
+    import numpy as np
+    h = hashlib.sha256()
+    for bp in path.breakpoints:
+        sets = bp.sets
+        for arr in (np.asarray(bp.x, dtype="<f8"), np.asarray(bp.y, dtype="<f8"),
+                    *(np.asarray(s.indices, dtype="<i8")
+                      for s in (sets.J_P, sets.I_P, sets.J_D, sets.I_D)),
+                    np.asarray(sets.residual_signs, dtype="<f8")):
+            h.update(arr.size.to_bytes(8, "little"))
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def _fingerprint(inst, path) -> dict:
     import numpy as np
     from l1linf import check_optimal_pair
@@ -60,6 +81,7 @@ def _fingerprint(inst, path) -> dict:
         "certified": sum(check_optimal_pair(inst, bp.x, bp.y, bp.delta_k)
                          for bp in path.breakpoints),
         "delta_k": deltas.tobytes().hex(),
+        "digest": path_digest(path),
     }
 
 
@@ -85,7 +107,7 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
     for key in sorted(set(a) & set(b)):
         fa, fb = a[key], b[key]
         for field in sorted(set(fa) | set(fb)):
-            if field == "delta_k":
+            if field == "delta_k" or (field == "digest" and rtol > 0.0):
                 continue
             if fa.get(field) != fb.get(field):
                 diffs.append(f"{key}: {field} {fa.get(field)!r} != {fb.get(field)!r}")
@@ -116,7 +138,8 @@ def main(argv=None) -> int:
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
     p.add_argument("--rtol", type=float, default=0.0,
-                   help="tolerance on each delta_k, relative to itself (default: exact)")
+                   help="tolerance on each delta_k, relative to itself (default: exact); "
+                        "a positive value skips the x/y/set digests")
     args = parser.parse_args(argv)
     if args.mode == "compare":
         return compare(args.a, args.b, args.rtol)

@@ -12,8 +12,9 @@ This module is the dual face of the shared loop in ``active_set.py``: the
 support is the dual support I_D = {i : y_i != 0} inside I_P, and the
 removable constraints are J_D \\ J_P with J_D = {j : |A_j^T y| = 1}.
 Directions e live on I_D and solve (A^{I_D}_{J_D})^T e = 0 together with
-s_{I_D}^T e = 1.  Index sets, in the context, the result and the face
-functions, are sorted int arrays.
+s_{I_D}^T e = 1.  The context and the result hold the sets as boolean
+masks, the form in which the loop keeps them; the face functions take
+sorted int arrays.
 
 The face carries c = A^T psi: computed once when the update starts,
 moved by alpha A^T e with each step, and corrected for every entry of psi
@@ -29,17 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
-                         AsmError, UnboundedDirectionError, index_mask,
-                         run_active_set, smallest)
+                         AsmError, UnboundedDirectionError, run_active_set,
+                         smallest)
 from .linalg import Block, InverseCarry, SolveReport, solve_consistent
 
 
 @dataclass
 class DualContext:
+    """The dual subproblem at x_k.  I_P and J_P are boolean masks, which
+    the update reads as its outer and fixed sets and does not edit."""
+
     A: np.ndarray
     x_k: np.ndarray
-    I_P: np.ndarray                      # sorted row indices
-    J_P: np.ndarray                      # sorted column indices
+    I_P: np.ndarray                      # row mask, length m
+    J_P: np.ndarray                      # column mask, length n
     residual_signs: np.ndarray           # full length m, +-1 on I_P, 0 elsewhere
     y_start: np.ndarray                  # full length m, zero off I_P
     warm_direction: np.ndarray | None = None  # full length m, zero off I_P
@@ -58,8 +62,8 @@ class DualContext:
 class DualUpdateResult:
     y: np.ndarray
     d_hat: np.ndarray
-    I_D: np.ndarray
-    J_D: np.ndarray
+    I_D: np.ndarray          # row mask, length m
+    J_D: np.ndarray          # column mask, length n
     iterations: int
     col_y: np.ndarray        # A^T y, carried through the update
 
@@ -74,7 +78,7 @@ def dual_direction(ctx: DualContext, I_D: np.ndarray, J_D: np.ndarray) -> SolveR
     report's ``alternative`` is the kernel report of d, which
     ``dual_multipliers`` reads when no direction exists."""
     kernel = solve_consistent(Block(ctx.A, I_D, J_D), -ctx.residual_signs[I_D],
-                              carry=ctx.carry, rows=I_D, cols=J_D)
+                              carry=ctx.carry)
     found = kernel.alternative
     e = None
     if found.consistent:
@@ -131,8 +135,7 @@ class _DualFace:
 
     def __init__(self, ctx: DualContext):
         self.ctx = ctx
-        self.outer = index_mask(ctx.m, ctx.I_P)
-        self.fixed = index_mask(ctx.n, ctx.J_P)
+        self.outer, self.fixed = ctx.I_P, ctx.J_P
         self.col_psi = self.col_e = None
 
     def direction(self, support, active):
@@ -185,5 +188,4 @@ def dual_update(ctx: DualContext, opt_tol: float = OPT_TOL,
     active = (np.abs(np.abs(face.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
     psi, support, active, d_hat, iterations = run_active_set(
         face, psi, support, active, ctx.warm_direction, opt_tol, trace)
-    return DualUpdateResult(psi, d_hat, support.nonzero()[0], active.nonzero()[0],
-                            iterations, face.col_psi)
+    return DualUpdateResult(psi, d_hat, support, active, iterations, face.col_psi)

@@ -4,13 +4,14 @@ LPs.  Used for cross-validation only: the specialized solvers in
 ``StandardLp`` is solved by the generic reference ``asm.asm_solve`` and, in
 the ``GeneralLp`` form of ``general_form``, by the Bland simplex
 ``oracle.simplex_solve``, which shares no code with the active-set loop.
-Index sets are sorted int arrays."""
+The subproblem contexts hold their sets as boolean masks; the improvement
+systems take sorted int arrays."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .asm import StandardLp, complement
+from .asm import StandardLp
 from .dual_update import DualContext
 from .oracle import GeneralLp
 from .primal_update import PrimalContext
@@ -36,12 +37,11 @@ def dual_lp_encoding(ctx: DualContext) -> tuple[StandardLp, np.ndarray]:
     s = ctx.residual_signs[rows]
     a_ip = ctx.A[rows]
     jp = ctx.J_P
-    jpc = complement(jp, ctx.n)
     c = -s
     a_eq = -a_ip[:, jp].T
     b_eq = np.sign(ctx.x_k[jp])
-    d = np.vstack([a_ip[:, jpc].T, -a_ip[:, jpc].T])
-    e = -np.ones(2 * jpc.size)
+    d = np.vstack([a_ip[:, ~jp].T, -a_ip[:, ~jp].T])
+    e = -np.ones(d.shape[0])
     lp = StandardLp(c, a_eq, b_eq, d, e, s)
     return lp, ctx.y_start[rows]
 
@@ -56,26 +56,18 @@ def primal_lp_encoding(ctx: PrimalContext) -> tuple[StandardLp, np.ndarray]:
 
     Returns the LP and the feasible starting point (x_k on J_D, 0).
     """
-    jd = ctx.J_D
-    idx_id = ctx.I_D
-    idc = complement(idx_id, ctx.m)
-    s = np.sign(ctx.y_next[idx_id])
-    n_lp = jd.size + 1
-    a_eq = np.hstack([ctx.A[idx_id][:, jd], s[:, None]])
-    b_eq = ctx.delta_k * s + ctx.b[idx_id]
-    blocks = []
-    rhs = []
-    if idc.size:
-        blocks.append(np.hstack([-ctx.A[idc][:, jd], -np.ones((idc.size, 1))]))
-        rhs.append(-(ctx.delta_k + ctx.b[idc]))
-        blocks.append(np.hstack([ctx.A[idc][:, jd], -np.ones((idc.size, 1))]))
-        rhs.append(-(ctx.delta_k - ctx.b[idc]))
+    jd, i_d = ctx.J_D, ctx.I_D
+    s = np.sign(ctx.y_next[i_d])
+    n_lp = np.count_nonzero(jd) + 1
+    a_eq = np.hstack([ctx.A[i_d][:, jd], s[:, None]])
+    b_eq = ctx.delta_k * s + ctx.b[i_d]
+    a_out, b_out = ctx.A[~i_d][:, jd], ctx.b[~i_d]
+    ones = np.ones((b_out.size, 1))
     gap_row = np.zeros((1, n_lp))
     gap_row[0, -1] = -1.0
-    blocks.append(gap_row)
-    rhs.append(np.array([-(ctx.delta_k - ctx.delta_target)]))
-    d = np.vstack(blocks)
-    e = np.concatenate(rhs)
+    d = np.vstack([np.hstack([-a_out, -ones]), np.hstack([a_out, -ones]), gap_row])
+    e = np.concatenate([-(ctx.delta_k + b_out), -(ctx.delta_k - b_out),
+                        [-(ctx.delta_k - ctx.delta_target)]])
     sigma = np.concatenate([-np.sign(ctx.A[:, jd].T @ ctx.y_next), [1.0]])
     c = np.zeros(n_lp)
     c[-1] = -1.0

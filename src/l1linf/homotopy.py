@@ -126,17 +126,14 @@ def _build_sets(inst: ProblemInstance, x, y, delta: float) -> IndexSets:
     i_p = (np.abs(np.abs(resid) - delta) <= scale) | i_d
     j_p = np.abs(x) > SUPPORT_TOL
     j_d = (np.abs(np.abs(inst.A.T @ y) - 1.0) <= 2 * ACTIVE_TOL) | j_p
+    return _record(j_p, i_p, j_d, i_d, np.sign(resid[i_p]))
+
+
+def _record(j_p, i_p, j_d, i_d, signs: np.ndarray) -> IndexSets:
+    """The breakpoint record of four set masks; ``signs`` is aligned with
+    the rows of i_p."""
     return IndexSets(J_P=IndexSet.from_mask(j_p), I_P=IndexSet.from_mask(i_p),
                      J_D=IndexSet.from_mask(j_d), I_D=IndexSet.from_mask(i_d),
-                     residual_signs=np.sign(resid[i_p]))
-
-
-def _record(inst: ProblemInstance, j_p, i_p, j_d, i_d, signs: np.ndarray) -> IndexSets:
-    """The breakpoint record of the solver's sorted index arrays; ``signs``
-    is aligned with i_p."""
-    m, n = inst.m, inst.n
-    return IndexSets(J_P=IndexSet(j_p, n), I_P=IndexSet(i_p, m),
-                     J_D=IndexSet(j_d, n), I_D=IndexSet(i_d, m),
                      residual_signs=signs)
 
 
@@ -158,16 +155,17 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
 
     # at x = 0, y = 0 the active rows are all i with |b_i| = ||b||_inf up
     # to a relative tie, and every other set is empty; signs holds the
-    # residual signs on I_P and zeros elsewhere
-    i_p = (np.abs(inst.b) >= delta0 * (1.0 - INIT_TIE_RTOL)).nonzero()[0]
-    j_p = empty = np.empty(0, dtype=np.intp)
+    # residual signs on I_P and zeros elsewhere.  The sets are masks, which
+    # the subproblems read and do not edit
+    i_p = np.abs(inst.b) >= delta0 * (1.0 - INIT_TIE_RTOL)
+    j_p = np.zeros(n, dtype=bool)
     signs = np.zeros(m)
     signs[i_p] = np.sign(-inst.b[i_p])
-    sets = _record(inst, j_p, i_p, empty, empty, signs[i_p])
+    sets = _record(j_p, i_p, j_p, np.zeros(m, dtype=bool), signs[i_p])
     path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
                         "failure")
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
-    carry = InverseCarry(n)   # one kernel system and inverse follow the whole path
+    carry = InverseCarry()   # one kernel system and inverse follow the whole path
     path.kernel = carry.counts
     delta_k = delta0
     warm_e: np.ndarray | None = None
@@ -231,7 +229,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         i_p_signs = primal_res.signs[i_p]
         signs = np.zeros(m)
         signs[i_p] = i_p_signs
-        sets = _record(inst, j_p, i_p, dual_res.J_D, dual_res.I_D, i_p_signs)
+        sets = _record(j_p, i_p, dual_res.J_D, dual_res.I_D, i_p_signs)
         # x and y are fresh arrays of the two updates, which the next
         # iteration only reads: the breakpoint keeps them uncopied
         path.breakpoints.append(PathBreakpoint(k + 1, delta_next, x, y, sets, t))

@@ -177,23 +177,22 @@ class InverseCarry:
 
     S is the block itself for a square block and [M | rhs] for a (k+1) x k
     block.  Its rows carry the labels of the rows of A they come from and
-    its columns the labels of A's columns; the label ``n`` stands for the
-    rhs column, whose place in S is ``slot`` (-1 when S has none).  S and
-    H stay in the order in which rows and columns joined S, so an update
-    never reorders them; ``rp`` and ``cp`` place the carried rows and
-    columns in the current block.  S is the leading block of a buffer
-    that grows, up to the row count of the block's matrix, when a
-    bordering needs room; H is a contiguous array, since the subtraction
-    of its rank-one updates runs 3-5 times faster on one than on a view.
-    ``follow`` brings both to the next system in O(k^2) when that differs
-    from S by one bordering, one un-bordering, one replaced column or one
-    replaced row, reading the O(k) new entries of S from the block; any
+    its columns the labels of A's columns, which the ``Block`` names; the
+    rhs column takes the label A.shape[1], so it sorts last, and its place
+    in S is ``slot`` (-1 when S has none).  S and H stay in the order in
+    which rows and columns joined S, so an update never reorders them;
+    ``rp`` and ``cp`` place the carried rows and columns in the current
+    block.  S is the leading block of a buffer that grows, up to the row
+    count of A, when a bordering needs room; H is a contiguous array, since
+    the subtraction of its rank-one updates runs 3-5 times faster on one
+    than on a view.  ``follow`` brings both to the next system in O(k^2)
+    when that differs from S by one bordering, one un-bordering or one
+    replaced column, reading the O(k) new entries of S from the block; any
     other change, new values in the rhs column included, clears them, so
     the system is gathered and factored afresh.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self.counts = KernelCounts()
         self._sbuf = None
         self.clear()
@@ -204,17 +203,20 @@ class InverseCarry:
         self.slot = -1
 
     def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
-              cols: np.ndarray) -> None:
-        """Carry S, which becomes the buffer, and H = S^-1."""
+              cols: np.ndarray, k: int) -> None:
+        """Carry S, which becomes the buffer, and H = S^-1, the system of a
+        block with k columns."""
         self.s = self._sbuf = s
         self.h = h
         self.rows, self.cols = rows.copy(), cols.copy()
         self.rp, self.cp = np.arange(rows.size), np.arange(cols.size)
-        self.slot = cols.size - 1 if cols[-1] == self.n else -1
+        self.slot = k if cols.size > k else -1
 
-    def follow(self, m, rhs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+    def follow(self, m: Block, rhs: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> bool:
         """Update S and H to the system of (m, rhs) whose sorted labels are
-        rows and cols.  Returns False, and clears, when no update applies
+        rows and cols, the rhs column's label last in cols for a
+        (k+1) x k block.  Returns False, and clears, when no update applies
         or an update's pivot is too small."""
         if self.h is None:
             return False
@@ -225,7 +227,7 @@ class InverseCarry:
             return False
         rpos, rgone, rnew = rmatch
         cpos, cgone, cnew = cmatch
-        if cols[-1] == self.n and self.slot >= 0:
+        if cols.size > k and self.slot >= 0:
             # new values in the rhs column of a kept row: factor afresh
             moved = rhs.take(rpos, mode="clip") != self.s[:, self.slot]
             if rgone:
@@ -245,19 +247,12 @@ class InverseCarry:
                 self.slot = q
             elif q == self.slot:
                 self.slot = -1
-        elif change == (1, 1, 0, 0):
-            p, i = rgone[0], rnew[0]
-            row = _row(m, rhs, i)[cpos]
-            ok = _replace_column(self.h.T, p, row)
-            self.s[p] = row
-            self.rows[p], rpos[p] = rows[i], i
         elif change == (0, 1, 0, 1):
             i, j = rnew[0], cnew[0]
             col = m[rpos, j] if j < k else rhs[rpos]
             row = _row(m, rhs, i)[cpos]
             corner = m[i, j] if j < k else rhs[i]
-            ok = self._border(col, row, corner, m.a.shape[0] if isinstance(m, Block)
-                              else m.shape[0])
+            ok = self._border(col, row, corner, m.a.shape[0])
             if j == k:
                 self.slot = cpos.size
             self.rows, rpos = _appended(self.rows, rows[i]), _appended(rpos, i)
@@ -397,7 +392,7 @@ def _row(m, rhs: np.ndarray, i: int) -> np.ndarray:
 def _replace_column(h: np.ndarray, q: int, col: np.ndarray) -> bool:
     """Sherman-Morrison in place for column q of S replaced by col: with
     v = H col, row q of the new inverse is H_q / v_q, and every other row
-    loses v_i times it.  Called on H^T, it replaces row q of S by col."""
+    loses v_i times it."""
     v = h @ col
     piv = v[q]
     if not abs(piv) > QR_RANK_RTOL * _max_abs(v):
@@ -408,41 +403,46 @@ def _replace_column(h: np.ndarray, q: int, col: np.ndarray) -> bool:
     return True
 
 
-def solve_consistent(m, rhs, *, carry: InverseCarry | None = None, rows=None,
-                     cols=None) -> SolveReport:
+def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveReport:
     """Solve M x = rhs if a solution exists within tolerance, and its
     Fredholm alternative [M^T; rhs^T] z = (0, ..., 0, 1).
 
     M may be rectangular and rank-deficient.  It is an array, validated
-    here, or a ``Block`` of a matrix validated by its owner, which is read
-    entry by entry and gathered only for a fresh factor or the SVD.  A
-    square or (k+1) x k block with k >= ``QR_MIN_COLS`` is turned into one
-    square system S: a square block solves S x = rhs with S = M, and a
-    (k+1) x k block solves S^T z = e_last with S = [M | rhs], whose
-    solution is exactly the alternative z (M^T z = 0, rhs^T z = 1), so
-    w = z / (z . z).  S is solved with its inverse H: fresh, after the
-    rank test min |R_ii| > QR_RANK_RTOL * max |R_ii| on the R of a
-    Householder QR of S, or carried from the last call along a path.
-    With ``carry``, which needs ``rows`` and ``cols``, the sorted labels
-    of the block's rows and columns in A, S and H are brought to this
-    block by an O(k^2) update when it differs from the last square system
-    by one row, one column or one border (see ``InverseCarry``); new
-    values in the rhs column of a (k+1) x k block take a fresh factor.
-    Each answer gets one step of iterative refinement against S; a
-    carried answer that the refinement moves by more than DRIFT_RTOL is
-    refused for a fresh factor.  Every other block (wide, empty, small,
-    taller than k+1, or a system that fails the rank test) goes to
-    ``_svd_solve``, which gives the minimum-2-norm solution and w from a
-    truncated thin SVD.  Either way z = w / ||w||^2 is the minimum-norm
-    solution of the alternative system, and each answer is accepted by
-    the residual test of its own system against the block, through S when
-    there is one: ||residual||_inf <= CONSISTENCY_TOL * (1 + ||right-hand
-    side||_inf).  Repeated calls on identical inputs without a carry are
-    bit-for-bit reproducible; a carried answer depends on the earlier
-    blocks of its path through rounding only.
+    here and labelled by position, or a ``Block`` of a matrix A validated
+    by its owner, whose ``rows`` and ``cols`` label the block's rows and
+    columns in A; a Block is read entry by entry and gathered only for a
+    fresh factor or the SVD.  A square or (k+1) x k block with
+    k >= ``QR_MIN_COLS`` is turned into one square system S: a square
+    block solves S x = rhs with S = M, and a (k+1) x k block solves
+    S^T z = e_last with S = [M | rhs], whose solution is exactly the
+    alternative z (M^T z = 0, rhs^T z = 1), so w = z / (z . z).  S is
+    solved with its inverse H: fresh, after the rank test
+    min |R_ii| > QR_RANK_RTOL * max |R_ii| on the R of a Householder QR
+    of S, or carried from the last call along a path.  With ``carry``,
+    which takes a Block only, S and H are brought to this block by an
+    O(k^2) update when it differs from the last square system by one
+    column or one border (see ``InverseCarry``); new values in the rhs
+    column of a (k+1) x k block take a fresh factor.  Each answer gets one
+    step of iterative refinement against S; a carried answer that the
+    refinement moves by more than DRIFT_RTOL is refused for a fresh
+    factor.  Every other block (wide, empty, small, taller than k+1, or a
+    system that fails the rank test) goes to ``_svd_solve``, which gives
+    the minimum-2-norm solution and w from a truncated thin SVD.  Either
+    way z = w / ||w||^2 is the minimum-norm solution of the alternative
+    system, and each answer is accepted by the residual test of its own
+    system against the block, through S when there is one:
+    ||residual||_inf <= CONSISTENCY_TOL * (1 + ||right-hand side||_inf).
+    Repeated calls on identical inputs without a carry are bit-for-bit
+    reproducible; a carried answer depends on the earlier blocks of its
+    path through rounding only.
     """
-    if not isinstance(m, Block):
+    if isinstance(m, Block):
+        rows, cols, n = m.rows, m.cols, m.a.shape[1]
+    elif carry is None:
         m = as_matrix(m, "M")
+        rows, cols, n = np.arange(m.shape[0]), np.arange(m.shape[1]), m.shape[1]
+    else:
+        raise TypeError("a carried solve takes a Block, whose labels name its system")
     rhs = as_vector(rhs, "rhs")
     if m.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: M has {m.shape[0]} rows, rhs has {rhs.shape[0]}")
@@ -451,10 +451,9 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None, rows=None,
     found = None
     if cols_n >= QR_MIN_COLS and rows_n - cols_n in (0, 1):
         if carry is None:   # a stateless call factors afresh in a carry of its own
-            carry, rows, cols = InverseCarry(cols_n), np.arange(rows_n), np.arange(cols_n)
-        found = _square_solve(m, rhs, carry, np.asarray(rows),
-                              np.concatenate((cols, (carry.n,))) if rows_n > cols_n
-                              else np.asarray(cols))
+            carry = InverseCarry()
+        found = _square_solve(m, rhs, carry, rows,
+                              _appended(cols, n) if rows_n > cols_n else cols)
     if found is None:
         m = np.asarray(m)
         sol, w = _svd_solve(m, rhs)
@@ -494,7 +493,7 @@ def _square_solve(m, rhs: np.ndarray, carry: InverseCarry, rows: np.ndarray,
         counts.svd += 1
         carry.clear()
         return None
-    carry.start(s, np.linalg.inv(s), rows, cols)
+    carry.start(s, np.linalg.inv(s), rows, cols, k)
     counts.fresh += 1
     return carry.answer(rhs, k, carried=False)
 

@@ -15,8 +15,9 @@ rows I_P \\ I_D.  The face fixes d_t = 1, so a direction is a solution of
 A^{I_P}_{J_P} d = -sign(A^{I_P} xi - b_{I_P}) with d zero off J_P.
 Residual signs on the active rows are carried as state (on I_D they equal
 sign(y_i)) instead of being re-derived from near-tight residuals, and are
-returned with the result.  Index sets, in the context, the result and the
-face functions, are sorted int arrays.
+returned with the result.  The context and the result hold the sets as
+boolean masks, the form in which the loop keeps them; the face functions
+take sorted int arrays.
 
 The face carries r = A xi - b: computed once when the update starts,
 moved by alpha A d with each step, and corrected for every entry of xi
@@ -34,7 +35,7 @@ import numpy as np
 
 from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL,
                          ZERO_STEP_TOL, AsmError, UnboundedDirectionError,
-                         index_mask, run_active_set, smallest)
+                         run_active_set, smallest)
 from .linalg import Block, InverseCarry, SolveReport, solve_consistent
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
@@ -43,14 +44,18 @@ _SIDES = np.array([[1.0], [-1.0]])   # a row's upper and lower bound
 
 @dataclass
 class PrimalContext:
+    """The primal subproblem at delta_k.  The four sets are boolean masks:
+    the update reads J_D and I_D as its outer and fixed sets and starts its
+    loop from copies of J_P and I_P, so it edits none of them."""
+
     A: np.ndarray
     b: np.ndarray
     y_next: np.ndarray
     delta_k: float
     delta_target: float
     x_start: np.ndarray
-    I_P: np.ndarray                           # sorted index arrays
-    J_P: np.ndarray
+    I_P: np.ndarray                           # masks: I_P and I_D of length m,
+    J_P: np.ndarray                           # J_P and J_D of length n
     I_D: np.ndarray
     J_D: np.ndarray
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
@@ -72,8 +77,8 @@ class PrimalUpdateResult:
     x: np.ndarray
     t: float
     e_hat: np.ndarray | None   # None when the run stopped at the target bound
-    I_P: np.ndarray
-    J_P: np.ndarray
+    I_P: np.ndarray            # row mask, length m
+    J_P: np.ndarray            # column mask, length n
     reached_target: bool
     iterations: int
     signs: np.ndarray          # full m; the residual signs on I_P
@@ -87,8 +92,7 @@ def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
     factors afresh.  The report's ``alternative`` is the kernel's other
     Fredholm alternative, which ``primal_multipliers`` reads when no
     direction exists."""
-    kernel = solve_consistent(Block(ctx.A, I_P, J_P), -signs[I_P],
-                              carry=ctx.carry, rows=I_P, cols=J_P)
+    kernel = solve_consistent(Block(ctx.A, I_P, J_P), -signs[I_P], carry=ctx.carry)
     d = None
     if kernel.consistent:
         d = np.zeros(ctx.n)
@@ -163,8 +167,7 @@ class _PrimalFace:
 
     def __init__(self, ctx: PrimalContext):
         self.ctx = ctx
-        self.outer = index_mask(ctx.n, ctx.J_D)
-        self.fixed = index_mask(ctx.m, ctx.I_D)
+        self.outer, self.fixed = ctx.J_D, ctx.I_D
         self.tau = 0.0
         self.signs = np.array(ctx.residual_signs, dtype=float)
         np.copyto(self.signs, np.sign(ctx.y_next),
@@ -230,8 +233,6 @@ def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
     xi[off] = 0.0
     face.resid = ctx.A @ xi - ctx.b
     xi, support, active, e_hat, iterations = run_active_set(
-        face, xi, index_mask(ctx.n, ctx.J_P), index_mask(ctx.m, ctx.I_P),
-        ctx.warm_direction, opt_tol, trace)
-    return PrimalUpdateResult(xi, face.tau, e_hat, active.nonzero()[0],
-                              support.nonzero()[0], e_hat is None, iterations,
-                              face.signs)
+        face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm_direction, opt_tol, trace)
+    return PrimalUpdateResult(xi, face.tau, e_hat, active, support, e_hat is None,
+                              iterations, face.signs)

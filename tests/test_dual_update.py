@@ -5,7 +5,7 @@ import pytest
 
 import l1linf.dual_update as dual_module
 from l1linf import oracle, solve_path
-from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL, UnboundedDirectionError
+from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL, UnboundedDirectionError, index_mask
 from l1linf.asm import asm_solve
 from l1linf.dual_update import (DualContext, dual_direction, dual_multipliers,
                                 dual_step, dual_update)
@@ -14,6 +14,7 @@ from l1linf.homotopy import ProblemInstance
 from test_homotopy import pinned_gaussian, subproblem_contexts
 
 NONE = np.empty(0, dtype=np.intp)
+ON, OFF = np.array([True]), np.array([False])
 
 
 def dual_step_sets(ctx, e, psi, I_D, J_D):
@@ -27,7 +28,7 @@ def dual_step_sets(ctx, e, psi, I_D, J_D):
 def scalar_ctx():
     # A = [1], b = (2), x = 0: one active row with residual sign -1
     signs = np.array([-1.0])
-    return DualContext(np.array([[1.0]]), np.array([0.0]), np.array([0]), NONE, signs,
+    return DualContext(np.array([[1.0]]), np.array([0.0]), ON, OFF, signs,
                        y_start=np.zeros(1))
 
 
@@ -56,7 +57,8 @@ def test_dual_direction_substitution_random():
         j_d = np.sort(rng.choice(n, size=2, replace=False))
         signs = np.zeros(m)
         signs[i_p] = rng.choice([-1.0, 1.0], len(i_p))
-        ctx = DualContext(a, np.zeros(n), i_p, NONE, signs, y_start=np.zeros(m))
+        ctx = DualContext(a, np.zeros(n), index_mask(m, i_p), index_mask(n, NONE), signs,
+                          y_start=np.zeros(m))
         rep = dual_direction(ctx, i_d, j_d)
         if rep.consistent:
             e = rep.solution
@@ -76,7 +78,7 @@ def test_dual_step_scalar_trace():
 
 def test_dual_step_unbounded():
     # zero column: nothing blocks a direction with the right sign pattern
-    ctx = DualContext(np.array([[0.0]]), np.array([0.0]), np.array([0]), NONE,
+    ctx = DualContext(np.array([[0.0]]), np.array([0.0]), ON, OFF,
                       np.array([-1.0]), y_start=np.zeros(1))
     with pytest.raises(UnboundedDirectionError):
         dual_step_sets(ctx, np.array([-1.0]), np.zeros(1), np.array([0]), NONE)
@@ -85,7 +87,8 @@ def test_dual_step_unbounded():
 def test_dual_step_tie_applies_both_updates():
     a = np.array([[1.0], [0.0]])
     signs = np.array([1.0, 1.0])
-    ctx = DualContext(a, np.zeros(1), np.array([0, 1]), NONE, signs, y_start=np.zeros(2))
+    ctx = DualContext(a, np.zeros(1), np.array([True, True]), OFF, signs,
+                      y_start=np.zeros(2))
     psi = np.array([0.5, 0.5])
     e = np.array([0.5, -0.5])
     alpha, new_cols, zero_rows = dual_step_sets(ctx, e, psi, np.array([0, 1]), NONE)
@@ -100,8 +103,8 @@ def test_dual_multipliers_scalar_terminal():
     report = dual_direction(ctx, i_d, j_d)
     assert not report.consistent
     d_hat, mu, nu = dual_multipliers(ctx, ctx.A.T @ np.array([-1.0]), j_d,
-                                     np.setdiff1d(j_d, ctx.J_P),
-                                     np.setdiff1d(ctx.I_P, i_d), report)
+                                     np.setdiff1d(j_d, ctx.J_P.nonzero()[0]),
+                                     np.setdiff1d(ctx.I_P.nonzero()[0], i_d), report)
     np.testing.assert_allclose(d_hat, [1.0], atol=1e-12)
     # J_P is empty here, so the single active column carries mu = 1 >= 0
     np.testing.assert_allclose(mu, [1.0], atol=1e-12)
@@ -112,14 +115,15 @@ def test_dual_update_scalar():
     res = dual_update(scalar_ctx())
     np.testing.assert_allclose(res.y, [-1.0], atol=1e-10)
     np.testing.assert_allclose(res.d_hat, [1.0], atol=1e-10)
-    assert res.J_D.tolist() == [0]
+    assert res.J_D.tolist() == [True] and res.I_D.tolist() == [True]
 
 
 def test_dual_update_identity_two_rows():
     # A = I2, b = (3, -0.5), x = 0, delta0 = 3: only row 0 is active
     a = np.eye(2)
     signs = np.array([-1.0, 0.0])
-    ctx = DualContext(a, np.zeros(2), np.array([0]), NONE, signs, y_start=np.zeros(2))
+    ctx = DualContext(a, np.zeros(2), np.array([True, False]), np.array([False, False]),
+                      signs, y_start=np.zeros(2))
     res = dual_update(ctx)
     np.testing.assert_allclose(res.y, [-1.0, 0.0], atol=1e-10)
 
@@ -146,7 +150,7 @@ def test_dual_update_certificate_property():
         assert np.max(np.abs(g)) <= 1 + 1e-8
         # sign compatibility and confinement to the active rows
         assert np.min(res.y * ctx.residual_signs, initial=0.0) >= -1e-8
-        assert np.max(np.abs(np.delete(res.y, ctx.I_P)), initial=0.0) == 0.0
+        assert np.max(np.abs(res.y[~ctx.I_P]), initial=0.0) == 0.0
 
 
 def test_dual_update_matches_generic_and_oracle():
@@ -176,7 +180,7 @@ def test_dual_update_intermediate_iterates_feasible():
         jp = ctx.J_P
         for psi in iterates + [res.y]:
             g = ctx.A.T @ psi
-            if jp.size:
+            if jp.any():
                 assert np.max(np.abs(g[jp] + np.sign(ctx.x_k[jp]))) <= 1e-8
             assert np.max(np.abs(g)) <= 1 + 1e-8
             assert np.min(psi * ctx.residual_signs, initial=0.0) >= -1e-8
@@ -227,7 +231,8 @@ def test_dual_step_matches_loop_reference_with_exact_ties():
         e[i_p] = rng.integers(-2, 3, len(i_p)) / 2.0
         i_d = (psi != 0.0).nonzero()[0]
         j_d = (rng.random(n) < 0.3).nonzero()[0]
-        ctx = DualContext(a, np.zeros(n), i_p, NONE, signs, y_start=psi)
+        ctx = DualContext(a, np.zeros(n), index_mask(m, i_p), index_mask(n, NONE), signs,
+                          y_start=psi)
         try:
             expected = loop_dual_step(ctx, e, psi, i_d, j_d)
         except UnboundedDirectionError:

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from l1linf import homotopy
+from l1linf import homotopy, oracle
 from l1linf.active_set import OPT_TOL
 from l1linf.homotopy import (ProblemInstance, _build_sets, check_alternatives,
                              check_optimal_pair, duality_gap, eval_path,
                              solve_path)
-from l1linf.linalg import IndexSet
+from l1linf.linalg import QR_MIN_COLS, IndexSet
 from l1linf.pathexport import export_to_json, path_to_export
 
 
@@ -415,30 +415,6 @@ def test_carried_state_matches_fresh_products(monkeypatch):
     assert len(errors) > 100 and max(errors) <= PRODUCT_RTOL
 
 
-def test_kernel_calls_carry_the_block_shape(monkeypatch):
-    # the faces pass the kernel a block whose shape is that of its rows and
-    # columns, as tracers read it; a stateless call on an array still
-    # validates its entries
-    import l1linf.dual_update as dual_mod
-    import l1linf.primal_update as primal_mod
-    from l1linf.linalg import QR_MIN_COLS, solve_consistent
-    shapes = []
-
-    def capture(m, rhs, **kwargs):
-        shapes.append((np.shape(m), (len(kwargs["rows"]), len(kwargs["cols"]))))
-        return solve_consistent(m, rhs, **kwargs)
-    monkeypatch.setattr(dual_mod, "solve_consistent", capture)
-    monkeypatch.setattr(primal_mod, "solve_consistent", capture)
-    assert solve_path(pinned_gaussian()).terminated == "target-reached"
-    assert len(shapes) > 100
-    assert all(shape == labels for shape, labels in shapes)
-    assert max(cols for (_, cols), _ in shapes) >= QR_MIN_COLS
-    bad = np.eye(QR_MIN_COLS + 1)
-    bad[2, 5] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_consistent(bad, np.ones(QR_MIN_COLS + 1))
-
-
 def test_breakpoint_sets_are_the_classified_sets():
     # solve_path records the sets the subsolvers end with; at every
     # breakpoint they equal what classifying the residuals by tolerance gives
@@ -488,13 +464,16 @@ def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
     assert len(built) == 4 * len(path.breakpoints)
 
 
-def test_degenerate_step_retry(monkeypatch):
-    # a zero primal step is retried once, cold and at OPT_TOL / 100; on a
-    # path without degeneracy the retry reproduces the same breakpoint
-    inst = pinned_gaussian()
-    reference = solve_path(inst)
-    calls = []
+def _zero_step_at(monkeypatch, iteration):
+    """solve_path on the pinned instance with the first primal step of
+    ``iteration`` set to zero.  Returns the path, each subproblem call as
+    (kind, context, opt_tol) and the column count of every kernel block,
+    keyed by the index of the subproblem call that made it."""
+    import l1linf.dual_update as dual_mod
+    import l1linf.primal_update as primal_mod
+    calls, widths = [], {}
     dual_update, primal_update = homotopy.dual_update, homotopy.primal_update
+    solve = dual_mod.solve_consistent
 
     def recording_dual(ctx, **kwargs):
         calls.append(("dual", ctx, kwargs.get("opt_tol", OPT_TOL)))
@@ -503,27 +482,121 @@ def test_degenerate_step_retry(monkeypatch):
     def zero_step_once(ctx, **kwargs):
         calls.append(("primal", ctx, kwargs.get("opt_tol", OPT_TOL)))
         res = primal_update(ctx, **kwargs)
-        if len(calls) == 2 * 10 + 2:   # the first primal call at iteration 10
+        if len(calls) == 2 * iteration + 2:   # the first primal call at iteration
             return dataclasses.replace(res, t=0.0)
         return res
 
+    def measuring(m, rhs, **kwargs):
+        widths.setdefault(len(calls) - 1, []).append(m.shape[1])
+        return solve(m, rhs, **kwargs)
+
     monkeypatch.setattr(homotopy, "dual_update", recording_dual)
     monkeypatch.setattr(homotopy, "primal_update", zero_step_once)
-    path = solve_path(inst)
+    monkeypatch.setattr(dual_mod, "solve_consistent", measuring)
+    monkeypatch.setattr(primal_mod, "solve_consistent", measuring)
+    return solve_path(pinned_gaussian()), calls, widths
+
+
+def _assert_retried_once(path, calls, iteration):
+    """One retry, cold and at OPT_TOL / 100, of the given iteration only."""
     assert path.retries == 1
     assert path.terminated == "target-reached"
-    retry = calls[22:24]
+    first = 2 * iteration + 2
+    retry = calls[first:first + 2]
     assert [kind for kind, _, _ in retry] == ["dual", "primal"]
     for _, ctx, opt_tol in retry:
         assert ctx.warm_direction is None
         assert opt_tol == OPT_TOL / 100.0
     assert all(ctx.warm_direction is not None and opt_tol == OPT_TOL
-               for _, ctx, opt_tol in calls[2:22] + calls[24:])
+               for _, ctx, opt_tol in calls[2:first] + calls[first + 2:])
+
+
+def test_degenerate_step_retry(monkeypatch):
+    # a zero primal step is retried once, cold and at OPT_TOL / 100; on a
+    # path without degeneracy the retry reproduces the same breakpoint.
+    # Bit for bit, because every block of iteration 10 is too small for
+    # the carried inverse: the stateless SVD answers them on both tries
+    reference = solve_path(pinned_gaussian())
+    path, calls, widths = _zero_step_at(monkeypatch, 10)
+    _assert_retried_once(path, calls, 10)
+    retried = [w for call in range(20, 24) for w in widths.get(call, [])]
+    assert retried and max(retried) < QR_MIN_COLS
     assert len(path.breakpoints) == len(reference.breakpoints)
     for got, want in zip(path.breakpoints, reference.breakpoints):
         assert got.delta_k == want.delta_k
         np.testing.assert_array_equal(got.x, want.x)
         np.testing.assert_array_equal(got.y, want.y)
+
+
+def test_degenerate_step_retry_on_the_carried_inverse(monkeypatch):
+    # the same retry where the carried inverse answers: the cold retry
+    # follows other systems than the warm path, so the breakpoints agree
+    # to rounding rather than bit for bit
+    reference = solve_path(pinned_gaussian())
+    path, calls, widths = _zero_step_at(monkeypatch, 30)
+    _assert_retried_once(path, calls, 30)
+    assert max(w for call in range(60, 64) for w in widths.get(call, [])) >= QR_MIN_COLS
+    assert len(path.breakpoints) == len(reference.breakpoints)
+    for got, want in zip(path.breakpoints, reference.breakpoints):
+        assert abs(got.delta_k - want.delta_k) <= 1e-12 * want.delta_k
+        for v, w in ((got.x, want.x), (got.y, want.y)):
+            assert np.abs(v - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def half_integer_draw(index):
+    """Draw ``index`` of the tied instances of the path fingerprint tool."""
+    from test_path_fingerprint import path_fingerprint
+    return list(path_fingerprint.half_integer_draws(index + 1))[index]
+
+
+def test_ledger_edits_reach_the_target_on_tied_data(monkeypatch):
+    # on tied data the ledger changes sets: after positive steps, support
+    # entries that joined since the last productive step and stayed at
+    # zero leave again, and the path reaches the simplex optimum with
+    # every breakpoint certified
+    import l1linf.primal_update as primal_mod
+    face = primal_mod._PrimalFace
+    drops, ledger = [], []
+    stays, zero = face.stays, face.zero
+
+    def watched_stays(self, d, xi):
+        ledger.append(True)
+        return stays(self, d, xi)
+
+    def watched_zero(self, xi, cols):
+        if ledger:      # the ledger zeroes the entries it drops after its stay test
+            drops.append(len(cols))
+            ledger.clear()
+        zero(self, xi, cols)
+    monkeypatch.setattr(face, "stays", watched_stays)
+    monkeypatch.setattr(face, "zero", watched_zero)
+    inst = half_integer_draw(59)
+    assert inst.A.shape == (5, 10)
+    path = solve_path(inst, use_warm_starts=False)
+    assert path.terminated == "target-reached", path.failure_reason
+    assert len(path.breakpoints) == 5
+    assert all(check_optimal_pair(inst, bp.x, bp.y, bp.delta_k) for bp in path.breakpoints)
+    assert drops == [1, 1]
+    ref = oracle.simplex_solve(oracle.reformulate(inst))
+    assert ref.status == "optimal"
+    assert abs(path.objective - ref.value) <= 1e-9
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="solve_path stops at a zero-length step that the retry repeats")
+def test_solve_path_on_tied_draw_that_sticks():
+    # draw 75 of the tied instances: every breakpoint up to the stop is
+    # certified, and the simplex oracle solves the instance
+    inst = half_integer_draw(75)
+    assert inst.A.shape == (7, 14)
+    ref = oracle.simplex_solve(oracle.reformulate(inst))
+    assert ref.status == "optimal"
+    for warm in (True, False):
+        path = solve_path(inst, use_warm_starts=warm)
+        assert all(check_optimal_pair(inst, bp.x, bp.y, bp.delta_k)
+                   for bp in path.breakpoints)
+        assert path.terminated == "target-reached", path.failure_reason
+        assert abs(path.objective - ref.value) <= 1e-9
 
 
 def test_kernel_counts_reach_the_trace_but_not_the_export():

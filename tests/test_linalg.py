@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from l1linf import dual_update, linalg, primal_update, solve_path
-from l1linf.linalg import QR_MIN_COLS, IndexSet, InverseCarry, _svd_solve, solve_consistent
+from l1linf.linalg import (QR_MIN_COLS, Block, IndexSet, InverseCarry, _svd_solve,
+                           solve_consistent)
 from test_homotopy import pinned_gaussian
 
 
@@ -64,6 +65,22 @@ def test_solve_errors():
         solve_consistent(np.eye(2), [1.0])
     with pytest.raises(ValueError):
         solve_consistent([[np.nan]], [1.0])
+
+
+def test_a_carried_solve_takes_a_block():
+    # a Block's rows and cols name its system; an array is validated and
+    # labelled by position, so it cannot follow a carried system
+    m = np.eye(QR_MIN_COLS + 1)
+    rhs = np.ones(QR_MIN_COLS + 1)
+    with pytest.raises(TypeError):
+        solve_consistent(m, rhs, carry=InverseCarry())
+    labels = np.arange(QR_MIN_COLS + 1)
+    carry = InverseCarry()
+    rep = solve_consistent(Block(m, labels, labels), rhs, carry=carry)
+    assert rep.consistent and vars(carry.counts)["fresh"] == 1
+    m[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_consistent(m, rhs)
 
 
 def test_solve_determinism():
@@ -260,7 +277,7 @@ def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
     blocks = []
 
     def capture(m, rhs, **kwargs):
-        blocks.append((m, rhs, kwargs["rows"], kwargs["cols"]))
+        blocks.append((m, rhs))
         return solve_consistent(m, rhs, **kwargs)
     monkeypatch.setattr(dual_update, "solve_consistent", capture)
     monkeypatch.setattr(primal_update, "solve_consistent", capture)
@@ -268,11 +285,11 @@ def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
     assert solve_path(inst).terminated == "target-reached"
     monkeypatch.undo()
 
-    carry = InverseCarry(inst.n)
+    carry = InverseCarry()
     counts = carry.counts
-    for m, rhs, rows, cols in blocks:
+    for m, rhs in blocks:
         served = counts.updates
-        rep = solve_consistent(m, rhs, carry=carry, rows=rows, cols=cols)
+        rep = solve_consistent(m, rhs, carry=carry)
         _assert_same_report(rep, solve_consistent(m, rhs), rhs)
         if counts.updates > served:
             assert _carried_system_error(carry, m, rhs) <= 1e-10
@@ -283,20 +300,20 @@ def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
 def _carried_steps(a, steps, carry):
     """Feed (rows, cols, signs) blocks of a through one carry, a label
     a.shape[1] in cols standing for the rhs column; yields each block's
-    (m, rhs, report)."""
+    gathered (m, rhs, report)."""
     for rows, cols, sgn in steps:
         rows, cols = np.array(rows), np.array(cols)
         if cols[-1] == a.shape[1]:
             cols = cols[:-1]
-        m, rhs = a.take(rows, 0).take(cols, 1), -sgn[rows]
-        yield m, rhs, solve_consistent(m, rhs, carry=carry, rows=rows, cols=cols)
+        block, rhs = Block(a, rows, cols), -sgn[rows]
+        yield np.asarray(block), rhs, solve_consistent(block, rhs, carry=carry)
 
 
 def test_each_kind_of_update_keeps_the_inverse():
-    # one carried inverse through a bordering, a replaced row, a replaced
-    # column, the rhs column taking an A column's place, an un-bordering and
-    # an A column taking the rhs column's place; the carried S stays the
-    # gathered system bit for bit
+    # one carried inverse through a bordering, a replaced column, the rhs
+    # column taking an A column's place, an un-bordering and an A column
+    # taking the rhs column's place; the carried S stays the gathered
+    # system bit for bit
     rng = np.random.default_rng(15)
     a = rng.standard_normal((30, 40))
     signs = rng.choice([-1.0, 1.0], size=30)
@@ -305,13 +322,12 @@ def test_each_kind_of_update_keeps_the_inverse():
     steps = [                                    # rows, cols (n: tall), signs
         (base, base, signs),
         (base + [k], base + [k], signs),
-        (base + [20], base + [k], signs),
-        (base + [20], base + [25], signs),
-        (base + [20], base + [40], signs),
-        ([i for i in base if i != 5] + [20], [j for j in base if j != 7] + [40], signs),
-        ([i for i in base if i != 5] + [20], [j for j in base if j != 7] + [30], signs),
+        (base + [k], base + [25], signs),
+        (base + [k], base + [40], signs),
+        ([i for i in base if i != 5] + [k], [j for j in base if j != 7] + [40], signs),
+        ([i for i in base if i != 5] + [k], [j for j in base if j != 7] + [30], signs),
     ]
-    carry = InverseCarry(a.shape[1])
+    carry = InverseCarry()
     for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
         assert (carry.counts.fresh, carry.counts.updates) == (1, step)
         assert _carried_system_error(carry, m, rhs) <= 1e-10
@@ -329,8 +345,22 @@ def test_new_rhs_values_take_a_fresh_factor():
     flipped = signs.copy()
     flipped[[2, 9]] *= -1.0
     rows, cols = list(range(QR_MIN_COLS + 3)), list(range(QR_MIN_COLS + 2)) + [40]
-    carry = InverseCarry(a.shape[1])
+    carry = InverseCarry()
     steps = [(rows, cols, signs), (rows, cols, flipped)]
+    for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
+        assert vars(carry.counts) == {"updates": 0, "fresh": step + 1, "drift": 0, "svd": 0}
+        _assert_same_report(rep, solve_consistent(m, rhs), rhs)
+
+
+def test_a_replaced_row_takes_a_fresh_factor():
+    # paths almost never replace one row alone, so the carry keeps no
+    # update for it
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((30, 40))
+    signs = rng.choice([-1.0, 1.0], size=30)
+    rows, cols = list(range(QR_MIN_COLS + 2)), list(range(QR_MIN_COLS + 2))
+    steps = [(rows, cols, signs), (rows[:3] + rows[4:] + [25], cols, signs)]
+    carry = InverseCarry()
     for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
         assert vars(carry.counts) == {"updates": 0, "fresh": step + 1, "drift": 0, "svd": 0}
         _assert_same_report(rep, solve_consistent(m, rhs), rhs)
@@ -350,16 +380,16 @@ def _near_singular_next_block(tall):
 @pytest.mark.parametrize("tall", [False, True], ids=["square", "k+1-by-k"])
 def test_near_singular_square_system_takes_the_svd(monkeypatch, tall):
     a, rows, first, second, rhs = _near_singular_next_block(tall)
-    m = a[:, second]
+    m = np.asarray(Block(a, rows, second))      # gathered as the kernel gathers it
     s = np.column_stack((m, rhs)) if tall else m
     diag = np.abs(np.diagonal(np.linalg.qr(s, mode="r")))
     assert diag.min() < linalg.QR_RANK_RTOL * diag.max()
     calls = _svd_calls(monkeypatch)
     ref = solve_consistent(m, rhs)
     assert calls == [m.shape]
-    carry = InverseCarry(a.shape[1])
-    solve_consistent(a[:, first], rhs, carry=carry, rows=rows, cols=first)
-    rep = solve_consistent(m, rhs, carry=carry, rows=rows, cols=second)
+    carry = InverseCarry()
+    solve_consistent(Block(a, rows, first), rhs, carry=carry)
+    rep = solve_consistent(Block(a, rows, second), rhs, carry=carry)
     assert calls == [m.shape, m.shape]
     assert vars(carry.counts) == {"updates": 0, "fresh": 1, "drift": 0, "svd": 1}
     assert carry.h is None
@@ -374,16 +404,16 @@ def test_update_to_a_singular_system_is_refused_without_warnings(monkeypatch):
     a[:, k] = a[:, 3]                           # column k duplicates column 3
     rows, first, second = np.arange(k), np.arange(k), np.r_[0:5, 6:k + 1]
     rhs = rng.standard_normal(k)
-    carry = InverseCarry(a.shape[1])
+    carry = InverseCarry()
     calls = _svd_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        solve_consistent(a[:, first], rhs, carry=carry, rows=rows, cols=first)
-        rep = solve_consistent(a[:, second], rhs, carry=carry, rows=rows, cols=second)
+        solve_consistent(Block(a, rows, first), rhs, carry=carry)
+        rep = solve_consistent(Block(a, rows, second), rhs, carry=carry)
         assert calls == [(k, k)] and carry.h is None
         assert not rep.consistent and rep.alternative.consistent
         # the next call starts fresh rather than from a refused update
-        solve_consistent(a[:, first], rhs, carry=carry, rows=rows, cols=first)
+        solve_consistent(Block(a, rows, first), rhs, carry=carry)
     assert vars(carry.counts) == {"updates": 0, "fresh": 2, "drift": 0, "svd": 1}
 
 
@@ -392,13 +422,14 @@ def test_refinement_corrects_a_small_drift_and_refuses_a_large_one():
     k = QR_MIN_COLS + 3
     m, rhs, labels = rng.standard_normal((k, k)), rng.standard_normal(k), np.arange(k)
     ref = solve_consistent(m, rhs)
-    carry = InverseCarry(k)
-    solve_consistent(m, rhs, carry=carry, rows=labels, cols=labels)
+    block = Block(m, labels, labels)
+    carry = InverseCarry()
+    solve_consistent(block, rhs, carry=carry)
     carry.h *= 1.0 + 1e-11                      # within DRIFT_RTOL: kept, refined
-    rep = solve_consistent(m, rhs, carry=carry, rows=labels, cols=labels)
+    rep = solve_consistent(block, rhs, carry=carry)
     assert carry.counts.updates == 1
     assert np.linalg.norm(rep.solution - ref.solution) <= 1e-12 * np.linalg.norm(ref.solution)
     carry.h *= 1.0 + 1e-8                       # beyond it: a fresh factor
-    rep = solve_consistent(m, rhs, carry=carry, rows=labels, cols=labels)
+    rep = solve_consistent(block, rhs, carry=carry)
     assert vars(carry.counts) == {"updates": 1, "fresh": 2, "drift": 1, "svd": 0}
     _assert_same_report(rep, ref, rhs)

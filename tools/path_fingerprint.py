@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Fingerprints of the 826 reference paths, and a comparison of two.
+"""Fingerprints of the 1,026 reference paths, and a comparison of two.
 
     python3 tools/path_fingerprint.py write OUT.json
     python3 tools/path_fingerprint.py compare A.json B.json [--rtol 1e-12]
 
 The reference paths are seed 1 of the four benchmark workloads (imported
-read-only from ``perfbench/workloads.py``) and the instances of
-``l1linf verify --count 200 --seed 0``, each solved warm and cold.  A
+read-only from ``perfbench/workloads.py``), the instances of
+``l1linf verify --count 200 --seed 0`` and the 100 tied draws of
+``half_integer_draws``, each solved warm and cold.  The tied draws take
+zero-length subproblem steps and ledger edits, which the other paths never
+make.  A
 path's fingerprint is its status, failure reason, breakpoint count, dual
 and primal iterations, retries, kernel counts, the number of its
 breakpoints that ``check_optimal_pair`` certifies, the bytes of its
@@ -38,6 +41,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def half_integer_draws(count: int = 100):
+    """Instances with tied data: draw i of ``default_rng(7)`` is m x 2m with
+    m in [3, 12), A and b Gaussian rounded to multiples of 1/2, and
+    delta = 0.1 ||b||_inf."""
+    import numpy as np
+    from l1linf import ProblemInstance
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        m = int(rng.integers(3, 12))
+        a, b = rng.standard_normal((m, 2 * m)), rng.standard_normal(m)
+        a, b = np.round(2 * a) / 2, np.round(2 * b) / 2
+        yield ProblemInstance(a, b, 0.1 * np.max(np.abs(b)))
+
+
 def _cases():
     """(label, ProblemInstance) of every reference instance."""
     import numpy as np
@@ -50,6 +67,8 @@ def _cases():
     rng = np.random.default_rng(0)
     for i in range(200):
         yield f"verify-0/{i}", random_instance(rng)
+    for i, inst in enumerate(half_integer_draws()):
+        yield f"half-integer/{i}", inst
 
 
 def path_digest(path) -> str:

@@ -225,7 +225,9 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         delta_next = inst.delta if primal_res.reached_target else delta_k - t
         if delta_next < inst.delta + T_MIN * (1.0 + inst.delta):
             delta_next = inst.delta
-        i_p, j_p = primal_res.I_P, primal_res.J_P
+        # J_P hands over the support of x: a column that the primal update
+        # left at zero would hold the next dual face's |A_j^T y| = 1
+        i_p, j_p = primal_res.I_P, primal_res.J_P & (np.abs(x) > SUPPORT_TOL)
         i_p_signs = primal_res.signs[i_p]
         signs = np.zeros(m)
         signs[i_p] = i_p_signs

@@ -16,11 +16,13 @@ s_{I_D}^T e = 1.  The context and the result hold the sets as boolean
 masks, the form in which the loop keeps them; the face functions take
 sorted int arrays.
 
-The face carries c = A^T psi: computed once when the update starts,
-moved by alpha A^T e with each step, and corrected for every entry of psi
-that the loop sets to zero.  A^T e is formed once per direction, the
-warm start's included, and serves the ratio test, the warm-start edits
-and the ledger's stay test; the final c goes out with the result.
+The face carries c = A^T psi: computed from the rows of I_P when the
+update starts, moved by alpha A^T e with each step, and corrected for
+every entry of psi that the loop sets to zero.  A^T e is formed once per
+direction, from the rows of I_D (the warm start's from the rows of I_P),
+and serves the ratio test, the warm-start edits and the ledger's stay
+test; the final c goes out with the result.  On a large A these products
+read only those rows (``linalg.left_product``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
                          AsmError, UnboundedDirectionError, run_active_set,
                          smallest)
-from .linalg import Block, InverseCarry, SolveReport, solve_consistent
+from .linalg import Block, InverseCarry, SolveReport, left_product, solve_consistent
 
 
 @dataclass
@@ -46,7 +48,9 @@ class DualContext:
     J_P: np.ndarray                      # column mask, length n
     residual_signs: np.ndarray           # full length m, +-1 on I_P, 0 elsewhere
     y_start: np.ndarray                  # full length m, zero off I_P
-    warm_direction: np.ndarray | None = None  # full length m, zero off I_P
+    # the primal update's e_hat, full length m and zero off I_P, since the
+    # products with A read only the rows of I_P
+    warm_direction: np.ndarray | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
 
     @property
@@ -141,7 +145,7 @@ class _DualFace:
     def direction(self, support, active):
         report = dual_direction(self.ctx, support, active)
         if report.consistent:
-            self.col_e = self.ctx.A.T @ report.solution
+            self.col_e = left_product(self.ctx.A, report.solution, support)
         return report
 
     def step(self, e, psi, support, active):
@@ -160,7 +164,7 @@ class _DualFace:
                                 report)
 
     def warm_slack(self, e):
-        self.col_e = self.ctx.A.T @ e
+        self.col_e = left_product(self.ctx.A, e, self.outer)
         return self.col_e
 
     def stays(self, e, psi):
@@ -184,7 +188,9 @@ def dual_update(ctx: DualContext, opt_tol: float = OPT_TOL,
     if np.count_nonzero(support & off):
         raise ValueError("y_start has mass outside the primal active rows")
     psi[off] = 0.0
-    face.col_psi = ctx.A.T @ psi
+    if ctx.warm_direction is not None and np.count_nonzero(ctx.warm_direction[off]):
+        raise ValueError("warm_direction has mass outside the primal active rows")
+    face.col_psi = left_product(ctx.A, psi, face.outer)
     active = (np.abs(np.abs(face.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
     psi, support, active, d_hat, iterations = run_active_set(
         face, psi, support, active, ctx.warm_direction, opt_tol, trace)

@@ -19,11 +19,14 @@ returned with the result.  The context and the result hold the sets as
 boolean masks, the form in which the loop keeps them; the face functions
 take sorted int arrays.
 
-The face carries r = A xi - b: computed once when the update starts,
-moved by alpha A d with each step, and corrected for every entry of xi
-that the loop sets to zero.  A d is formed once per direction and serves
-the ratio test, the warm-start edits and the ledger's stay test.  The
-signs of A^T y on J_D come from the dual update's A^T y.
+The face carries r = A xi - b: computed from the columns of J_D when the
+update starts, moved by alpha A d with each step, and corrected for every
+entry of xi that the loop sets to zero.  A d is formed once per
+direction, from the columns of J_P (the warm start's from the columns of
+J_D), and serves the ratio test, the warm-start edits and the ledger's
+stay test.  On a large A these products read only those columns
+(``linalg.right_product``).  The signs of A^T y on J_D come from the dual
+update's A^T y.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL,
                          ZERO_STEP_TOL, AsmError, UnboundedDirectionError,
                          run_active_set, smallest)
-from .linalg import Block, InverseCarry, SolveReport, solve_consistent
+from .linalg import Block, InverseCarry, SolveReport, right_product, solve_consistent
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
 _SIDES = np.array([[1.0], [-1.0]])   # a row's upper and lower bound
@@ -60,7 +63,9 @@ class PrimalContext:
     J_D: np.ndarray
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
     col_y: np.ndarray                         # A^T y_next
-    warm_direction: np.ndarray | None = None  # d_hat, full length n
+    # the dual update's d_hat, full length n and zero off J_D, since the
+    # products with A read only the columns of J_D
+    warm_direction: np.ndarray | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
 
     @property
@@ -178,7 +183,7 @@ class _PrimalFace:
     def direction(self, support, active):
         report = primal_direction(self.ctx, active, support, self.signs)
         if report.consistent:
-            self.a_d = self.ctx.A @ report.solution
+            self.a_d = right_product(self.ctx.A, report.solution, support)
         return report
 
     def step(self, d, xi, support, active):
@@ -202,7 +207,7 @@ class _PrimalFace:
                                   self.signs, self.col_sign, report)
 
     def warm_slack(self, d):
-        self.a_d = self.ctx.A @ d
+        self.a_d = right_product(self.ctx.A, d, self.outer)
         return self.a_d + self.signs
 
     def stays(self, d, xi):
@@ -231,7 +236,9 @@ def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
     if np.count_nonzero(np.abs(xi[off]) > SUPPORT_TOL):
         raise ValueError("x_start has support outside the dual active columns")
     xi[off] = 0.0
-    face.resid = ctx.A @ xi - ctx.b
+    if ctx.warm_direction is not None and np.count_nonzero(ctx.warm_direction[off]):
+        raise ValueError("warm_direction has mass outside the dual active columns")
+    face.resid = right_product(ctx.A, xi, face.outer) - ctx.b
     xi, support, active, e_hat, iterations = run_active_set(
         face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm_direction, opt_tol, trace)
     return PrimalUpdateResult(xi, face.tau, e_hat, active, support, e_hat is None,

@@ -261,3 +261,16 @@ def test_dual_step_matches_loop_reference_on_a_path(monkeypatch):
         ref_alpha, ref_cols, ref_rows = loop_dual_step(ctx, e, psi, I_D, J_D, col_e, col_psi)
         assert struct.pack("<d", alpha) == struct.pack("<d", ref_alpha)
         assert (new_cols.tolist(), zero_rows.tolist()) == (ref_cols, ref_rows)
+
+
+def test_warm_direction_must_be_zero_off_the_primal_active_rows():
+    # A^T e of the warm direction reads the rows of I_P only
+    ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
+               if kind == "dual" and c.warm_direction is not None
+               and np.count_nonzero(~c.I_P))
+    dual_update(ctx)
+    warm = ctx.warm_direction.copy()
+    warm[(~ctx.I_P).nonzero()[0][0]] = 1e-12
+    ctx.warm_direction = warm
+    with pytest.raises(ValueError, match="warm_direction"):
+        dual_update(ctx)

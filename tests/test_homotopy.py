@@ -610,3 +610,34 @@ def test_kernel_counts_reach_the_trace_but_not_the_export():
     shown = {key: records[-1][f"kernel_{key}"] for key in ("updates", "fresh", "drift", "svd")}
     assert shown == dataclasses.asdict(counts)
     assert "kernel" not in export_to_json(path_to_export(inst, path))
+
+
+def test_gathered_products_keep_the_path(monkeypatch):
+    # a wide instance whose faces gather their rows and columns, solved
+    # again with every product dense: the same work, bounds that differ by
+    # rounding only, and every breakpoint certified on both
+    from l1linf import dual_update, linalg
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((40, 600)), rng.standard_normal(40)
+    inst = ProblemInstance(a, b, 0.4 * np.max(np.abs(b)))
+    assert a.size >= linalg.GATHER_MIN_SIZE
+    shares = []
+
+    def watched(a, v, rows):
+        shares.append(np.count_nonzero(rows) if rows.dtype == bool else rows.size)
+        return linalg.left_product(a, v, rows)
+    monkeypatch.setattr(dual_update, "left_product", watched)
+    gathered = solve_path(inst)
+    assert min(shares) <= linalg.GATHER_ROW_SHARE * a.shape[0]
+    monkeypatch.setattr(linalg, "GATHER_MIN_SIZE", a.size + 1)
+    dense = solve_path(inst)
+    for path in (gathered, dense):
+        assert path.terminated == "target-reached", path.failure_reason
+        assert all(check_optimal_pair(inst, bp.x, bp.y, bp.delta_k)
+                   for bp in path.breakpoints)
+    assert len(gathered.breakpoints) == len(dense.breakpoints) > 10
+    assert (gathered.dual_iterations, gathered.primal_iterations) \
+        == (dense.dual_iterations, dense.primal_iterations)
+    assert gathered.kernel == dense.kernel
+    for got, want in zip(gathered.breakpoints, dense.breakpoints):
+        assert abs(got.delta_k - want.delta_k) <= 1e-12 * want.delta_k

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from l1linf import dual_update, linalg, primal_update, solve_path
-from l1linf.linalg import (QR_MIN_COLS, Block, IndexSet, InverseCarry, _svd_solve,
-                           solve_consistent)
+from l1linf.linalg import (GATHER_MIN_SIZE, QR_MIN_COLS, Block, IndexSet, InverseCarry,
+                           _svd_solve, left_product, right_product, solve_consistent)
 from test_homotopy import pinned_gaussian
 
 
@@ -37,6 +37,70 @@ def test_indexset_from_mask_len_and_iteration():
     np.testing.assert_array_equal(s.array, [1, 3])
     assert s.array.dtype == np.intp
     assert IndexSet(np.array([1, 3]), 5) == s
+
+
+PRODUCT_RTOL = 1e-13    # a sum of fewer float64 terms, in another order
+
+
+def _supported(rng, size, count):
+    """A random vector supported on count sorted positions, and those."""
+    idx = np.sort(rng.choice(size, count, replace=False))
+    v = np.zeros(size)
+    v[idx] = rng.standard_normal(count)
+    return v, idx
+
+
+def _as_arg(idx, size, mask):
+    """Sorted indices, or the mask of them."""
+    if not mask:
+        return idx
+    out = np.zeros(size, dtype=bool)
+    out[idx] = True
+    return out
+
+
+@pytest.mark.parametrize("mask", [False, True])
+def test_products_gather_a_few_rows_or_columns_of_a_large_matrix(mask):
+    # A has NaN off the support, which only a gathered product never reads
+    rng = np.random.default_rng(3)
+    m, n = 150, 300
+    assert m * n >= GATHER_MIN_SIZE
+    for _ in range(20):
+        a = rng.standard_normal((m, n))
+        v, rows = _supported(rng, m, int(rng.integers(0, m // 3 + 1)))
+        ref = a.T @ v
+        scale = np.abs(a).T @ np.abs(v)
+        poisoned = a.copy()
+        poisoned[np.setdiff1d(np.arange(m), rows)] = np.nan
+        got = left_product(poisoned, v, _as_arg(rows, m, mask))
+        assert np.all(np.abs(got - ref) <= PRODUCT_RTOL * scale)
+        w, cols = _supported(rng, n, int(rng.integers(0, n // 10 + 1)))
+        ref = a @ w
+        scale = np.abs(a) @ np.abs(w)
+        poisoned = a.copy()
+        poisoned[:, np.setdiff1d(np.arange(n), cols)] = np.nan
+        got = right_product(poisoned, w, _as_arg(cols, n, mask))
+        assert np.all(np.abs(got - ref) <= PRODUCT_RTOL * scale)
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("shape, row_share, col_share", [
+    ((150, 300), 0.5, 0.2),                # large matrix, too many rows and columns
+    ((60, 120), 0.1, 0.05),                # few rows and columns of a small matrix
+])
+def test_products_stay_dense_otherwise(mask, shape, row_share, col_share):
+    rng = np.random.default_rng(4)
+    m, n = shape
+    if row_share <= 1 / 3:
+        assert m * n < GATHER_MIN_SIZE
+    for _ in range(20):
+        a = rng.standard_normal((m, n))
+        v, rows = _supported(rng, m, max(1, int(row_share * m)))
+        got = left_product(a, v, _as_arg(rows, m, mask))
+        assert got.tobytes() == (a.T @ v).tobytes()
+        w, cols = _supported(rng, n, max(1, int(col_share * n)))
+        got = right_product(a, w, _as_arg(cols, n, mask))
+        assert got.tobytes() == (a @ w).tobytes()
 
 
 def test_solve_identity():

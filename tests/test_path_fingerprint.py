@@ -77,3 +77,20 @@ def test_x_moved_by_one_ulp_changes_the_digest(tmp_path, capsys):
     assert "gauss/0/warm: digest" in capsys.readouterr().out
     # a positive rtol bounds delta_k alone and leaves the digests aside
     assert path_fingerprint.main(["compare", str(a), str(b), "--rtol", "1e-12"]) == 0
+
+
+def test_last_line_counts_the_differing_paths_of_each_family(tmp_path, capsys):
+    reference = dict(REFERENCE, **{"tied/3/warm": fingerprint([1.0, 0.5]),
+                                   "tied/3/cold": fingerprint([1.0, 0.5])})
+    moved = dict(reference, **{
+        "gauss/0/cold": dict(fingerprint([2.0, 1.0, 0.5 * (1 + 1e-15)]), retries=1),
+        "gauss/0/warm": fingerprint([2.0, 1.5, 0.75, 0.5 * (1 + 1e-15)])})
+    del moved["tied/3/cold"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(reference))
+    b.write_text(json.dumps(moved))
+    assert path_fingerprint.main(["compare", str(a), str(b)]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "by family: gauss 2 (delta_k, retries); tied 1 (presence)"
+    assert path_fingerprint.main(["compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "by family: gauss 0; tied 0"

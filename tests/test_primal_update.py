@@ -301,3 +301,16 @@ def test_primal_step_matches_loop_reference_on_a_path(monkeypatch):
         ref = loop_primal_step(*args)
         assert struct.pack("<d", alpha) == struct.pack("<d", ref[0])
         assert (hit, new_rows, leaving.tolist()) == ref[1:]
+
+
+def test_warm_direction_must_be_zero_off_the_dual_active_columns():
+    # A d of the warm direction reads the columns of J_D only
+    ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
+               if kind == "primal" and c.warm_direction is not None
+               and np.count_nonzero(~c.J_D))
+    primal_update(ctx)
+    warm = ctx.warm_direction.copy()
+    warm[(~ctx.J_D).nonzero()[0][0]] = 1e-12
+    ctx.warm_direction = warm
+    with pytest.raises(ValueError, match="warm_direction"):
+        primal_update(ctx)

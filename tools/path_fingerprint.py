@@ -19,7 +19,10 @@ breakpoint's ``x`` and ``y`` bytes, its four index sets and its
 bound to agree within ``--rtol`` times the bound itself (exact by
 default); the digest is compared in the exact mode only, since a positive
 ``--rtol`` admits paths that differ by rounding.  It lists each
-difference and exits 1 when there is one.  It also prints the largest
+difference and exits 1 when there is one.  Its last line gives, for each
+family of paths (the label's first part: ``gauss-deep``, ``verify-0``,
+``half-integer``, ...), how many of its paths differ and in which fields.
+It also prints the largest
 difference relative to the path's start bound delta_0 = ||b||_inf:
 since delta_k = delta_{k-1} - t_k carries a rounding difference in an
 early step unchanged down the path, a bound a thousand times below
@@ -120,8 +123,8 @@ def write(out: Path) -> int:
 def compare(a_file: Path, b_file: Path, rtol: float) -> int:
     import numpy as np
     a, b = (json.loads(Path(f).read_text()) for f in (a_file, b_file))
-    diffs = [f"{key}: only in {a_file if key in a else b_file}"
-             for key in sorted(set(a) ^ set(b))]
+    diffs = [(key, "presence", f"{key}: only in {a_file if key in a else b_file}")
+             for key in sorted(set(a) ^ set(b))]    # (path, field, line)
     worst = worst_start = 0.0
     for key in sorted(set(a) & set(b)):
         fa, fb = a[key], b[key]
@@ -129,7 +132,8 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
             if field == "delta_k" or (field == "digest" and rtol > 0.0):
                 continue
             if fa.get(field) != fb.get(field):
-                diffs.append(f"{key}: {field} {fa.get(field)!r} != {fb.get(field)!r}")
+                diffs.append((key, field,
+                              f"{key}: {field} {fa.get(field)!r} != {fb.get(field)!r}"))
         da, db = (np.frombuffer(bytes.fromhex(f["delta_k"]), dtype="<f8") for f in (fa, fb))
         if da.shape != db.shape:
             continue                 # the breakpoint counts differ, listed above
@@ -139,13 +143,28 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
         rel = float((gap[gap > 0.0] / np.abs(da[gap > 0.0])).max(initial=0.0))
         worst = max(worst, rel)
         if rel > rtol:
-            diffs.append(f"{key}: delta_k differs by {rel:.3e} of itself")
-    for line in diffs:
+            diffs.append((key, "delta_k", f"{key}: delta_k differs by {rel:.3e} of itself"))
+    for _, _, line in diffs:
         print(line)
     print(f"{len(a)} vs {len(b)} paths; {len(diffs)} differences; largest delta_k "
           f"difference {worst:.3e} of delta_k itself (rtol {rtol:g}), "
           f"{worst_start:.3e} of delta_0")
+    print("by family: " + family_summary(set(a) | set(b), diffs))
     return 1 if diffs else 0
+
+
+def family_summary(keys, diffs) -> str:
+    """Each family of paths (a label's first part), how many of its paths
+    differ and in which fields."""
+    paths, fields = {}, {}
+    for key, field, _ in diffs:
+        family = key.split("/")[0]
+        paths.setdefault(family, set()).add(key)
+        fields.setdefault(family, set()).add(field)
+    return "; ".join(
+        f"{family} {len(paths[family])} ({', '.join(sorted(fields[family]))})"
+        if family in paths else f"{family} 0"
+        for family in sorted({key.split("/")[0] for key in keys}))
 
 
 def main(argv=None) -> int:

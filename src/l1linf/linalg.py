@@ -33,15 +33,18 @@ QR_MIN_COLS = 12
 # zero off a few rows or columns, gather those rows or columns once A has
 # GATHER_MIN_SIZE entries and the vector lives on at most the share
 # GATHER_ROW_SHARE of the rows or GATHER_COL_SHARE of the columns;
-# otherwise they make the dense product.  One BLAS thread on a 2-vCPU Xeon: A^T v takes 143 us
-# dense on 200 x 2000, 20 us over a tenth of its rows and 92 us over a
-# third; A v takes 133 us dense, 43 us over 5% of its columns and 116 us
-# over 10%, where the strided column gather stops paying off (210 us over
-# 15%).  On 200 x 400 both gathers break even at those shares, on
-# 100 x 200 the dense product takes 4-5 us and a gather over 5% 3 us, and
-# below 2 * 10^4 entries a gather costs more than the product it saves
-# (70 x 140: 3.8 us dense, 4.5 us gathered over 2% of the rows).
-GATHER_MIN_SIZE = 20_000
+# otherwise they make the dense product.  Every product of a path replayed
+# both ways, one BLAS thread on a 2-vCPU Xeon, dense against gathered per
+# call: 200 x 2000 (wide-shallow) A^T v 170 against 20-30 us and A v 175
+# against 17 us; 200 x 800 (a sparse-recovery path) A^T v 38-41 against
+# 13-33 us and A v 44 against 32 us; 200 x 400 (gauss-deep) A^T v 17-20
+# against 10-27 us and A v 15 against 19 us; 100 x 400 A v 9 against
+# 11 us.  Below 10^5 entries a gather saves nothing.  In isolation, on
+# 200 x 2000, A^T v takes 143 us dense, 20 us over a tenth of the rows and
+# 92 us over a third; A v takes 133 us dense, 43 us over 5% of the
+# columns, 116 us over 10% and 210 us over 15%, since a column gather is
+# strided.
+GATHER_MIN_SIZE = 100_000
 GATHER_ROW_SHARE = 1 / 3
 GATHER_COL_SHARE = 0.1
 # A square system counts as nonsingular when the R of its QR factor has

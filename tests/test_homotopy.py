@@ -618,7 +618,7 @@ def test_gathered_products_keep_the_path(monkeypatch):
     # rounding only, and every breakpoint certified on both
     from l1linf import dual_update, linalg
     rng = np.random.default_rng(12)
-    a, b = rng.standard_normal((40, 600)), rng.standard_normal(40)
+    a, b = rng.standard_normal((50, 2000)), rng.standard_normal(50)
     inst = ProblemInstance(a, b, 0.4 * np.max(np.abs(b)))
     assert a.size >= linalg.GATHER_MIN_SIZE
     shares = []

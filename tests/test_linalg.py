@@ -63,7 +63,7 @@ def _as_arg(idx, size, mask):
 def test_products_gather_a_few_rows_or_columns_of_a_large_matrix(mask):
     # A has NaN off the support, which only a gathered product never reads
     rng = np.random.default_rng(3)
-    m, n = 150, 300
+    m, n = 250, 500
     assert m * n >= GATHER_MIN_SIZE
     for _ in range(20):
         a = rng.standard_normal((m, n))
@@ -85,8 +85,8 @@ def test_products_gather_a_few_rows_or_columns_of_a_large_matrix(mask):
 
 @pytest.mark.parametrize("mask", [False, True])
 @pytest.mark.parametrize("shape, row_share, col_share", [
-    ((150, 300), 0.5, 0.2),                # large matrix, too many rows and columns
-    ((60, 120), 0.1, 0.05),                # few rows and columns of a small matrix
+    ((250, 500), 0.5, 0.2),                # large matrix, too many rows and columns
+    ((200, 400), 0.1, 0.05),               # few rows and columns of a small matrix
 ])
 def test_products_stay_dense_otherwise(mask, shape, row_share, col_share):
     rng = np.random.default_rng(4)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from l1linf import dual_update, linalg, primal_update, solve_path
+from l1linf.active_set import index_mask
 from l1linf.linalg import (GATHER_MIN_SIZE, QR_MIN_COLS, Block, IndexSet, InverseCarry,
                            _svd_solve, left_product, right_product, solve_consistent)
 from test_homotopy import pinned_gaussian
@@ -50,15 +51,6 @@ def _supported(rng, size, count):
     return v, idx
 
 
-def _as_arg(idx, size, mask):
-    """Sorted indices, or the mask of them."""
-    if not mask:
-        return idx
-    out = np.zeros(size, dtype=bool)
-    out[idx] = True
-    return out
-
-
 @pytest.mark.parametrize("mask", [False, True])
 def test_products_gather_a_few_rows_or_columns_of_a_large_matrix(mask):
     # A has NaN off the support, which only a gathered product never reads
@@ -72,14 +64,14 @@ def test_products_gather_a_few_rows_or_columns_of_a_large_matrix(mask):
         scale = np.abs(a).T @ np.abs(v)
         poisoned = a.copy()
         poisoned[np.setdiff1d(np.arange(m), rows)] = np.nan
-        got = left_product(poisoned, v, _as_arg(rows, m, mask))
+        got = left_product(poisoned, v, index_mask(m, rows) if mask else rows)
         assert np.all(np.abs(got - ref) <= PRODUCT_RTOL * scale)
         w, cols = _supported(rng, n, int(rng.integers(0, n // 10 + 1)))
         ref = a @ w
         scale = np.abs(a) @ np.abs(w)
         poisoned = a.copy()
         poisoned[:, np.setdiff1d(np.arange(n), cols)] = np.nan
-        got = right_product(poisoned, w, _as_arg(cols, n, mask))
+        got = right_product(poisoned, w, index_mask(n, cols) if mask else cols)
         assert np.all(np.abs(got - ref) <= PRODUCT_RTOL * scale)
 
 
@@ -96,10 +88,10 @@ def test_products_stay_dense_otherwise(mask, shape, row_share, col_share):
     for _ in range(20):
         a = rng.standard_normal((m, n))
         v, rows = _supported(rng, m, max(1, int(row_share * m)))
-        got = left_product(a, v, _as_arg(rows, m, mask))
+        got = left_product(a, v, index_mask(m, rows) if mask else rows)
         assert got.tobytes() == (a.T @ v).tobytes()
         w, cols = _supported(rng, n, max(1, int(col_share * n)))
-        got = right_product(a, w, _as_arg(cols, n, mask))
+        got = right_product(a, w, index_mask(n, cols) if mask else cols)
         assert got.tobytes() == (a @ w).tobytes()
 
 

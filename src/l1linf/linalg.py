@@ -62,6 +62,7 @@ QR_RANK_RTOL = 1e-8
 # median 9.3e-14 and 99.9th percentile 5.3e-11, 2 exceed the bound, and
 # those of fresh inverses stay below 3e-13.
 DRIFT_RTOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def _max_abs(v: np.ndarray) -> float:
@@ -218,25 +219,26 @@ class InverseCarry:
     kept from one kernel call to the next.
 
     S is the block itself for a square block and [M | rhs] for a (k+1) x k
-    block.  Its rows carry the labels of the rows of A they come from and
-    its columns the labels of A's columns, which the ``Block`` names; the
-    rhs column takes the label A.shape[1], so it sorts last, and its place
-    in S is ``slot`` (-1 when S has none).  S and H stay in the order in
-    which rows and columns joined S, so an update never reorders them;
-    ``rp`` and ``cp`` place the carried rows and columns in the current
+    block.  ``rows`` and ``cols`` label S's rows and columns with the rows
+    and columns of A that the ``Block`` names; the rhs column takes the
+    label A.shape[1], so it sorts after every column of A, and its place in
+    S is ``slot`` (-1 when S has none).  S, H and the labels stay in the
+    order in which rows and columns joined S, so an update never reorders
+    them; ``rp`` and ``cp`` place S's rows and columns in the current
     block.  S is the leading block of a buffer that grows, up to the row
-    count of A, when a bordering needs room; H is a contiguous array, since
-    the subtraction of its rank-one updates runs 3-5 times faster on one
-    than on a view.  ``follow`` brings both to the next system in O(k^2)
-    when that differs from S by one bordering, one un-bordering or one
-    replaced column, reading the O(k) new entries of S from the block; any
-    other change, new values in the rhs column included, clears them, so
-    the system is gathered and factored afresh.
+    count of A, when a bordering needs room, and the labels lead two
+    buffers of that row count, so a bordering writes only its new entries;
+    H is a contiguous array, since the subtraction of its rank-one updates
+    runs 3-5 times faster on one than on a view.  ``follow`` brings S and H
+    to the next system in O(k^2) when that differs from S by one bordering,
+    one un-bordering or one replaced column, reading the O(k) new entries
+    of S from A; any other change, new values in the rhs column included,
+    clears them, so the system is gathered and factored afresh.
     """
 
     def __init__(self):
         self.counts = KernelCounts()
-        self._sbuf = None
+        self._sbuf = self._rbuf = self._cbuf = None
         self.clear()
 
     def clear(self) -> None:
@@ -245,65 +247,80 @@ class InverseCarry:
         self.slot = -1
 
     def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
-              cols: np.ndarray, k: int) -> None:
-        """Carry S, which becomes the buffer, and H = S^-1, the system of a
-        block with k columns."""
+              cols: np.ndarray, n: int, limit: int) -> None:
+        """Carry S, which becomes the buffer, and H = S^-1, the system of
+        the block whose sorted labels are rows and cols; a last column of
+        S beyond cols is the rhs column, labelled n.  limit, the row count
+        of the block's matrix, bounds the size of S."""
+        size, k = s.shape[0], cols.size
         self.s = self._sbuf = s
         self.h = h
-        self.rows, self.cols = rows.copy(), cols.copy()
-        self.rp, self.cp = np.arange(rows.size), np.arange(cols.size)
-        self.slot = k if cols.size > k else -1
+        if self._rbuf is None or self._rbuf.size < limit:
+            self._rbuf, self._cbuf = np.empty(limit, np.intp), np.empty(limit, np.intp)
+        self._rbuf[:size] = rows
+        self._cbuf[:k] = cols
+        self.slot = -1
+        if size > k:
+            self.slot, self._cbuf[k] = k, n
+        self.rows, self.cols = self._rbuf[:size], self._cbuf[:size]
+        self.rp, self.cp = np.arange(size), np.arange(size)
 
     def follow(self, m: Block, rhs: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> bool:
-        """Update S and H to the system of (m, rhs) whose sorted labels are
-        rows and cols, the rhs column's label last in cols for a
-        (k+1) x k block.  Returns False, and clears, when no update applies
-        or an update's pivot is too small."""
+        """Update S and H to the system of (m, rhs), whose sorted labels
+        are rows and cols; the rhs column of a (k+1) x k block comes after
+        cols.  Returns False, and clears, when no update applies or an
+        update's pivot is too small."""
         if self.h is None:
             return False
-        k = m.shape[1]
-        rmatch, cmatch = _match(rows, self.rows), _match(cols, self.cols)
+        a, size, k = m.a, rows.size, cols.size
+        tall = size > k
+        rmatch = _match(rows, self.rows, size, -1)
+        cmatch = _match(cols, self.cols, size, self.slot if tall else -1)
         if rmatch is None or cmatch is None:
             self.clear()
             return False
-        rpos, rgone, rnew = rmatch
-        cpos, cgone, cnew = cmatch
-        if cols.size > k and self.slot >= 0:
+        rpos, p, i = rmatch
+        cpos, q, j = cmatch
+        if tall and self.slot >= 0:
             # new values in the rhs column of a kept row: factor afresh
             moved = rhs.take(rpos, mode="clip") != self.s[:, self.slot]
-            if rgone:
-                moved[rgone[0]] = False
+            if p >= 0:
+                moved[p] = False
             if np.count_nonzero(moved):
                 self.clear()
                 return False
-        change = (len(rgone), len(rnew), len(cgone), len(cnew))
         ok = True
-        if change == (0, 0, 1, 1):
-            q, j = cgone[0], cnew[0]
-            col = m[rpos, j] if j < k else rhs[rpos]
+        if i >= 0 and p < 0:            # a bordering by row i and column j
+            col = a[self.rows, cols[j]] if j < k else rhs[rpos]
+            row = a[rows[i]].take(self.cols, mode="clip")
+            if self.slot >= 0:
+                row[self.slot] = rhs[i]
+            corner = a[rows[i], cols[j]] if j < k else rhs[i]
+            ok = self._border(col, row, corner, a.shape[0])
+            if ok:
+                last = self.rows.size
+                self._rbuf[last] = rows[i]
+                self._cbuf[last] = cols[j] if j < k else a.shape[1]
+                if j == k:
+                    self.slot = last
+                self.rows, self.cols = self._rbuf[:size], self._cbuf[:size]
+                rpos, cpos = rows.searchsorted(self.rows), cols.searchsorted(self.cols)
+        elif p >= 0 and i < 0:          # an un-bordering of row p and column q
+            ok = self._unborder(p, q, rpos, cpos)
+            rpos, cpos = rpos[:-1], cpos[:-1]
+        elif p >= 0:                    # a replaced row: factored afresh
+            ok = False
+        elif q >= 0:                    # column q replaced by block column j
+            col = a[self.rows, cols[j]] if j < k else rhs[rpos]
             ok = _replace_column(self.h, q, col)
             self.s[:, q] = col
-            self.cols[q], cpos[q] = cols[j], j
+            self.cols[q] = cols[j] if j < k else a.shape[1]
+            cpos[q] = j
             if j == k:
                 self.slot = q
             elif q == self.slot:
                 self.slot = -1
-        elif change == (0, 1, 0, 1):
-            i, j = rnew[0], cnew[0]
-            col = m[rpos, j] if j < k else rhs[rpos]
-            row = _row(m, rhs, i)[cpos]
-            corner = m[i, j] if j < k else rhs[i]
-            ok = self._border(col, row, corner, m.a.shape[0])
-            if j == k:
-                self.slot = cpos.size
-            self.rows, rpos = _appended(self.rows, rows[i]), _appended(rpos, i)
-            self.cols, cpos = _appended(self.cols, cols[j]), _appended(cpos, j)
-        elif change == (1, 0, 1, 0):
-            ok = self._unborder(rgone[0], cgone[0], rpos, cpos)
-            rpos, cpos = rpos[:-1], cpos[:-1]
-        elif change != (0, 0, 0, 0):
-            ok = False
         if not ok:
             self.clear()
             return False
@@ -323,9 +340,9 @@ class InverseCarry:
             return False
         size = h.shape[0]
         out = np.empty((size + 1, size + 1))
-        a = hc / sigma
-        np.add(h, np.outer(a, rh), out=out[:size, :size])
-        out[:size, size] = -a
+        a = hc / -sigma                 # so H - a rh^T = H + hc rh^T / sigma
+        np.subtract(h, np.multiply.outer(a, rh), out=out[:size, :size])
+        out[:size, size] = a
         out[size, :size] = rh / -sigma
         out[size, size] = 1.0 / sigma
         self.h = out
@@ -343,12 +360,12 @@ class InverseCarry:
         """Remove row p and column q of S.  With f = H e_p, g = e_q^T H and
         h = H_qp, the rank-one step H - f g^T / h zeroes column p and row q
         of H and leaves the new inverse in the rest; the last row and
-        column of S and H then move into the freed places."""
+        column of S, H and the labels then move into the freed places."""
         h, s = self.h, self.s
         f, g, piv = h[:, p], h[q], h[q, p]
         if not abs(piv) > QR_RANK_RTOL * max(_max_abs(f), _max_abs(g)):
             return False
-        h -= np.outer(f / piv, g)
+        h -= np.multiply.outer(f / piv, g)
         last = h.shape[0] - 1
         h[q], h[:, p] = h[last], h[:, last]
         s[:, q], s[p] = s[:, last], s[last]
@@ -359,76 +376,91 @@ class InverseCarry:
         self.rows, self.cols = self.rows[:last], self.cols[:last]
         return True
 
-    def answer(self, rhs: np.ndarray, k: int,
-               carried: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(solution, w, M solution - rhs in S's order) of the block with k
-        columns and right-hand side rhs, from H after one step of
-        iterative refinement against S.  A carried H's answer is None when
+    def answer(self, rhs: np.ndarray, k: int, carried: bool) -> SolveReport | None:
+        """The report of the block with k columns and right-hand side rhs,
+        from H after one step of iterative refinement against S, with both
+        residual tests run through S.  A carried H's answer is None when
         it is not finite or the refinement moved it by more than
         DRIFT_RTOL."""
-        s, h, rp, cp = self.s, self.h, self.rp, self.cp
-        if self.slot >= 0:
-            # S^T u = e_last, that is M^T u = 0 and rhs^T u = 1
-            u = h[self.slot].copy()
-            res = -(u @ s)
-            res[self.slot] += 1.0
-            du = res @ h
+        s, h, rp, slot = self.s, self.h, self.rp, self.slot
+        if slot >= 0:
+            # S^T u = e_slot, that is M^T u = 0 and rhs^T u = 1
+            u = h[slot]
+            g = u @ s
+            g[slot] -= 1.0
+            du = g @ h
+            u = u - du
         else:
             b = rhs[rp]
             u = h @ b
             du = h @ (b - s @ u)
-        u += du
+            u += du
         size = _max_abs(u)
         if carried and not (math.isfinite(size) and _max_abs(du) <= DRIFT_RTOL * size):
             return None
-        if self.slot < 0:
-            x = np.empty(k)
-            x[cp] = u
-            return x, np.zeros(k), s @ u - b
+        if slot < 0:    # a square block's w, and so its z, is 0
+            resid = _max_abs(s @ u - b)
+            ok, _ = _passes(resid, 1.0, rhs)
+            return SolveReport(_placed(u, self.cp, k) if ok else None, resid, ok,
+                               np.zeros(k), SolveReport(None, 1.0, False))
         unit = u / size                 # u . u itself could overflow
         ws = unit / ((unit @ unit) * size)
         # S [x; -1] = M x - rhs = -w at the least-squares point x
         v = -(h @ ws)
-        x, w = np.empty(k + 1), np.empty(k + 1)
-        x[cp], w[rp] = v, ws
-        v[self.slot] = -1.0
-        return x[:k], w, s @ v
+        v[slot] = -1.0
+        resid = _max_abs(s @ v)
+        w = np.empty(k + 1)
+        w[rp] = ws
+        z_resid = 1.0
+        ww = float(w @ w)
+        if ww > 0.0:
+            # z = w / ww, whose residual M^T z, rhs^T z - 1 is g in S's order
+            g = (ws / ww) @ s
+            g[slot] -= 1.0
+            z_resid = _max_abs(g)
+        ok, z_ok = _passes(resid, z_resid, rhs)
+        return SolveReport(_placed(v, self.cp, k) if ok else None, resid, ok, w,
+                           SolveReport(w / ww if z_ok else None, z_resid, z_ok))
 
-    def alternative_residual(self, z: np.ndarray) -> np.ndarray:
-        """M^T z with rhs^T z - 1 in the rhs column's place, in S's order,
-        for a (k+1) x k block; a square block's w, and so its z, is 0."""
-        g = z[self.rp] @ self.s
-        g[self.slot] -= 1.0
-        return g
+
+def _passes(resid: float, z_resid: float, rhs: np.ndarray) -> tuple[bool, bool]:
+    """The residual tests of the least-squares point and of the
+    alternative, whose residuals have sup-norms resid and z_resid:
+    ||residual||_inf <= CONSISTENCY_TOL * (1 + ||right-hand side||_inf)."""
+    return resid <= CONSISTENCY_TOL * (1.0 + _max_abs(rhs)), z_resid <= CONSISTENCY_TOL * 2.0
 
 
-def _match(labels: np.ndarray, carried: np.ndarray) -> tuple | None:
-    """(positions of the carried labels in the sorted labels, the carried
-    positions of those that are not there, the positions of the labels
-    that are new), or None when more than one label is gone or more than
-    one is new, which no update follows.  A position of a missing label
-    is meaningless."""
+def _placed(v: np.ndarray, cp: np.ndarray, k: int) -> np.ndarray:
+    """The first k entries of v moved from S's order to the block's."""
+    x = np.empty(cp.size)
+    x[cp] = v
+    return x[:k]
+
+
+def _match(labels: np.ndarray, carried: np.ndarray, size: int,
+           slot: int) -> tuple | None:
+    """Match the labels of S's rows or columns, in S's order, against the
+    sorted labels of a block whose square system has size rows: (the
+    block position of each carried label, the index in S of the one label
+    that is gone or -1, the block position of the one that is new or -1),
+    or None when more than one label is gone or more than one is new,
+    which no update follows.  A block's rhs column is S's column slot when
+    slot >= 0, at block position labels.size after every label; the
+    position of a gone label is meaningless."""
     pos = labels.searchsorted(carried)
-    found = labels.take(pos, mode="clip") == carried
-    kept = int(np.count_nonzero(found))
-    if carried.size - kept > 1 or labels.size - kept > 1:
+    hit = labels.take(pos, mode="clip") == carried
+    if slot >= 0:
+        hit[slot] = True
+    kept = np.count_nonzero(hit)
+    if carried.size - kept > 1 or size - kept > 1:
         return None
-    gone = () if kept == carried.size else (int(found.argmin()),)
-    new = ()
-    if kept < labels.size:
-        # the kept labels take every position of 0..labels.size-1 but one
-        taken = int(pos.sum()) - (int(pos[gone[0]]) if gone else 0)
-        new = (labels.size * (labels.size - 1) // 2 - taken,)
+    gone = -1 if kept == carried.size else int(hit.argmin())
+    new = -1
+    if kept < size:
+        # the kept labels take every position of 0..size-1 but one
+        taken = sum(pos.tolist()) - (int(pos[gone]) if gone >= 0 else 0)
+        new = size * (size - 1) // 2 - taken
     return pos, gone, new
-
-
-def _appended(a: np.ndarray, x) -> np.ndarray:
-    return np.concatenate((a, (x,)))
-
-
-def _row(m, rhs: np.ndarray, i: int) -> np.ndarray:
-    """Row i of S, sorted: the block's row, then rhs_i for a (k+1) x k block."""
-    return m[i] if m.shape[0] == m.shape[1] else _appended(m[i], rhs[i])
 
 
 def _replace_column(h: np.ndarray, q: int, col: np.ndarray) -> bool:
@@ -440,7 +472,7 @@ def _replace_column(h: np.ndarray, q: int, col: np.ndarray) -> bool:
     if not abs(piv) > QR_RANK_RTOL * _max_abs(v):
         return False
     hq = h[q] / piv
-    h -= np.outer(v, hq)
+    h -= np.multiply.outer(v, hq)
     h[q] = hq
     return True
 
@@ -479,63 +511,54 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     path through rounding only.
     """
     if isinstance(m, Block):
-        rows, cols, n = m.rows, m.cols, m.a.shape[1]
+        rows, cols, n, limit = m.rows, m.cols, m.a.shape[1], m.a.shape[0]
     elif carry is None:
         m = as_matrix(m, "M")
-        rows, cols, n = np.arange(m.shape[0]), np.arange(m.shape[1]), m.shape[1]
+        rows, cols = np.arange(m.shape[0]), np.arange(m.shape[1])
+        n, limit = m.shape[1], m.shape[0]
     else:
         raise TypeError("a carried solve takes a Block, whose labels name its system")
     rhs = as_vector(rhs, "rhs")
     if m.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: M has {m.shape[0]} rows, rhs has {rhs.shape[0]}")
     rows_n, cols_n = m.shape
-
-    found = None
     if cols_n >= QR_MIN_COLS and rows_n - cols_n in (0, 1):
         if carry is None:   # a stateless call factors afresh in a carry of its own
             carry = InverseCarry()
-        found = _square_solve(m, rhs, carry, rows,
-                              _appended(cols, n) if rows_n > cols_n else cols)
-    if found is None:
-        m = np.asarray(m)
-        sol, w = _svd_solve(m, rhs)
-        r = m @ sol - rhs
-    else:
-        sol, w, r = found
+        report = _square_solve(m, rhs, carry, rows, cols, n, limit)
+        if report is not None:
+            return report
+    m = np.asarray(m)
+    sol, w = _svd_solve(m, rhs)
+    resid = _max_abs(m @ sol - rhs)
+    z, z_resid = None, 1.0      # M^T 0 = 0 and rhs^T 0 - 1 = -1 exactly
     ww = float(w @ w)
     if ww > 0.0:
         z = w / ww
-        g = _appended(m.T @ z, rhs @ z - 1.0) if found is None \
-            else carry.alternative_residual(z)
-        z_resid = _max_abs(g)
-    else:   # M^T 0 = 0 and rhs^T 0 - 1 = -1 exactly: every square block's case
-        z, z_resid = np.zeros(rows_n), 1.0
-    resid = _max_abs(r)
-    ok = resid <= CONSISTENCY_TOL * (1.0 + _max_abs(rhs))
-    z_ok = z_resid <= CONSISTENCY_TOL * 2.0
-    alternative = SolveReport(z if z_ok else None, z_resid, z_ok)
-    return SolveReport(sol if ok else None, resid, ok, w, alternative)
+        z_resid = max(_max_abs(m.T @ z), abs(float(rhs @ z) - 1.0))
+    ok, z_ok = _passes(resid, z_resid, rhs)
+    return SolveReport(sol if ok else None, resid, ok, w,
+                       SolveReport(z if z_ok else None, z_resid, z_ok))
 
 
 def _square_solve(m, rhs: np.ndarray, carry: InverseCarry, rows: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(solution, w, M solution - rhs) of a square or (k+1) x k block from
-    the inverse of its square system S, or None when S fails the rank
-    test."""
-    counts, k = carry.counts, m.shape[1]
+                  cols: np.ndarray, n: int, limit: int) -> SolveReport | None:
+    """The report of a square or (k+1) x k block from the inverse of its
+    square system S, or None when S fails the rank test."""
+    counts, k = carry.counts, cols.size
     if carry.follow(m, rhs, rows, cols):
-        found = carry.answer(rhs, k, carried=True)
-        if found is not None:
+        report = carry.answer(rhs, k, carried=True)
+        if report is not None:
             counts.updates += 1
-            return found
+            return report
         counts.drift += 1
-    s = np.array(m) if cols.size == k else np.column_stack((m, rhs))
+    s = np.array(m) if rows.size == k else np.column_stack((m, rhs))
     diag = np.abs(np.diagonal(np.linalg.qr(s, mode="r")))
     if not diag.min() > QR_RANK_RTOL * diag.max():
         counts.svd += 1
         carry.clear()
         return None
-    carry.start(s, np.linalg.inv(s), rows, cols, k)
+    carry.start(s, np.linalg.inv(s), rows, cols, n, limit)
     counts.fresh += 1
     return carry.answer(rhs, k, carried=False)
 
@@ -548,7 +571,8 @@ def _svd_solve(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (rows and cols):
         return np.zeros(cols), rhs.copy()
     u, sig, vt = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.count_nonzero(sig > np.finfo(float).eps * max(rows, cols) * sig[0]))
-    u, sig, vt = u[:, :rank], sig[:rank], vt[:rank]
+    rank = np.count_nonzero(sig > _EPS * max(rows, cols) * sig[0])
+    if rank < sig.size:
+        u, sig, vt = u[:, :rank], sig[:rank], vt[:rank]
     coef = u.T @ rhs
     return vt.T @ (coef / sig), rhs - u @ coef

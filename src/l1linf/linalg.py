@@ -245,6 +245,7 @@ class InverseCarry:
         self.s = self.h = None
         self.rows = self.cols = self.rp = self.cp = None
         self.slot = -1
+        self._keys = (None, None)
 
     def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
               cols: np.ndarray, n: int, limit: int) -> None:
@@ -264,6 +265,7 @@ class InverseCarry:
             self.slot, self._cbuf[k] = k, n
         self.rows, self.cols = self._rbuf[:size], self._cbuf[:size]
         self.rp, self.cp = np.arange(size), np.arange(size)
+        self._keys = (rows.tobytes(), cols.tobytes())
 
     def follow(self, m: Block, rhs: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> bool:
@@ -275,27 +277,40 @@ class InverseCarry:
             return False
         a, size, k = m.a, rows.size, cols.size
         tall = size > k
-        rmatch = _match(rows, self.rows, size, -1)
-        cmatch = _match(cols, self.cols, size, self.slot if tall else -1)
+        # almost every block keeps the rows or the columns of A of the last
+        # one (the same bytes and count), whose positions then stand; the
+        # other side is matched
+        keys, slot = (rows.tobytes(), cols.tobytes()), self.slot
+        if keys[0] == self._keys[0] and size == self.rows.size:
+            rmatch = (self.rp, -1, -1)
+        else:
+            rmatch = _match(rows, self.rows, size, -1)
+        if keys[1] == self._keys[1] and k == self.rows.size - (slot >= 0):
+            # the rhs column alone may join or leave
+            cmatch = (self.cp, slot if slot >= 0 and not tall else -1,
+                      k if slot < 0 and tall else -1)
+        else:
+            cmatch = _match(cols, self.cols, size, slot if tall else -1)
         if rmatch is None or cmatch is None:
             self.clear()
             return False
         rpos, p, i = rmatch
         cpos, q, j = cmatch
-        if tall and self.slot >= 0:
+        if tall and slot >= 0:
             # new values in the rhs column of a kept row: factor afresh
-            moved = rhs.take(rpos, mode="clip") != self.s[:, self.slot]
+            moved = rhs.take(rpos, mode="clip") != self.s[:, slot]
             if p >= 0:
                 moved[p] = False
             if np.count_nonzero(moved):
                 self.clear()
                 return False
+        change = (p >= 0, i >= 0, q >= 0, j >= 0)
         ok = True
-        if i >= 0 and p < 0:            # a bordering by row i and column j
+        if change == (False, True, False, True):    # a bordering by row i, column j
             col = a[self.rows, cols[j]] if j < k else rhs[rpos]
             row = a[rows[i]].take(self.cols, mode="clip")
-            if self.slot >= 0:
-                row[self.slot] = rhs[i]
+            if slot >= 0:
+                row[slot] = rhs[i]
             corner = a[rows[i], cols[j]] if j < k else rhs[i]
             ok = self._border(col, row, corner, a.shape[0])
             if ok:
@@ -306,12 +321,10 @@ class InverseCarry:
                     self.slot = last
                 self.rows, self.cols = self._rbuf[:size], self._cbuf[:size]
                 rpos, cpos = rows.searchsorted(self.rows), cols.searchsorted(self.cols)
-        elif p >= 0 and i < 0:          # an un-bordering of row p and column q
+        elif change == (True, False, True, False):  # an un-bordering of row p, column q
             ok = self._unborder(p, q, rpos, cpos)
             rpos, cpos = rpos[:-1], cpos[:-1]
-        elif p >= 0:                    # a replaced row: factored afresh
-            ok = False
-        elif q >= 0:                    # column q replaced by block column j
+        elif change == (False, False, True, True):  # column q replaced by column j
             col = a[self.rows, cols[j]] if j < k else rhs[rpos]
             ok = _replace_column(self.h, q, col)
             self.s[:, q] = col
@@ -321,10 +334,12 @@ class InverseCarry:
                 self.slot = q
             elif q == self.slot:
                 self.slot = -1
+        elif any(change):               # a replaced row, or more than one change
+            ok = False
         if not ok:
             self.clear()
             return False
-        self.rp, self.cp = rpos, cpos
+        self.rp, self.cp, self._keys = rpos, cpos, keys
         return True
 
     def _border(self, col: np.ndarray, row: np.ndarray, corner: float,

@@ -225,11 +225,12 @@ class InverseCarry:
     S is ``slot`` (-1 when S has none).  S, H and the labels stay in the
     order in which rows and columns joined S, so an update never reorders
     them; ``rp`` and ``cp`` place S's rows and columns in the current
-    block.  S is the leading block of a buffer that grows, up to the row
-    count of A, when a bordering needs room, and the labels lead two
-    buffers of that row count, so a bordering writes only its new entries;
-    H is a contiguous array, since the subtraction of its rank-one updates
-    runs 3-5 times faster on one than on a view.  ``follow`` brings S and H
+    block.  The labels lead two buffers of the row count of A, so a
+    bordering appends nothing.  S and H are contiguous arrays, which a
+    bordering or an un-bordering copies: ndarray.dot, which makes every
+    product of the kernel, costs about twice as much on a strided view,
+    and the subtraction of a rank-one update runs 3-5 times slower on
+    one.  ``follow`` brings S and H
     to the next system in O(k^2) when that differs from S by one bordering,
     one un-bordering or one replaced column, reading the O(k) new entries
     of S from A; any other change, new values in the rhs column included,
@@ -238,7 +239,7 @@ class InverseCarry:
 
     def __init__(self):
         self.counts = KernelCounts()
-        self._sbuf = self._rbuf = self._cbuf = None
+        self._rbuf = self._cbuf = None
         self.clear()
 
     def clear(self) -> None:
@@ -249,13 +250,12 @@ class InverseCarry:
 
     def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
               cols: np.ndarray, n: int, limit: int) -> None:
-        """Carry S, which becomes the buffer, and H = S^-1, the system of
-        the block whose sorted labels are rows and cols; a last column of
-        S beyond cols is the rhs column, labelled n.  limit, the row count
-        of the block's matrix, bounds the size of S."""
+        """Carry S and H = S^-1, the system of the block whose sorted
+        labels are rows and cols; a last column of S beyond cols is the rhs
+        column, labelled n.  limit, the row count of the block's matrix,
+        bounds the size of S and so the label buffers."""
         size, k = s.shape[0], cols.size
-        self.s = self._sbuf = s
-        self.h = h
+        self.s, self.h = s, h
         if self._rbuf is None or self._rbuf.size < limit:
             self._rbuf, self._cbuf = np.empty(limit, np.intp), np.empty(limit, np.intp)
         self._rbuf[:size] = rows
@@ -312,7 +312,7 @@ class InverseCarry:
             if slot >= 0:
                 row[slot] = rhs[i]
             corner = a[rows[i], cols[j]] if j < k else rhs[i]
-            ok = self._border(col, row, corner, a.shape[0])
+            ok = self._border(col, row, corner)
             if ok:
                 last = self.rows.size
                 self._rbuf[last] = rows[i]
@@ -342,33 +342,29 @@ class InverseCarry:
         self.rp, self.cp, self._keys = rpos, cpos, keys
         return True
 
-    def _border(self, col: np.ndarray, row: np.ndarray, corner: float,
-                limit: int) -> bool:
+    def _border(self, col: np.ndarray, row: np.ndarray, corner: float) -> bool:
         """S becomes [[S, col], [row^T, corner]] and H its inverse, from
         the Schur complement sigma = corner - row^T H col; False when sigma
-        is too small.  limit, the row count of the block's matrix, bounds
-        the size of S and so of its buffer."""
+        is too small."""
         h = self.h
-        hc, rh = h @ col, row @ h
-        sigma = corner - row @ hc
-        if not abs(sigma) > QR_RANK_RTOL * (abs(corner) + np.abs(row) @ np.abs(hc)):
+        hc, rh = h.dot(col), row.dot(h)
+        sigma = corner - row.dot(hc)
+        if not abs(sigma) > QR_RANK_RTOL * (abs(corner) + np.abs(row).dot(np.abs(hc))):
             return False
         size = h.shape[0]
         out = np.empty((size + 1, size + 1))
         a = hc / -sigma                 # so H - a rh^T = H + hc rh^T / sigma
-        np.subtract(h, np.multiply.outer(a, rh), out=out[:size, :size])
+        np.subtract(h, _outer(a, rh), out=out[:size, :size])
         out[:size, size] = a
         out[size, :size] = rh / -sigma
         out[size, size] = 1.0 / sigma
         self.h = out
-        if size == self._sbuf.shape[0]:     # a full buffer doubles, up to limit
-            buf = np.empty((max(size + 1, min(2 * size, limit)),) * 2)
-            buf[:size, :size] = self.s
-            self._sbuf = buf
-        s = self.s = self._sbuf[:size + 1, :size + 1]
+        s = np.empty((size + 1, size + 1))
+        s[:size, :size] = self.s
         s[:size, size] = col
         s[size, :size] = row
         s[size, size] = corner
+        self.s = s
         return True
 
     def _unborder(self, p: int, q: int, rpos: np.ndarray, cpos: np.ndarray) -> bool:
@@ -380,14 +376,14 @@ class InverseCarry:
         f, g, piv = h[:, p], h[q], h[q, p]
         if not abs(piv) > QR_RANK_RTOL * max(_max_abs(f), _max_abs(g)):
             return False
-        h -= np.multiply.outer(f / piv, g)
+        h -= _outer(f / piv, g)
         last = h.shape[0] - 1
         h[q], h[:, p] = h[last], h[:, last]
         s[:, q], s[p] = s[:, last], s[last]
         self.cols[q], cpos[q] = self.cols[last], cpos[last]
         self.rows[p], rpos[p] = self.rows[last], rpos[last]
         self.slot = -1 if self.slot == q else q if self.slot == last else self.slot
-        self.h, self.s = h[:last, :last].copy(), s[:last, :last]
+        self.h, self.s = h[:last, :last].copy(), s[:last, :last].copy()
         self.rows, self.cols = self.rows[:last], self.cols[:last]
         return True
 
@@ -401,36 +397,36 @@ class InverseCarry:
         if slot >= 0:
             # S^T u = e_slot, that is M^T u = 0 and rhs^T u = 1
             u = h[slot]
-            g = u @ s
+            g = u.dot(s)
             g[slot] -= 1.0
-            du = g @ h
+            du = g.dot(h)
             u = u - du
         else:
             b = rhs[rp]
-            u = h @ b
-            du = h @ (b - s @ u)
+            u = h.dot(b)
+            du = h.dot(b - s.dot(u))
             u += du
         size = _max_abs(u)
         if carried and not (math.isfinite(size) and _max_abs(du) <= DRIFT_RTOL * size):
             return None
         if slot < 0:    # a square block's w, and so its z, is 0
-            resid = _max_abs(s @ u - b)
+            resid = _max_abs(s.dot(u) - b)
             ok, _ = _passes(resid, 1.0, rhs)
             return SolveReport(_placed(u, self.cp, k) if ok else None, resid, ok,
                                np.zeros(k), SolveReport(None, 1.0, False))
         unit = u / size                 # u . u itself could overflow
-        ws = unit / ((unit @ unit) * size)
+        ws = unit / (unit.dot(unit) * size)
         # S [x; -1] = M x - rhs = -w at the least-squares point x
-        v = -(h @ ws)
+        v = -h.dot(ws)
         v[slot] = -1.0
-        resid = _max_abs(s @ v)
+        resid = _max_abs(s.dot(v))
         w = np.empty(k + 1)
         w[rp] = ws
         z_resid = 1.0
-        ww = float(w @ w)
+        ww = float(w.dot(w))
         if ww > 0.0:
             # z = w / ww, whose residual M^T z, rhs^T z - 1 is g in S's order
-            g = (ws / ww) @ s
+            g = (ws / ww).dot(s)
             g[slot] -= 1.0
             z_resid = _max_abs(g)
         ok, z_ok = _passes(resid, z_resid, rhs)
@@ -478,16 +474,22 @@ def _match(labels: np.ndarray, carried: np.ndarray, size: int,
     return pos, gone, new
 
 
+def _outer(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v w^T, as a BLAS product of inner dimension one: the same products
+    as np.multiply.outer, 2-3 times faster at k = 20-90."""
+    return v[:, None].dot(w[None, :])
+
+
 def _replace_column(h: np.ndarray, q: int, col: np.ndarray) -> bool:
     """Sherman-Morrison in place for column q of S replaced by col: with
     v = H col, row q of the new inverse is H_q / v_q, and every other row
     loses v_i times it."""
-    v = h @ col
+    v = h.dot(col)
     piv = v[q]
     if not abs(piv) > QR_RANK_RTOL * _max_abs(v):
         return False
     hq = h[q] / piv
-    h -= np.multiply.outer(v, hq)
+    h -= _outer(v, hq)
     h[q] = hq
     return True
 
@@ -545,12 +547,12 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
             return report
     m = np.asarray(m)
     sol, w = _svd_solve(m, rhs)
-    resid = _max_abs(m @ sol - rhs)
+    resid = _max_abs(m.dot(sol) - rhs)
     z, z_resid = None, 1.0      # M^T 0 = 0 and rhs^T 0 - 1 = -1 exactly
-    ww = float(w @ w)
+    ww = float(w.dot(w))
     if ww > 0.0:
         z = w / ww
-        z_resid = max(_max_abs(m.T @ z), abs(float(rhs @ z) - 1.0))
+        z_resid = max(_max_abs(m.T.dot(z)), abs(float(rhs.dot(z)) - 1.0))
     ok, z_ok = _passes(resid, z_resid, rhs)
     return SolveReport(sol if ok else None, resid, ok, w,
                        SolveReport(z if z_ok else None, z_resid, z_ok))
@@ -589,5 +591,5 @@ def _svd_solve(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.count_nonzero(sig > _EPS * max(rows, cols) * sig[0])
     if rank < sig.size:
         u, sig, vt = u[:, :rank], sig[:rank], vt[:rank]
-    coef = u.T @ rhs
-    return vt.T @ (coef / sig), rhs - u @ coef
+    coef = u.T.dot(rhs)
+    return vt.T.dot(coef / sig), rhs - u.dot(coef)

@@ -21,13 +21,15 @@ CONSISTENCY_TOL = 1e-9
 
 # solve_consistent solves square and (k+1) x k blocks through the inverse of
 # a square system from this many columns up; below it the thin SVD is as
-# cheap or cheaper.  One whole call on k x k and (k+1) x k blocks, one BLAS
-# thread on a 2-vCPU Xeon: the SVD takes 90 us at k = 10, 240 us at k = 30
-# and 5.3 ms at k = 180, a fresh Householder QR solve 90-100 us, 110-135 us
-# and 1.5 ms.  An update of the carried inverse takes 110-130 us a call on
-# the replayed blocks of 12 to 29 columns of the dantzig-gram paths, where
-# the QR solve took 120-150 us, and about 0.25 ms a call on the gauss-deep
-# paths (mean k = 89).
+# cheap or cheaper.  One stateless call on Gaussian k x k and (k+1) x k
+# blocks, one BLAS thread on a 2-vCPU Xeon: the SVD route takes 45-55 us at
+# k = 10, 140-160 us at k = 30 and 5.3-6.3 ms at k = 180, a fresh
+# Householder QR solve 50-90 us, 75-105 us and 1.9-2.2 ms.  Along a path a
+# call costs mostly its numpy calls: replaying every kernel call of a seed-1
+# round (per-call minimum over 3-8 replays), a call that an update of the
+# carried inverse serves takes 34 us on the dantzig-gram paths (k = 12-30),
+# 43 us on small-many and 68 us on gauss-deep (mean k = 89), and a call on
+# the SVD route 34-44 us.
 QR_MIN_COLS = 12
 # left_product and right_product, the products of A with a vector that is
 # zero off a few rows or columns, gather those rows or columns once A has
@@ -196,19 +198,15 @@ class KernelCounts:
 
 class Block:
     """The block A[rows][:, cols] of a matrix A that its owner has already
-    validated, without gathering it.  An index pair reads block entries as
-    on an ndarray when one of the two indices is a scalar, or when both
-    come from ``np.ix_``; ``np.asarray`` gathers the whole block."""
+    validated, without gathering it; the carried inverse reads the few
+    entries it needs from ``a``, and ``np.asarray`` gathers the whole
+    block."""
 
     __slots__ = ("a", "rows", "cols", "shape")
 
     def __init__(self, a: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         self.a, self.rows, self.cols = a, rows, cols
         self.shape = (rows.size, cols.size)
-
-    def __getitem__(self, key):
-        i, j = key if isinstance(key, tuple) else (key, slice(None))
-        return self.a[self.rows[i], self.cols[j]]
 
     def __array__(self, dtype=None, copy=None):
         return self.a.take(self.rows, 0).take(self.cols, 1)
@@ -475,8 +473,11 @@ def _match(labels: np.ndarray, carried: np.ndarray, size: int,
 
 
 def _outer(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v w^T, as a BLAS product of inner dimension one: the same products
-    as np.multiply.outer, 2-3 times faster at k = 20-90."""
+    """v w^T, as a BLAS product of inner dimension one, 2-3 times faster
+    than np.multiply.outer at k = 20-90.  The products are the same but
+    for the sign of zero: BLAS writes +0 where the product is -0, so an
+    update can differ only in the sign of an exact zero of H, which moves
+    none of the 1,026 reference paths of tools/path_fingerprint.py."""
     return v[:, None].dot(w[None, :])
 
 

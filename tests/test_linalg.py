@@ -1,10 +1,13 @@
+import importlib.util
 import sys
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from l1linf import dual_update, linalg, primal_update, solve_path
+from l1linf import ProblemInstance, dual_update, linalg, primal_update, solve_path
 from l1linf.active_set import index_mask
 from l1linf.linalg import (GATHER_MIN_SIZE, QR_MIN_COLS, Block, IndexSet, InverseCarry,
                            _svd_solve, left_product, right_product, solve_consistent)
@@ -321,25 +324,25 @@ def _assert_same_report(rep, ref, rhs):
 def _carried_system_error(carry, m, rhs):
     """||H S - I||_max for the carried H against the block's square system,
     S in the carried order of rows and columns."""
-    s = m if m.shape[0] == m.shape[1] else np.column_stack((m, rhs))
+    s = np.asarray(m) if m.shape[0] == m.shape[1] else np.column_stack((m, rhs))
     s = s[np.ix_(carry.rp, carry.cp)]
     return np.max(np.abs(carry.h @ s - np.eye(s.shape[0])))
 
 
-def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
-    # the block sequence of the pinned path, fed through one carried
-    # inverse, gives the stateless kernel's reports, and the updates keep H
-    # the inverse of the square system
+def _replay_on_one_carry(monkeypatch, inst, on_update=None):
+    """Feed the kernel calls of inst's path again, in order, through one
+    carried inverse, and check each report against the stateless
+    kernel's; on_update(carry, block, rhs) runs after each call that an
+    update served."""
     blocks = []
 
     def capture(m, rhs, **kwargs):
         blocks.append((m, rhs))
         return solve_consistent(m, rhs, **kwargs)
-    monkeypatch.setattr(dual_update, "solve_consistent", capture)
-    monkeypatch.setattr(primal_update, "solve_consistent", capture)
-    inst = pinned_gaussian()
-    assert solve_path(inst).terminated == "target-reached"
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(dual_update, "solve_consistent", capture)
+        patch.setattr(primal_update, "solve_consistent", capture)
+        assert solve_path(inst).terminated == "target-reached"
 
     carry = InverseCarry()
     counts = carry.counts
@@ -347,10 +350,55 @@ def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
         served = counts.updates
         rep = solve_consistent(m, rhs, carry=carry)
         _assert_same_report(rep, solve_consistent(m, rhs), rhs)
-        if counts.updates > served:
-            assert _carried_system_error(carry, m, rhs) <= 1e-10
+        if on_update is not None and counts.updates > served:
+            on_update(carry, m, rhs)
     eligible = counts.updates + counts.fresh + counts.svd
     assert eligible > 50 and counts.updates >= 0.9 * eligible
+
+
+def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
+    # the block sequence of the pinned path, fed through one carried
+    # inverse, gives the stateless kernel's reports, and the updates keep H
+    # the inverse of the square system
+    def inverse_kept(carry, m, rhs):
+        assert _carried_system_error(carry, m, rhs) <= 1e-10
+    _replay_on_one_carry(monkeypatch, pinned_gaussian(), inverse_kept)
+
+
+def _workload(name):
+    """A benchmark workload's generator, read from perfbench/workloads.py
+    without changing it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS[name]
+
+
+def test_carried_inverse_replays_the_stateless_kernel_on_rank_deficient_data(monkeypatch):
+    # base 0 of the dantzig-gram workload, A = X^T X of 60 x 60 and rank
+    # 30 from the workload's own generator: the carried inverse follows the
+    # path through all three kinds of update, as on Gaussian data
+    case = _workload("dantzig-gram")(1, False).cases[0]
+    assert case.A.shape == (60, 60) and np.linalg.matrix_rank(case.A) == 30
+    made = Counter()
+
+    def counted(kind, update):
+        def wrapper(*args):
+            ok = update(*args)
+            made[kind] += ok
+            return ok
+        return wrapper
+    monkeypatch.setattr(InverseCarry, "_border", counted("border", InverseCarry._border))
+    monkeypatch.setattr(InverseCarry, "_unborder", counted("unborder", InverseCarry._unborder))
+    monkeypatch.setattr(linalg, "_replace_column", counted("column", linalg._replace_column))
+    inst = ProblemInstance(case.A, case.b, case.delta)
+    _replay_on_one_carry(monkeypatch, inst)
+    assert min(made["border"], made["unborder"], made["column"]) > 0
 
 
 def _carried_steps(a, steps, carry):

@@ -91,6 +91,22 @@ def test_last_line_counts_the_differing_paths_of_each_family(tmp_path, capsys):
     b.write_text(json.dumps(moved))
     assert path_fingerprint.main(["compare", str(a), str(b)]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last == "by family: gauss 2 (delta_k, retries); tied 1 (presence)"
+    assert last == ("by family: gauss 2 (delta_k, retries) delta_k 1.1e-15; "
+                    "tied 1 (presence) delta_k 0")
     assert path_fingerprint.main(["compare", str(a), str(a)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "by family: gauss 0; tied 0"
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "by family: gauss 0 delta_k 0; tied 0 delta_k 0"
+
+
+def test_last_line_gives_each_familys_largest_delta_k_difference(tmp_path, capsys):
+    # one family moved within --rtol, one unchanged: no path differs, and
+    # the moved family's line shows by how much, relative to each delta_k
+    reference = dict(REFERENCE, **{"tied/3/warm": fingerprint([1.0, 0.5])})
+    moved = dict(reference, **{
+        "gauss/0/warm": fingerprint([2.0, 1.5, 0.75 * (1 + 1e-13), 0.5])})
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(reference))
+    b.write_text(json.dumps(moved))
+    assert path_fingerprint.main(["compare", str(a), str(b), "--rtol", "1e-12"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "by family: gauss 0 delta_k 1.0e-13; tied 0 delta_k 0"

@@ -21,7 +21,9 @@ default); the digest is compared in the exact mode only, since a positive
 ``--rtol`` admits paths that differ by rounding.  It lists each
 difference and exits 1 when there is one.  Its last line gives, for each
 family of paths (the label's first part: ``gauss-deep``, ``verify-0``,
-``half-integer``, ...), how many of its paths differ and in which fields.
+``half-integer``, ...), how many of its paths differ and in which fields,
+and its largest delta_k difference relative to itself, which --rtol
+bounds.
 It also prints the largest
 difference relative to the path's start bound delta_0 = ||b||_inf:
 since delta_k = delta_{k-1} - t_k carries a rounding difference in an
@@ -126,6 +128,7 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
     diffs = [(key, "presence", f"{key}: only in {a_file if key in a else b_file}")
              for key in sorted(set(a) ^ set(b))]    # (path, field, line)
     worst = worst_start = 0.0
+    family_worst = {}
     for key in sorted(set(a) & set(b)):
         fa, fb = a[key], b[key]
         for field in sorted(set(fa) | set(fb)):
@@ -142,6 +145,8 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
         worst_start = max(worst_start, float(gap.max(initial=0.0)) / scale if scale else 0.0)
         rel = float((gap[gap > 0.0] / np.abs(da[gap > 0.0])).max(initial=0.0))
         worst = max(worst, rel)
+        family = key.split("/")[0]
+        family_worst[family] = max(family_worst.get(family, 0.0), rel)
         if rel > rtol:
             diffs.append((key, "delta_k", f"{key}: delta_k differs by {rel:.3e} of itself"))
     for _, _, line in diffs:
@@ -149,22 +154,28 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
     print(f"{len(a)} vs {len(b)} paths; {len(diffs)} differences; largest delta_k "
           f"difference {worst:.3e} of delta_k itself (rtol {rtol:g}), "
           f"{worst_start:.3e} of delta_0")
-    print("by family: " + family_summary(set(a) | set(b), diffs))
+    print("by family: " + family_summary(set(a) | set(b), diffs, family_worst))
     return 1 if diffs else 0
 
 
-def family_summary(keys, diffs) -> str:
+def family_summary(keys, diffs, worst) -> str:
     """Each family of paths (a label's first part), how many of its paths
-    differ and in which fields."""
+    differ and in which fields, and the largest difference of a delta_k
+    relative to itself among its paths of equal length (the quantity that
+    --rtol bounds)."""
     paths, fields = {}, {}
     for key, field, _ in diffs:
         family = key.split("/")[0]
         paths.setdefault(family, set()).add(key)
         fields.setdefault(family, set()).add(field)
-    return "; ".join(
-        f"{family} {len(paths[family])} ({', '.join(sorted(fields[family]))})"
-        if family in paths else f"{family} 0"
-        for family in sorted({key.split("/")[0] for key in keys}))
+
+    def line(family):
+        rel = worst.get(family, 0.0)
+        moved = f"delta_k {rel:.1e}" if rel else "delta_k 0"
+        if family not in paths:
+            return f"{family} 0 {moved}"
+        return f"{family} {len(paths[family])} ({', '.join(sorted(fields[family]))}) {moved}"
+    return "; ".join(line(family) for family in sorted({key.split("/")[0] for key in keys}))
 
 
 def main(argv=None) -> int:

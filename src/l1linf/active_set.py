@@ -14,22 +14,14 @@ A face object supplies what differs: ``name``, the masks ``fixed`` and
 (``step``), the zeroing of point entries (``zero``), the multipliers
 (``multipliers``), a warm-start direction's distance from keeping each
 constraint tight (``warm_slack``, needed only by a face that is given a
-warm start), the ledger's stay test (``stays``) and
-the objective shown in trace records (``value``).  A face may carry
-products of the point and of the current direction with A: the direction
-comes from its ``direction`` or ``warm_slack`` call, ``step`` sees the
-point before the loop moves it by alpha times the direction, and every
-entry that the loop sets to zero goes through ``zero``.
+warm start) and the objective shown in trace records (``value``).  A face
+may carry products of the point and of the current direction with A: the
+direction comes from its ``direction`` or ``warm_slack`` call, ``step``
+sees the point before the loop moves it by alpha times the direction, and
+every entry that the loop sets to zero goes through ``zero``.
 The loop keeps both sets as boolean masks and takes their sorted index
-arrays once per iteration.
-
-Degenerate steps are handled by a ledger: the constraints
-removed from the active set and the entries added to the support since the
-last productive step.  A zero-length step takes the indices it touches off
-the ledger.  After a positive step with more than one ledger entry, removed
-constraints that are still tight and not loosened by the step rejoin the
-active set, and added entries that the step left at zero leave the support;
-then the ledger is cleared.
+arrays once per iteration.  A zero-length step edits the sets like any
+other step.
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ ACTIVE_TOL = 1e-9       # a constraint is active iff its slack is within ACTIVE_
 SUPPORT_TOL = 1e-9      # an entry is in the support iff its magnitude exceeds SUPPORT_TOL
 OPT_TOL = 1e-9          # multiplier nonnegativity slack
 TIE_RTOL = 1e-9         # blocking-set membership width around the minimal ratio
-ZERO_STEP_TOL = 1e-12   # alpha at or below this counts as a zero step
+ZERO_STEP_TOL = 1e-12   # zero test for the rates of change in the ratio tests
 NONZERO_TOL = 1e-9      # zero test for warm-start entries and products
 
 
@@ -76,9 +68,8 @@ def index_mask(size: int, indices) -> np.ndarray:
 
 
 def run_active_set(face, point: np.ndarray, support: np.ndarray,
-                   active: np.ndarray, warm: np.ndarray | None,
-                   opt_tol: float = OPT_TOL, trace=None):
-    """Run the ledger-driven active-set loop from a feasible point.
+                   active: np.ndarray, warm: np.ndarray | None, trace=None):
+    """Run the active-set loop from a feasible point.
 
     ``support`` and ``active`` are updated in place.  A warm-start direction
     first grows the support by its nonzero entries inside the outer set and
@@ -87,7 +78,6 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
     solution, iterations); the solution is None when a step ended the run.
     """
     max_iters = 50 * (support.size + active.size + 5)
-    removed, added = set(), set()   # ledger: left the active set, joined the support
     pending = None if warm is None else np.asarray(warm, dtype=float)
     if pending is not None:
         support |= face.outer & (np.abs(pending) > NONZERO_TOL)
@@ -110,18 +100,6 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
                     active[entering] = True
                 if len(leaving):
                     support[leaving] = False
-                if alpha <= ZERO_STEP_TOL:
-                    removed.difference_update(entering)
-                    added.difference_update(leaving)
-                elif len(removed) + len(added) > 1:
-                    active |= index_mask(active.size, list(removed)) \
-                        & face.stays(direction, point)
-                    drop = index_mask(support.size, list(added)) \
-                        & (np.abs(direction) <= TIE_RTOL) & (np.abs(point) <= SUPPORT_TOL)
-                    face.zero(point, drop.nonzero()[0])
-                    support &= ~drop
-                    removed.clear()
-                    added.clear()
             if trace is not None:
                 trace((face.name, it, alpha, int(np.count_nonzero(active)),
                        int(np.count_nonzero(support)), face.value(point), point.copy()))
@@ -134,12 +112,10 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray,
         solution, mu, nu = face.multipliers(report, point, act, removable, candidates)
         mu_best, leave = _argmin_with_ties(mu, removable)
         nu_best, join = _argmin_with_ties(nu, candidates)
-        if mu_best >= -opt_tol and nu_best >= -opt_tol:
+        if mu_best >= -OPT_TOL and nu_best >= -OPT_TOL:
             return point, support, active, solution, it + 1
         if mu_best < nu_best:
             active[leave] = False
-            removed.add(leave)
         else:
             support[join] = True
-            added.add(join)
     raise AsmError(f"{face.name} update iteration cap {max_iters} exceeded")

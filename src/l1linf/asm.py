@@ -171,11 +171,6 @@ class StandardFace:
         nu[candidates] = (lp.sigma * (lp.c - lp.A_eq.T @ lam - lp.D.T @ mu))[candidates]
         return (lam, mu, nu), mu[active], nu[candidates]
 
-    def stays(self, xi, x):
-        lp = self.lp
-        return (np.abs(lp.D @ xi) <= TIE_RTOL) \
-            & (np.abs(lp.D @ x - lp.e) <= ACTIVE_TOL * (1.0 + np.abs(lp.e)))
-
     def value(self, x):
         return float(self.lp.c @ x)
 

@@ -20,9 +20,9 @@ The face carries c = A^T psi: computed from the rows of I_P when the
 update starts, moved by alpha A^T e with each step, and corrected for
 every entry of psi that the loop sets to zero.  A^T e is formed once per
 direction, from the rows of I_D (the warm start's from the rows of I_P),
-and serves the ratio test, the warm-start edits and the ledger's stay
-test; the final c goes out with the result.  On a large A these products
-read only those rows (``linalg.left_product``).
+and serves the ratio test and the warm-start edits; the final c goes out
+with the result.  On a large A these products read only those rows
+(``linalg.left_product``).
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
-                         AsmError, UnboundedDirectionError, run_active_set,
-                         smallest)
+from .active_set import (ACTIVE_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
+                         UnboundedDirectionError, run_active_set, smallest)
 from .linalg import Block, InverseCarry, SolveReport, left_product, solve_consistent
 
 
@@ -167,16 +166,11 @@ class _DualFace:
         self.col_e = left_product(self.ctx.A, e, self.outer)
         return self.col_e
 
-    def stays(self, e, psi):
-        return (np.abs(self.col_e) <= TIE_RTOL) \
-            & (np.abs(np.abs(self.col_psi) - 1.0) <= ACTIVE_TOL * 2.0)
-
     def value(self, psi):
         return float(-self.ctx.residual_signs @ psi)
 
 
-def dual_update(ctx: DualContext, opt_tol: float = OPT_TOL,
-                trace=None) -> DualUpdateResult:
+def dual_update(ctx: DualContext, trace=None) -> DualUpdateResult:
     """Solve the dual-certificate subproblem by the specialized active-set
     scheme; returns the new certificate embedded in R^m together with the
     final multiplier-system solution d_hat (warm start for the next primal
@@ -193,5 +187,5 @@ def dual_update(ctx: DualContext, opt_tol: float = OPT_TOL,
     face.col_psi = left_product(ctx.A, psi, face.outer)
     active = (np.abs(np.abs(face.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
     psi, support, active, d_hat, iterations = run_active_set(
-        face, psi, support, active, ctx.warm_direction, opt_tol, trace)
+        face, psi, support, active, ctx.warm_direction, trace)
     return DualUpdateResult(psi, d_hat, support, active, iterations, face.col_psi)

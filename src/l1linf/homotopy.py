@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, AsmError,
-                         UnboundedDirectionError)
+from .active_set import ACTIVE_TOL, SUPPORT_TOL, AsmError, UnboundedDirectionError
 from .dual_update import DualContext, dual_update
 from .encodings import improvement_system_dual, improvement_system_primal
 from .linalg import IndexSet, InverseCarry, KernelCounts, as_matrix, as_vector
@@ -84,7 +83,7 @@ class SolutionPath:
     failure_reason: str | None = None
     dual_iterations: int = 0
     primal_iterations: int = 0
-    retries: int = 0
+    retries: int = 0  # always 0: read by perfbench tracing, export stats, path fingerprints
     timing: dict = field(default_factory=dict)
     kernel: KernelCounts = field(default_factory=KernelCounts)
 
@@ -173,51 +172,42 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         max_iters = 20 * (m + n)
 
     for k in range(max_iters):
-        # theory rules out a zero step at an exact dual optimum; after one,
-        # the step is retried once, cold and with a tighter multiplier tolerance
-        for retry in (False, True):
-            warm = use_warm_starts and not retry
-            opt_tol = OPT_TOL / 100.0 if retry else OPT_TOL
-            stage = "dual"
-            try:
-                dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y,
-                                       warm_direction=warm_e if warm else None,
-                                       carry=carry)
-                tick = time.perf_counter()
-                dual_res = dual_update(dual_ctx, opt_tol=opt_tol)
-                path.timing["dual_s"] += time.perf_counter() - tick
-                path.dual_iterations += dual_res.iterations
+        stage = "dual"
+        try:
+            dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y,
+                                   warm_direction=warm_e if use_warm_starts else None,
+                                   carry=carry)
+            tick = time.perf_counter()
+            dual_res = dual_update(dual_ctx)
+            path.timing["dual_s"] += time.perf_counter() - tick
+            path.dual_iterations += dual_res.iterations
 
-                stage = "primal"
-                primal_ctx = PrimalContext(
-                    inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
-                    dual_res.I_D, dual_res.J_D, signs, dual_res.col_y,
-                    warm_direction=dual_res.d_hat if warm else None, carry=carry)
-                tick = time.perf_counter()
-                primal_res = primal_update(primal_ctx, opt_tol=opt_tol)
-                path.timing["primal_s"] += time.perf_counter() - tick
-                path.primal_iterations += primal_res.iterations
-            except (AsmError, ValueError) as exc:
-                if retry:
-                    path.failure_reason = f"degenerate-step retry failed at iteration {k}: {exc}"
-                elif stage == "dual" and isinstance(exc, UnboundedDirectionError):
-                    # unbounded certificate face: the bound cannot shrink any
-                    # further, so the target lies below the least feasible value
-                    # of ||Ax-b||_inf (possible whenever A has more rows than columns)
-                    path.failure_reason = (
-                        f"target delta={inst.delta:g} is below the minimal feasible "
-                        f"bound; path stopped at delta={delta_k:g}")
-                else:
-                    path.failure_reason = f"{stage} update failed at iteration {k}: {exc}"
-                return path
-            if primal_res.t > T_MIN or primal_res.reached_target:
-                break
-            if retry:
+            stage = "primal"
+            primal_ctx = PrimalContext(
+                inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
+                dual_res.I_D, dual_res.J_D, signs, dual_res.col_y,
+                warm_direction=dual_res.d_hat if use_warm_starts else None, carry=carry)
+            tick = time.perf_counter()
+            primal_res = primal_update(primal_ctx)
+            path.timing["primal_s"] += time.perf_counter() - tick
+            path.primal_iterations += primal_res.iterations
+        except (AsmError, ValueError) as exc:
+            if stage == "dual" and isinstance(exc, UnboundedDirectionError):
+                # unbounded certificate face: the bound cannot shrink any
+                # further, so the target lies below the least feasible value
+                # of ||Ax-b||_inf (possible whenever A has more rows than columns)
                 path.failure_reason = (
-                    f"degenerate step at iteration {k}: t={primal_res.t:.3e} "
-                    f"with delta_k={delta_k:.6e}")
-                return path
-            path.retries += 1
+                    f"target delta={inst.delta:g} is below the minimal feasible "
+                    f"bound; path stopped at delta={delta_k:g}")
+            else:
+                path.failure_reason = f"{stage} update failed at iteration {k}: {exc}"
+            return path
+        # theory rules out a zero step at an exact dual optimum, so one ends the path
+        if primal_res.t <= T_MIN and not primal_res.reached_target:
+            path.failure_reason = (
+                f"degenerate step at iteration {k}: t={primal_res.t:.3e} "
+                f"with delta_k={delta_k:.6e}")
+            return path
 
         t = float(primal_res.t)
         x = primal_res.x

@@ -23,10 +23,9 @@ The face carries r = A xi - b: computed from the columns of J_D when the
 update starts, moved by alpha A d with each step, and corrected for every
 entry of xi that the loop sets to zero.  A d is formed once per
 direction, from the columns of J_P (the warm start's from the columns of
-J_D), and serves the ratio test, the warm-start edits and the ledger's
-stay test.  On a large A these products read only those columns
-(``linalg.right_product``).  The signs of A^T y on J_D come from the dual
-update's A^T y.
+J_D), and serves the ratio test and the warm-start edits.  On a large A
+these products read only those columns (``linalg.right_product``).  The
+signs of A^T y on J_D come from the dual update's A^T y.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import (ACTIVE_TOL, OPT_TOL, SUPPORT_TOL, TIE_RTOL,
-                         ZERO_STEP_TOL, AsmError, UnboundedDirectionError,
-                         run_active_set, smallest)
+from .active_set import (SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
+                         UnboundedDirectionError, run_active_set, smallest)
 from .linalg import Block, InverseCarry, SolveReport, right_product, solve_consistent
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
@@ -209,17 +207,11 @@ class _PrimalFace:
         self.a_d = right_product(self.ctx.A, d, self.outer)
         return self.a_d + self.signs
 
-    def stays(self, d, xi):
-        bound = self.ctx.delta_k - self.tau
-        return (np.abs(self.a_d + self.signs) <= TIE_RTOL) \
-            & (np.abs(np.abs(self.resid) - bound) <= ACTIVE_TOL * (1.0 + bound))
-
     def value(self, xi):
         return self.tau
 
 
-def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
-                  trace=None) -> PrimalUpdateResult:
+def primal_update(ctx: PrimalContext, trace=None) -> PrimalUpdateResult:
     """Solve the primal subproblem with the specialized active-set scheme.
 
     Returns the new primal iterate, the achieved decrease t, the final
@@ -239,6 +231,6 @@ def primal_update(ctx: PrimalContext, opt_tol: float = OPT_TOL,
         raise ValueError("warm_direction has mass outside the dual active columns")
     face.resid = right_product(ctx.A, xi, face.outer) - ctx.b
     xi, support, active, e_hat, iterations = run_active_set(
-        face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm_direction, opt_tol, trace)
+        face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm_direction, trace)
     return PrimalUpdateResult(xi, face.tau, e_hat, active, support, e_hat is None,
                               iterations, face.signs)

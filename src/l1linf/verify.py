@@ -68,8 +68,6 @@ def _path_checks(inst: ProblemInstance, path: SolutionPath, pair_tol: float,
         if cur.t_step <= 1e-12:
             out["strict-progress"] = f"degenerate step t={cur.t_step:.2e} at k={cur.k}"
             break
-    if path.retries and out["strict-progress"] is None:
-        out["strict-progress"] = f"{path.retries} degeneracy retries"
 
     for bp in path.breakpoints:
         if not set(bp.sets.J_P) <= set(bp.sets.J_D):

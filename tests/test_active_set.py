@@ -38,24 +38,21 @@ class ScriptedFace:
         return (None, np.array([mu.get(i, 1.0) for i in removable.tolist()]),
                 np.array([nu.get(j, 1.0) for j in candidates.tolist()]))
 
-    def stays(self, direction, point):
-        return np.ones(self.outer.size, dtype=bool)
-
     def value(self, point):
         return 0.0
 
 
 DIRECTION = np.array([1.0, 0.0, 0.0])
-LEDGER_SCRIPTS = {
+ZERO_STEP_SCRIPTS = {
     # entry 1 joins the support, a zero-length step takes it out again, then
-    # entry 2 joins: one ledger entry, so the positive step edits nothing
+    # entry 2 joins, and the positive step keeps it
     "added": [("multipliers", {}, {1: -1.0}),
               ("step", DIRECTION, 0.0, NONE, np.array([1])),
               ("multipliers", {}, {2: -1.0}),
               ("step", DIRECTION, 0.5, NONE, NONE),
               ("multipliers", {}, {})],
     # constraint 1 leaves the active set, a zero-length step brings it back,
-    # then constraint 2 leaves: one ledger entry, so it stays out
+    # then constraint 2 leaves, and the positive step keeps it out
     "removed": [("multipliers", {1: -1.0}, {}),
                 ("step", DIRECTION, 0.0, np.array([1]), NONE),
                 ("multipliers", {2: -1.0}, {}),
@@ -68,10 +65,11 @@ LEDGER_SCRIPTS = {
     ("added", [0, 2], [0, 1, 2]),
     ("removed", [0], [0, 1]),
 ], ids=["added", "removed"])
-def test_zero_length_step_takes_its_indices_off_the_ledger(side, support_after, active_after):
-    # had the zero-length step left its index on the ledger, the positive
-    # step would see two entries and undo the last multiplier round
-    face = ScriptedFace(3, LEDGER_SCRIPTS[side])
+def test_zero_length_step_edits_hold_through_the_next_positive_step(
+        side, support_after, active_after):
+    # the edits of a zero-length step and of the multiplier round after it
+    # stand once a positive step follows: no later step undoes them
+    face = ScriptedFace(3, ZERO_STEP_SCRIPTS[side])
     point, support, active, _, iterations = run_active_set(
         face, np.array([1.0, 0.0, 0.0]), np.array([True, False, False]),
         np.ones(3, dtype=bool), None)

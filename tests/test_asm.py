@@ -222,7 +222,7 @@ def test_asm_iterates_stay_feasible():
 
 
 @pytest.mark.xfail(raises=AsmError, strict=True,
-                   reason="the ledger loop cycles on this degenerate LP until its iteration cap")
+                   reason="the active-set loop cycles on this degenerate LP until its iteration cap")
 def test_asm_solve_on_degenerate_draw_that_cycles():
     # the 142nd draw of the random-LP generator, past the 50 accepted draws
     # of test_asm_solve_matches_oracle_on_random_lps

@@ -8,10 +8,9 @@ The reference paths are seed 1 of the four benchmark workloads (imported
 read-only from ``perfbench/workloads.py``), the instances of
 ``l1linf verify --count 200 --seed 0`` and the 100 tied draws of
 ``half_integer_draws``, each solved warm and cold.  The tied draws take
-zero-length subproblem steps and ledger edits, which the other paths never
-make.  A
+zero-length subproblem steps, which the other paths never make.  A
 path's fingerprint is its status, failure reason, breakpoint count, dual
-and primal iterations, retries, kernel counts, the number of its
+and primal iterations, retries (always 0), kernel counts, the number of its
 breakpoints that ``check_optimal_pair`` certifies, the bytes of its
 breakpoint bounds ``delta_k``, and ``digest``, a SHA-256 over every
 breakpoint's ``x`` and ``y`` bytes, its four index sets and its
@@ -46,13 +45,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def half_integer_draws(count: int = 100):
-    """Instances with tied data: draw i of ``default_rng(7)`` is m x 2m with
-    m in [3, 12), A and b Gaussian rounded to multiples of 1/2, and
+def half_integer_draws(count: int = 100, seed: int = 7):
+    """Instances with tied data: draw i of ``default_rng(seed)`` is m x 2m
+    with m in [3, 12), A and b Gaussian rounded to multiples of 1/2, and
     delta = 0.1 ||b||_inf."""
     import numpy as np
     from l1linf import ProblemInstance
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     for _ in range(count):
         m = int(rng.integers(3, 12))
         a, b = rng.standard_normal((m, 2 * m)), rng.standard_normal(m)

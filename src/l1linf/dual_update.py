@@ -127,7 +127,7 @@ def dual_multipliers(ctx: DualContext, col_psi: np.ndarray, J_D: np.ndarray,
     d_hat = np.zeros(ctx.n)
     d_hat[J_D] = kernel.solution
     mu = -(col_psi[free_cols]) * d_hat[free_cols]
-    nu = -ctx.residual_signs[out_rows] * (ctx.A[out_rows] @ d_hat) - 1.0
+    nu = -ctx.residual_signs[out_rows] * ctx.A[out_rows].dot(d_hat) - 1.0
     return d_hat, mu, nu
 
 
@@ -155,7 +155,7 @@ class _DualFace:
 
     def zero(self, psi, rows):
         if len(rows):
-            self.col_psi -= self.ctx.A[rows].T @ psi[rows]
+            self.col_psi -= psi[rows].dot(self.ctx.A[rows])
             psi[rows] = 0.0
 
     def multipliers(self, report, psi, active, removable, candidates):

@@ -34,18 +34,19 @@ QR_MIN_COLS = 12
 # left_product and right_product, the products of A with a vector that is
 # zero off a few rows or columns, gather those rows or columns once A has
 # GATHER_MIN_SIZE entries and the vector lives on at most the share
-# GATHER_ROW_SHARE of the rows or GATHER_COL_SHARE of the columns;
-# otherwise they make the dense product.  Every product of a path replayed
-# both ways, one BLAS thread on a 2-vCPU Xeon, dense against gathered per
-# call: 200 x 2000 (wide-shallow) A^T v 170 against 20-30 us and A v 175
-# against 17 us; 200 x 800 (a sparse-recovery path) A^T v 38-41 against
-# 13-33 us and A v 44 against 32 us; 200 x 400 (gauss-deep) A^T v 17-20
-# against 10-27 us and A v 15 against 19 us; 100 x 400 A v 9 against
-# 11 us.  Below 10^5 entries a gather saves nothing.  In isolation, on
-# 200 x 2000, A^T v takes 143 us dense, 20 us over a tenth of the rows and
-# 92 us over a third; A v takes 133 us dense, 43 us over 5% of the
-# columns, 116 us over 10% and 210 us over 15%, since a column gather is
-# strided.
+# GATHER_ROW_SHARE of the rows or GATHER_COL_SHARE of the columns; otherwise
+# they make the dense product.  Without a set they find the vector's
+# nonzeros, and only above the floor, so the certifier's products on a small
+# A pay for no such search.  Every product of a path replayed both ways, one
+# BLAS thread on a 2-vCPU Xeon, dense against gathered per call: 200 x 2000
+# (wide-shallow) A^T v 170 against 20-30 us and A v 175 against 17 us;
+# 200 x 800 (a sparse-recovery path) A^T v 38-41 against 13-33 us and A v 44
+# against 32 us; 200 x 400 (gauss-deep) A^T v 17-20 against 10-27 us and A v
+# 15 against 19 us; 100 x 400 A v 9 against 11 us.  Below 10^5 entries a
+# gather saves nothing.  In isolation, on 200 x 2000, A^T v takes 143 us
+# dense, 20 us over a tenth of the rows and 92 us over a third; A v takes
+# 133 us dense, 43 us over 5% of the columns, 116 us over 10% and 210 us
+# over 15%, since a column gather is strided.
 GATHER_MIN_SIZE = 100_000
 GATHER_ROW_SHARE = 1 / 3
 GATHER_COL_SHARE = 0.1
@@ -75,28 +76,31 @@ def _max_abs(v: np.ndarray) -> float:
     return float(a[a.argmax()]) if a.size else 0.0
 
 
-def left_product(a: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def left_product(a: np.ndarray, v: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """A^T v for a v that is zero off ``rows``, sorted row indices or a
-    row mask; only those rows of A are read when A is large and they are
-    few (see GATHER_MIN_SIZE)."""
+    row mask, by default v's own nonzero entries; only those rows of A
+    are read when A is large and they are few (see GATHER_MIN_SIZE).
+    The dense product is ``v.dot(a)``, the bits of ``a.T @ v``."""
     if a.size >= GATHER_MIN_SIZE:
-        if rows.dtype == bool:
-            rows = rows.nonzero()[0]
+        if rows is None or rows.dtype == bool:
+            rows = (v if rows is None else rows).nonzero()[0]
         if rows.size <= GATHER_ROW_SHARE * a.shape[0]:
-            return v.take(rows) @ a.take(rows, 0)
-    return a.T @ v
+            return v.take(rows).dot(a.take(rows, 0))
+    return v.dot(a)
 
 
-def right_product(a: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def right_product(a: np.ndarray, v: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """A v for a v that is zero off ``cols``, sorted column indices or a
-    column mask; only those columns of A are read when A is large and they
-    are few (see GATHER_MIN_SIZE)."""
+    column mask, by default v's own nonzero entries; only those columns
+    of A are read when A is large and they are few (see
+    GATHER_MIN_SIZE).  The dense product is ``a.dot(v)``, the bits of
+    ``a @ v``."""
     if a.size >= GATHER_MIN_SIZE:
-        if cols.dtype == bool:
-            cols = cols.nonzero()[0]
+        if cols is None or cols.dtype == bool:
+            cols = (v if cols is None else cols).nonzero()[0]
         if cols.size <= GATHER_COL_SHARE * a.shape[1]:
-            return a.take(cols, 1) @ v.take(cols)
-    return a @ v
+            return a.take(cols, 1).dot(v.take(cols))
+    return a.dot(v)
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

@@ -156,7 +156,7 @@ def primal_multipliers(ctx: PrimalContext, I_P: np.ndarray, extra_rows: np.ndarr
     e_hat = np.zeros(ctx.m)
     e_hat[I_P] = -found.solution
     mu = signs[extra_rows] * e_hat[extra_rows]
-    nu = -col_sign[free_cols] * (ctx.A[:, free_cols].T @ e_hat)
+    nu = -col_sign[free_cols] * e_hat.dot(ctx.A[:, free_cols])
     return e_hat, mu, nu
 
 
@@ -172,8 +172,9 @@ class _PrimalFace:
         self.outer, self.fixed = ctx.J_D, ctx.I_D
         self.tau = 0.0
         self.signs = np.array(ctx.residual_signs, dtype=float)
-        np.copyto(self.signs, np.sign(ctx.y_next),
-                  where=self.fixed & (np.abs(ctx.y_next) > SUPPORT_TOL))
+        rows = self.fixed.nonzero()[0]
+        rows = rows[np.abs(ctx.y_next[rows]) > SUPPORT_TOL]
+        self.signs[rows] = np.sign(ctx.y_next[rows])
         self.col_sign = np.sign(ctx.col_y)     # read on J_D only
         self.resid = self.a_d = None
 
@@ -196,7 +197,7 @@ class _PrimalFace:
 
     def zero(self, xi, cols):
         if len(cols):
-            self.resid -= self.ctx.A[:, cols] @ xi[cols]
+            self.resid -= self.ctx.A[:, cols].dot(xi[cols])
             xi[cols] = 0.0
 
     def multipliers(self, report, xi, active, removable, candidates):

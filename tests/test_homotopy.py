@@ -579,3 +579,50 @@ def test_gathered_products_keep_the_path(monkeypatch):
     assert gathered.kernel == dense.kernel
     for got, want in zip(gathered.breakpoints, dense.breakpoints):
         assert abs(got.delta_k - want.delta_k) <= 1e-12 * want.delta_k
+
+
+def _read_only_on_supports(a, x, y):
+    """A copy of a with NaN wherever neither a row of supp(y) nor a
+    column of supp(x) reaches."""
+    out = np.full_like(a, np.nan)
+    rows, cols = y.nonzero()[0], x.nonzero()[0]
+    out[rows] = a[rows]
+    out[:, cols] = a[:, cols]
+    return out
+
+
+def test_certifier_reads_only_the_supports_of_a_large_matrix(monkeypatch):
+    # every breakpoint of a path above the gather floor, and two pairs with
+    # an entry moved off its support, is judged with A poisoned off the
+    # pair's own supports; a NaN that the certifier read would fail the
+    # pair, so each verdict equals the dense one on the clean A only if
+    # the gathered products read nothing else
+    from l1linf import linalg
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((50, 2000)), rng.standard_normal(50)
+    inst = ProblemInstance(a, b, 0.4 * np.max(np.abs(b)))
+    assert a.size >= linalg.GATHER_MIN_SIZE
+    path = solve_path(inst)
+    assert path.terminated == "target-reached", path.failure_reason
+    pairs = [(bp.x, bp.y, bp.delta_k) for bp in path.breakpoints]
+    middle = pairs[len(pairs) // 2]
+    x, y, delta = middle
+    i = np.flatnonzero(y == 0)[0]
+    j = np.flatnonzero(x == 0)[0]
+    moved_y, moved_x = y.copy(), x.copy()
+    moved_y[i] += 0.1
+    moved_x[j] += 0.1
+    pairs += [(x, moved_y, delta), (moved_x, y, delta)]
+    for x, y, _ in pairs:
+        assert np.count_nonzero(y) <= linalg.GATHER_ROW_SHARE * a.shape[0]
+        assert np.count_nonzero(x) <= linalg.GATHER_COL_SHARE * a.shape[1]
+    poisoned = ProblemInstance(a, b, inst.delta)
+    gathered = []
+    for x, y, delta in pairs:
+        poisoned.A = _read_only_on_supports(a, x, y)
+        gathered.append(check_optimal_pair(poisoned, x, y, delta))
+    poisoned.A = np.full_like(a, np.nan)
+    assert not check_optimal_pair(poisoned, *middle)
+    monkeypatch.setattr(linalg, "GATHER_MIN_SIZE", a.size + 1)
+    dense = [check_optimal_pair(inst, x, y, delta) for x, y, delta in pairs]
+    assert gathered == dense == [True] * len(path.breakpoints) + [False, False]

@@ -54,7 +54,13 @@ def _supported(rng, size, count):
     return v, idx
 
 
-@pytest.mark.parametrize("mask", [False, True])
+def _given(mask, size, idx):
+    """The support argument of a product: a mask, sorted indices, or (for
+    mask None) none, so that the product takes its vector's nonzeros."""
+    return () if mask is None else (index_mask(size, idx) if mask else idx,)
+
+
+@pytest.mark.parametrize("mask", [False, True, None])
 def test_products_gather_a_few_rows_or_columns_of_a_large_matrix(mask):
     # A has NaN off the support, which only a gathered product never reads
     rng = np.random.default_rng(3)
@@ -67,18 +73,18 @@ def test_products_gather_a_few_rows_or_columns_of_a_large_matrix(mask):
         scale = np.abs(a).T @ np.abs(v)
         poisoned = a.copy()
         poisoned[np.setdiff1d(np.arange(m), rows)] = np.nan
-        got = left_product(poisoned, v, index_mask(m, rows) if mask else rows)
+        got = left_product(poisoned, v, *_given(mask, m, rows))
         assert np.all(np.abs(got - ref) <= PRODUCT_RTOL * scale)
         w, cols = _supported(rng, n, int(rng.integers(0, n // 10 + 1)))
         ref = a @ w
         scale = np.abs(a) @ np.abs(w)
         poisoned = a.copy()
         poisoned[:, np.setdiff1d(np.arange(n), cols)] = np.nan
-        got = right_product(poisoned, w, index_mask(n, cols) if mask else cols)
+        got = right_product(poisoned, w, *_given(mask, n, cols))
         assert np.all(np.abs(got - ref) <= PRODUCT_RTOL * scale)
 
 
-@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("mask", [False, True, None])
 @pytest.mark.parametrize("shape, row_share, col_share", [
     ((250, 500), 0.5, 0.2),                # large matrix, too many rows and columns
     ((200, 400), 0.1, 0.05),               # few rows and columns of a small matrix
@@ -91,10 +97,10 @@ def test_products_stay_dense_otherwise(mask, shape, row_share, col_share):
     for _ in range(20):
         a = rng.standard_normal((m, n))
         v, rows = _supported(rng, m, max(1, int(row_share * m)))
-        got = left_product(a, v, index_mask(m, rows) if mask else rows)
+        got = left_product(a, v, *_given(mask, m, rows))
         assert got.tobytes() == (a.T @ v).tobytes()
         w, cols = _supported(rng, n, max(1, int(col_share * n)))
-        got = right_product(a, w, index_mask(n, cols) if mask else cols)
+        got = right_product(a, w, *_given(mask, n, cols))
         assert got.tobytes() == (a @ w).tobytes()
 
 

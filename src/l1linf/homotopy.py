@@ -22,8 +22,8 @@ from . import oracle
 from .active_set import ACTIVE_TOL, SUPPORT_TOL, AsmError, UnboundedDirectionError
 from .dual_update import DualContext, dual_update
 from .encodings import improvement_system_dual, improvement_system_primal
-from .linalg import (IndexSet, InverseCarry, KernelCounts, as_matrix, as_vector, left_product,
-                     right_product)
+from .linalg import (IndexSet, InverseCarry, KernelCounts, as_matrix, as_vector,
+                     left_product, right_product)
 from .primal_update import PrimalContext, primal_update
 
 PAIR_TOL = 1e-8        # optimal-pair certification tolerance

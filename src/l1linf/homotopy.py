@@ -22,8 +22,8 @@ from . import oracle
 from .active_set import ACTIVE_TOL, SUPPORT_TOL, AsmError, UnboundedDirectionError
 from .dual_update import DualContext, dual_update
 from .encodings import improvement_system_dual, improvement_system_primal
-from .linalg import (IndexSet, InverseCarry, KernelCounts, as_matrix, as_vector,
-                     left_product, right_product)
+from .linalg import (InverseCarry, KernelCounts, as_matrix, as_vector, left_product,
+                     right_product)
 from .primal_update import PrimalContext, primal_update
 
 PAIR_TOL = 1e-8        # optimal-pair certification tolerance
@@ -60,10 +60,14 @@ class ProblemInstance:
 
 @dataclass
 class IndexSets:
-    J_P: IndexSet
-    I_P: IndexSet
-    J_D: IndexSet
-    I_D: IndexSet
+    """A breakpoint's four sets, each the read-only, strictly increasing
+    np.intp array of its positions (rows for I_P and I_D, columns for J_P
+    and J_D)."""
+
+    J_P: np.ndarray
+    I_P: np.ndarray
+    J_D: np.ndarray
+    I_D: np.ndarray
     residual_signs: np.ndarray  # aligned with I_P
 
 
@@ -139,11 +143,12 @@ def _build_sets(inst: ProblemInstance, x, y, delta: float) -> IndexSets:
 
 
 def _record(j_p, i_p, j_d, i_d, signs: np.ndarray) -> IndexSets:
-    """The breakpoint record of four set masks; ``signs`` is aligned with
-    the rows of i_p."""
-    return IndexSets(J_P=IndexSet.from_mask(j_p), I_P=IndexSet.from_mask(i_p),
-                     J_D=IndexSet.from_mask(j_d), I_D=IndexSet.from_mask(i_d),
-                     residual_signs=signs)
+    """The breakpoint record of four set masks, each kept as the read-only
+    sorted array of its positions; ``signs`` is aligned with the rows of i_p."""
+    sets = j_p.nonzero()[0], i_p.nonzero()[0], j_d.nonzero()[0], i_d.nonzero()[0]
+    for s in sets:
+        s.setflags(write=False)
+    return IndexSets(*sets, signs)
 
 
 def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
@@ -189,7 +194,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                                    carry=carry)
             tick = time.perf_counter()
             dual_res = dual_update(dual_ctx)
-            path.timing["dual_s"] += time.perf_counter() - tick
+            tock = time.perf_counter()   # primal_s counts from here
+            path.timing["dual_s"] += tock - tick
             path.dual_iterations += dual_res.iterations
 
             stage = "primal"
@@ -197,9 +203,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                 inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
                 dual_res.I_D, dual_res.J_D, signs, dual_res.col_y,
                 warm_direction=dual_res.d_hat if use_warm_starts else None, carry=carry)
-            tick = time.perf_counter()
             primal_res = primal_update(primal_ctx)
-            path.timing["primal_s"] += time.perf_counter() - tick
+            path.timing["primal_s"] += time.perf_counter() - tock
             path.primal_iterations += primal_res.iterations
         except (AsmError, ValueError) as exc:
             if stage == "dual" and isinstance(exc, UnboundedDirectionError):
@@ -283,7 +288,7 @@ def check_alternatives(inst: ProblemInstance, x_hat, y_hat,
     if not check_optimal_pair(inst, x_hat, y_hat, delta_hat):
         raise ValueError("(x_hat, y_hat) is not an optimal pair at delta_hat")
     sets = _build_sets(inst, x_hat, y_hat, delta_hat)
-    i_p, j_p, j_d, i_d = (s.array for s in (sets.I_P, sets.J_P, sets.J_D, sets.I_D))
+    i_p, j_p, j_d, i_d = sets.I_P, sets.J_P, sets.J_D, sets.I_D
     signs = np.zeros(inst.m)
     signs[i_p] = sets.residual_signs
     sys1 = improvement_system_dual(inst.A, signs, y_hat, i_p, j_p, j_d, i_d)

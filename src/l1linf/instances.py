@@ -166,19 +166,46 @@ def instance_to_dict(inst: ProblemInstance, x_bar=None, y_bar=None,
     return out
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _field(data: dict, name: str, convert, expected: str):
+    """convert(data[name]), any failure reported as a ValueError that names
+    the field."""
+    value = data[name]
+    try:
+        return convert(value)
+    except TypeError:
+        raise ValueError(f"instance JSON field {name!r} must {expected}, "
+                         f"not {_json_type(value)}") from None
+    except ValueError as exc:
+        raise ValueError(f"instance JSON field {name!r}: {exc}") from None
+
+
+def _floats(data: dict, name: str) -> np.ndarray:
+    return _field(data, name, lambda v: np.array(v, dtype=float), "hold numbers")
+
+
 def instance_from_dict(data: dict) -> tuple[ProblemInstance, np.ndarray | None, np.ndarray | None]:
+    if not isinstance(data, dict):
+        raise ValueError(f"instance JSON must be an object, not {_json_type(data)}")
     if "A" not in data or "b" not in data:
         raise ValueError("instance JSON needs 'A' and 'b' fields")
     raw_a = data["A"]
     if isinstance(raw_a, dict) and "matrixmarket" in raw_a:
         a = read_matrixmarket_array(raw_a["matrixmarket"])
     else:
-        a = as_matrix(np.array(raw_a, dtype=float), "A")
-    b = as_vector(np.array(data["b"], dtype=float), "b")
-    delta = float(data.get("delta", 0.0))
+        a = as_matrix(_floats(data, "A"), "A")
+    b = as_vector(_floats(data, "b"), "b")
+    delta = _field(data, "delta", float, "be a number") if "delta" in data else 0.0
     inst = ProblemInstance(a, b, delta)
-    x_bar = as_vector(np.array(data["x_bar"], dtype=float), "x_bar") if "x_bar" in data else None
-    y_bar = as_vector(np.array(data["y_bar"], dtype=float), "y_bar") if "y_bar" in data else None
+    x_bar, y_bar = (as_vector(_floats(data, name), name) if name in data else None
+                    for name in ("x_bar", "y_bar"))
     return inst, x_bar, y_bar
 
 

@@ -125,8 +125,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 class IndexSet:
     """Strictly increasing 0-based positions inside a universe {0..universe-1}.
 
-    The validated, immutable record of one index set at a path breakpoint;
-    the solver itself works on sorted int arrays and boolean masks."""
+    The package's validated, immutable index-set value.  The solver builds
+    none: it works on boolean masks and sorted int arrays, and a
+    breakpoint records its sets as read-only sorted int arrays."""
 
     indices: tuple[int, ...]
     universe: int

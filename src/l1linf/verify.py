@@ -70,10 +70,10 @@ def _path_checks(inst: ProblemInstance, path: SolutionPath, pair_tol: float,
             break
 
     for bp in path.breakpoints:
-        if not set(bp.sets.J_P) <= set(bp.sets.J_D):
+        if not np.isin(bp.sets.J_P, bp.sets.J_D).all():
             out["set-containments"] = f"J_P not within J_D at k={bp.k}"
             break
-        if not set(bp.sets.I_D) <= set(bp.sets.I_P):
+        if not np.isin(bp.sets.I_D, bp.sets.I_P).all():
             out["set-containments"] = f"I_D not within I_P at k={bp.k}"
             break
 

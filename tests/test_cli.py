@@ -84,6 +84,27 @@ def test_solve_missing_matrixmarket_named_by_json_exit_2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve"], ["verify", "--input"]])
+@pytest.mark.parametrize("document, message", [
+    (5, "instance JSON must be an object, not a number"),
+    (True, "instance JSON must be an object, not a boolean"),
+    (None, "instance JSON must be an object, not null"),
+    ({"A": [[1.0]], "b": [2.0], "delta": None},
+     "field 'delta' must be a number, not null"),
+    ({"A": [[1.0]], "b": [2.0], "delta": [0.5]},
+     "field 'delta' must be a number, not an array"),
+    ({"A": [[1.0]], "b": [2.0], "delta": {"value": 0.5}},
+     "field 'delta' must be a number, not an object"),
+    ({"A": [[1.0]], "b": {"0": 2.0}}, "field 'b' must hold numbers, not an object"),
+])
+def test_malformed_instance_json_exit_2(tmp_path, capsys, command, document, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(document))
+    assert main([*command, str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("l1linf: ") and message in err and "Traceback" not in err
+
+
 def test_solve_missing_vector_file_exit_2(tmp_path, capsys):
     mm = tmp_path / "a.mtx"
     mm.write_text(write_matrixmarket_array(np.eye(2)))

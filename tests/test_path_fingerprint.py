@@ -2,8 +2,10 @@
 and the per-path digest on one small solved path."""
 
 import copy
+import hashlib
 import importlib.util
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,25 @@ def test_x_moved_by_one_ulp_changes_the_digest(tmp_path, capsys):
     assert "gauss/0/warm: digest" in capsys.readouterr().out
     # a positive rtol bounds delta_k alone and leaves the digests aside
     assert path_fingerprint.main(["compare", str(a), str(b), "--rtol", "1e-12"]) == 0
+
+
+def test_digest_hashes_each_set_as_little_endian_int64_positions():
+    # the bytes hashed for a set are its positions as 8-byte little-endian
+    # integers, whatever type the record keeps them in, so fingerprints
+    # written before and after a change of that type compare equal
+    def chunk(values, code):
+        return len(values).to_bytes(8, "little") + struct.pack(f"<{len(values)}{code}", *values)
+    rng = np.random.default_rng(5)
+    inst = ProblemInstance(rng.standard_normal((6, 12)), rng.standard_normal(6), 0.1)
+    path = solve_path(inst)
+    h = hashlib.sha256()
+    for bp in path.breakpoints:
+        s = bp.sets
+        h.update(chunk(bp.x.tolist(), "d") + chunk(bp.y.tolist(), "d"))
+        for idx in (s.J_P, s.I_P, s.J_D, s.I_D):
+            h.update(chunk([int(i) for i in idx], "q"))
+        h.update(chunk(s.residual_signs.tolist(), "d"))
+    assert path_fingerprint.path_digest(path) == h.hexdigest()
 
 
 def test_last_line_counts_the_differing_paths_of_each_family(tmp_path, capsys):

@@ -83,7 +83,7 @@ def path_digest(path) -> str:
     for bp in path.breakpoints:
         sets = bp.sets
         for arr in (np.asarray(bp.x, dtype="<f8"), np.asarray(bp.y, dtype="<f8"),
-                    *(np.asarray(s.indices, dtype="<i8")
+                    *(np.asarray(s, dtype="<i8")
                       for s in (sets.J_P, sets.I_P, sets.J_D, sets.I_D)),
                     np.asarray(sets.residual_signs, dtype="<f8")):
             h.update(arr.size.to_bytes(8, "little"))

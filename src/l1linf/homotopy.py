@@ -139,13 +139,18 @@ def _build_sets(inst: ProblemInstance, x, y, delta: float) -> IndexSets:
     i_p = (np.abs(np.abs(resid) - delta) <= scale) | i_d
     j_p = np.abs(x) > SUPPORT_TOL
     j_d = (np.abs(np.abs(left_product(inst.A, y)) - 1.0) <= 2 * ACTIVE_TOL) | j_p
-    return _record(j_p, i_p, j_d, i_d, np.sign(resid[i_p]))
+    return _record(np.arange(inst.m, dtype=np.intp), np.arange(inst.n, dtype=np.intp),
+                   j_p, i_p, j_d, i_d, np.sign(resid[i_p]))
 
 
-def _record(j_p, i_p, j_d, i_d, signs: np.ndarray) -> IndexSets:
+def _record(rows: np.ndarray, cols: np.ndarray, j_p, i_p, j_d, i_d,
+            signs: np.ndarray) -> IndexSets:
     """The breakpoint record of four set masks, each kept as the read-only
-    sorted array of its positions; ``signs`` is aligned with the rows of i_p."""
-    sets = j_p.nonzero()[0], i_p.nonzero()[0], j_d.nonzero()[0], i_d.nonzero()[0]
+    sorted array of its positions; ``rows`` and ``cols`` are the np.intp
+    ranges of m and n, and ``signs`` is aligned with the rows of i_p.
+    A range indexed by a mask is one array, where ``mask.nonzero()[0]``
+    is a view and a 2-d base: about 500 bytes more a breakpoint."""
+    sets = cols[j_p], rows[i_p], cols[j_d], rows[i_d]
     for s in sets:
         s.setflags(write=False)
     return IndexSets(*sets, signs)
@@ -175,7 +180,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     j_p = np.zeros(n, dtype=bool)
     signs = np.zeros(m)
     signs[i_p] = np.sign(-inst.b[i_p])
-    sets = _record(j_p, i_p, j_p, np.zeros(m, dtype=bool), signs[i_p])
+    rows, cols = np.arange(m, dtype=np.intp), np.arange(n, dtype=np.intp)
+    sets = _record(rows, cols, j_p, i_p, j_p, np.zeros(m, dtype=bool), signs[i_p])
     path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
                         "failure")
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
@@ -236,7 +242,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         i_p_signs = primal_res.signs[i_p]
         signs = np.zeros(m)
         signs[i_p] = i_p_signs
-        sets = _record(j_p, i_p, dual_res.J_D, dual_res.I_D, i_p_signs)
+        sets = _record(rows, cols, j_p, i_p, dual_res.J_D, dual_res.I_D, i_p_signs)
         # x and y are fresh arrays of the two updates, which the next
         # iteration only reads: the breakpoint keeps them uncopied
         path.breakpoints.append(PathBreakpoint(k + 1, delta_next, x, y, sets, t))

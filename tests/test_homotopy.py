@@ -436,6 +436,7 @@ def test_breakpoint_sets_are_the_classified_sets():
                 np.testing.assert_array_equal(got, getattr(ref, name), err_msg=f"{bp.k} {name}")
                 assert got.dtype == np.intp and got.ndim == 1 and not got.flags.writeable
                 assert np.all(got[1:] > got[:-1])
+                assert got.base is None    # no view keeping a larger base alive
             np.testing.assert_array_equal(bp.sets.residual_signs, ref.residual_signs)
 
 
@@ -469,7 +470,7 @@ def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
     assert len(built) == 0
 
 
-GLUE_CALLS_PER_BREAKPOINT = 19   # 18.5 measured; 51.4 with four IndexSets a breakpoint
+GLUE_CALLS_PER_BREAKPOINT = 15   # 14.5 measured; 52.0 with four IndexSets a breakpoint
 
 
 def test_driver_glue_stays_within_its_call_budget():

@@ -442,17 +442,14 @@ def test_breakpoint_sets_are_the_classified_sets():
 
 def test_breakpoint_sets_cannot_be_written():
     # the record is the sets the loop decided; no reader may edit them
-    path = solve_path(pinned_gaussian())
-    sets = path.breakpoints[-1].sets
-    for name in ("J_P", "I_P", "J_D", "I_D"):
-        arr = getattr(sets, name)
-        assert arr.size > 0
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
-    sets = _build_sets(pinned_gaussian(), path.x_final, path.breakpoints[-1].y,
-                       path.breakpoints[-1].delta_k)
-    with pytest.raises(ValueError, match="read-only"):
-        sets.I_P[0] = 0
+    inst = pinned_gaussian()
+    bp = solve_path(inst).breakpoints[-1]
+    for sets in (bp.sets, _build_sets(inst, bp.x, bp.y, bp.delta_k)):
+        for name in ("J_P", "I_P", "J_D", "I_D"):
+            arr = getattr(sets, name)
+            assert arr.size > 0
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):

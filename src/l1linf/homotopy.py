@@ -90,6 +90,8 @@ class SolutionPath:
     primal_iterations: int = 0
     retries: int = 0  # always 0: read by perfbench tracing, export stats, path fingerprints
     timing: dict = field(default_factory=dict)
+    # how the path's kernel calls were solved, each non-empty call counted
+    # once under its route (see KernelCounts)
     kernel: KernelCounts = field(default_factory=KernelCounts)
 
     @property
@@ -252,8 +254,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                    "active_rows": len(sets.I_P), "active_cols": len(sets.J_D),
                    "dual_iters": dual_res.iterations,
                    "primal_iters": primal_res.iterations,
-                   "kernel_updates": path.kernel.updates, "kernel_fresh": path.kernel.fresh,
-                   "kernel_drift": path.kernel.drift, "kernel_svd": path.kernel.svd})
+                   **{f"kernel_{key}": count for key, count in vars(path.kernel).items()}})
         if delta_next <= inst.delta:
             path.terminated = "target-reached"
             return path

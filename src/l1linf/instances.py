@@ -14,7 +14,7 @@ import numpy as np
 from . import oracle
 from .homotopy import ProblemInstance, check_optimal_pair
 from .linalg import as_matrix, as_vector
-from .mmio import read_matrixmarket_array
+from .mmio import json_numbers, json_type, read_matrixmarket_array
 
 CERT_TOL = 1e-10   # certificate validation for ground-truth construction
 BP_TOL = 1e-9      # l1-minimality verification slack
@@ -152,48 +152,23 @@ def to_linf_form(gb: GeneralizedBounds, delta_hat: float) -> tuple[np.ndarray, n
 
 def instance_to_dict(inst: ProblemInstance, x_bar=None, y_bar=None,
                      seed: int | None = None) -> dict:
-    out = {
-        "A": [[float(v) for v in row] for row in inst.A],
-        "b": [float(v) for v in inst.b],
-        "delta": float(inst.delta),
-    }
+    out = {"A": inst.A.tolist(), "b": inst.b.tolist(), "delta": float(inst.delta)}
     if x_bar is not None:
-        out["x_bar"] = [float(v) for v in np.asarray(x_bar)]
+        out["x_bar"] = np.asarray(x_bar, dtype=float).tolist()
     if y_bar is not None:
-        out["y_bar"] = [float(v) for v in np.asarray(y_bar)]
+        out["y_bar"] = np.asarray(y_bar, dtype=float).tolist()
     if seed is not None:
         out["seed"] = int(seed)
     return out
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-               int: "a number", float: "a number", type(None): "null"}
-
-
-def _json_type(value) -> str:
-    return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
-def _field(data: dict, name: str, convert, expected: str):
-    """convert(data[name]), any failure reported as a ValueError that names
-    the field."""
-    value = data[name]
-    try:
-        return convert(value)
-    except TypeError:
-        raise ValueError(f"instance JSON field {name!r} must {expected}, "
-                         f"not {_json_type(value)}") from None
-    except ValueError as exc:
-        raise ValueError(f"instance JSON field {name!r}: {exc}") from None
-
-
-def _floats(data: dict, name: str) -> np.ndarray:
-    return _field(data, name, lambda v: np.array(v, dtype=float), "hold numbers")
+def _floats(data: dict, name: str, scalar: bool = False) -> np.ndarray:
+    return json_numbers(data[name], f"instance JSON field {name!r}", scalar)
 
 
 def instance_from_dict(data: dict) -> tuple[ProblemInstance, np.ndarray | None, np.ndarray | None]:
     if not isinstance(data, dict):
-        raise ValueError(f"instance JSON must be an object, not {_json_type(data)}")
+        raise ValueError(f"instance JSON must be an object, not {json_type(data)}")
     if "A" not in data or "b" not in data:
         raise ValueError("instance JSON needs 'A' and 'b' fields")
     raw_a = data["A"]
@@ -202,7 +177,7 @@ def instance_from_dict(data: dict) -> tuple[ProblemInstance, np.ndarray | None, 
     else:
         a = as_matrix(_floats(data, "A"), "A")
     b = as_vector(_floats(data, "b"), "b")
-    delta = _field(data, "delta", float, "be a number") if "delta" in data else 0.0
+    delta = float(_floats(data, "delta", scalar=True)) if "delta" in data else 0.0
     inst = ProblemInstance(a, b, delta)
     x_bar, y_bar = (as_vector(_floats(data, name), name) if name in data else None
                     for name in ("x_bar", "y_bar"))

@@ -19,18 +19,6 @@ import numpy as np
 # ||M x - rhs||_inf <= CONSISTENCY_TOL * (1 + ||rhs||_inf).
 CONSISTENCY_TOL = 1e-9
 
-# solve_consistent solves square and (k+1) x k blocks through the inverse of
-# a square system from this many columns up; below it the thin SVD is as
-# cheap or cheaper.  One stateless call on Gaussian k x k and (k+1) x k
-# blocks, one BLAS thread on a 2-vCPU Xeon: the SVD route takes 45-55 us at
-# k = 10, 140-160 us at k = 30 and 5.3-6.3 ms at k = 180, a fresh
-# Householder QR solve 50-90 us, 75-105 us and 1.9-2.2 ms.  Along a path a
-# call costs mostly its numpy calls: replaying every kernel call of a seed-1
-# round (per-call minimum over 3-8 replays), a call that an update of the
-# carried inverse serves takes 34 us on the dantzig-gram paths (k = 12-30),
-# 43 us on small-many and 68 us on gauss-deep (mean k = 89), and a call on
-# the SVD route 34-44 us.
-QR_MIN_COLS = 12
 # left_product and right_product, the products of A with a vector that is
 # zero off a few rows or columns, gather those rows or columns once A has
 # GATHER_MIN_SIZE entries and the vector lives on at most the share
@@ -190,10 +178,11 @@ class SolveReport:
 
 @dataclass
 class KernelCounts:
-    """How the square systems of one path were solved: answers served by
+    """How the kernel systems of one path were solved: answers served by
     the carried inverse, fresh inverses after a passed rank test, carried
-    answers refused by the refinement test, and systems that failed the
-    rank test and went to the SVD."""
+    answers refused by the refinement test, and non-empty blocks sent to
+    the SVD (rank test failed, wide, or taller than k+1).  So updates +
+    fresh + svd counts every non-empty kernel call."""
 
     updates: int = 0
     fresh: int = 0
@@ -508,12 +497,12 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     here and labelled by position, or a ``Block`` of a matrix A validated
     by its owner, whose ``rows`` and ``cols`` label the block's rows and
     columns in A; a Block is read entry by entry and gathered only for a
-    fresh factor or the SVD.  A square or (k+1) x k block with
-    k >= ``QR_MIN_COLS`` is turned into one square system S: a square
-    block solves S x = rhs with S = M, and a (k+1) x k block solves
-    S^T z = e_last with S = [M | rhs], whose solution is exactly the
-    alternative z (M^T z = 0, rhs^T z = 1), so w = z / (z . z).  S is
-    solved with its inverse H: fresh, after the rank test
+    fresh factor or the SVD.  Every non-empty square or (k+1) x k block
+    is turned into one square system S: a square block solves S x = rhs
+    with S = M, and a (k+1) x k block solves S^T z = e_last with
+    S = [M | rhs], whose solution is exactly the alternative z
+    (M^T z = 0, rhs^T z = 1), so w = z / (z . z).  S is solved with its
+    inverse H: fresh, after the rank test
     min |R_ii| > QR_RANK_RTOL * max |R_ii| on the R of a Householder QR
     of S, or carried from the last call along a path.  With ``carry``,
     which takes a Block only, S and H are brought to this block by an
@@ -522,9 +511,9 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     column of a (k+1) x k block take a fresh factor.  Each answer gets one
     step of iterative refinement against S; a carried answer that the
     refinement moves by more than DRIFT_RTOL is refused for a fresh
-    factor.  Every other block (wide, empty, small, taller than k+1, or a
-    system that fails the rank test) goes to ``_svd_solve``, which gives
-    the minimum-2-norm solution and w from a truncated thin SVD.  Either
+    factor.  Every other block (wide, empty, taller than k+1, or a system
+    that fails the rank test) goes to ``_svd_solve``, which gives the
+    minimum-2-norm solution and w from a truncated thin SVD.  Either
     way z = w / ||w||^2 is the minimum-norm solution of the alternative
     system, and each answer is accepted by the residual test of its own
     system against the block, through S when there is one:
@@ -545,12 +534,14 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     if m.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: M has {m.shape[0]} rows, rhs has {rhs.shape[0]}")
     rows_n, cols_n = m.shape
-    if cols_n >= QR_MIN_COLS and rows_n - cols_n in (0, 1):
+    if cols_n and rows_n - cols_n in (0, 1):
         if carry is None:   # a stateless call factors afresh in a carry of its own
             carry = InverseCarry()
         report = _square_solve(m, rhs, carry, rows, cols, n, limit)
         if report is not None:
             return report
+    elif carry is not None and rows_n and cols_n:  # a wide block, or one taller than k+1
+        carry.counts.svd += 1
     m = np.asarray(m)
     sol, w = _svd_solve(m, rhs)
     resid = _max_abs(m.dot(sol) - rhs)

@@ -14,6 +14,32 @@ class ParseError(ValueError):
     pass
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def json_numbers(value, name: str, scalar: bool = False) -> np.ndarray:
+    """A decoded JSON array of numbers (nested for a matrix), or with scalar
+    one number, as floats.  A ParseError names any other JSON value, even a
+    boolean or a numeric string, which numpy would read as a number."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if type(item) is list and not scalar:
+            items.extend(item)
+        elif type(item) not in (int, float):
+            raise ParseError(f"{name} must {'be a number' if scalar else 'hold numbers'}, "
+                             f"not {json_type(item)}")
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{name}: {exc}") from None
+
+
 def read_matrixmarket_array(source) -> np.ndarray:
     """Read a dense matrix in MatrixMarket ``array real general`` format.
 
@@ -84,9 +110,7 @@ def read_vector(source) -> np.ndarray:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON vector: {exc}") from exc
-        if not isinstance(data, list):
-            raise ParseError("JSON vector must be an array of numbers")
-        return as_vector(np.array(data, dtype=float), "vector")
+        return as_vector(json_numbers(data, "JSON vector"), "vector")
     try:
         return as_vector(np.array([float(tok) for tok in stripped.split()]), "vector")
     except ValueError as exc:

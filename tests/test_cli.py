@@ -96,6 +96,14 @@ def test_solve_missing_matrixmarket_named_by_json_exit_2(tmp_path, capsys):
     ({"A": [[1.0]], "b": [2.0], "delta": {"value": 0.5}},
      "field 'delta' must be a number, not an object"),
     ({"A": [[1.0]], "b": {"0": 2.0}}, "field 'b' must hold numbers, not an object"),
+    # booleans and numeric strings are not JSON numbers, though numpy reads them as numbers
+    ({"A": [["2"]], "b": [True], "delta": "0.5"}, "field 'A' must hold numbers, not a string"),
+    ({"A": [[2.0]], "b": [True], "delta": 0.5}, "field 'b' must hold numbers, not a boolean"),
+    ({"A": [[2.0]], "b": [1.0], "delta": "0.5"}, "field 'delta' must be a number, not a string"),
+    ({"A": [[2.0]], "b": [1.0], "delta": True}, "field 'delta' must be a number, not a boolean"),
+    ({"A": [[2.0]], "b": [1.0], "x_bar": [False]},
+     "field 'x_bar' must hold numbers, not a boolean"),
+    ({"A": [[2.0]], "b": [1.0], "y_bar": ["1"]}, "field 'y_bar' must hold numbers, not a string"),
 ])
 def test_malformed_instance_json_exit_2(tmp_path, capsys, command, document, message):
     inst = tmp_path / "inst.json"

@@ -316,6 +316,13 @@ def pinned_gaussian():
     return ProblemInstance(a, b, 0.05 * np.max(np.abs(b)))
 
 
+def pinned_small():
+    # the size of a small-many workload instance: every block has k < 12
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((8, 16)), rng.standard_normal(8)
+    return ProblemInstance(a, b, 0.05 * np.max(np.abs(b)))
+
+
 def pinned_dantzig():
     # Dantzig-selector form: A = X^T X is 24 x 24 of rank 12
     rng = np.random.default_rng(8)
@@ -468,22 +475,27 @@ def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
 
 
 GLUE_CALLS_PER_BREAKPOINT = 15   # 14.5 measured; 52.0 with four IndexSets a breakpoint
+# 222.5 on pinned_gaussian and 223.4 on pinned_small measured; 229.5 and
+# 244.4 when blocks below 12 columns took the SVD
+CALLS_PER_BREAKPOINT = 228
 
 
-def test_driver_glue_stays_within_its_call_budget():
-    # the Python and C calls solve_path makes outside the two updates, as
-    # sys.setprofile reports them: contexts, timers, the record and the
-    # breakpoint.  Operators and ufuncs make no profile event
+def _profiled_calls(inst):
+    """solve_path(inst) under sys.setprofile: the path, the Python and C
+    calls made outside the two updates (contexts, timers, the record and
+    the breakpoint) and all its calls.  Operators and ufuncs make no
+    profile event."""
     updates = {homotopy.dual_update.__code__, homotopy.primal_update.__code__}
-    calls = inside = 0
+    glue = calls = inside = 0
 
     def profile(frame, event, arg):
-        nonlocal calls, inside
+        nonlocal glue, calls, inside
+        if event in ("call", "c_call"):
+            calls += 1
         if frame.f_code in updates and event in ("call", "return"):
             inside += 1 if event == "call" else -1
         elif not inside and event in ("call", "c_call"):
-            calls += 1
-    inst = pinned_gaussian()
+            glue += 1
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -491,7 +503,19 @@ def test_driver_glue_stays_within_its_call_budget():
     finally:
         sys.setprofile(previous)
     assert path.terminated == "target-reached" and inside == 0
-    assert calls <= GLUE_CALLS_PER_BREAKPOINT * (len(path.breakpoints) - 1), calls
+    return path, glue, calls
+
+
+def test_driver_glue_stays_within_its_call_budget():
+    path, glue, _ = _profiled_calls(pinned_gaussian())
+    assert glue <= GLUE_CALLS_PER_BREAKPOINT * (len(path.breakpoints) - 1), glue
+
+
+@pytest.mark.parametrize("inst", [pinned_gaussian(), pinned_small()], ids=["gaussian", "small"])
+def test_a_breakpoint_stays_within_its_call_budget(inst):
+    # the driver, both updates and the kernel together
+    path, _, calls = _profiled_calls(inst)
+    assert calls <= CALLS_PER_BREAKPOINT * (len(path.breakpoints) - 1), calls
 
 
 def _zero_step_at(monkeypatch, iteration):

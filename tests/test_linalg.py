@@ -9,9 +9,9 @@ import pytest
 
 from l1linf import ProblemInstance, dual_update, linalg, primal_update, solve_path
 from l1linf.active_set import index_mask
-from l1linf.linalg import (GATHER_MIN_SIZE, QR_MIN_COLS, Block, IndexSet, InverseCarry,
+from l1linf.linalg import (GATHER_MIN_SIZE, Block, IndexSet, InverseCarry,
                            _svd_solve, left_product, right_product, solve_consistent)
-from test_homotopy import pinned_gaussian
+from test_homotopy import pinned_gaussian, pinned_small
 
 
 def test_indexset_validation():
@@ -135,11 +135,11 @@ def test_solve_errors():
 def test_a_carried_solve_takes_a_block():
     # a Block's rows and cols name its system; an array is validated and
     # labelled by position, so it cannot follow a carried system
-    m = np.eye(QR_MIN_COLS + 1)
-    rhs = np.ones(QR_MIN_COLS + 1)
+    m = np.eye(12 + 1)
+    rhs = np.ones(12 + 1)
     with pytest.raises(TypeError):
         solve_consistent(m, rhs, carry=InverseCarry())
-    labels = np.arange(QR_MIN_COLS + 1)
+    labels = np.arange(12 + 1)
     carry = InverseCarry()
     rep = solve_consistent(Block(m, labels, labels), rhs, carry=carry)
     assert rep.consistent and vars(carry.counts)["fresh"] == 1
@@ -247,24 +247,47 @@ def _rel_close(a, b, scale):
     return np.linalg.norm(a - b) <= 1e-10 * scale
 
 
-def test_qr_branch_replays_the_svd_branch_on_a_path(monkeypatch):
-    # every block of the pinned path gives the same report from the QR
-    # branch as from the SVD branch, and only small blocks reach the SVD
+def _path_blocks(monkeypatch, inst):
+    """The (block, rhs) of every kernel call of inst's path, in order."""
     blocks = []
 
     def capture(m, rhs, **kwargs):
         blocks.append((m, rhs))
         return solve_consistent(m, rhs, **kwargs)
-    monkeypatch.setattr(dual_update, "solve_consistent", capture)
-    monkeypatch.setattr(primal_update, "solve_consistent", capture)
-    assert solve_path(pinned_gaussian()).terminated == "target-reached"
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(dual_update, "solve_consistent", capture)
+        patch.setattr(primal_update, "solve_consistent", capture)
+        path = solve_path(inst)
+    assert path.terminated == "target-reached"
+    return path, blocks
 
+
+@pytest.mark.parametrize("inst", [pinned_gaussian(), pinned_small()], ids=["gaussian", "small"])
+def test_kernel_counts_cover_every_call_of_a_path(monkeypatch, inst):
+    # every non-empty block of a path is counted once, and none takes an SVD
+    svd, svd_calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    path, blocks = _path_blocks(monkeypatch, inst)
+    counts = path.kernel
+    assert counts.updates + counts.fresh + counts.svd \
+        == sum(m.shape[0] * m.shape[1] > 0 for m, _ in blocks) > 0
+    assert svd_calls == []
+
+
+def test_qr_branch_replays_the_svd_branch_on_a_path(monkeypatch):
+    # every block of the pinned path gives the same report from the QR
+    # branch as from the SVD branch, and only empty blocks reach _svd_solve
+    _, blocks = _path_blocks(monkeypatch, pinned_gaussian())
     calls = _svd_calls(monkeypatch)
     reports = [solve_consistent(m, rhs) for m, rhs in blocks]
-    qr_blocks = sum(m.shape[0] >= m.shape[1] >= QR_MIN_COLS for m, _ in blocks)
-    assert qr_blocks > 0 and len(calls) == len(blocks) - qr_blocks
-    monkeypatch.setattr(linalg, "QR_MIN_COLS", sys.maxsize)
+    empty = [m.shape for m, _ in blocks if 0 in m.shape]
+    assert 0 < len(empty) < len(blocks) and calls == empty
+    # the rank-failure exit of the square route sends every block to the SVD
+    monkeypatch.setattr(linalg, "_square_solve", lambda *args: None)
     for (m, rhs), rep in zip(blocks, reports):
         ref = solve_consistent(m, rhs)
         assert rep.consistent == ref.consistent
@@ -284,8 +307,15 @@ def _near_singular_cases():
     u, _ = np.linalg.qr(rng.standard_normal((20, 15)))
     v, _ = np.linalg.qr(rng.standard_normal((15, 15)))
     graded = (u * np.logspace(0, -12, 15)) @ v.T        # condition number 1e12
-    return [pytest.param(m, m @ rng.standard_normal(15), id=name)
-            for name, m in (("repeated-column", repeated), ("cond-1e12", graded))]
+    cases = [pytest.param(m, m @ rng.standard_normal(15), id=name)
+             for name, m in (("repeated-column", repeated), ("cond-1e12", graded))]
+    # small blocks of the square route, whose square systems fail the rank test
+    h = rng.standard_normal((3, 2))
+    square = np.column_stack([h, h[:, 0] - h[:, 1]])    # 3 x 3 of rank 2
+    t = rng.standard_normal((4, 2))
+    tall = np.column_stack([t, t[:, 1]])                # 4 x 3 of rank 2
+    return cases + [pytest.param(m, m @ rng.standard_normal(3), id=name)
+                    for name, m in (("square-rank-2", square), ("4x3-rank-2", tall))]
 
 
 @pytest.mark.parametrize("m,rhs", _near_singular_cases())
@@ -305,7 +335,7 @@ def test_near_singular_tall_block_takes_the_svd_branch(monkeypatch, m, rhs):
 
 def test_square_block_has_no_alternative(monkeypatch):
     rng = np.random.default_rng(11)
-    m = rng.standard_normal((QR_MIN_COLS + 3, QR_MIN_COLS + 3))
+    m = rng.standard_normal((12 + 3, 12 + 3))
     rhs = rng.standard_normal(m.shape[0])
     calls = _svd_calls(monkeypatch)
     rep = solve_consistent(m, rhs)
@@ -335,21 +365,12 @@ def _carried_system_error(carry, m, rhs):
     return np.max(np.abs(carry.h @ s - np.eye(s.shape[0])))
 
 
-def _replay_on_one_carry(monkeypatch, inst, on_update=None):
+def _replay_on_one_carry(monkeypatch, inst, on_update=None, min_calls=50):
     """Feed the kernel calls of inst's path again, in order, through one
     carried inverse, and check each report against the stateless
     kernel's; on_update(carry, block, rhs) runs after each call that an
     update served."""
-    blocks = []
-
-    def capture(m, rhs, **kwargs):
-        blocks.append((m, rhs))
-        return solve_consistent(m, rhs, **kwargs)
-    with monkeypatch.context() as patch:
-        patch.setattr(dual_update, "solve_consistent", capture)
-        patch.setattr(primal_update, "solve_consistent", capture)
-        assert solve_path(inst).terminated == "target-reached"
-
+    _, blocks = _path_blocks(monkeypatch, inst)
     carry = InverseCarry()
     counts = carry.counts
     for m, rhs in blocks:
@@ -359,16 +380,23 @@ def _replay_on_one_carry(monkeypatch, inst, on_update=None):
         if on_update is not None and counts.updates > served:
             on_update(carry, m, rhs)
     eligible = counts.updates + counts.fresh + counts.svd
-    assert eligible > 50 and counts.updates >= 0.9 * eligible
+    assert eligible > min_calls and counts.updates >= 0.9 * eligible
 
 
 def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
     # the block sequence of the pinned path, fed through one carried
     # inverse, gives the stateless kernel's reports, and the updates keep H
-    # the inverse of the square system
+    # the inverse of the square system; so do the blocks of a small path,
+    # every one of fewer than 12 columns (33 kernel calls in 17 breakpoints)
+    sizes = []
+
     def inverse_kept(carry, m, rhs):
+        sizes.append(m.shape[1])
         assert _carried_system_error(carry, m, rhs) <= 1e-10
     _replay_on_one_carry(monkeypatch, pinned_gaussian(), inverse_kept)
+    sizes.clear()
+    _replay_on_one_carry(monkeypatch, pinned_small(), inverse_kept, min_calls=30)
+    assert max(sizes) < 12
 
 
 def _workload(name):
@@ -427,7 +455,7 @@ def test_each_kind_of_update_keeps_the_inverse():
     rng = np.random.default_rng(15)
     a = rng.standard_normal((30, 40))
     signs = rng.choice([-1.0, 1.0], size=30)
-    k = QR_MIN_COLS + 2
+    k = 12 + 2
     base = list(range(k))
     steps = [                                    # rows, cols (n: tall), signs
         (base, base, signs),
@@ -454,7 +482,7 @@ def test_new_rhs_values_take_a_fresh_factor():
     signs = rng.choice([-1.0, 1.0], size=30)
     flipped = signs.copy()
     flipped[[2, 9]] *= -1.0
-    rows, cols = list(range(QR_MIN_COLS + 3)), list(range(QR_MIN_COLS + 2)) + [40]
+    rows, cols = list(range(12 + 3)), list(range(12 + 2)) + [40]
     carry = InverseCarry()
     steps = [(rows, cols, signs), (rows, cols, flipped)]
     for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
@@ -468,7 +496,7 @@ def test_a_replaced_row_takes_a_fresh_factor():
     rng = np.random.default_rng(15)
     a = rng.standard_normal((30, 40))
     signs = rng.choice([-1.0, 1.0], size=30)
-    rows, cols = list(range(QR_MIN_COLS + 2)), list(range(QR_MIN_COLS + 2))
+    rows, cols = list(range(12 + 2)), list(range(12 + 2))
     steps = [(rows, cols, signs), (rows[:3] + rows[4:] + [25], cols, signs)]
     carry = InverseCarry()
     for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
@@ -480,7 +508,7 @@ def _near_singular_next_block(tall):
     """A path's well-conditioned block and its next block, which replaces
     column 5 by a copy of column 3 up to 1e-10."""
     rng = np.random.default_rng(13)
-    k = QR_MIN_COLS + 3
+    k = 12 + 3
     a = rng.standard_normal((k + tall, k + 1))
     a[:, k] = a[:, 3] + 1e-10 * rng.standard_normal(k + tall)
     rows, first, second = np.arange(k + tall), np.arange(k), np.r_[0:5, 6:k + 1]
@@ -509,7 +537,7 @@ def test_near_singular_square_system_takes_the_svd(monkeypatch, tall):
 
 def test_update_to_a_singular_system_is_refused_without_warnings(monkeypatch):
     rng = np.random.default_rng(17)
-    k = QR_MIN_COLS + 3
+    k = 12 + 3
     a = rng.standard_normal((k, k + 1))
     a[:, k] = a[:, 3]                           # column k duplicates column 3
     rows, first, second = np.arange(k), np.arange(k), np.r_[0:5, 6:k + 1]
@@ -529,7 +557,7 @@ def test_update_to_a_singular_system_is_refused_without_warnings(monkeypatch):
 
 def test_refinement_corrects_a_small_drift_and_refuses_a_large_one():
     rng = np.random.default_rng(19)
-    k = QR_MIN_COLS + 3
+    k = 12 + 3
     m, rhs, labels = rng.standard_normal((k, k)), rng.standard_normal(k), np.arange(k)
     ref = solve_consistent(m, rhs)
     block = Block(m, labels, labels)

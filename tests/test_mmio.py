@@ -63,6 +63,11 @@ def test_read_vector_plain_and_json(tmp_path):
     np.testing.assert_array_equal(read_vector(f), [7.0, 8.0])
     with pytest.raises(ParseError):
         read_vector("1 two 3")
+    # numpy reads a boolean or a numeric string as a number; JSON does not
+    for text, kind in (('[true, "2", 3]', "a string"), ("[1, true]", "a boolean"),
+                       ('["2"]', "a string"), ("[1, null]", "null")):
+        with pytest.raises(ParseError, match=f"JSON vector must hold numbers, not {kind}"):
+            read_vector(text)
 
 
 def test_read_vector_missing_path_is_named_and_str_is_text(tmp_path):

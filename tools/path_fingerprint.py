@@ -10,8 +10,9 @@ read-only from ``perfbench/workloads.py``), the instances of
 ``half_integer_draws``, each solved warm and cold.  The tied draws take
 zero-length subproblem steps, which the other paths never make.  A
 path's fingerprint is its status, failure reason, breakpoint count, dual
-and primal iterations, retries (always 0), kernel counts, the number of its
-breakpoints that ``check_optimal_pair`` certifies, the bytes of its
+and primal iterations, retries (always 0), kernel counts (every
+non-empty kernel call of the path, by the route that solved it), the number
+of its breakpoints that ``check_optimal_pair`` certifies, the bytes of its
 breakpoint bounds ``delta_k``, and ``digest``, a SHA-256 over every
 breakpoint's ``x`` and ``y`` bytes, its four index sets and its
 ``residual_signs``.  ``compare`` asks every field to be equal, and each

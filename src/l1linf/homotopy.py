@@ -46,8 +46,8 @@ class ProblemInstance:
             raise ValueError("A and b have incompatible shapes")
         if self.A.shape[0] < 1 or self.A.shape[1] < 1:
             raise ValueError("A must have at least one row and one column")
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not 0.0 <= self.delta < np.inf:
+            raise ValueError("delta must be finite and nonnegative")
 
     @property
     def m(self) -> int:

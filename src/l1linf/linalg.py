@@ -194,7 +194,8 @@ class Block:
     """The block A[rows][:, cols] of a matrix A that its owner has already
     validated, without gathering it; the carried inverse reads the few
     entries it needs from ``a``, and ``np.asarray`` gathers the whole
-    block."""
+    block.  A carry keeps ``rows`` and ``cols`` as its labels, so they
+    must not change afterwards."""
 
     __slots__ = ("a", "rows", "cols", "shape")
 
@@ -211,86 +212,67 @@ class InverseCarry:
     kept from one kernel call to the next.
 
     S is the block itself for a square block and [M | rhs] for a (k+1) x k
-    block.  ``rows`` and ``cols`` label S's rows and columns with the rows
-    and columns of A that the ``Block`` names; the rhs column takes the
-    label A.shape[1], so it sorts after every column of A, and its place in
-    S is ``slot`` (-1 when S has none).  S, H and the labels stay in the
-    order in which rows and columns joined S, so an update never reorders
-    them; ``rp`` and ``cp`` place S's rows and columns in the current
-    block.  The labels lead two buffers of the row count of A, so a
-    bordering appends nothing.  S and H are contiguous arrays, which a
-    bordering or an un-bordering copies: ndarray.dot, which makes every
-    product of the kernel, costs about twice as much on a strided view,
-    and the subtraction of a rank-one update runs 3-5 times slower on
-    one.  ``follow`` brings S and H
-    to the next system in O(k^2) when that differs from S by one bordering,
-    one un-bordering or one replaced column, reading the O(k) new entries
-    of S from A; any other change, new values in the rhs column included,
-    clears them, so the system is gathered and factored afresh.
+    block, which ``tall`` marks.  S keeps the block's own order: its rows
+    and columns follow ``rows`` and ``cols``, the sorted labels in A that
+    the ``Block`` names, and the rhs column of a tall S comes last.  S and
+    H are contiguous arrays: ndarray.dot, which makes every product of the
+    kernel, costs about twice as much on a strided view, and the
+    subtraction of a rank-one update runs 3-5 times slower on one.
+    ``follow`` brings S and H to the next system in O(k^2) when that
+    differs from S by one bordering, one un-bordering or one replaced
+    column: it reads the O(k) new entries of S from A, updates H, and
+    shifts rows and columns in place (``_move``) so that S keeps the
+    block's order.  Any other change, new values in the rhs column
+    included, clears them, so the system is gathered and factored afresh.
     """
 
     def __init__(self):
         self.counts = KernelCounts()
-        self._rbuf = self._cbuf = None
         self.clear()
 
     def clear(self) -> None:
-        self.s = self.h = None
-        self.rows = self.cols = self.rp = self.cp = None
-        self.slot = -1
+        self.s = self.h = self.rows = self.cols = None
+        self.tall = False
         self._keys = (None, None)
 
     def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
-              cols: np.ndarray, n: int, limit: int) -> None:
+              cols: np.ndarray) -> None:
         """Carry S and H = S^-1, the system of the block whose sorted
         labels are rows and cols; a last column of S beyond cols is the rhs
-        column, labelled n.  limit, the row count of the block's matrix,
-        bounds the size of S and so the label buffers."""
-        size, k = s.shape[0], cols.size
-        self.s, self.h = s, h
-        if self._rbuf is None or self._rbuf.size < limit:
-            self._rbuf, self._cbuf = np.empty(limit, np.intp), np.empty(limit, np.intp)
-        self._rbuf[:size] = rows
-        self._cbuf[:k] = cols
-        self.slot = -1
-        if size > k:
-            self.slot, self._cbuf[k] = k, n
-        self.rows, self.cols = self._rbuf[:size], self._cbuf[:size]
-        self.rp, self.cp = np.arange(size), np.arange(size)
+        column."""
+        self.s, self.h, self.rows, self.cols = s, h, rows, cols
+        self.tall = s.shape[0] > cols.size
         self._keys = (rows.tobytes(), cols.tobytes())
 
-    def follow(self, m: Block, rhs: np.ndarray, rows: np.ndarray,
-               cols: np.ndarray) -> bool:
-        """Update S and H to the system of (m, rhs), whose sorted labels
-        are rows and cols; the rhs column of a (k+1) x k block comes after
-        cols.  Returns False, and clears, when no update applies or an
-        update's pivot is too small."""
+    def follow(self, m: Block, rhs: np.ndarray) -> bool:
+        """Update S and H to the system of (m, rhs); the rhs column joins
+        as column k or leaves as the last column.  Returns False, and
+        clears, when no update applies or an update's pivot is too small."""
         if self.h is None:
             return False
-        a, size, k = m.a, rows.size, cols.size
+        a, rows, cols = m.a, m.rows, m.cols
+        size, k = m.shape
         tall = size > k
         # almost every block keeps the rows or the columns of A of the last
-        # one (the same bytes and count), whose positions then stand; the
-        # other side is matched
-        keys, slot = (rows.tobytes(), cols.tobytes()), self.slot
-        if keys[0] == self._keys[0] and size == self.rows.size:
-            rmatch = (self.rp, -1, -1)
-        else:
-            rmatch = _match(rows, self.rows, size, -1)
-        if keys[1] == self._keys[1] and k == self.rows.size - (slot >= 0):
-            # the rhs column alone may join or leave
-            cmatch = (self.cp, slot if slot >= 0 and not tall else -1,
-                      k if slot < 0 and tall else -1)
-        else:
-            cmatch = _match(cols, self.cols, size, slot if tall else -1)
+        # one (the same bytes), whose places then stand; the other side is
+        # matched
+        keys = (rows.tobytes(), cols.tobytes())
+        rmatch = (None, -1, -1) if keys[0] == self._keys[0] else _match(rows, self.rows)
+        cmatch = (None, -1, -1) if keys[1] == self._keys[1] else _match(cols, self.cols)
         if rmatch is None or cmatch is None:
             self.clear()
             return False
         rpos, p, i = rmatch
-        cpos, q, j = cmatch
-        if tall and slot >= 0:
+        _, q, j = cmatch
+        if tall != self.tall:
+            # a second change on the columns takes a fresh factor
+            if (j if tall else q) >= 0:
+                self.clear()
+                return False
+            j, q = (k, q) if tall else (j, self.cols.size)
+        elif tall:
             # new values in the rhs column of a kept row: factor afresh
-            moved = rhs.take(rpos, mode="clip") != self.s[:, slot]
+            moved = (rhs if rpos is None else rhs.take(rpos, mode="clip")) != self.s[:, -1]
             if p >= 0:
                 moved[p] = False
             if np.count_nonzero(moved):
@@ -300,44 +282,33 @@ class InverseCarry:
         ok = True
         if change == (False, True, False, True):    # a bordering by row i, column j
             col = a[self.rows, cols[j]] if j < k else rhs[rpos]
-            row = a[rows[i]].take(self.cols, mode="clip")
-            if slot >= 0:
-                row[slot] = rhs[i]
+            row = a[rows[i]].take(self.cols)
+            if self.tall:
+                row = np.append(row, rhs[i])
             corner = a[rows[i], cols[j]] if j < k else rhs[i]
-            ok = self._border(col, row, corner)
-            if ok:
-                last = self.rows.size
-                self._rbuf[last] = rows[i]
-                self._cbuf[last] = cols[j] if j < k else a.shape[1]
-                if j == k:
-                    self.slot = last
-                self.rows, self.cols = self._rbuf[:size], self._cbuf[:size]
-                rpos, cpos = rows.searchsorted(self.rows), cols.searchsorted(self.cols)
+            ok = self._border(col, row, corner, i, j)
         elif change == (True, False, True, False):  # an un-bordering of row p, column q
-            ok = self._unborder(p, q, rpos, cpos)
-            rpos, cpos = rpos[:-1], cpos[:-1]
+            ok = self._unborder(p, q)
         elif change == (False, False, True, True):  # column q replaced by column j
-            col = a[self.rows, cols[j]] if j < k else rhs[rpos]
+            col = a[rows, cols[j]] if j < k else rhs
             ok = _replace_column(self.h, q, col)
             self.s[:, q] = col
-            self.cols[q] = cols[j] if j < k else a.shape[1]
-            cpos[q] = j
-            if j == k:
-                self.slot = q
-            elif q == self.slot:
-                self.slot = -1
+            _move(self.s.T, q, j)
+            _move(self.h, q, j)
         elif any(change):               # a replaced row, or more than one change
             ok = False
         if not ok:
             self.clear()
             return False
-        self.rp, self.cp, self._keys = rpos, cpos, keys
+        self.rows, self.cols, self.tall, self._keys = rows, cols, tall, keys
         return True
 
-    def _border(self, col: np.ndarray, row: np.ndarray, corner: float) -> bool:
+    def _border(self, col: np.ndarray, row: np.ndarray, corner: float,
+                i: int, j: int) -> bool:
         """S becomes [[S, col], [row^T, corner]] and H its inverse, from
-        the Schur complement sigma = corner - row^T H col; False when sigma
-        is too small."""
+        the Schur complement sigma = corner - row^T H col, and the new row
+        and column then move to places i and j; False when sigma is too
+        small."""
         h = self.h
         hc, rh = h.dot(col), row.dot(h)
         sigma = corner - row.dot(hc)
@@ -350,33 +321,35 @@ class InverseCarry:
         out[:size, size] = a
         out[size, :size] = rh / -sigma
         out[size, size] = 1.0 / sigma
-        self.h = out
         s = np.empty((size + 1, size + 1))
         s[:size, :size] = self.s
         s[:size, size] = col
         s[size, :size] = row
         s[size, size] = corner
-        self.s = s
+        # H's columns follow S's rows and its rows S's columns
+        _move(s, size, i)
+        _move(s.T, size, j)
+        _move(out.T, size, i)
+        _move(out, size, j)
+        self.s, self.h = s, out
         return True
 
-    def _unborder(self, p: int, q: int, rpos: np.ndarray, cpos: np.ndarray) -> bool:
+    def _unborder(self, p: int, q: int) -> bool:
         """Remove row p and column q of S.  With f = H e_p, g = e_q^T H and
         h = H_qp, the rank-one step H - f g^T / h zeroes column p and row q
-        of H and leaves the new inverse in the rest; the last row and
-        column of S, H and the labels then move into the freed places."""
+        of H and leaves the new inverse in the rest, once row p and column
+        q of S, and column p and row q of H, have moved to the end."""
         h, s = self.h, self.s
         f, g, piv = h[:, p], h[q], h[q, p]
         if not abs(piv) > QR_RANK_RTOL * max(_max_abs(f), _max_abs(g)):
             return False
         h -= _outer(f / piv, g)
         last = h.shape[0] - 1
-        h[q], h[:, p] = h[last], h[:, last]
-        s[:, q], s[p] = s[:, last], s[last]
-        self.cols[q], cpos[q] = self.cols[last], cpos[last]
-        self.rows[p], rpos[p] = self.rows[last], rpos[last]
-        self.slot = -1 if self.slot == q else q if self.slot == last else self.slot
+        _move(s, p, last)
+        _move(s.T, q, last)
+        _move(h.T, p, last)
+        _move(h, q, last)
         self.h, self.s = h[:last, :last].copy(), s[:last, :last].copy()
-        self.rows, self.cols = self.rows[:last], self.cols[:last]
         return True
 
     def answer(self, rhs: np.ndarray, k: int, carried: bool) -> SolveReport | None:
@@ -385,44 +358,41 @@ class InverseCarry:
         residual tests run through S.  A carried H's answer is None when
         it is not finite or the refinement moved it by more than
         DRIFT_RTOL."""
-        s, h, rp, slot = self.s, self.h, self.rp, self.slot
-        if slot >= 0:
-            # S^T u = e_slot, that is M^T u = 0 and rhs^T u = 1
-            u = h[slot]
+        s, h = self.s, self.h
+        if self.tall:
+            # S^T u = e_last, that is M^T u = 0 and rhs^T u = 1
+            u = h[-1]
             g = u.dot(s)
-            g[slot] -= 1.0
+            g[-1] -= 1.0
             du = g.dot(h)
             u = u - du
         else:
-            b = rhs[rp]
-            u = h.dot(b)
-            du = h.dot(b - s.dot(u))
+            u = h.dot(rhs)
+            du = h.dot(rhs - s.dot(u))
             u += du
         size = _max_abs(u)
         if carried and not (math.isfinite(size) and _max_abs(du) <= DRIFT_RTOL * size):
             return None
-        if slot < 0:    # a square block's w, and so its z, is 0
-            resid = _max_abs(s.dot(u) - b)
+        if not self.tall:   # a square block's w, and so its z, is 0
+            resid = _max_abs(s.dot(u) - rhs)
             ok, _ = _passes(resid, 1.0, rhs)
-            return SolveReport(_placed(u, self.cp, k) if ok else None, resid, ok,
+            return SolveReport(u if ok else None, resid, ok,
                                np.zeros(k), SolveReport(None, 1.0, False))
         unit = u / size                 # u . u itself could overflow
-        ws = unit / (unit.dot(unit) * size)
+        w = unit / (unit.dot(unit) * size)
         # S [x; -1] = M x - rhs = -w at the least-squares point x
-        v = -h.dot(ws)
-        v[slot] = -1.0
+        v = -h.dot(w)
+        v[-1] = -1.0
         resid = _max_abs(s.dot(v))
-        w = np.empty(k + 1)
-        w[rp] = ws
         z_resid = 1.0
         ww = float(w.dot(w))
         if ww > 0.0:
-            # z = w / ww, whose residual M^T z, rhs^T z - 1 is g in S's order
-            g = (ws / ww).dot(s)
-            g[slot] -= 1.0
+            # z = w / ww, whose residual M^T z, rhs^T z - 1 is g
+            g = (w / ww).dot(s)
+            g[-1] -= 1.0
             z_resid = _max_abs(g)
         ok, z_ok = _passes(resid, z_resid, rhs)
-        return SolveReport(_placed(v, self.cp, k) if ok else None, resid, ok, w,
+        return SolveReport(v[:k] if ok else None, resid, ok, w,
                            SolveReport(w / ww if z_ok else None, z_resid, z_ok))
 
 
@@ -433,27 +403,16 @@ def _passes(resid: float, z_resid: float, rhs: np.ndarray) -> tuple[bool, bool]:
     return resid <= CONSISTENCY_TOL * (1.0 + _max_abs(rhs)), z_resid <= CONSISTENCY_TOL * 2.0
 
 
-def _placed(v: np.ndarray, cp: np.ndarray, k: int) -> np.ndarray:
-    """The first k entries of v moved from S's order to the block's."""
-    x = np.empty(cp.size)
-    x[cp] = v
-    return x[:k]
-
-
-def _match(labels: np.ndarray, carried: np.ndarray, size: int,
-           slot: int) -> tuple | None:
-    """Match the labels of S's rows or columns, in S's order, against the
-    sorted labels of a block whose square system has size rows: (the
-    block position of each carried label, the index in S of the one label
-    that is gone or -1, the block position of the one that is new or -1),
-    or None when more than one label is gone or more than one is new,
-    which no update follows.  A block's rhs column is S's column slot when
-    slot >= 0, at block position labels.size after every label; the
-    position of a gone label is meaningless."""
+def _match(labels: np.ndarray, carried: np.ndarray) -> tuple | None:
+    """Match the sorted labels of S's rows, or of its columns of A,
+    against the sorted labels of the next block: (the block position of
+    each carried label, the index in S of the one label that is gone or
+    -1, the block position of the one that is new or -1), or None when
+    more than one label is gone or more than one is new, which no update
+    follows.  The position of a gone label is meaningless."""
+    size = labels.size
     pos = labels.searchsorted(carried)
     hit = labels.take(pos, mode="clip") == carried
-    if slot >= 0:
-        hit[slot] = True
     kept = np.count_nonzero(hit)
     if carried.size - kept > 1 or size - kept > 1:
         return None
@@ -464,6 +423,18 @@ def _match(labels: np.ndarray, carried: np.ndarray, size: int,
         taken = sum(pos.tolist()) - (int(pos[gone]) if gone >= 0 else 0)
         new = size * (size - 1) // 2 - taken
     return pos, gone, new
+
+
+def _move(x: np.ndarray, q: int, j: int) -> None:
+    """Move row q of x to place j in place, the rows between shifting by
+    one; applied to x.T, it moves a column."""
+    if q != j:
+        r = x[q].copy()
+        if q < j:
+            x[q:j] = x[q + 1:j + 1]
+        else:
+            x[j + 1:q + 1] = x[j:q]
+        x[j] = r
 
 
 def _outer(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -504,11 +475,12 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     (M^T z = 0, rhs^T z = 1), so w = z / (z . z).  S is solved with its
     inverse H: fresh, after the rank test
     min |R_ii| > QR_RANK_RTOL * max |R_ii| on the R of a Householder QR
-    of S, or carried from the last call along a path.  With ``carry``,
-    which takes a Block only, S and H are brought to this block by an
-    O(k^2) update when it differs from the last square system by one
-    column or one border (see ``InverseCarry``); new values in the rhs
-    column of a (k+1) x k block take a fresh factor.  Each answer gets one
+    of S, or carried from the last call along a path.  S and H keep the
+    block's own order, so the answer is read from them as it stands.
+    With ``carry``, which takes a Block only, S and H are brought to this
+    block by an O(k^2) update when it differs from the last square system
+    by one column or one border (see ``InverseCarry``); new values in the
+    rhs column of a (k+1) x k block take a fresh factor.  Each answer gets one
     step of iterative refinement against S; a carried answer that the
     refinement moves by more than DRIFT_RTOL is refused for a fresh
     factor.  Every other block (wide, empty, taller than k+1, or a system
@@ -523,11 +495,10 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     path through rounding only.
     """
     if isinstance(m, Block):
-        rows, cols, n, limit = m.rows, m.cols, m.a.shape[1], m.a.shape[0]
+        rows, cols = m.rows, m.cols
     elif carry is None:
         m = as_matrix(m, "M")
         rows, cols = np.arange(m.shape[0]), np.arange(m.shape[1])
-        n, limit = m.shape[1], m.shape[0]
     else:
         raise TypeError("a carried solve takes a Block, whose labels name its system")
     rhs = as_vector(rhs, "rhs")
@@ -537,7 +508,7 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     if cols_n and rows_n - cols_n in (0, 1):
         if carry is None:   # a stateless call factors afresh in a carry of its own
             carry = InverseCarry()
-        report = _square_solve(m, rhs, carry, rows, cols, n, limit)
+        report = _square_solve(m, rhs, carry, rows, cols)
         if report is not None:
             return report
     elif carry is not None and rows_n and cols_n:  # a wide block, or one taller than k+1
@@ -556,11 +527,11 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
 
 
 def _square_solve(m, rhs: np.ndarray, carry: InverseCarry, rows: np.ndarray,
-                  cols: np.ndarray, n: int, limit: int) -> SolveReport | None:
+                  cols: np.ndarray) -> SolveReport | None:
     """The report of a square or (k+1) x k block from the inverse of its
     square system S, or None when S fails the rank test."""
     counts, k = carry.counts, cols.size
-    if carry.follow(m, rhs, rows, cols):
+    if carry.follow(m, rhs):
         report = carry.answer(rhs, k, carried=True)
         if report is not None:
             counts.updates += 1
@@ -572,7 +543,7 @@ def _square_solve(m, rhs: np.ndarray, carry: InverseCarry, rows: np.ndarray,
         counts.svd += 1
         carry.clear()
         return None
-    carry.start(s, np.linalg.inv(s), rows, cols, n, limit)
+    carry.start(s, np.linalg.inv(s), rows, cols)
     counts.fresh += 1
     return carry.answer(rhs, k, carried=False)
 

@@ -46,6 +46,20 @@ def test_solve_delta_flag_overrides(tmp_path):
     assert export["delta_target"] == 0.5
 
 
+@pytest.mark.parametrize("route", ["json", "matrixmarket"])
+def test_solve_non_finite_delta_flag_exit_2(tmp_path, capsys, route):
+    inst = write_scalar_instance(tmp_path)
+    extra = []
+    if route == "matrixmarket":
+        inst = tmp_path / "a.mtx"
+        inst.write_text(write_matrixmarket_array(np.eye(1)))
+        (tmp_path / "b.txt").write_text("2.0\n")
+        extra = ["--b", str(tmp_path / "b.txt")]
+    assert main(["solve", str(inst), *extra, "--delta", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("l1linf: ") and "delta must be finite" in err
+
+
 def test_solve_matrixmarket_route(tmp_path):
     mm = tmp_path / "a.mtx"
     mm.write_text(write_matrixmarket_array(np.eye(2)))
@@ -104,6 +118,9 @@ def test_solve_missing_matrixmarket_named_by_json_exit_2(tmp_path, capsys):
     ({"A": [[2.0]], "b": [1.0], "x_bar": [False]},
      "field 'x_bar' must hold numbers, not a boolean"),
     ({"A": [[2.0]], "b": [1.0], "y_bar": ["1"]}, "field 'y_bar' must hold numbers, not a string"),
+    # written as Infinity, which Python's json reads back as a float
+    ({"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 2.0], "delta": float("inf")},
+     "delta must be finite and nonnegative"),
 ])
 def test_malformed_instance_json_exit_2(tmp_path, capsys, command, document, message):
     inst = tmp_path / "inst.json"

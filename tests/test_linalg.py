@@ -314,8 +314,18 @@ def _near_singular_cases():
     square = np.column_stack([h, h[:, 0] - h[:, 1]])    # 3 x 3 of rank 2
     t = rng.standard_normal((4, 2))
     tall = np.column_stack([t, t[:, 1]])                # 4 x 3 of rank 2
-    return cases + [pytest.param(m, m @ rng.standard_normal(3), id=name)
-                    for name, m in (("square-rank-2", square), ("4x3-rank-2", tall))]
+    cases += [pytest.param(m, m @ rng.standard_normal(3), id=name)
+              for name, m in (("square-rank-2", square), ("4x3-rank-2", tall))]
+    # the two recipes again at the sizes of the square route, which the
+    # 20 x 15 blocks miss by shape
+    g = rng.standard_normal((16, 14))
+    repeated = np.column_stack([g, g[:, 3]])            # 16 x 15 of rank 14
+    u, _ = np.linalg.qr(rng.standard_normal((15, 15)))
+    v, _ = np.linalg.qr(rng.standard_normal((15, 15)))
+    graded = (u * np.logspace(0, -12, 15)) @ v.T        # 15 x 15 of condition 1e12
+    return cases + [pytest.param(m, m @ rng.standard_normal(15), id=name)
+                    for name, m in (("16x15-repeated-column", repeated),
+                                    ("15x15-cond-1e12", graded))]
 
 
 @pytest.mark.parametrize("m,rhs", _near_singular_cases())
@@ -358,10 +368,10 @@ def _assert_same_report(rep, ref, rhs):
 
 
 def _carried_system_error(carry, m, rhs):
-    """||H S - I||_max for the carried H against the block's square system,
-    S in the carried order of rows and columns."""
+    """||H S - I||_max for the carried H against the block's square system;
+    the carried S is that system bit for bit."""
     s = np.asarray(m) if m.shape[0] == m.shape[1] else np.column_stack((m, rhs))
-    s = s[np.ix_(carry.rp, carry.cp)]
+    assert np.array_equal(carry.s, s)
     return np.max(np.abs(carry.h @ s - np.eye(s.shape[0])))
 
 
@@ -392,6 +402,7 @@ def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
 
     def inverse_kept(carry, m, rhs):
         sizes.append(m.shape[1])
+        assert np.array_equal(carry.rows, m.rows) and np.array_equal(carry.cols, m.cols)
         assert _carried_system_error(carry, m, rhs) <= 1e-10
     _replay_on_one_carry(monkeypatch, pinned_gaussian(), inverse_kept)
     sizes.clear()
@@ -469,8 +480,6 @@ def test_each_kind_of_update_keeps_the_inverse():
     for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
         assert (carry.counts.fresh, carry.counts.updates) == (1, step)
         assert _carried_system_error(carry, m, rhs) <= 1e-10
-        s = m if m.shape[0] == m.shape[1] else np.column_stack((m, rhs))
-        assert np.array_equal(carry.s, s[np.ix_(carry.rp, carry.cp)])
         _assert_same_report(rep, solve_consistent(m, rhs), rhs)
 
 

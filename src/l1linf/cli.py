@@ -107,6 +107,15 @@ def cmd_gen(args) -> int:
     if args.sparsity > args.m:
         _err("sparsity cannot exceed the row count")
         return EXIT_INPUT
+    if args.sparsity < 0:
+        _err("--sparsity must be nonnegative")
+        return EXIT_INPUT
+    if not 0.0 <= args.delta < np.inf:
+        _err("--delta must be finite and nonnegative")
+        return EXIT_INPUT
+    if not 0.0 < args.dynamic_range < np.inf:
+        _err("--dynamic-range must be finite and positive")
+        return EXIT_INPUT
     try:
         gti = random_ground_truth(
             args.m, args.n, args.sparsity, args.delta, seed=args.seed,
@@ -128,6 +137,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 <= args.tol < np.inf:
+        _err("--tol must be finite and nonnegative")
+        return EXIT_INPUT
     instances = None
     if args.input:
         try:

@@ -211,9 +211,25 @@ def test_gen_deterministic_and_solvable(tmp_path):
     assert abs(float(np.sum(np.abs(x_final))) - target) <= 1e-7 * (1 + target)
 
 
-def test_gen_rejects_oversparse(tmp_path, capsys):
-    assert main(["gen", "--m", "4", "--n", "8", "--sparsity", "5",
-                 "--delta", "0.5", "-o", str(tmp_path / "x.json")]) == 2
+@pytest.mark.parametrize("flag, value, message", [
+    ("--sparsity", "5", "sparsity cannot exceed the row count"),
+    ("--sparsity", "-1", "--sparsity must be nonnegative"),
+    ("--delta", "-0.1", "--delta must be finite"),
+    ("--delta", "inf", "--delta must be finite"),
+    ("--delta", "nan", "--delta must be finite"),
+    ("--dynamic-range", "0", "--dynamic-range must be finite and positive"),
+    ("--dynamic-range", "-2", "--dynamic-range must be finite and positive"),
+    ("--dynamic-range", "inf", "--dynamic-range must be finite and positive"),
+    ("--dynamic-range", "nan", "--dynamic-range must be finite and positive"),
+])
+def test_gen_rejects_oversparse(tmp_path, capsys, flag, value, message):
+    args = {"--m": "4", "--n": "8", "--sparsity": "1", "--delta": "0.5", flag: value}
+    out = tmp_path / "x.json"
+    assert main(["gen", *(item for pair in args.items() for item in pair),
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("l1linf: ") and message in err
+    assert not out.exists()
 
 
 def test_verify_vacuous_and_small(capsys):
@@ -229,6 +245,19 @@ def test_verify_perturb_y_negative_control(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert (tmp_path / "l1linf-failing-instance.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("perturb", [[], ["--perturb-y"]], ids=["plain", "perturb-y"])
+def test_verify_refuses_a_tolerance_that_certifies_nothing(tmp_path, monkeypatch, capsys,
+                                                          tol, perturb):
+    # an infinite tolerance passes every pair, the negative control included
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--count", "3", "--seed", "0", "--tol", tol, *perturb]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("l1linf: ") and "--tol must be finite" in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "l1linf-failing-instance.json").exists()
 
 
 def test_verify_single_input_instance(tmp_path):

@@ -16,6 +16,12 @@ def test_check_optimal_pair_scalar():
     inst = ProblemInstance([[1.0]], [2.0], 1.0)
     assert check_optimal_pair(inst, [1.0], [-1.0], 1.0)
     assert not check_optimal_pair(inst, [1.0], [1.0], 1.0)
+    # an infinite tol or delta would certify that wrong pair
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check_optimal_pair(inst, [1.0], [1.0], 1.0, tol=bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check_optimal_pair(inst, [1.0], [1.0], bad)
 
 
 def test_scalar_path():
@@ -58,6 +64,9 @@ def test_eval_path_scalar():
         eval_path(path, 2.5)
     with pytest.raises(ValueError):
         eval_path(path, -0.1)
+    for q in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            eval_path(path, q)
 
 
 def subproblem_contexts(inst):
@@ -436,6 +445,8 @@ def test_breakpoint_sets_are_the_classified_sets():
         b = rng.standard_normal(m) * float(rng.uniform(0.5, 5.0))
         instances.append(ProblemInstance(a, b, float(rng.uniform(0.02, 0.98))
                                          * float(np.max(np.abs(b)))))
+    # both records, the start breakpoint's included, keep the export's
+    # int32 index width and int8 signs
     for inst in instances:
         path = solve_path(inst)
         assert path.terminated == "target-reached"
@@ -444,10 +455,12 @@ def test_breakpoint_sets_are_the_classified_sets():
             for name in ("J_P", "I_P", "J_D", "I_D"):
                 got = getattr(bp.sets, name)
                 np.testing.assert_array_equal(got, getattr(ref, name), err_msg=f"{bp.k} {name}")
-                assert got.dtype == np.intp and got.ndim == 1 and not got.flags.writeable
-                assert np.all(got[1:] > got[:-1])
-                assert got.base is None    # no view keeping a larger base alive
+                for arr in (got, getattr(ref, name)):
+                    assert arr.dtype == np.int32 and arr.ndim == 1 and not arr.flags.writeable
+                    assert np.all(arr[1:] > arr[:-1])
+                    assert arr.base is None    # no view keeping a larger base alive
             np.testing.assert_array_equal(bp.sets.residual_signs, ref.residual_signs)
+            assert bp.sets.residual_signs.dtype == ref.residual_signs.dtype == np.int8
 
 
 def test_breakpoint_sets_cannot_be_written():

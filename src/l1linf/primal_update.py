@@ -84,7 +84,7 @@ class PrimalUpdateResult:
     J_P: np.ndarray            # column mask, length n
     reached_target: bool
     iterations: int
-    signs: np.ndarray          # full m; the residual signs on I_P
+    signs: np.ndarray          # full m, the update's own copy; the residual signs on I_P
 
 
 def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,

@@ -1,5 +1,5 @@
-"""The active-set loop shared by the dual and the primal subproblem, and by
-the generic reference ``asm.asm_solve``.
+"""The active-set loop shared by the dual and the primal subproblem; the
+tests also run it on a generic LP face (``tests/reference_lp.py``).
 
 Each subproblem moves a point, supported on a *support* set that may grow
 inside an *outer* set, while a block of tight *active* constraints, which
@@ -59,12 +59,6 @@ def smallest(values: np.ndarray) -> float:
     """The smallest entry of an array, inf when it is empty; argmin spares
     the set-up of a numpy reduction."""
     return float(values.flat[values.argmin()]) if values.size else np.inf
-
-
-def index_mask(size: int, indices) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    mask[indices] = True
-    return mask
 
 
 def run_active_set(face, point: np.ndarray, support: np.ndarray,

@@ -62,15 +62,15 @@ def _trace_printer(rec: dict) -> None:
 
 
 def cmd_solve(args) -> int:
+    trace = _trace_printer if os.environ.get("HOUDINI_TRACE") == "1" else None
     try:
         inst = _load_problem(args)
+        t0 = time.perf_counter()
+        path = solve_path(inst, use_warm_starts=not args.cold,
+                          max_iters=args.max_iters, trace=trace)
     except (ParseError, ValueError, OSError) as exc:
         _err(str(exc))
         return EXIT_INPUT
-    trace = _trace_printer if os.environ.get("HOUDINI_TRACE") == "1" else None
-    t0 = time.perf_counter()
-    path = solve_path(inst, use_warm_starts=not args.cold,
-                      max_iters=args.max_iters, trace=trace)
     total = time.perf_counter() - t0
     timing = dict(path.timing)
     timing["total_s"] = total
@@ -104,18 +104,6 @@ def cmd_plot(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.sparsity > args.m:
-        _err("sparsity cannot exceed the row count")
-        return EXIT_INPUT
-    if args.sparsity < 0:
-        _err("--sparsity must be nonnegative")
-        return EXIT_INPUT
-    if not 0.0 <= args.delta < np.inf:
-        _err("--delta must be finite and nonnegative")
-        return EXIT_INPUT
-    if not 0.0 < args.dynamic_range < np.inf:
-        _err("--dynamic-range must be finite and positive")
-        return EXIT_INPUT
     try:
         gti = random_ground_truth(
             args.m, args.n, args.sparsity, args.delta, seed=args.seed,
@@ -137,9 +125,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 0.0 <= args.tol < np.inf:
-        _err("--tol must be finite and nonnegative")
-        return EXIT_INPUT
     instances = None
     if args.input:
         try:
@@ -148,9 +133,13 @@ def cmd_verify(args) -> int:
             _err(str(exc))
             return EXIT_INPUT
         instances = [inst]
-    results, failing = run_suite(count=args.count, seed=args.seed,
-                                 perturb_y=args.perturb_y, pair_tol=args.tol,
-                                 instances=instances)
+    try:
+        results, failing = run_suite(count=args.count, seed=args.seed,
+                                     perturb_y=args.perturb_y, pair_tol=args.tol,
+                                     instances=instances)
+    except ValueError as exc:
+        _err(str(exc))
+        return EXIT_INPUT
     print(format_results(results))
     if all(r.passed for r in results):
         return EXIT_OK

@@ -171,6 +171,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
 
     ``trace`` receives one dict per homotopy iteration.
     """
+    if max_iters is not None and max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, not {max_iters}")
     m, n = inst.m, inst.n
     delta0 = float(np.max(np.abs(inst.b)))
     x = np.zeros(n)

@@ -126,6 +126,14 @@ def random_ground_truth(m: int, n: int, sparsity: int, delta: float,
     makes it as large as possible)."""
     if certificate not in ("sparse", "dense"):
         raise ValueError("certificate must be 'sparse' or 'dense'")
+    if sparsity < 0:
+        raise ValueError("sparsity must be nonnegative")
+    if sparsity > m:
+        raise ValueError("sparsity cannot exceed the row count")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be finite and nonnegative")
+    if not 0.0 < dynamic_range < np.inf:
+        raise ValueError("dynamic_range must be finite and positive")
     for k in range(max_tries):
         a, x_bar = random_bp_pair(m, n, sparsity, dynamic_range, seed + 1000 * k)
         try:

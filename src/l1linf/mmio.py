@@ -85,15 +85,6 @@ def read_matrixmarket_array(source) -> np.ndarray:
     return as_matrix(data.reshape((cols, rows)).T, "MatrixMarket matrix")
 
 
-def write_matrixmarket_array(a: np.ndarray) -> str:
-    a = as_matrix(a)
-    rows = [f"%%MatrixMarket matrix array real general", f"{a.shape[0]} {a.shape[1]}"]
-    for j in range(a.shape[1]):
-        for i in range(a.shape[0]):
-            rows.append(repr(float(a[i, j])))
-    return "\n".join(rows) + "\n"
-
-
 def read_vector(source) -> np.ndarray:
     """Read a vector, whitespace-separated or a JSON array, from the file
     at a ``Path`` or from the text of a ``str``."""

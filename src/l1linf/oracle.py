@@ -58,22 +58,6 @@ class GeneralLp:
         return self.cost.size
 
 
-def lp_from_parts(cost, eq_matrix=None, eq_rhs=None, ub_matrix=None, ub_rhs=None,
-                  free_vars=None) -> GeneralLp:
-    """Convenience constructor; ``free_vars`` lists indices with lower = -inf."""
-    cost = as_vector(cost, "cost")
-    n = cost.size
-    eq_matrix = np.zeros((0, n)) if eq_matrix is None else np.asarray(eq_matrix, dtype=float).reshape(-1, n)
-    eq_rhs = np.zeros(0) if eq_rhs is None else as_vector(eq_rhs, "eq_rhs")
-    ub_matrix = np.zeros((0, n)) if ub_matrix is None else np.asarray(ub_matrix, dtype=float).reshape(-1, n)
-    ub_rhs = np.zeros(0) if ub_rhs is None else as_vector(ub_rhs, "ub_rhs")
-    lower = np.zeros(n)
-    if free_vars is not None:
-        for j in free_vars:
-            lower[j] = -np.inf
-    return GeneralLp(cost, eq_matrix, eq_rhs, ub_matrix, ub_rhs, lower)
-
-
 @dataclass
 class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -289,10 +273,6 @@ def reformulate(inst) -> GeneralLp:
     cost = np.concatenate([np.ones(2 * n), np.zeros(2 * m)])
     return GeneralLp(cost, eq, rhs, np.zeros((0, 2 * n + 2 * m)), np.zeros(0),
                      np.zeros(2 * n + 2 * m))
-
-
-def split_recover(z: np.ndarray, n: int) -> np.ndarray:
-    return z[:n] - z[n:2 * n]
 
 
 def certificate_l1(a: np.ndarray, x_bar: np.ndarray, tol: float = 1e-8) -> np.ndarray:

@@ -93,6 +93,10 @@ def run_suite(count: int = 200, seed: int = 0, perturb_y: bool = False,
               pair_tol: float = 1e-8, instances=None) -> tuple[list[CheckResult], dict | None]:
     """Run the default property suite.  Returns the check results and, when a
     property fails, the first failing instance serialized for replay."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, not {count}")
+    if not 0.0 <= pair_tol < np.inf:
+        raise ValueError("pair_tol must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     if instances is None:
         instances = [random_instance(rng) for _ in range(count)]

@@ -1,18 +1,17 @@
-"""Generic reference solver for linear programs of the structured form
+"""Test-only LP references and builders.
 
-    min  c^T x
-    s.t. A_eq x  = b_eq
-         D x    >= e
-         diag(sigma) x >= 0,          sigma in {+1, -1}^n,
+``asm_solve`` runs the shared active-set loop ``active_set.run_active_set``
+on any LP of the form
 
-assumed feasible and bounded.  ``StandardFace`` presents such an LP to the
-shared active-set loop ``active_set.run_active_set``: the point is x, its
+    min c^T x  s.t.  A_eq x = b_eq,  D x >= e,  diag(sigma) x >= 0,
+
+assumed feasible and bounded, through ``StandardFace``: the point is x, its
 support may grow over all n variables, and the active constraints are the
-tight D rows, none of them fixed.  Directions preserve the equalities, the
-active rows and the zero variables while decreasing the cost at unit rate;
-multipliers come from the stationarity system on the support.  The
-subproblem encodings in ``encodings.py`` are cross-checked against it.
-"""
+tight D rows, none of them fixed.  Since it runs the subproblems' own loop it
+stress-tests that loop; the independent reference is the Bland simplex
+``oracle.simplex_solve``, which reads a ``StandardLp`` through
+``general_form``.  ``dual_lp_encoding`` and ``primal_lp_encoding`` write the
+two update subproblems as such LPs."""
 
 from __future__ import annotations
 
@@ -20,11 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import (ACTIVE_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
-                         UnboundedDirectionError, index_mask, run_active_set)
-from .linalg import SolveReport, as_matrix, as_vector, solve_consistent
+from l1linf.active_set import (ACTIVE_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
+                               AsmError, UnboundedDirectionError, run_active_set)
+from l1linf.dual_update import DualContext
+from l1linf.linalg import SolveReport, as_matrix, as_vector, solve_consistent
+from l1linf.oracle import GeneralLp
+from l1linf.primal_update import PrimalContext
 
 FEAS_TOL = 1e-8         # feasibility validation of supplied starting points
+
+
+def index_mask(size: int, indices) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[indices] = True
+    return mask
 
 
 @dataclass
@@ -194,3 +202,91 @@ def asm_solve(lp: StandardLp, x0,
         StandardFace(lp), x, index_mask(lp.n, support), index_mask(lp.n_ineq, active),
         None, trace=trace)
     return x, multipliers
+
+
+def general_form(lp: StandardLp) -> GeneralLp:
+    """``lp`` over the nonnegative variables z = diag(sigma) x: the columns
+    with sigma = -1 change sign and D x >= e becomes -D x <= -e.  Both LPs
+    have the same optimal value."""
+    return GeneralLp(lp.sigma * lp.c, lp.A_eq * lp.sigma, lp.b_eq,
+                     -lp.D * lp.sigma, -lp.e, np.zeros(lp.n))
+
+
+def dual_lp_encoding(ctx: DualContext) -> tuple[StandardLp, np.ndarray]:
+    """Dual update as a structured LP over psi in R^{|I_P|}:
+
+        min -s^T psi,  (-A^{I_P}_{J_P})^T psi = sign(x_{J_P}),
+        +-(A^{I_P}_{J_Pc})^T psi >= -1,  diag(s) psi >= 0.
+
+    Returns the LP and the feasible starting point y_start restricted to I_P.
+    """
+    rows = ctx.I_P
+    s = ctx.residual_signs[rows]
+    a_ip = ctx.A[rows]
+    jp = ctx.J_P
+    c = -s
+    a_eq = -a_ip[:, jp].T
+    b_eq = np.sign(ctx.x_k[jp])
+    d = np.vstack([a_ip[:, ~jp].T, -a_ip[:, ~jp].T])
+    e = -np.ones(d.shape[0])
+    lp = StandardLp(c, a_eq, b_eq, d, e, s)
+    return lp, ctx.y_start[rows]
+
+
+def primal_lp_encoding(ctx: PrimalContext) -> tuple[StandardLp, np.ndarray]:
+    """Primal update as a structured LP over (x_{J_D}, t):
+
+        min -t,  [A^{I_D}_{J_D} | s] z = delta_k s + b_{I_D},
+        rows for |a_i^T x - b_i| <= delta_k - t (i outside I_D) and
+        t <= delta_k - delta_target as >= constraints, sign bounds
+        -sign(A_j^T y) x_j >= 0 and t >= 0.
+
+    Returns the LP and the feasible starting point (x_k on J_D, 0).
+    """
+    jd, i_d = ctx.J_D, ctx.I_D
+    s = np.sign(ctx.y_next[i_d])
+    n_lp = np.count_nonzero(jd) + 1
+    a_eq = np.hstack([ctx.A[i_d][:, jd], s[:, None]])
+    b_eq = ctx.delta_k * s + ctx.b[i_d]
+    a_out, b_out = ctx.A[~i_d][:, jd], ctx.b[~i_d]
+    ones = np.ones((b_out.size, 1))
+    gap_row = np.zeros((1, n_lp))
+    gap_row[0, -1] = -1.0
+    d = np.vstack([np.hstack([-a_out, -ones]), np.hstack([a_out, -ones]), gap_row])
+    e = np.concatenate([-(ctx.delta_k + b_out), -(ctx.delta_k - b_out),
+                        [-(ctx.delta_k - ctx.delta_target)]])
+    sigma = np.concatenate([-np.sign(ctx.A[:, jd].T @ ctx.y_next), [1.0]])
+    c = np.zeros(n_lp)
+    c[-1] = -1.0
+    lp = StandardLp(c, a_eq, b_eq, d, e, sigma)
+    x0 = np.concatenate([ctx.x_start[jd], [0.0]])
+    return lp, x0
+
+
+def lp_from_parts(cost, eq_matrix=None, eq_rhs=None, ub_matrix=None, ub_rhs=None,
+                  free_vars=None) -> GeneralLp:
+    """Convenience constructor; ``free_vars`` lists indices with lower = -inf."""
+    cost = as_vector(cost, "cost")
+    n = cost.size
+    eq_matrix = np.zeros((0, n)) if eq_matrix is None else np.asarray(eq_matrix, dtype=float).reshape(-1, n)
+    eq_rhs = np.zeros(0) if eq_rhs is None else as_vector(eq_rhs, "eq_rhs")
+    ub_matrix = np.zeros((0, n)) if ub_matrix is None else np.asarray(ub_matrix, dtype=float).reshape(-1, n)
+    ub_rhs = np.zeros(0) if ub_rhs is None else as_vector(ub_rhs, "ub_rhs")
+    lower = np.zeros(n)
+    if free_vars is not None:
+        for j in free_vars:
+            lower[j] = -np.inf
+    return GeneralLp(cost, eq_matrix, eq_rhs, ub_matrix, ub_rhs, lower)
+
+
+def split_recover(z: np.ndarray, n: int) -> np.ndarray:
+    return z[:n] - z[n:2 * n]
+
+
+def write_matrixmarket_array(a: np.ndarray) -> str:
+    a = as_matrix(a)
+    rows = [f"%%MatrixMarket matrix array real general", f"{a.shape[0]} {a.shape[1]}"]
+    for j in range(a.shape[1]):
+        for i in range(a.shape[0]):
+            rows.append(repr(float(a[i, j])))
+    return "\n".join(rows) + "\n"

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from l1linf import oracle
-from l1linf.asm import asm_solve
 from l1linf.dual_update import dual_update
-from l1linf.encodings import dual_lp_encoding, general_form, primal_lp_encoding
 from l1linf.homotopy import (ProblemInstance, check_alternatives,
                              check_optimal_pair, duality_gap, eval_path,
                              solve_path)
 from l1linf.instances import (GeneralizedBounds, random_ground_truth,
                               to_linf_form)
 from l1linf.primal_update import primal_update
+from reference_lp import asm_solve, dual_lp_encoding, general_form, primal_lp_encoding
 from test_homotopy import subproblem_contexts
 
 SUITE_SEED = 20260808

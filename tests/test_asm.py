@@ -3,9 +3,8 @@ import pytest
 
 from l1linf import oracle
 from l1linf.active_set import AsmError, UnboundedDirectionError
-from l1linf.asm import (StandardFace, StandardLp, asm_solve, check_feasible,
-                        classify, complement, kkt_check)
-from l1linf.encodings import general_form
+from reference_lp import (StandardFace, StandardLp, asm_solve, check_feasible, classify,
+                          complement, general_form, kkt_check)
 
 
 def one_var_eq_lp():

@@ -6,9 +6,9 @@ import pytest
 
 from l1linf import solve_path
 from l1linf.cli import main
-from l1linf.mmio import write_matrixmarket_array
 from l1linf.pathexport import (_encode_vector, export_from_json, export_to_csv,
                                export_to_json, export_vectors, path_to_export)
+from reference_lp import write_matrixmarket_array
 from test_homotopy import pinned_dantzig, pinned_gaussian
 
 
@@ -213,14 +213,14 @@ def test_gen_deterministic_and_solvable(tmp_path):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--sparsity", "5", "sparsity cannot exceed the row count"),
-    ("--sparsity", "-1", "--sparsity must be nonnegative"),
-    ("--delta", "-0.1", "--delta must be finite"),
-    ("--delta", "inf", "--delta must be finite"),
-    ("--delta", "nan", "--delta must be finite"),
-    ("--dynamic-range", "0", "--dynamic-range must be finite and positive"),
-    ("--dynamic-range", "-2", "--dynamic-range must be finite and positive"),
-    ("--dynamic-range", "inf", "--dynamic-range must be finite and positive"),
-    ("--dynamic-range", "nan", "--dynamic-range must be finite and positive"),
+    ("--sparsity", "-1", "sparsity must be nonnegative"),
+    ("--delta", "-0.1", "delta must be finite and nonnegative"),
+    ("--delta", "inf", "delta must be finite and nonnegative"),
+    ("--delta", "nan", "delta must be finite and nonnegative"),
+    ("--dynamic-range", "0", "dynamic_range must be finite and positive"),
+    ("--dynamic-range", "-2", "dynamic_range must be finite and positive"),
+    ("--dynamic-range", "inf", "dynamic_range must be finite and positive"),
+    ("--dynamic-range", "nan", "dynamic_range must be finite and positive"),
 ])
 def test_gen_rejects_oversparse(tmp_path, capsys, flag, value, message):
     args = {"--m": "4", "--n": "8", "--sparsity": "1", "--delta": "0.5", flag: value}
@@ -255,9 +255,27 @@ def test_verify_refuses_a_tolerance_that_certifies_nothing(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--count", "3", "--seed", "0", "--tol", tol, *perturb]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("l1linf: ") and "--tol must be finite" in captured.err
+    assert captured.err.startswith("l1linf: ") and "pair_tol must be finite" in captured.err
     assert "PASS" not in captured.out
     assert not (tmp_path / "l1linf-failing-instance.json").exists()
+
+
+def test_verify_refuses_a_negative_count(capsys):
+    # a negative count ran no instance and printed PASS for every check
+    assert main(["verify", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("l1linf: ") and "count must be nonnegative" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_solve_refuses_a_negative_iteration_cap(tmp_path, capsys):
+    # an input error, not a solver failure (exit 1) at an exceeded cap
+    inst = write_scalar_instance(tmp_path)
+    out = tmp_path / "path.json"
+    assert main(["solve", str(inst), "--max-iters", "-2", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("l1linf: ") and "max_iters must be nonnegative" in err
+    assert not out.exists()
 
 
 def test_verify_single_input_instance(tmp_path):

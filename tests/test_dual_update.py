@@ -5,12 +5,11 @@ import pytest
 
 import l1linf.dual_update as dual_module
 from l1linf import oracle, solve_path
-from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL, UnboundedDirectionError, index_mask
-from l1linf.asm import asm_solve
+from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL, UnboundedDirectionError
 from l1linf.dual_update import (DualContext, dual_direction, dual_multipliers,
                                 dual_step, dual_update)
-from l1linf.encodings import dual_lp_encoding, general_form
 from l1linf.homotopy import ProblemInstance
+from reference_lp import asm_solve, dual_lp_encoding, general_form, index_mask
 from test_homotopy import pinned_gaussian, subproblem_contexts
 
 NONE = np.empty(0, dtype=np.intp)

@@ -196,6 +196,16 @@ def test_zero_row_reports_failure_not_hang():
     assert len(path.breakpoints) >= 1
 
 
+def test_iteration_cap_validation():
+    inst = ProblemInstance([[1.0]], [2.0], 0.0)
+    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        solve_path(inst, max_iters=-1)
+    # a zero cap takes no step and reports the cap
+    path = solve_path(inst, max_iters=0)
+    assert path.terminated == "failure" and len(path.breakpoints) == 1
+    assert path.failure_reason == "homotopy iteration cap 0 exceeded"
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         ProblemInstance(np.zeros((0, 2)), [], 0.0)

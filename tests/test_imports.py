@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import l1linf
 
@@ -23,3 +25,19 @@ def test_solver_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_package_definition_is_used_or_exported():
+    # a top-level function or class that no other package code names is
+    # either public (listed in __all__) or test-only, and then it belongs
+    # under tests/ (see reference_lp.py)
+    package = Path(l1linf.__file__).parent
+    statements = [(path.stem, node) for path in sorted(package.glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    names = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+              if isinstance(n, (ast.Name, ast.Attribute))} for _, node in statements]
+    unused = [f"{module}.{node.name}" for i, (module, node) in enumerate(statements)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in l1linf.__all__
+              and not any(node.name in used for j, used in enumerate(names) if j != i)]
+    assert unused == []

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from l1linf import instances
 from l1linf.homotopy import ProblemInstance, check_optimal_pair, solve_path
 from l1linf.instances import (GeneralizedBounds, dense_certificate,
                               instance_digest, instance_from_dict,
@@ -10,7 +11,7 @@ from l1linf.instances import (GeneralizedBounds, dense_certificate,
                               load_instance, make_ground_truth,
                               random_bp_pair, random_ground_truth,
                               save_instance, sparse_certificate, to_linf_form)
-from l1linf.mmio import write_matrixmarket_array
+from reference_lp import write_matrixmarket_array
 
 
 def test_make_ground_truth_scalar():
@@ -70,6 +71,28 @@ def test_ground_truth_recovery_both_regimes():
         assert path.terminated == "target-reached"
         target = float(np.sum(np.abs(gti.x_bar)))
         assert abs(path.objective - target) <= 1e-7 * (1 + target)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"sparsity": -1}, "sparsity must be nonnegative"),
+    ({"sparsity": 5}, "sparsity cannot exceed the row count"),
+    ({"delta": -0.1}, "delta must be finite and nonnegative"),
+    ({"delta": np.inf}, "delta must be finite and nonnegative"),
+    ({"delta": np.nan}, "delta must be finite and nonnegative"),
+    ({"dynamic_range": 0.0}, "dynamic_range must be finite and positive"),
+    ({"dynamic_range": -2.0}, "dynamic_range must be finite and positive"),
+    ({"dynamic_range": np.inf}, "dynamic_range must be finite and positive"),
+    ({"dynamic_range": np.nan}, "dynamic_range must be finite and positive"),
+])
+def test_random_ground_truth_refuses_bad_arguments_before_drawing(monkeypatch, changes,
+                                                                   message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an instance for invalid arguments")
+
+    monkeypatch.setattr(instances, "random_bp_pair", no_draw)
+    args = {"m": 4, "n": 8, "sparsity": 1, "delta": 0.5, "dynamic_range": 10.0, **changes}
+    with pytest.raises(ValueError, match=message):
+        random_ground_truth(**args)
 
 
 def test_to_linf_form_hand_example():

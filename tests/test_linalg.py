@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from l1linf import ProblemInstance, dual_update, linalg, primal_update, solve_path
-from l1linf.active_set import index_mask
 from l1linf.linalg import (GATHER_MIN_SIZE, Block, IndexSet, InverseCarry,
                            _svd_solve, left_product, right_product, solve_consistent)
+from reference_lp import index_mask
 from test_homotopy import pinned_gaussian, pinned_small
 
 

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from l1linf.mmio import (ParseError, read_matrixmarket_array, read_vector,
-                         write_matrixmarket_array)
+from l1linf.mmio import ParseError, read_matrixmarket_array, read_vector
+from reference_lp import write_matrixmarket_array
 
 MM_SAMPLE = """%%MatrixMarket matrix array real general
 % column-major storage

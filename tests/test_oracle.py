@@ -3,11 +3,12 @@ import pytest
 
 from l1linf import oracle
 from l1linf.homotopy import ProblemInstance, solve_path
+from reference_lp import lp_from_parts, split_recover
 
 
 def test_min_x_subject_to_lower_bound():
     # min x s.t. x >= 1, as -x <= -1
-    lp = oracle.lp_from_parts([1.0], ub_matrix=[[-1.0]], ub_rhs=[-1.0])
+    lp = lp_from_parts([1.0], ub_matrix=[[-1.0]], ub_rhs=[-1.0])
     res = oracle.simplex_solve(lp)
     assert res.status == "optimal"
     assert res.value == pytest.approx(1.0, abs=1e-10)
@@ -15,9 +16,9 @@ def test_min_x_subject_to_lower_bound():
 
 
 def test_infeasible_and_unbounded_reported():
-    lp = oracle.lp_from_parts([0.0], ub_matrix=[[-1.0], [1.0]], ub_rhs=[-1.0, 0.0])
+    lp = lp_from_parts([0.0], ub_matrix=[[-1.0], [1.0]], ub_rhs=[-1.0, 0.0])
     assert oracle.simplex_solve(lp).status == "infeasible"
-    lp = oracle.lp_from_parts([-1.0])  # min -x, x >= 0
+    lp = lp_from_parts([-1.0])  # min -x, x >= 0
     assert oracle.simplex_solve(lp).status == "unbounded"
 
 
@@ -28,7 +29,7 @@ def test_reformulate_scalar():
     assert lp.n == 4
     res = oracle.simplex_solve(lp)
     assert res.status == "optimal"
-    x = oracle.split_recover(res.x, 1)
+    x = split_recover(res.x, 1)
     assert x[0] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -46,7 +47,7 @@ def test_reformulate_identity_soft_threshold_value():
 
 def test_degenerate_redundant_rows_terminate():
     # duplicated constraint rows force degenerate vertices; Bland still ends
-    lp = oracle.lp_from_parts(
+    lp = lp_from_parts(
         [1.0, 1.0],
         eq_matrix=[[1.0, 1.0], [2.0, 2.0]], eq_rhs=[1.0, 2.0],
         ub_matrix=[[-1.0, 0.0], [-1.0, 0.0]], ub_rhs=[0.0, 0.0])
@@ -65,7 +66,7 @@ def test_strong_duality_random():
         x0 = rng.uniform(0, 1, n)
         eq = rng.standard_normal((me, n))
         ub = rng.standard_normal((mu, n))
-        lp = oracle.lp_from_parts(rng.uniform(0.1, 2, n), eq, eq @ x0,
+        lp = lp_from_parts(rng.uniform(0.1, 2, n), eq, eq @ x0,
                                   ub, ub @ x0 + rng.uniform(0, 1, mu))
         res = oracle.simplex_solve(lp)
         if res.status != "optimal":
@@ -77,19 +78,19 @@ def test_strong_duality_random():
 
 
 def test_feasibility_basic():
-    lp = oracle.lp_from_parts([0.0], ub_matrix=[[-1.0], [1.0]], ub_rhs=[-1.0, 0.0])
+    lp = lp_from_parts([0.0], ub_matrix=[[-1.0], [1.0]], ub_rhs=[-1.0, 0.0])
     assert oracle.feasibility(lp) is False
-    empty = oracle.lp_from_parts([0.0, 0.0])
+    empty = lp_from_parts([0.0, 0.0])
     assert oracle.feasibility(empty) is True
 
 
 def test_feasibility_strict_row():
     # e free with -e < 0 strictly: satisfiable
-    lp = oracle.lp_from_parts([0.0], ub_matrix=[[-1.0]], ub_rhs=[0.0],
+    lp = lp_from_parts([0.0], ub_matrix=[[-1.0]], ub_rhs=[0.0],
                               free_vars=[0])
     assert oracle.feasibility(lp, strict_ub_row=0) is True
     # adding e = 0 forces the strict row to fail
-    lp = oracle.lp_from_parts([0.0], eq_matrix=[[1.0]], eq_rhs=[0.0],
+    lp = lp_from_parts([0.0], eq_matrix=[[1.0]], eq_rhs=[0.0],
                               ub_matrix=[[-1.0]], ub_rhs=[0.0], free_vars=[0])
     assert oracle.feasibility(lp, strict_ub_row=0) is False
 

@@ -5,13 +5,11 @@ import pytest
 
 import l1linf.primal_update as primal_module
 from l1linf import oracle, solve_path
-from l1linf.active_set import index_mask
-from l1linf.asm import asm_solve
-from l1linf.encodings import general_form, primal_lp_encoding
 from l1linf.homotopy import ProblemInstance
 from l1linf.primal_update import (PrimalContext, primal_direction,
                                   primal_multipliers, primal_step,
                                   primal_update)
+from reference_lp import asm_solve, general_form, index_mask, primal_lp_encoding
 from test_homotopy import pinned_gaussian, subproblem_contexts
 
 NONE = np.empty(0, dtype=np.intp)

@@ -16,13 +16,17 @@ s_{I_D}^T e = 1.  The context and the result hold the sets as boolean
 masks, the form in which the loop keeps them; the face functions take
 sorted int arrays.
 
-The face carries c = A^T psi: computed from the rows of I_P when the
-update starts, moved by alpha A^T e with each step, and corrected for
-every entry of psi that the loop sets to zero.  A^T e is formed once per
-direction, from the rows of I_D (the warm start's from the rows of I_P),
-and serves the ratio test and the warm-start edits; the final c goes out
-with the result.  On a large A these products read only those rows
-(``linalg.left_product``).
+The face carries c = A^T psi along the whole path: it starts from the
+previous dual update's final c (zeros at the first breakpoint), is moved
+by alpha A^T e with each step, and is corrected for every entry of psi
+that the loop sets to zero, the start entries outside I_P included.  A^T e
+is formed once per direction, from the rows of I_D, and serves the ratio
+test and the warm-start edits; the warm start's A^T e_hat comes with it
+from the primal update, which formed it for its own multipliers.  The
+multipliers form A d_hat once, from the columns of J_D, and read nu off
+it; it goes out with d_hat as the next primal update's warm product, and
+the final c goes out with the result.  On a large A these products read
+only those rows or columns (``linalg.left_product``, ``right_product``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import numpy as np
 
 from .active_set import (ACTIVE_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
                          UnboundedDirectionError, run_active_set, smallest)
-from .linalg import Block, InverseCarry, SolveReport, left_product, solve_consistent
+from .linalg import (Block, InverseCarry, SolveReport, left_product, right_product,
+                     solve_consistent)
 
 
 @dataclass
@@ -46,10 +51,12 @@ class DualContext:
     I_P: np.ndarray                      # row mask, length m
     J_P: np.ndarray                      # column mask, length n
     residual_signs: np.ndarray           # full length m, +-1 on I_P, 0 elsewhere
-    y_start: np.ndarray                  # full length m, zero off I_P
-    # the primal update's e_hat, full length m and zero off I_P, since the
-    # products with A read only the rows of I_P
+    y_start: np.ndarray                  # full length m, at most SUPPORT_TOL off I_P
+    col_y_start: np.ndarray              # A^T y_start, which the update carries on
+    # the primal update's e_hat, full length m and zero off I_P, and its
+    # product A^T e_hat (both or neither)
     warm_direction: np.ndarray | None = None
+    warm_product: np.ndarray | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
 
     @property
@@ -69,6 +76,7 @@ class DualUpdateResult:
     J_D: np.ndarray          # column mask, length n
     iterations: int
     col_y: np.ndarray        # A^T y, carried through the update
+    a_d_hat: np.ndarray      # A d_hat, the next primal update's warm product
 
 
 def dual_direction(ctx: DualContext, I_D: np.ndarray, J_D: np.ndarray) -> SolveReport:
@@ -115,31 +123,35 @@ def dual_step(ctx: DualContext, e: np.ndarray, psi: np.ndarray,
 
 def dual_multipliers(ctx: DualContext, col_psi: np.ndarray, J_D: np.ndarray,
                      free_cols: np.ndarray, out_rows: np.ndarray,
-                     report: SolveReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     report: SolveReport
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Multipliers at psi, with col_psi = A^T psi, once no direction
     exists, from the solution of A^{I_D}_{J_D} d = -s_{I_D} in the
-    ``alternative`` of the failed ``dual_direction`` report; mu on
-    free_cols = J_D \\ J_P, nu on out_rows = I_P \\ I_D (aligned with those
-    arrays)."""
+    ``alternative`` of the failed ``dual_direction`` report.  Returns
+    d_hat, A d_hat (formed from the columns of J_D), mu on free_cols =
+    J_D \\ J_P and nu on out_rows = I_P \\ I_D (aligned with those arrays)."""
     kernel = report.alternative
     if not kernel.consistent:
         raise AsmError("dual multiplier system inconsistent although no direction exists")
     d_hat = np.zeros(ctx.n)
     d_hat[J_D] = kernel.solution
+    a_d_hat = right_product(ctx.A, d_hat, J_D)
     mu = -(col_psi[free_cols]) * d_hat[free_cols]
-    nu = -ctx.residual_signs[out_rows] * ctx.A[out_rows].dot(d_hat) - 1.0
-    return d_hat, mu, nu
+    nu = -ctx.residual_signs[out_rows] * a_d_hat[out_rows] - 1.0
+    return d_hat, a_d_hat, mu, nu
 
 
 class _DualFace:
-    """Carries col_psi = A^T psi and col_e = A^T e of the last direction."""
+    """Carries col_psi = A^T psi, col_e = A^T e of the last direction and
+    a_d_hat = A d_hat of the last multipliers."""
 
     name = "dual"
 
     def __init__(self, ctx: DualContext):
         self.ctx = ctx
         self.outer, self.fixed = ctx.I_P, ctx.J_P
-        self.col_psi = self.col_e = None
+        self.col_psi = np.array(ctx.col_y_start, dtype=float)
+        self.col_e = self.a_d_hat = None
 
     def direction(self, support, active):
         report = dual_direction(self.ctx, support, active)
@@ -159,11 +171,12 @@ class _DualFace:
             psi[rows] = 0.0
 
     def multipliers(self, report, psi, active, removable, candidates):
-        return dual_multipliers(self.ctx, self.col_psi, active, removable, candidates,
-                                report)
+        d_hat, self.a_d_hat, mu, nu = dual_multipliers(
+            self.ctx, self.col_psi, active, removable, candidates, report)
+        return d_hat, mu, nu
 
     def warm_slack(self, e):
-        self.col_e = left_product(self.ctx.A, e, self.outer)
+        self.col_e = self.ctx.warm_product
         return self.col_e
 
     def value(self, psi):
@@ -174,18 +187,22 @@ def dual_update(ctx: DualContext, trace=None) -> DualUpdateResult:
     """Solve the dual-certificate subproblem by the specialized active-set
     scheme; returns the new certificate embedded in R^m together with the
     final multiplier-system solution d_hat (warm start for the next primal
-    update), the final dual sets and A^T y."""
+    update) and its product with A, the final dual sets and A^T y."""
+    if (ctx.warm_direction is None) != (ctx.warm_product is None):
+        raise ValueError("warm_direction and warm_product come together")
     face = _DualFace(ctx)
     psi = np.array(ctx.y_start, dtype=float)
     support = np.abs(psi) > SUPPORT_TOL
     off = ~face.outer
-    if np.count_nonzero(support & off):
-        raise ValueError("y_start has mass outside the primal active rows")
-    psi[off] = 0.0
+    stray = off & (psi != 0.0)
+    if stray.any():
+        if np.count_nonzero(support & stray):
+            raise ValueError("y_start has mass outside the primal active rows")
+        face.zero(psi, stray.nonzero()[0])
     if ctx.warm_direction is not None and np.count_nonzero(ctx.warm_direction[off]):
         raise ValueError("warm_direction has mass outside the primal active rows")
-    face.col_psi = left_product(ctx.A, psi, face.outer)
     active = (np.abs(np.abs(face.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
     psi, support, active, d_hat, iterations = run_active_set(
         face, psi, support, active, ctx.warm_direction, trace)
-    return DualUpdateResult(psi, d_hat, support, active, iterations, face.col_psi)
+    return DualUpdateResult(psi, d_hat, support, active, iterations, face.col_psi,
+                            face.a_d_hat)

@@ -6,9 +6,10 @@ requested target.  Each iteration first refreshes the dual certificate
 (``dual_update``), then takes the maximal primal step (``primal_update``),
 producing one breakpoint of the piecewise-linear primal solution path; the
 dual path is piecewise constant between breakpoints.  Multiplier-system
-solutions are passed across subproblems as warm starts, and each
-breakpoint records the index sets and residual signs that the two
-subsolvers end with.
+solutions are passed across subproblems as warm starts, each with its
+product with A; A^T y and A x - b are carried from one update of their
+kind to the next; and each breakpoint records the index sets and
+residual signs that the two subsolvers end with.
 """
 
 from __future__ import annotations
@@ -199,16 +200,17 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     carry = InverseCarry()   # one kernel system and inverse follow the whole path
     path.kernel = carry.counts
     delta_k = delta0
-    warm_e: np.ndarray | None = None
+    # A^T y and A x - b at the start point, each carried on by its updates
+    col_y, resid = np.zeros(n), -inst.b
+    warm_e = col_e = None   # the primal's e_hat and A^T e_hat, both or neither
     if max_iters is None:
         max_iters = 20 * (m + n)
 
     for k in range(max_iters):
         stage = "dual"
         try:
-            dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y,
-                                   warm_direction=warm_e if use_warm_starts else None,
-                                   carry=carry)
+            dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y, col_y_start=col_y,
+                                   warm_direction=warm_e, warm_product=col_e, carry=carry)
             tick = time.perf_counter()
             dual_res = dual_update(dual_ctx)
             tock = time.perf_counter()   # primal_s counts from here
@@ -216,10 +218,12 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             path.dual_iterations += dual_res.iterations
 
             stage = "primal"
+            warm_d, a_d = (dual_res.d_hat, dual_res.a_d_hat) if use_warm_starts \
+                else (None, None)
             primal_ctx = PrimalContext(
                 inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
-                dual_res.I_D, dual_res.J_D, signs, dual_res.col_y,
-                warm_direction=dual_res.d_hat if use_warm_starts else None, carry=carry)
+                dual_res.I_D, dual_res.J_D, signs, dual_res.col_y, resid_start=resid,
+                warm_direction=warm_d, warm_product=a_d, carry=carry)
             primal_res = primal_update(primal_ctx)
             path.timing["primal_s"] += time.perf_counter() - tock
             path.primal_iterations += primal_res.iterations
@@ -242,8 +246,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             return path
 
         t = float(primal_res.t)
-        x = primal_res.x
-        y = dual_res.y
+        x, resid = primal_res.x, primal_res.resid
+        y, col_y = dual_res.y, dual_res.col_y
         delta_next = inst.delta if primal_res.reached_target else delta_k - t
         if delta_next < inst.delta + T_MIN * (1.0 + inst.delta):
             delta_next = inst.delta
@@ -268,7 +272,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             path.terminated = "target-reached"
             return path
         delta_k = delta_next
-        warm_e = primal_res.e_hat
+        if use_warm_starts:
+            warm_e, col_e = primal_res.e_hat, primal_res.col_e_hat
     path.failure_reason = f"homotopy iteration cap {max_iters} exceeded"
     return path
 

@@ -72,8 +72,12 @@ def random_bp_pair(m: int, n: int, sparsity: int, dynamic_range: float = 10.0,
     """Draw a unit-column Gaussian matrix and a sparse vector whose
     l1-minimality for A x = A x_bar is verified against the simplex oracle;
     failing draws are rejected and resampled."""
+    if sparsity < 0:
+        raise ValueError("sparsity must be nonnegative")
     if sparsity > m // 2:
         raise ValueError("sparsity above m/2 rarely yields l1-minimal draws; lower it")
+    if not 0.0 < dynamic_range < np.inf:
+        raise ValueError("dynamic_range must be finite and positive")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         a = rng.standard_normal((m, n))
@@ -126,14 +130,8 @@ def random_ground_truth(m: int, n: int, sparsity: int, delta: float,
     makes it as large as possible)."""
     if certificate not in ("sparse", "dense"):
         raise ValueError("certificate must be 'sparse' or 'dense'")
-    if sparsity < 0:
-        raise ValueError("sparsity must be nonnegative")
-    if sparsity > m:
-        raise ValueError("sparsity cannot exceed the row count")
     if not 0.0 <= delta < np.inf:
         raise ValueError("delta must be finite and nonnegative")
-    if not 0.0 < dynamic_range < np.inf:
-        raise ValueError("dynamic_range must be finite and positive")
     for k in range(max_tries):
         a, x_bar = random_bp_pair(m, n, sparsity, dynamic_range, seed + 1000 * k)
         try:

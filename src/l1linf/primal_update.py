@@ -19,13 +19,18 @@ returned with the result.  The context and the result hold the sets as
 boolean masks, the form in which the loop keeps them; the face functions
 take sorted int arrays.
 
-The face carries r = A xi - b: computed from the columns of J_D when the
-update starts, moved by alpha A d with each step, and corrected for every
-entry of xi that the loop sets to zero.  A d is formed once per
-direction, from the columns of J_P (the warm start's from the columns of
-J_D), and serves the ratio test and the warm-start edits.  On a large A
-these products read only those columns (``linalg.right_product``).  The
-signs of A^T y on J_D come from the dual update's A^T y.
+The face carries r = A xi - b along the whole path: it starts from the
+previous primal update's final r (-b at the first breakpoint), is moved
+by alpha A d with each step, and is corrected for every entry of xi that
+the loop sets to zero, the start entries outside J_D included; the final
+r goes out with the result.  A d is formed once per direction, from the
+columns of J_P, and serves the ratio test and the warm-start edits; the
+warm start's A d_hat comes with it from the dual update, which formed it
+for its own multipliers.  The multipliers form A^T e_hat once, from the
+rows of I_P, and read nu off it; it goes out with e_hat as the next dual
+update's warm product.  On a large A these products read only those
+columns or rows (``linalg.right_product``, ``left_product``).  The signs
+of A^T y on J_D come from the dual update's A^T y.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ import numpy as np
 
 from .active_set import (SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
                          UnboundedDirectionError, run_active_set, smallest)
-from .linalg import Block, InverseCarry, SolveReport, right_product, solve_consistent
+from .linalg import (Block, InverseCarry, SolveReport, left_product, right_product,
+                     solve_consistent)
 
 DEN_TOL = 1e-11      # |a_i^T d -+ 1| below this: treated as non-blocking
 _SIDES = np.array([[1.0], [-1.0]])   # a row's upper and lower bound
@@ -54,16 +60,18 @@ class PrimalContext:
     y_next: np.ndarray
     delta_k: float
     delta_target: float
-    x_start: np.ndarray
+    x_start: np.ndarray                       # at most SUPPORT_TOL off J_D
     I_P: np.ndarray                           # masks: I_P and I_D of length m,
     J_P: np.ndarray                           # J_P and J_D of length n
     I_D: np.ndarray
     J_D: np.ndarray
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
     col_y: np.ndarray                         # A^T y_next
-    # the dual update's d_hat, full length n and zero off J_D, since the
-    # products with A read only the columns of J_D
+    resid_start: np.ndarray                   # A x_start - b, which the update carries on
+    # the dual update's d_hat, full length n and zero off J_D, and its
+    # product A d_hat (both or neither)
     warm_direction: np.ndarray | None = None
+    warm_product: np.ndarray | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
 
     @property
@@ -80,11 +88,13 @@ class PrimalUpdateResult:
     x: np.ndarray
     t: float
     e_hat: np.ndarray | None   # None when the run stopped at the target bound
+    col_e_hat: np.ndarray | None   # A^T e_hat, the next dual update's warm product
     I_P: np.ndarray            # row mask, length m
     J_P: np.ndarray            # column mask, length n
     reached_target: bool
     iterations: int
     signs: np.ndarray          # full m, the update's own copy; the residual signs on I_P
+    resid: np.ndarray          # A x - b, carried through the update
 
 
 def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
@@ -144,26 +154,29 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
 
 def primal_multipliers(ctx: PrimalContext, I_P: np.ndarray, extra_rows: np.ndarray,
                        free_cols: np.ndarray, signs: np.ndarray, col_sign: np.ndarray,
-                       report: SolveReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       report: SolveReport
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Multipliers once no direction exists, from the solution z of
     [A^{I_P}_{J_P}^T; -signs_{I_P}^T] z = (0, ..., 0, 1) in the
     ``alternative`` of the failed ``primal_direction`` report: e = -z solves
-    (A^{I_P}_{J_P})^T e = 0, signs^T e = 1; mu on extra_rows = I_P \\ I_D,
-    nu on free_cols = J_D \\ J_P."""
+    (A^{I_P}_{J_P})^T e = 0, signs^T e = 1.  Returns e_hat, A^T e_hat
+    (formed from the rows of I_P), mu on extra_rows = I_P \\ I_D and nu on
+    free_cols = J_D \\ J_P."""
     found = report.alternative
     if not found.consistent:
         raise AsmError("primal multiplier system inconsistent although no direction exists")
     e_hat = np.zeros(ctx.m)
     e_hat[I_P] = -found.solution
+    col_e_hat = left_product(ctx.A, e_hat, I_P)
     mu = signs[extra_rows] * e_hat[extra_rows]
-    nu = -col_sign[free_cols] * e_hat.dot(ctx.A[:, free_cols])
-    return e_hat, mu, nu
+    nu = -col_sign[free_cols] * col_e_hat[free_cols]
+    return e_hat, col_e_hat, mu, nu
 
 
 class _PrimalFace:
     """Carries the bound decrease tau, the residual signs of the active rows,
-    the signs of A_j^T y on J_D, resid = A xi - b and a_d = A d of the
-    last direction."""
+    the signs of A_j^T y on J_D, resid = A xi - b, a_d = A d of the last
+    direction and col_e_hat = A^T e_hat of the last multipliers."""
 
     name = "primal"
 
@@ -176,7 +189,8 @@ class _PrimalFace:
         rows = rows[np.abs(ctx.y_next[rows]) > SUPPORT_TOL]
         self.signs[rows] = np.sign(ctx.y_next[rows])
         self.col_sign = np.sign(ctx.col_y)     # read on J_D only
-        self.resid = self.a_d = None
+        self.resid = np.array(ctx.resid_start, dtype=float)
+        self.a_d = self.col_e_hat = None
 
     def direction(self, support, active):
         report = primal_direction(self.ctx, active, support, self.signs)
@@ -201,11 +215,12 @@ class _PrimalFace:
             xi[cols] = 0.0
 
     def multipliers(self, report, xi, active, removable, candidates):
-        return primal_multipliers(self.ctx, active, removable, candidates,
-                                  self.signs, self.col_sign, report)
+        e_hat, self.col_e_hat, mu, nu = primal_multipliers(
+            self.ctx, active, removable, candidates, self.signs, self.col_sign, report)
+        return e_hat, mu, nu
 
     def warm_slack(self, d):
-        self.a_d = right_product(self.ctx.A, d, self.outer)
+        self.a_d = self.ctx.warm_product
         return self.a_d + self.signs
 
     def value(self, xi):
@@ -217,21 +232,25 @@ def primal_update(ctx: PrimalContext, trace=None) -> PrimalUpdateResult:
 
     Returns the new primal iterate, the achieved decrease t, the final
     multiplier-system solution e_hat (warm start for the next dual update;
-    None when the target bound was reached), the final sets and the
-    residual signs.
+    None when the target bound was reached) and its product with A, the
+    final sets, the residual signs and A x - b.
     """
     if ctx.delta_target > ctx.delta_k + ZERO_STEP_TOL:
         raise ValueError("delta_target exceeds the current bound")
+    if (ctx.warm_direction is None) != (ctx.warm_product is None):
+        raise ValueError("warm_direction and warm_product come together")
     face = _PrimalFace(ctx)
     xi = np.array(ctx.x_start, dtype=float)
     off = ~face.outer
-    if np.count_nonzero(np.abs(xi[off]) > SUPPORT_TOL):
-        raise ValueError("x_start has support outside the dual active columns")
-    xi[off] = 0.0
+    stray = off & (xi != 0.0)
+    if stray.any():
+        if np.count_nonzero(np.abs(xi[stray]) > SUPPORT_TOL):
+            raise ValueError("x_start has support outside the dual active columns")
+        face.zero(xi, stray.nonzero()[0])
     if ctx.warm_direction is not None and np.count_nonzero(ctx.warm_direction[off]):
         raise ValueError("warm_direction has mass outside the dual active columns")
-    face.resid = right_product(ctx.A, xi, face.outer) - ctx.b
     xi, support, active, e_hat, iterations = run_active_set(
         face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm_direction, trace)
-    return PrimalUpdateResult(xi, face.tau, e_hat, active, support, e_hat is None,
-                              iterations, face.signs)
+    col_e_hat = None if e_hat is None else face.col_e_hat
+    return PrimalUpdateResult(xi, face.tau, e_hat, col_e_hat, active, support,
+                              e_hat is None, iterations, face.signs, face.resid)

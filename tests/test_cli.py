@@ -212,7 +212,7 @@ def test_gen_deterministic_and_solvable(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--sparsity", "5", "sparsity cannot exceed the row count"),
+    ("--sparsity", "5", "sparsity above m/2"),
     ("--sparsity", "-1", "sparsity must be nonnegative"),
     ("--delta", "-0.1", "delta must be finite and nonnegative"),
     ("--delta", "inf", "delta must be finite and nonnegative"),

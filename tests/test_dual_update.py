@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 import l1linf.dual_update as dual_module
 from l1linf import oracle, solve_path
-from l1linf.active_set import TIE_RTOL, ZERO_STEP_TOL, UnboundedDirectionError
+from l1linf.active_set import (SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL,
+                               UnboundedDirectionError)
 from l1linf.dual_update import (DualContext, dual_direction, dual_multipliers,
                                 dual_step, dual_update)
 from l1linf.homotopy import ProblemInstance
 from reference_lp import asm_solve, dual_lp_encoding, general_form, index_mask
-from test_homotopy import pinned_gaussian, subproblem_contexts
+from test_homotopy import PRODUCT_RTOL, pinned_gaussian, subproblem_contexts
 
 NONE = np.empty(0, dtype=np.intp)
 ON, OFF = np.array([True]), np.array([False])
@@ -28,7 +30,7 @@ def scalar_ctx():
     # A = [1], b = (2), x = 0: one active row with residual sign -1
     signs = np.array([-1.0])
     return DualContext(np.array([[1.0]]), np.array([0.0]), ON, OFF, signs,
-                       y_start=np.zeros(1))
+                       y_start=np.zeros(1), col_y_start=np.zeros(1))
 
 
 def test_dual_direction_scalar():
@@ -57,7 +59,7 @@ def test_dual_direction_substitution_random():
         signs = np.zeros(m)
         signs[i_p] = rng.choice([-1.0, 1.0], len(i_p))
         ctx = DualContext(a, np.zeros(n), index_mask(m, i_p), index_mask(n, NONE), signs,
-                          y_start=np.zeros(m))
+                          y_start=np.zeros(m), col_y_start=np.zeros(n))
         rep = dual_direction(ctx, i_d, j_d)
         if rep.consistent:
             e = rep.solution
@@ -78,7 +80,7 @@ def test_dual_step_scalar_trace():
 def test_dual_step_unbounded():
     # zero column: nothing blocks a direction with the right sign pattern
     ctx = DualContext(np.array([[0.0]]), np.array([0.0]), ON, OFF,
-                      np.array([-1.0]), y_start=np.zeros(1))
+                      np.array([-1.0]), y_start=np.zeros(1), col_y_start=np.zeros(1))
     with pytest.raises(UnboundedDirectionError):
         dual_step_sets(ctx, np.array([-1.0]), np.zeros(1), np.array([0]), NONE)
 
@@ -87,7 +89,7 @@ def test_dual_step_tie_applies_both_updates():
     a = np.array([[1.0], [0.0]])
     signs = np.array([1.0, 1.0])
     ctx = DualContext(a, np.zeros(1), np.array([True, True]), OFF, signs,
-                      y_start=np.zeros(2))
+                      y_start=np.zeros(2), col_y_start=np.zeros(1))
     psi = np.array([0.5, 0.5])
     e = np.array([0.5, -0.5])
     alpha, new_cols, zero_rows = dual_step_sets(ctx, e, psi, np.array([0, 1]), NONE)
@@ -101,10 +103,12 @@ def test_dual_multipliers_scalar_terminal():
     i_d, j_d = np.array([0]), np.array([0])
     report = dual_direction(ctx, i_d, j_d)
     assert not report.consistent
-    d_hat, mu, nu = dual_multipliers(ctx, ctx.A.T @ np.array([-1.0]), j_d,
-                                     np.setdiff1d(j_d, ctx.J_P.nonzero()[0]),
-                                     np.setdiff1d(ctx.I_P.nonzero()[0], i_d), report)
+    d_hat, a_d_hat, mu, nu = dual_multipliers(ctx, ctx.A.T @ np.array([-1.0]), j_d,
+                                              np.setdiff1d(j_d, ctx.J_P.nonzero()[0]),
+                                              np.setdiff1d(ctx.I_P.nonzero()[0], i_d),
+                                              report)
     np.testing.assert_allclose(d_hat, [1.0], atol=1e-12)
+    np.testing.assert_allclose(a_d_hat, ctx.A @ d_hat, atol=1e-12)
     # J_P is empty here, so the single active column carries mu = 1 >= 0
     np.testing.assert_allclose(mu, [1.0], atol=1e-12)
     assert nu.size == 0
@@ -122,7 +126,7 @@ def test_dual_update_identity_two_rows():
     a = np.eye(2)
     signs = np.array([-1.0, 0.0])
     ctx = DualContext(a, np.zeros(2), np.array([True, False]), np.array([False, False]),
-                      signs, y_start=np.zeros(2))
+                      signs, y_start=np.zeros(2), col_y_start=np.zeros(2))
     res = dual_update(ctx)
     np.testing.assert_allclose(res.y, [-1.0, 0.0], atol=1e-10)
 
@@ -231,7 +235,7 @@ def test_dual_step_matches_loop_reference_with_exact_ties():
         i_d = (psi != 0.0).nonzero()[0]
         j_d = (rng.random(n) < 0.3).nonzero()[0]
         ctx = DualContext(a, np.zeros(n), index_mask(m, i_p), index_mask(n, NONE), signs,
-                          y_start=psi)
+                          y_start=psi, col_y_start=a.T @ psi)
         try:
             expected = loop_dual_step(ctx, e, psi, i_d, j_d)
         except UnboundedDirectionError:
@@ -273,3 +277,28 @@ def test_warm_direction_must_be_zero_off_the_primal_active_rows():
     ctx.warm_direction = warm
     with pytest.raises(ValueError, match="warm_direction"):
         dual_update(ctx)
+
+
+def test_a_start_entry_off_the_primal_active_rows_leaves_through_zero():
+    # y_start may hold entries up to SUPPORT_TOL off I_P: the update zeroes
+    # them through the face's zero, so its carried A^T y stays A^T y; a
+    # larger entry there is refused, and so is a warm direction without
+    # its product
+    ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
+               if kind == "dual" and c.warm_direction is not None
+               and np.count_nonzero(~c.I_P))
+    row = (~ctx.I_P).nonzero()[0][0]
+    for mass in (0.5 * SUPPORT_TOL, 2.0 * SUPPORT_TOL):
+        y_start = ctx.y_start.copy()
+        y_start[row] = mass
+        planted = dataclasses.replace(ctx, y_start=y_start, col_y_start=ctx.A.T @ y_start)
+        if mass > SUPPORT_TOL:
+            with pytest.raises(ValueError, match="y_start has mass"):
+                dual_update(planted)
+            continue
+        res = dual_update(planted)
+        assert res.y[row] == 0.0
+        scale = (np.abs(ctx.A).T @ np.abs(res.y)).max()
+        assert np.abs(res.col_y - ctx.A.T @ res.y).max() <= PRODUCT_RTOL * scale
+    with pytest.raises(ValueError, match="warm_direction and warm_product"):
+        dual_update(dataclasses.replace(ctx, warm_product=None))

@@ -367,8 +367,9 @@ def test_pinned_breakpoint_counts():
     assert len(path.breakpoints) - 1 == 33
 
 
-# carried A^T y and A x - b against fresh products, relative to the
-# largest |A|^T |y| and |A| |x| + |b| entry
+# carried A^T y and A x - b, and the handed-over A d_hat and A^T e_hat,
+# against fresh products, relative to the largest |A|^T |y|, |A| |x| + |b|,
+# |A| |d_hat| and |A|^T |e_hat| entry
 PRODUCT_RTOL = 1e-12
 
 
@@ -388,14 +389,23 @@ def _planting(cls, state, product):
     return zero
 
 
+def gathering_wide():
+    """60 x 2000 with a short path: its products take the gathered
+    branches of ``left_product`` and ``right_product``."""
+    rng = np.random.default_rng(13)
+    a, b = rng.standard_normal((60, 2000)), rng.standard_normal(60)
+    return ProblemInstance(a, b, 0.6 * np.max(np.abs(b)))
+
+
 def test_carried_state_matches_fresh_products(monkeypatch):
     # every S carried into a kernel call is the gathered block (with the
-    # rhs column) bit for bit, and every breakpoint's carried A^T y and
-    # A x - b agree with fresh products
+    # rhs column) bit for bit, every breakpoint's carried A^T y and A x - b
+    # agree with fresh products, and so does each multiplier product that
+    # an update hands to the next as its warm product
     import l1linf.dual_update as dual_mod
     import l1linf.primal_update as primal_mod
-    from l1linf.linalg import InverseCarry
-    follows, errors, faces = [], [], []
+    from l1linf.linalg import GATHER_MIN_SIZE, InverseCarry
+    follows, errors = [], []
     follow = InverseCarry.follow
 
     def checked_follow(self, m, rhs):
@@ -407,41 +417,90 @@ def test_carried_state_matches_fresh_products(monkeypatch):
                        and np.array_equal(self.cols, m.cols))
         return True
 
-    def recorded(cls):
-        init = cls.__init__
-
-        def wrapper(self, ctx):
-            init(self, ctx)
-            faces.append(self)
-        return wrapper
-
-    def checked(update, carried, fresh, scale):
+    def checked(update, *products):
+        """update, followed by the relative error of each (carried, fresh,
+        scale) product of its result that is not None"""
         def wrapper(ctx, **kw):
             res = update(ctx, **kw)
-            a = ctx.A
-            errors.append(np.abs(carried(res) - fresh(a, ctx, res)).max()
-                          / scale(np.abs(a), ctx, res))
+            abs_a = np.abs(ctx.A)
+            for carried, fresh, scale in products:
+                got = carried(res)
+                if got is not None:
+                    errors.append(np.abs(got - fresh(ctx.A, ctx, res)).max()
+                                  / scale(abs_a, ctx, res))
             return res
         return wrapper
 
+    def handed_over(res):
+        # the primal hands e_hat and A^T e_hat over together, and neither
+        # at the target bound
+        assert (res.e_hat is None) == (res.col_e_hat is None)
+        return res.col_e_hat
+
     monkeypatch.setattr(InverseCarry, "follow", checked_follow)
-    monkeypatch.setattr(primal_mod._PrimalFace, "__init__", recorded(primal_mod._PrimalFace))
     monkeypatch.setattr(dual_mod._DualFace, "zero", _planting(
         dual_mod._DualFace, "col_psi", lambda a, rows, v: a[rows].T @ v))
     monkeypatch.setattr(primal_mod._PrimalFace, "zero", _planting(
         primal_mod._PrimalFace, "resid", lambda a, cols, v: a[:, cols] @ v))
     monkeypatch.setattr(homotopy, "dual_update", checked(
-        homotopy.dual_update, lambda res: res.col_y,
-        lambda a, ctx, res: a.T @ res.y,
-        lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.y)).max()))
+        homotopy.dual_update,
+        (lambda res: res.col_y, lambda a, ctx, res: a.T @ res.y,
+         lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.y)).max()),
+        (lambda res: res.a_d_hat, lambda a, ctx, res: a @ res.d_hat,
+         lambda abs_a, ctx, res: (abs_a @ np.abs(res.d_hat)).max())))
     monkeypatch.setattr(homotopy, "primal_update", checked(
-        homotopy.primal_update, lambda res: faces[-1].resid,
-        lambda a, ctx, res: a @ res.x - ctx.b,
-        lambda abs_a, ctx, res: (abs_a @ np.abs(res.x) + np.abs(ctx.b)).max()))
-    for inst in (pinned_gaussian(), pinned_dantzig()):
+        homotopy.primal_update,
+        (lambda res: res.resid, lambda a, ctx, res: a @ res.x - ctx.b,
+         lambda abs_a, ctx, res: (abs_a @ np.abs(res.x) + np.abs(ctx.b)).max()),
+        (handed_over, lambda a, ctx, res: a.T @ res.e_hat,
+         lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.e_hat)).max())))
+    wide = gathering_wide()
+    assert wide.A.size >= GATHER_MIN_SIZE
+    for inst in (pinned_gaussian(), pinned_dantzig(), wide):
         assert solve_path(inst).terminated == "target-reached"
     assert len(follows) > 50 and all(follows)
-    assert len(errors) > 100 and max(errors) <= PRODUCT_RTOL
+    assert len(errors) > 200 and max(errors) <= PRODUCT_RTOL
+
+
+def test_a_warm_one_step_breakpoint_forms_two_products_with_a(monkeypatch):
+    # each multiplier product is the next face's warm product, and A^T y
+    # and A x - b are carried across breakpoints: a warm breakpoint whose
+    # subproblems take one step each calls left_product or right_product
+    # twice, once in each multiplier function
+    import l1linf.dual_update as dual_mod
+    import l1linf.primal_update as primal_mod
+    from l1linf import linalg
+    breakpoints = []
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            breakpoints[-1][key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def dual(ctx, **kwargs):
+        breakpoints.append({"warm": ctx.warm_direction is not None, "products": 0,
+                            "dual": 0, "primal": 0})
+        return dual_update(ctx, **kwargs)
+
+    def primal(ctx, **kwargs):
+        res = primal_update(ctx, **kwargs)
+        breakpoints[-1]["target"] = res.reached_target
+        return res
+
+    dual_update, primal_update = homotopy.dual_update, homotopy.primal_update
+    monkeypatch.setattr(homotopy, "dual_update", dual)
+    monkeypatch.setattr(homotopy, "primal_update", primal)
+    for module in (dual_mod, primal_mod):
+        for name in ("left_product", "right_product"):
+            monkeypatch.setattr(module, name, counted(getattr(linalg, name), "products"),
+                                raising=False)
+    for cls, key in ((dual_mod._DualFace, "dual"), (primal_mod._PrimalFace, "primal")):
+        monkeypatch.setattr(cls, "step", counted(cls.step, key))
+    assert solve_path(pinned_gaussian()).terminated == "target-reached"
+    one_step = [bp["products"] for bp in breakpoints if bp["warm"] and not bp["target"]
+                and bp["dual"] == bp["primal"] == 1]
+    assert len(one_step) > 20 and set(one_step) == {2}, one_step
 
 
 def test_breakpoint_sets_are_the_classified_sets():
@@ -501,9 +560,10 @@ def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
 
 
 GLUE_CALLS_PER_BREAKPOINT = 15   # 14.5 measured; 52.0 with four IndexSets a breakpoint
-# 222.5 on pinned_gaussian and 223.4 on pinned_small measured; 229.5 and
-# 244.4 when blocks below 12 columns took the SVD
-CALLS_PER_BREAKPOINT = 228
+# 222.3 on pinned_gaussian and 220.9 on pinned_small measured; 226.3 and
+# 224.8 when each update formed its start product and its warm product
+# afresh, 229.5 and 244.4 when blocks below 12 columns took the SVD
+CALLS_PER_BREAKPOINT = 224
 
 
 def _profiled_calls(inst):

@@ -73,9 +73,13 @@ def test_ground_truth_recovery_both_regimes():
         assert abs(path.objective - target) <= 1e-7 * (1 + target)
 
 
+def no_draw(*args, **kwargs):
+    raise AssertionError("drew an instance for invalid arguments")
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"sparsity": -1}, "sparsity must be nonnegative"),
-    ({"sparsity": 5}, "sparsity cannot exceed the row count"),
+    ({"sparsity": 5}, "sparsity above m/2"),
     ({"delta": -0.1}, "delta must be finite and nonnegative"),
     ({"delta": np.inf}, "delta must be finite and nonnegative"),
     ({"delta": np.nan}, "delta must be finite and nonnegative"),
@@ -86,13 +90,25 @@ def test_ground_truth_recovery_both_regimes():
 ])
 def test_random_ground_truth_refuses_bad_arguments_before_drawing(monkeypatch, changes,
                                                                    message):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew an instance for invalid arguments")
-
-    monkeypatch.setattr(instances, "random_bp_pair", no_draw)
+    # random_bp_pair checks the sparsity and the dynamic range for both
+    monkeypatch.setattr(instances.np.random, "default_rng", no_draw)
     args = {"m": 4, "n": 8, "sparsity": 1, "delta": 0.5, "dynamic_range": 10.0, **changes}
     with pytest.raises(ValueError, match=message):
         random_ground_truth(**args)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"sparsity": -1}, "sparsity must be nonnegative"),
+    ({"dynamic_range": 0.0}, "dynamic_range must be finite and positive"),
+    ({"dynamic_range": -2.0}, "dynamic_range must be finite and positive"),
+    ({"dynamic_range": np.inf}, "dynamic_range must be finite and positive"),
+    ({"dynamic_range": np.nan}, "dynamic_range must be finite and positive"),
+])
+def test_random_bp_pair_refuses_bad_arguments_before_drawing(monkeypatch, changes, message):
+    monkeypatch.setattr(instances.np.random, "default_rng", no_draw)
+    args = {"m": 6, "n": 12, "sparsity": 2, "dynamic_range": 10.0, **changes}
+    with pytest.raises(ValueError, match=message):
+        random_bp_pair(**args)
 
 
 def test_to_linf_form_hand_example():

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 import l1linf.primal_update as primal_module
 from l1linf import oracle, solve_path
+from l1linf.active_set import SUPPORT_TOL
 from l1linf.homotopy import ProblemInstance
 from l1linf.primal_update import (PrimalContext, primal_direction,
                                   primal_multipliers, primal_step,
                                   primal_update)
 from reference_lp import asm_solve, general_form, index_mask, primal_lp_encoding
-from test_homotopy import pinned_gaussian, subproblem_contexts
+from test_homotopy import PRODUCT_RTOL, pinned_gaussian, subproblem_contexts
 
 NONE = np.empty(0, dtype=np.intp)
 ZERO = np.array([0])
@@ -30,7 +32,8 @@ def scalar_ctx(delta_target=0.0):
     return PrimalContext(np.array([[1.0]]), np.array([2.0]), np.array([-1.0]),
                          2.0, delta_target, np.zeros(1),
                          I_P=ON, J_P=OFF, I_D=ON, J_D=ON,
-                         residual_signs=np.array([-1.0]), col_y=np.array([-1.0]))
+                         residual_signs=np.array([-1.0]), col_y=np.array([-1.0]),
+                         resid_start=np.array([-2.0]))
 
 
 def test_primal_direction_scalar():
@@ -46,9 +49,25 @@ def test_primal_direction_overdetermined_inconsistent():
     ctx = PrimalContext(a, np.zeros(4), np.zeros(4), 1.0, 0.0, np.zeros(6),
                         index_mask(4, [0, 1, 2]), index_mask(6, ZERO), index_mask(4, NONE),
                         index_mask(6, ZERO),
-                        residual_signs=np.array([1.0, 1.0, -1.0, 0.0]), col_y=np.zeros(6))
+                        residual_signs=np.array([1.0, 1.0, -1.0, 0.0]), col_y=np.zeros(6),
+                        resid_start=np.zeros(4))
     rep = primal_direction(ctx, np.array([0, 1, 2]), ZERO, ctx.residual_signs)
     assert not rep.consistent
+
+
+def test_primal_multipliers_scalar_terminal():
+    # with the one column outside the support, the row's sign system gives
+    # e_hat = -1 and A^T e_hat = -1: the column's nu = -1 asks it in
+    ctx = scalar_ctx()
+    report = primal_direction(ctx, ZERO, NONE, ctx.residual_signs)
+    assert not report.consistent
+    e_hat, col_e_hat, mu, nu = primal_multipliers(ctx, ZERO, NONE, ZERO,
+                                                  ctx.residual_signs,
+                                                  np.sign(ctx.col_y), report)
+    np.testing.assert_allclose(e_hat, [-1.0], atol=1e-12)
+    np.testing.assert_allclose(col_e_hat, ctx.A.T @ e_hat, atol=1e-12)
+    assert mu.size == 0
+    np.testing.assert_allclose(nu, [-1.0], atol=1e-12)
 
 
 def test_primal_direction_substitution_random():
@@ -62,7 +81,8 @@ def test_primal_direction_substitution_random():
         signs[i_p] = rng.choice([-1.0, 1.0], len(i_p))
         ctx = PrimalContext(a, np.zeros(m), np.zeros(n), 1.0, 0.0, np.zeros(n),
                             index_mask(m, i_p), index_mask(n, j_p), index_mask(m, NONE),
-                            index_mask(n, j_p), residual_signs=signs, col_y=np.zeros(n))
+                            index_mask(n, j_p), residual_signs=signs, col_y=np.zeros(n),
+                            resid_start=np.zeros(m))
         rep = primal_direction(ctx, i_p, j_p, signs)
         if rep.consistent:
             d = rep.solution
@@ -89,7 +109,8 @@ def test_primal_step_identity_second_row_ratios():
                         3.0, 1.0, np.zeros(2),
                         I_P=index_mask(2, ZERO), J_P=index_mask(2, NONE),
                         I_D=index_mask(2, ZERO), J_D=index_mask(2, ZERO),
-                        residual_signs=np.array([-1.0, 0.0]), col_y=np.array([-1.0, 0.0]))
+                        residual_signs=np.array([-1.0, 0.0]), col_y=np.array([-1.0, 0.0]),
+                        resid_start=np.array([-3.0, 0.5]))
     d = np.array([1.0, 0.0])
     col_sign = np.array([-1.0, 0.0])
     alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(2), 0.0,
@@ -104,7 +125,8 @@ def test_primal_step_blocking_tie_adds_all_rows():
     ctx = PrimalContext(a, b, np.array([-1.0, 0.0, 0.0]), 2.0, 0.0,
                         np.zeros(1),
                         I_P=index_mask(3, ZERO), J_P=OFF, I_D=index_mask(3, ZERO), J_D=ON,
-                        residual_signs=np.array([-1.0, 0.0, 0.0]), col_y=np.array([-1.0]))
+                        residual_signs=np.array([-1.0, 0.0, 0.0]), col_y=np.array([-1.0]),
+                        resid_start=-b)
     d = np.array([1.0])
     col_sign = np.array([-1.0])
     alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(1), 0.0,
@@ -266,7 +288,8 @@ def test_primal_step_matches_loop_reference_with_exact_ties():
         ctx = PrimalContext(a, b, np.zeros(m), delta_k, float(rng.integers(-8, 1)),
                             xi, I_P=index_mask(m, i_p), J_P=index_mask(n, j_p),
                             I_D=index_mask(m, NONE), J_D=index_mask(n, j_d),
-                            residual_signs=np.zeros(m), col_y=np.zeros(n))
+                            residual_signs=np.zeros(m), col_y=np.zeros(n),
+                            resid_start=a @ xi - b)
         try:
             expected = loop_primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
         except UnboundedDirectionError:
@@ -312,3 +335,29 @@ def test_warm_direction_must_be_zero_off_the_dual_active_columns():
     ctx.warm_direction = warm
     with pytest.raises(ValueError, match="warm_direction"):
         primal_update(ctx)
+
+
+def test_a_start_entry_off_the_dual_active_columns_leaves_through_zero():
+    # x_start may hold entries up to SUPPORT_TOL off J_D: the update zeroes
+    # them through the face's zero, so its carried A x - b stays A x - b; a
+    # larger entry there is refused, and so is a warm direction without
+    # its product
+    ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
+               if kind == "primal" and c.warm_direction is not None
+               and np.count_nonzero(~c.J_D))
+    col = (~ctx.J_D).nonzero()[0][0]
+    for mass in (0.5 * SUPPORT_TOL, 2.0 * SUPPORT_TOL):
+        x_start = ctx.x_start.copy()
+        x_start[col] = mass
+        planted = dataclasses.replace(ctx, x_start=x_start,
+                                      resid_start=ctx.A @ x_start - ctx.b)
+        if mass > SUPPORT_TOL:
+            with pytest.raises(ValueError, match="x_start has support"):
+                primal_update(planted)
+            continue
+        res = primal_update(planted)
+        assert res.x[col] == 0.0
+        scale = (np.abs(ctx.A) @ np.abs(res.x) + np.abs(ctx.b)).max()
+        assert np.abs(res.resid - (ctx.A @ res.x - ctx.b)).max() <= PRODUCT_RTOL * scale
+    with pytest.raises(ValueError, match="warm_direction and warm_product"):
+        primal_update(dataclasses.replace(ctx, warm_product=None))

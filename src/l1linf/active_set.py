@@ -12,16 +12,19 @@ always contains a *fixed* set, stays tight.  The two are mirror images:
 A face object supplies what differs: ``name``, the masks ``fixed`` and
 ``outer``, the block's direction report (``direction``), the ratio test
 (``step``), the zeroing of point entries (``zero``), the multipliers
-(``multipliers``), a warm-start direction's distance from keeping each
-constraint tight (``warm_slack``, needed only by a face that is given a
-warm start) and the objective shown in trace records (``value``).  A face
-may carry products of the point and of the current direction with A: the
-direction comes from its ``direction`` or ``warm_slack`` call, ``step``
-sees the point before the loop moves it by alpha times the direction, and
-every entry that the loop sets to zero goes through ``zero``.
-The loop keeps both sets as boolean masks and takes their sorted index
-arrays once per iteration.  A zero-length step edits the sets like any
-other step.
+(``multipliers``), a warm direction's distance from keeping each
+constraint tight, read off its product with A (``warm_slack``, needed
+only by a face that is given a warm start) and the objective shown in
+trace records (``value``).  A face may carry products of the point and of
+the current direction with A: the direction comes from its ``direction``
+call or, with its product, from the warm start, ``step`` sees the point
+before the loop moves it by alpha times the direction, and every entry
+that the loop sets to zero goes through ``zero``.  A warm start is None
+or the (direction, product) pair that the other face's ``multipliers``
+handed back as its run's solution; ``start_point`` checks it and the
+start point for both faces.  The loop keeps both sets as boolean masks
+and takes their sorted index arrays once per iteration.  A zero-length
+step edits the sets like any other step.
 """
 
 from __future__ import annotations
@@ -61,21 +64,40 @@ def smallest(values: np.ndarray) -> float:
     return float(values.flat[values.argmin()]) if values.size else np.inf
 
 
-def run_active_set(face, point: np.ndarray, support: np.ndarray,
-                   active: np.ndarray, warm: np.ndarray | None, trace=None):
+def start_point(face, point: np.ndarray, warm) -> None:
+    """Check a start point and a warm start against the face's outer set.
+
+    Entries of ``point`` outside it, at most SUPPORT_TOL in size, are set
+    to zero in place through ``face.zero``, so the face's carried products
+    stay exact; a larger entry there, or a warm direction with any mass
+    there, raises ValueError."""
+    off = ~face.outer
+    stray = off & (point != 0.0)
+    if stray.any():
+        if np.count_nonzero(np.abs(point[stray]) > SUPPORT_TOL):
+            raise ValueError(f"the {face.name} start point has mass outside the outer set")
+        face.zero(point, stray.nonzero()[0])
+    if warm is not None and np.count_nonzero(warm[0][off]):
+        raise ValueError(f"the {face.name} warm direction has mass outside the outer set")
+
+
+def run_active_set(face, point: np.ndarray, support: np.ndarray, active: np.ndarray,
+                   warm: tuple[np.ndarray, np.ndarray] | None, trace=None):
     """Run the active-set loop from a feasible point.
 
-    ``support`` and ``active`` are updated in place.  A warm-start direction
+    ``support`` and ``active`` are updated in place.  A warm direction
     first grows the support by its nonzero entries inside the outer set and
     drops the removable constraints it does not keep tight, then serves as
-    the first direction.  Returns (point, support, active, multiplier-system
-    solution, iterations); the solution is None when a step ended the run.
+    the first direction.  Returns (point, support, active, multiplier
+    solution, iterations); the solution is the face's warm pair for the
+    other face, None when a step ended the run.
     """
     max_iters = 50 * (support.size + active.size + 5)
-    pending = None if warm is None else np.asarray(warm, dtype=float)
-    if pending is not None:
+    pending = None
+    if warm is not None:
+        pending, product = warm
         support |= face.outer & (np.abs(pending) > NONZERO_TOL)
-        active &= face.fixed | (np.abs(face.warm_slack(pending)) <= NONZERO_TOL)
+        active &= face.fixed | (np.abs(face.warm_slack(product)) <= NONZERO_TOL)
 
     for it in range(max_iters):
         sup, act = support.nonzero()[0], active.nonzero()[0]

@@ -19,14 +19,15 @@ sorted int arrays.
 The face carries c = A^T psi along the whole path: it starts from the
 previous dual update's final c (zeros at the first breakpoint), is moved
 by alpha A^T e with each step, and is corrected for every entry of psi
-that the loop sets to zero, the start entries outside I_P included.  A^T e
+that the loop sets to zero, the start entries outside I_P included
+(``active_set.start_point``, the rule the primal update shares).  A^T e
 is formed once per direction, from the rows of I_D, and serves the ratio
-test and the warm-start edits; the warm start's A^T e_hat comes with it
-from the primal update, which formed it for its own multipliers.  The
-multipliers form A d_hat once, from the columns of J_D, and read nu off
-it; it goes out with d_hat as the next primal update's warm product, and
-the final c goes out with the result.  On a large A these products read
-only those rows or columns (``linalg.left_product``, ``right_product``).
+test.  The warm start is the primal update's pair (e_hat, A^T e_hat),
+whose product the primal formed for its own multipliers.  The multipliers
+form A d_hat once, from the columns of J_D, and read nu off it; the pair
+(d_hat, A d_hat) goes out as the next primal update's warm start, and the
+final c goes out with the result.  On a large A these products read only
+those rows or columns (``linalg.left_product``, ``right_product``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .active_set import (ACTIVE_TOL, SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
-                         UnboundedDirectionError, run_active_set, smallest)
+                         UnboundedDirectionError, run_active_set, smallest, start_point)
 from .linalg import (Block, InverseCarry, SolveReport, left_product, right_product,
                      solve_consistent)
 
@@ -53,10 +54,8 @@ class DualContext:
     residual_signs: np.ndarray           # full length m, +-1 on I_P, 0 elsewhere
     y_start: np.ndarray                  # full length m, at most SUPPORT_TOL off I_P
     col_y_start: np.ndarray              # A^T y_start, which the update carries on
-    # the primal update's e_hat, full length m and zero off I_P, and its
-    # product A^T e_hat (both or neither)
-    warm_direction: np.ndarray | None = None
-    warm_product: np.ndarray | None = None
+    # the primal update's (e_hat, A^T e_hat); e_hat is full length m and zero off I_P
+    warm: tuple[np.ndarray, np.ndarray] | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
 
     @property
@@ -71,12 +70,11 @@ class DualContext:
 @dataclass
 class DualUpdateResult:
     y: np.ndarray
-    d_hat: np.ndarray
+    warm: tuple[np.ndarray, np.ndarray]   # (d_hat, A d_hat), the next primal warm start
     I_D: np.ndarray          # row mask, length m
     J_D: np.ndarray          # column mask, length n
     iterations: int
     col_y: np.ndarray        # A^T y, carried through the update
-    a_d_hat: np.ndarray      # A d_hat, the next primal update's warm product
 
 
 def dual_direction(ctx: DualContext, I_D: np.ndarray, J_D: np.ndarray) -> SolveReport:
@@ -142,8 +140,7 @@ def dual_multipliers(ctx: DualContext, col_psi: np.ndarray, J_D: np.ndarray,
 
 
 class _DualFace:
-    """Carries col_psi = A^T psi, col_e = A^T e of the last direction and
-    a_d_hat = A d_hat of the last multipliers."""
+    """Carries col_psi = A^T psi and col_e = A^T e of the last direction."""
 
     name = "dual"
 
@@ -151,7 +148,7 @@ class _DualFace:
         self.ctx = ctx
         self.outer, self.fixed = ctx.I_P, ctx.J_P
         self.col_psi = np.array(ctx.col_y_start, dtype=float)
-        self.col_e = self.a_d_hat = None
+        self.col_e = None
 
     def direction(self, support, active):
         report = dual_direction(self.ctx, support, active)
@@ -171,13 +168,13 @@ class _DualFace:
             psi[rows] = 0.0
 
     def multipliers(self, report, psi, active, removable, candidates):
-        d_hat, self.a_d_hat, mu, nu = dual_multipliers(
+        d_hat, a_d_hat, mu, nu = dual_multipliers(
             self.ctx, self.col_psi, active, removable, candidates, report)
-        return d_hat, mu, nu
+        return (d_hat, a_d_hat), mu, nu
 
-    def warm_slack(self, e):
-        self.col_e = self.ctx.warm_product
-        return self.col_e
+    def warm_slack(self, col_e):
+        self.col_e = col_e
+        return col_e
 
     def value(self, psi):
         return float(-self.ctx.residual_signs @ psi)
@@ -186,23 +183,13 @@ class _DualFace:
 def dual_update(ctx: DualContext, trace=None) -> DualUpdateResult:
     """Solve the dual-certificate subproblem by the specialized active-set
     scheme; returns the new certificate embedded in R^m together with the
-    final multiplier-system solution d_hat (warm start for the next primal
-    update) and its product with A, the final dual sets and A^T y."""
-    if (ctx.warm_direction is None) != (ctx.warm_product is None):
-        raise ValueError("warm_direction and warm_product come together")
+    warm start (d_hat, A d_hat) for the next primal update, built from the
+    final multiplier-system solution, the final dual sets and A^T y."""
     face = _DualFace(ctx)
     psi = np.array(ctx.y_start, dtype=float)
+    start_point(face, psi, ctx.warm)
     support = np.abs(psi) > SUPPORT_TOL
-    off = ~face.outer
-    stray = off & (psi != 0.0)
-    if stray.any():
-        if np.count_nonzero(support & stray):
-            raise ValueError("y_start has mass outside the primal active rows")
-        face.zero(psi, stray.nonzero()[0])
-    if ctx.warm_direction is not None and np.count_nonzero(ctx.warm_direction[off]):
-        raise ValueError("warm_direction has mass outside the primal active rows")
     active = (np.abs(np.abs(face.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
-    psi, support, active, d_hat, iterations = run_active_set(
-        face, psi, support, active, ctx.warm_direction, trace)
-    return DualUpdateResult(psi, d_hat, support, active, iterations, face.col_psi,
-                            face.a_d_hat)
+    psi, support, active, warm, iterations = run_active_set(
+        face, psi, support, active, ctx.warm, trace)
+    return DualUpdateResult(psi, warm, support, active, iterations, face.col_psi)

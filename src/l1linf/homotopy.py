@@ -6,8 +6,8 @@ requested target.  Each iteration first refreshes the dual certificate
 (``dual_update``), then takes the maximal primal step (``primal_update``),
 producing one breakpoint of the piecewise-linear primal solution path; the
 dual path is piecewise constant between breakpoints.  Multiplier-system
-solutions are passed across subproblems as warm starts, each with its
-product with A; A^T y and A x - b are carried from one update of their
+solutions are passed across subproblems as warm starts, each paired with
+its product with A; A^T y and A x - b are carried from one update of their
 kind to the next; and each breakpoint records the index sets and
 residual signs that the two subsolvers end with.
 """
@@ -202,7 +202,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     delta_k = delta0
     # A^T y and A x - b at the start point, each carried on by its updates
     col_y, resid = np.zeros(n), -inst.b
-    warm_e = col_e = None   # the primal's e_hat and A^T e_hat, both or neither
+    warm_e = None   # the primal's warm start (e_hat, A^T e_hat)
     if max_iters is None:
         max_iters = 20 * (m + n)
 
@@ -210,7 +210,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         stage = "dual"
         try:
             dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y, col_y_start=col_y,
-                                   warm_direction=warm_e, warm_product=col_e, carry=carry)
+                                   warm=warm_e, carry=carry)
             tick = time.perf_counter()
             dual_res = dual_update(dual_ctx)
             tock = time.perf_counter()   # primal_s counts from here
@@ -218,12 +218,10 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             path.dual_iterations += dual_res.iterations
 
             stage = "primal"
-            warm_d, a_d = (dual_res.d_hat, dual_res.a_d_hat) if use_warm_starts \
-                else (None, None)
             primal_ctx = PrimalContext(
                 inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
                 dual_res.I_D, dual_res.J_D, signs, dual_res.col_y, resid_start=resid,
-                warm_direction=warm_d, warm_product=a_d, carry=carry)
+                warm=dual_res.warm if use_warm_starts else None, carry=carry)
             primal_res = primal_update(primal_ctx)
             path.timing["primal_s"] += time.perf_counter() - tock
             path.primal_iterations += primal_res.iterations
@@ -273,7 +271,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             return path
         delta_k = delta_next
         if use_warm_starts:
-            warm_e, col_e = primal_res.e_hat, primal_res.col_e_hat
+            warm_e = primal_res.warm
     path.failure_reason = f"homotopy iteration cap {max_iters} exceeded"
     return path
 

@@ -18,6 +18,8 @@ from .mmio import json_numbers, json_type, read_matrixmarket_array
 
 CERT_TOL = 1e-10   # certificate validation for ground-truth construction
 BP_TOL = 1e-9      # l1-minimality verification slack
+BP_TRIES = 50      # draws random_bp_pair makes before it gives up
+GROUND_TRUTH_TRIES = 20   # draws random_ground_truth makes before it gives up
 
 
 @dataclass
@@ -68,7 +70,7 @@ def make_ground_truth(A, x_bar, y_bar, delta: float) -> GroundTruthInstance:
 
 
 def random_bp_pair(m: int, n: int, sparsity: int, dynamic_range: float = 10.0,
-                   seed: int = 0, max_tries: int = 50) -> tuple[np.ndarray, np.ndarray]:
+                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw a unit-column Gaussian matrix and a sparse vector whose
     l1-minimality for A x = A x_bar is verified against the simplex oracle;
     failing draws are rejected and resampled."""
@@ -79,7 +81,7 @@ def random_bp_pair(m: int, n: int, sparsity: int, dynamic_range: float = 10.0,
     if not 0.0 < dynamic_range < np.inf:
         raise ValueError("dynamic_range must be finite and positive")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(BP_TRIES):
         a = rng.standard_normal((m, n))
         a /= np.linalg.norm(a, axis=0)
         x_bar = np.zeros(n)
@@ -95,12 +97,7 @@ def random_bp_pair(m: int, n: int, sparsity: int, dynamic_range: float = 10.0,
         target = float(np.sum(np.abs(x_bar)))
         if res.status == "optimal" and abs(res.value - target) <= BP_TOL * (1.0 + target):
             return a, x_bar
-    raise RuntimeError(f"no l1-minimal draw in {max_tries} tries; lower the sparsity")
-
-
-def sparse_certificate(A, x_bar) -> np.ndarray:
-    """Minimum-l1-norm certificate (few active rows in the shifted instance)."""
-    return oracle.certificate_l1(A, x_bar)
+    raise RuntimeError(f"no l1-minimal draw in {BP_TRIES} tries; lower the sparsity")
 
 
 def dense_certificate(A, x_bar) -> np.ndarray:
@@ -123,8 +120,7 @@ def dense_certificate(A, x_bar) -> np.ndarray:
 
 def random_ground_truth(m: int, n: int, sparsity: int, delta: float,
                         seed: int = 0, certificate: str = "sparse",
-                        dynamic_range: float = 10.0,
-                        max_tries: int = 20) -> GroundTruthInstance:
+                        dynamic_range: float = 10.0) -> GroundTruthInstance:
     """Complete generator: verified sparse draw plus a certificate of the
     chosen regime ("sparse" keeps the optimal active set small, "dense"
     makes it as large as possible)."""
@@ -132,15 +128,15 @@ def random_ground_truth(m: int, n: int, sparsity: int, delta: float,
         raise ValueError("certificate must be 'sparse' or 'dense'")
     if not 0.0 <= delta < np.inf:
         raise ValueError("delta must be finite and nonnegative")
-    for k in range(max_tries):
+    for k in range(GROUND_TRUTH_TRIES):
         a, x_bar = random_bp_pair(m, n, sparsity, dynamic_range, seed + 1000 * k)
         try:
-            y_bar = sparse_certificate(a, x_bar) if certificate == "sparse" \
+            y_bar = oracle.certificate_l1(a, x_bar) if certificate == "sparse" \
                 else dense_certificate(a, x_bar)
             return make_ground_truth(a, x_bar, y_bar, delta)
         except ValueError:
             continue
-    raise RuntimeError(f"no valid {certificate} certificate found in {max_tries} draws")
+    raise RuntimeError(f"no valid {certificate} certificate found in {GROUND_TRUTH_TRIES} draws")
 
 
 def to_linf_form(gb: GeneralizedBounds, delta_hat: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
-"""Dense linear algebra kernel: the breakpoint index-set record and
-consistency-detecting solves for possibly rank-deficient systems.
+"""Dense linear algebra kernel: consistency-detecting solves for possibly
+rank-deficient systems, the products of A with a vector that lives on a
+few rows or columns, and the validated ``IndexSet`` tuple, which no path
+builds (a breakpoint records its sets in ``homotopy.IndexSets``).
 
 Everything here is deliberately dense and deterministic.  Matrices and
 vectors are plain numpy arrays of float64; ``as_matrix``/``as_vector``
@@ -162,9 +164,9 @@ class SolveReport:
 
     ``solution`` is None when the system is inconsistent; ``residual_norm``
     is always the sup-norm residual at the least-squares point.  A report of
-    ``solve_consistent(M, rhs)`` also carries ``w``, the part of rhs outside
-    range(M), and ``alternative``, the report of the other Fredholm
-    alternative: z = w / ||w||^2 (z = 0 when w = 0) as a solution of
+    ``solve_consistent(M, rhs)`` also carries ``alternative``, the report of
+    the other Fredholm alternative: z = w / ||w||^2, with w the part of rhs
+    outside range(M) (z = 0 when w = 0), as a solution of
     [M^T; rhs^T] z = (0, ..., 0, 1).  Exactly one of the two systems is
     solvable in exact arithmetic.
     """
@@ -172,7 +174,6 @@ class SolveReport:
     solution: np.ndarray | None
     residual_norm: float
     consistent: bool
-    w: np.ndarray | None = None
     alternative: "SolveReport | None" = None
 
 
@@ -376,8 +377,7 @@ class InverseCarry:
         if not self.tall:   # a square block's w, and so its z, is 0
             resid = _max_abs(s.dot(u) - rhs)
             ok, _ = _passes(resid, 1.0, rhs)
-            return SolveReport(u if ok else None, resid, ok,
-                               np.zeros(k), SolveReport(None, 1.0, False))
+            return SolveReport(u if ok else None, resid, ok, SolveReport(None, 1.0, False))
         unit = u / size                 # u . u itself could overflow
         w = unit / (unit.dot(unit) * size)
         # S [x; -1] = M x - rhs = -w at the least-squares point x
@@ -392,7 +392,7 @@ class InverseCarry:
             g[-1] -= 1.0
             z_resid = _max_abs(g)
         ok, z_ok = _passes(resid, z_resid, rhs)
-        return SolveReport(v[:k] if ok else None, resid, ok, w,
+        return SolveReport(v[:k] if ok else None, resid, ok,
                            SolveReport(w / ww if z_ok else None, z_resid, z_ok))
 
 
@@ -522,7 +522,7 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
         z = w / ww
         z_resid = max(_max_abs(m.T.dot(z)), abs(float(rhs.dot(z)) - 1.0))
     ok, z_ok = _passes(resid, z_resid, rhs)
-    return SolveReport(sol if ok else None, resid, ok, w,
+    return SolveReport(sol if ok else None, resid, ok,
                        SolveReport(z if z_ok else None, z_resid, z_ok))
 
 

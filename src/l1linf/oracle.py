@@ -25,6 +25,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
 STRICT_SLACK_TOL = 1e-9
 MAX_PIVOTS = 50000
+L1_CERT_TOL = 1e-8   # certificate_l1: support threshold on x_bar; its self-check allows 10x
 
 
 @dataclass
@@ -275,7 +276,7 @@ def reformulate(inst) -> GeneralLp:
                      np.zeros(2 * n + 2 * m))
 
 
-def certificate_l1(a: np.ndarray, x_bar: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def certificate_l1(a: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
     """Minimum-l1-norm dual certificate: min ||y||_1 s.t. -A^T y in Sign(x_bar).
 
     Raises ValueError when infeasible (x_bar is then not l1-minimal for
@@ -284,7 +285,7 @@ def certificate_l1(a: np.ndarray, x_bar: np.ndarray, tol: float = 1e-8) -> np.nd
     a = as_matrix(a)
     x_bar = as_vector(x_bar, "x_bar")
     m, n = a.shape
-    supp = np.flatnonzero(np.abs(x_bar) > tol)
+    supp = np.flatnonzero(np.abs(x_bar) > L1_CERT_TOL)
     off = np.setdiff1d(np.arange(n), supp)
     # variables (y+, y-) >= 0, y = y+ - y-
     eq = np.zeros((supp.size, 2 * m))
@@ -303,7 +304,7 @@ def certificate_l1(a: np.ndarray, x_bar: np.ndarray, tol: float = 1e-8) -> np.nd
         raise ValueError(f"certificate LP is {res.status}; x_bar is not l1-minimal")
     y = res.x[:m] - res.x[m:]
     g = a.T @ y
-    if np.any(np.abs(g[supp] + np.sign(x_bar[supp])) > 10 * tol) or \
-            np.any(np.abs(g[off]) > 1 + 10 * tol):
+    if np.any(np.abs(g[supp] + np.sign(x_bar[supp])) > 10 * L1_CERT_TOL) or \
+            np.any(np.abs(g[off]) > 1 + 10 * L1_CERT_TOL):
         raise RuntimeError("certificate LP solution fails its own constraints")
     return y

@@ -22,13 +22,14 @@ take sorted int arrays.
 The face carries r = A xi - b along the whole path: it starts from the
 previous primal update's final r (-b at the first breakpoint), is moved
 by alpha A d with each step, and is corrected for every entry of xi that
-the loop sets to zero, the start entries outside J_D included; the final
+the loop sets to zero, the start entries outside J_D included
+(``active_set.start_point``, the rule the dual update shares); the final
 r goes out with the result.  A d is formed once per direction, from the
-columns of J_P, and serves the ratio test and the warm-start edits; the
-warm start's A d_hat comes with it from the dual update, which formed it
-for its own multipliers.  The multipliers form A^T e_hat once, from the
-rows of I_P, and read nu off it; it goes out with e_hat as the next dual
-update's warm product.  On a large A these products read only those
+columns of J_P, and serves the ratio test.  The warm start is the dual
+update's pair (d_hat, A d_hat), whose product the dual formed for its own
+multipliers.  The multipliers form A^T e_hat once, from the rows of I_P,
+and read nu off it; the pair (e_hat, A^T e_hat) goes out as the next dual
+update's warm start.  On a large A these products read only those
 columns or rows (``linalg.right_product``, ``left_product``).  The signs
 of A^T y on J_D come from the dual update's A^T y.
 """
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .active_set import (SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
-                         UnboundedDirectionError, run_active_set, smallest)
+                         UnboundedDirectionError, run_active_set, smallest, start_point)
 from .linalg import (Block, InverseCarry, SolveReport, left_product, right_product,
                      solve_consistent)
 
@@ -68,10 +69,8 @@ class PrimalContext:
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
     col_y: np.ndarray                         # A^T y_next
     resid_start: np.ndarray                   # A x_start - b, which the update carries on
-    # the dual update's d_hat, full length n and zero off J_D, and its
-    # product A d_hat (both or neither)
-    warm_direction: np.ndarray | None = None
-    warm_product: np.ndarray | None = None
+    # the dual update's (d_hat, A d_hat); d_hat is full length n and zero off J_D
+    warm: tuple[np.ndarray, np.ndarray] | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
 
     @property
@@ -87,8 +86,9 @@ class PrimalContext:
 class PrimalUpdateResult:
     x: np.ndarray
     t: float
-    e_hat: np.ndarray | None   # None when the run stopped at the target bound
-    col_e_hat: np.ndarray | None   # A^T e_hat, the next dual update's warm product
+    # (e_hat, A^T e_hat), the next dual update's warm start; None when the
+    # run stopped at the target bound
+    warm: tuple[np.ndarray, np.ndarray] | None
     I_P: np.ndarray            # row mask, length m
     J_P: np.ndarray            # column mask, length n
     reached_target: bool
@@ -115,16 +115,17 @@ def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
 
 def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
                 I_P: np.ndarray, J_P: np.ndarray, col_sign: np.ndarray,
-                resid: np.ndarray,
-                a_d: np.ndarray) -> tuple[float, bool, list[tuple[int, float]], np.ndarray]:
+                resid: np.ndarray, a_d: np.ndarray
+                ) -> tuple[float, bool, np.ndarray, np.ndarray, np.ndarray]:
     """Largest feasible step, given resid = A xi - b and a_d = A d: min
     over inactive-row ratios, support-sign ratios and the remaining
     homotopy gap delta_k - tau - delta_target.  col_sign holds the signs
     of A_j^T y, in {-1, 0, 1}; a degenerate coefficient 0 is
     non-blocking by convention, since 0 * d_j is not above ZERO_STEP_TOL.
 
-    Returns (alpha, reached_target, [(row, bound side)], leaving columns).
-    The target bound takes precedence on ties, ending the whole run; a row
+    Returns (alpha, reached_target, entering rows, their bound sides +-1.0,
+    leaving columns), the rows and columns as sorted int arrays.  The
+    target bound takes precedence on ties, ending the whole run; a row
     tied on both sides enters at its upper bound.
     """
     bound = ctx.delta_k - tau
@@ -141,15 +142,14 @@ def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
     col_r = np.maximum(-xi[cols] / d[cols], 0.0)
     blocking = min(smallest(row_r), smallest(col_r))
     if gap <= blocking * (1.0 + TIE_RTOL) + ZERO_STEP_TOL:
-        return gap, True, [], np.empty(0, dtype=int)
+        none = np.empty(0, dtype=int)
+        return gap, True, none, none, none
     if not math.isfinite(blocking):
         raise UnboundedDirectionError("primal subproblem direction is unblocked")
     width = blocking + TIE_RTOL * (1.0 + blocking)
     up_hit, down_hit = row_r <= width
     rows = (up_hit | down_hit).nonzero()[0]
-    new_rows = list(zip(rows.tolist(), np.where(up_hit[rows], 1.0, -1.0).tolist())) \
-        if rows.size else []
-    return blocking, False, new_rows, cols[col_r <= width]
+    return blocking, False, rows, np.where(up_hit[rows], 1.0, -1.0), cols[col_r <= width]
 
 
 def primal_multipliers(ctx: PrimalContext, I_P: np.ndarray, extra_rows: np.ndarray,
@@ -175,8 +175,8 @@ def primal_multipliers(ctx: PrimalContext, I_P: np.ndarray, extra_rows: np.ndarr
 
 class _PrimalFace:
     """Carries the bound decrease tau, the residual signs of the active rows,
-    the signs of A_j^T y on J_D, resid = A xi - b, a_d = A d of the last
-    direction and col_e_hat = A^T e_hat of the last multipliers."""
+    the signs of A_j^T y on J_D, resid = A xi - b and a_d = A d of the last
+    direction."""
 
     name = "primal"
 
@@ -190,7 +190,7 @@ class _PrimalFace:
         self.signs[rows] = np.sign(ctx.y_next[rows])
         self.col_sign = np.sign(ctx.col_y)     # read on J_D only
         self.resid = np.array(ctx.resid_start, dtype=float)
-        self.a_d = self.col_e_hat = None
+        self.a_d = None
 
     def direction(self, support, active):
         report = primal_direction(self.ctx, active, support, self.signs)
@@ -199,14 +199,12 @@ class _PrimalFace:
         return report
 
     def step(self, d, xi, support, active):
-        alpha, reached_target, new_rows, leaving = primal_step(
+        alpha, reached_target, rows, sides, leaving = primal_step(
             self.ctx, d, xi, self.tau, active, support, self.col_sign,
             self.resid, self.a_d)
         self.tau += alpha
         self.resid += alpha * self.a_d
-        rows = [i for i, _ in new_rows]
-        if rows:
-            self.signs[rows] = [side for _, side in new_rows]
+        self.signs[rows] = sides
         return alpha, rows, leaving, reached_target
 
     def zero(self, xi, cols):
@@ -215,13 +213,13 @@ class _PrimalFace:
             xi[cols] = 0.0
 
     def multipliers(self, report, xi, active, removable, candidates):
-        e_hat, self.col_e_hat, mu, nu = primal_multipliers(
+        e_hat, col_e_hat, mu, nu = primal_multipliers(
             self.ctx, active, removable, candidates, self.signs, self.col_sign, report)
-        return e_hat, mu, nu
+        return (e_hat, col_e_hat), mu, nu
 
-    def warm_slack(self, d):
-        self.a_d = self.ctx.warm_product
-        return self.a_d + self.signs
+    def warm_slack(self, a_d):
+        self.a_d = a_d
+        return a_d + self.signs
 
     def value(self, xi):
         return self.tau
@@ -230,27 +228,17 @@ class _PrimalFace:
 def primal_update(ctx: PrimalContext, trace=None) -> PrimalUpdateResult:
     """Solve the primal subproblem with the specialized active-set scheme.
 
-    Returns the new primal iterate, the achieved decrease t, the final
-    multiplier-system solution e_hat (warm start for the next dual update;
-    None when the target bound was reached) and its product with A, the
-    final sets, the residual signs and A x - b.
+    Returns the new primal iterate, the achieved decrease t, the warm
+    start (e_hat, A^T e_hat) for the next dual update, built from the final
+    multiplier-system solution (None when the target bound was reached),
+    the final sets, the residual signs and A x - b.
     """
     if ctx.delta_target > ctx.delta_k + ZERO_STEP_TOL:
         raise ValueError("delta_target exceeds the current bound")
-    if (ctx.warm_direction is None) != (ctx.warm_product is None):
-        raise ValueError("warm_direction and warm_product come together")
     face = _PrimalFace(ctx)
     xi = np.array(ctx.x_start, dtype=float)
-    off = ~face.outer
-    stray = off & (xi != 0.0)
-    if stray.any():
-        if np.count_nonzero(np.abs(xi[stray]) > SUPPORT_TOL):
-            raise ValueError("x_start has support outside the dual active columns")
-        face.zero(xi, stray.nonzero()[0])
-    if ctx.warm_direction is not None and np.count_nonzero(ctx.warm_direction[off]):
-        raise ValueError("warm_direction has mass outside the dual active columns")
-    xi, support, active, e_hat, iterations = run_active_set(
-        face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm_direction, trace)
-    col_e_hat = None if e_hat is None else face.col_e_hat
-    return PrimalUpdateResult(xi, face.tau, e_hat, col_e_hat, active, support,
-                              e_hat is None, iterations, face.signs, face.resid)
+    start_point(face, xi, ctx.warm)
+    xi, support, active, warm, iterations = run_active_set(
+        face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm, trace)
+    return PrimalUpdateResult(xi, face.tau, warm, active, support, warm is None,
+                              iterations, face.signs, face.resid)

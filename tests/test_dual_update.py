@@ -117,7 +117,7 @@ def test_dual_multipliers_scalar_terminal():
 def test_dual_update_scalar():
     res = dual_update(scalar_ctx())
     np.testing.assert_allclose(res.y, [-1.0], atol=1e-10)
-    np.testing.assert_allclose(res.d_hat, [1.0], atol=1e-10)
+    np.testing.assert_allclose(res.warm[0], [1.0], atol=1e-10)
     assert res.J_D.tolist() == [True] and res.I_D.tolist() == [True]
 
 
@@ -269,23 +269,23 @@ def test_dual_step_matches_loop_reference_on_a_path(monkeypatch):
 def test_warm_direction_must_be_zero_off_the_primal_active_rows():
     # A^T e of the warm direction reads the rows of I_P only
     ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
-               if kind == "dual" and c.warm_direction is not None
+               if kind == "dual" and c.warm is not None
                and np.count_nonzero(~c.I_P))
     dual_update(ctx)
-    warm = ctx.warm_direction.copy()
-    warm[(~ctx.I_P).nonzero()[0][0]] = 1e-12
-    ctx.warm_direction = warm
-    with pytest.raises(ValueError, match="warm_direction"):
+    e_hat, col_e_hat = ctx.warm
+    e_hat = e_hat.copy()
+    e_hat[(~ctx.I_P).nonzero()[0][0]] = 1e-12
+    ctx.warm = e_hat, col_e_hat
+    with pytest.raises(ValueError, match="dual warm direction has mass"):
         dual_update(ctx)
 
 
 def test_a_start_entry_off_the_primal_active_rows_leaves_through_zero():
     # y_start may hold entries up to SUPPORT_TOL off I_P: the update zeroes
     # them through the face's zero, so its carried A^T y stays A^T y; a
-    # larger entry there is refused, and so is a warm direction without
-    # its product
+    # larger entry there is refused
     ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
-               if kind == "dual" and c.warm_direction is not None
+               if kind == "dual" and c.warm is not None
                and np.count_nonzero(~c.I_P))
     row = (~ctx.I_P).nonzero()[0][0]
     for mass in (0.5 * SUPPORT_TOL, 2.0 * SUPPORT_TOL):
@@ -293,12 +293,10 @@ def test_a_start_entry_off_the_primal_active_rows_leaves_through_zero():
         y_start[row] = mass
         planted = dataclasses.replace(ctx, y_start=y_start, col_y_start=ctx.A.T @ y_start)
         if mass > SUPPORT_TOL:
-            with pytest.raises(ValueError, match="y_start has mass"):
+            with pytest.raises(ValueError, match="dual start point has mass"):
                 dual_update(planted)
             continue
         res = dual_update(planted)
         assert res.y[row] == 0.0
         scale = (np.abs(ctx.A).T @ np.abs(res.y)).max()
         assert np.abs(res.col_y - ctx.A.T @ res.y).max() <= PRODUCT_RTOL * scale
-    with pytest.raises(ValueError, match="warm_direction and warm_product"):
-        dual_update(dataclasses.replace(ctx, warm_product=None))

@@ -432,10 +432,14 @@ def test_carried_state_matches_fresh_products(monkeypatch):
         return wrapper
 
     def handed_over(res):
-        # the primal hands e_hat and A^T e_hat over together, and neither
-        # at the target bound
-        assert (res.e_hat is None) == (res.col_e_hat is None)
-        return res.col_e_hat
+        # the product of the warm pair an update hands to the next: the
+        # pair comes whole, and only the primal at the target bound hands
+        # over none
+        if res.warm is None:
+            assert res.reached_target
+            return None
+        assert all(v is not None for v in res.warm)
+        return res.warm[1]
 
     monkeypatch.setattr(InverseCarry, "follow", checked_follow)
     monkeypatch.setattr(dual_mod._DualFace, "zero", _planting(
@@ -446,14 +450,14 @@ def test_carried_state_matches_fresh_products(monkeypatch):
         homotopy.dual_update,
         (lambda res: res.col_y, lambda a, ctx, res: a.T @ res.y,
          lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.y)).max()),
-        (lambda res: res.a_d_hat, lambda a, ctx, res: a @ res.d_hat,
-         lambda abs_a, ctx, res: (abs_a @ np.abs(res.d_hat)).max())))
+        (handed_over, lambda a, ctx, res: a @ res.warm[0],
+         lambda abs_a, ctx, res: (abs_a @ np.abs(res.warm[0])).max())))
     monkeypatch.setattr(homotopy, "primal_update", checked(
         homotopy.primal_update,
         (lambda res: res.resid, lambda a, ctx, res: a @ res.x - ctx.b,
          lambda abs_a, ctx, res: (abs_a @ np.abs(res.x) + np.abs(ctx.b)).max()),
-        (handed_over, lambda a, ctx, res: a.T @ res.e_hat,
-         lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.e_hat)).max())))
+        (handed_over, lambda a, ctx, res: a.T @ res.warm[0],
+         lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.warm[0])).max())))
     wide = gathering_wide()
     assert wide.A.size >= GATHER_MIN_SIZE
     for inst in (pinned_gaussian(), pinned_dantzig(), wide):
@@ -479,7 +483,7 @@ def test_a_warm_one_step_breakpoint_forms_two_products_with_a(monkeypatch):
         return wrapper
 
     def dual(ctx, **kwargs):
-        breakpoints.append({"warm": ctx.warm_direction is not None, "products": 0,
+        breakpoints.append({"warm": ctx.warm is not None, "products": 0,
                             "dual": 0, "primal": 0})
         return dual_update(ctx, **kwargs)
 
@@ -560,10 +564,12 @@ def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
 
 
 GLUE_CALLS_PER_BREAKPOINT = 15   # 14.5 measured; 52.0 with four IndexSets a breakpoint
-# 222.3 on pinned_gaussian and 220.9 on pinned_small measured; 226.3 and
-# 224.8 when each update formed its start product and its warm product
-# afresh, 229.5 and 244.4 when blocks below 12 columns took the SVD
-CALLS_PER_BREAKPOINT = 224
+# 218.5 on pinned_gaussian and 218.1 on pinned_small measured; 222.3 and
+# 220.9 when warm starts crossed as two fields and primal_step's entering
+# rows as a list of (row, side) tuples, 226.3 and 224.8 when each update
+# formed its start product and its warm product afresh, 229.5 and 244.4
+# when blocks below 12 columns took the SVD
+CALLS_PER_BREAKPOINT = 220
 
 
 def _profiled_calls(inst):

@@ -3,14 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from l1linf import instances
+from l1linf import instances, oracle
 from l1linf.homotopy import ProblemInstance, check_optimal_pair, solve_path
 from l1linf.instances import (GeneralizedBounds, dense_certificate,
                               instance_digest, instance_from_dict,
                               instance_to_dict,
                               load_instance, make_ground_truth,
                               random_bp_pair, random_ground_truth,
-                              save_instance, sparse_certificate, to_linf_form)
+                              save_instance, to_linf_form)
 from reference_lp import write_matrixmarket_array
 
 
@@ -56,7 +56,7 @@ def test_random_bp_pair_sparsity_guard():
 
 def test_certificates_validate():
     a, x_bar = random_bp_pair(10, 20, 3, seed=9)
-    for cert in (sparse_certificate(a, x_bar), dense_certificate(a, x_bar)):
+    for cert in (oracle.certificate_l1(a, x_bar), dense_certificate(a, x_bar)):
         g = a.T @ cert
         supp = np.abs(x_bar) > 1e-10
         assert np.max(np.abs(g[supp] + np.sign(x_bar[supp]))) <= 1e-8

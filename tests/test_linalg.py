@@ -213,10 +213,13 @@ def test_kernel_gives_exactly_one_fredholm_alternative(m, rhs):
     rep = solve_consistent(m, rhs)
     alt = rep.alternative
     assert rep.consistent != alt.consistent
-    # w is the least-squares residual rhs - M x of the minimum-norm solution
+    # z = w / ||w||^2, with w the least-squares residual rhs - M x of the
+    # minimum-norm solution
     if m.size:
         ls, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-        assert _close(rep.w, rhs - m @ ls)
+        w = rhs - m @ ls
+        if alt.consistent:
+            assert _close(alt.solution, w / w.dot(w))
         assert rep.residual_norm == pytest.approx(np.max(np.abs(m @ ls - rhs)), rel=1e-9, abs=1e-14)
     if rep.consistent:
         expected = ls if m.size else np.zeros(m.shape[1])
@@ -292,7 +295,7 @@ def test_qr_branch_replays_the_svd_branch_on_a_path(monkeypatch):
         ref = solve_consistent(m, rhs)
         assert rep.consistent == ref.consistent
         assert rep.alternative.consistent == ref.alternative.consistent
-        assert _rel_close(rep.w, ref.w, np.linalg.norm(rhs))
+        assert abs(rep.residual_norm - ref.residual_norm) <= 1e-10 * np.linalg.norm(rhs)
         if ref.consistent:
             assert _rel_close(rep.solution, ref.solution, np.linalg.norm(ref.solution))
         if ref.alternative.consistent:
@@ -350,16 +353,16 @@ def test_square_block_has_no_alternative(monkeypatch):
     calls = _svd_calls(monkeypatch)
     rep = solve_consistent(m, rhs)
     assert calls == []
-    assert np.all(rep.w == 0.0)
+    # w = 0, so z = 0, whose residual rhs^T z - 1 is exactly -1
     assert rep.consistent and not rep.alternative.consistent
-    assert rep.alternative.solution is None
+    assert rep.alternative.solution is None and rep.alternative.residual_norm == 1.0
     assert _close(rep.solution, np.linalg.solve(m, rhs))
 
 
 def _assert_same_report(rep, ref, rhs):
     assert rep.consistent == ref.consistent
     assert rep.alternative.consistent == ref.alternative.consistent
-    assert _rel_close(rep.w, ref.w, np.linalg.norm(rhs))
+    assert abs(rep.residual_norm - ref.residual_norm) <= 1e-10 * np.linalg.norm(rhs)
     if ref.consistent:
         assert _rel_close(rep.solution, ref.solution, np.linalg.norm(ref.solution))
     if ref.alternative.consistent:

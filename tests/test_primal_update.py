@@ -19,12 +19,20 @@ ZERO = np.array([0])
 ON, OFF = np.array([True]), np.array([False])
 
 
+def entering_pairs(rows, sides):
+    """primal_step's entering rows, an int array, and their bound sides, a
+    +-1 array of the same length, as a list of (row, side) pairs."""
+    assert rows.dtype.kind == "i" and rows.shape == sides.shape
+    assert set(sides.tolist()) <= {1.0, -1.0}
+    return list(zip(rows.tolist(), sides.tolist()))
+
+
 def primal_step_sets(ctx, d, xi, tau, I_P, J_P, col_sign):
-    """primal_step with the leaving columns returned as a list, so that
-    whole results compare with ==."""
-    alpha, hit, new_rows, leaving = primal_step(ctx, d, xi, tau, I_P, J_P, col_sign,
-                                                ctx.A @ xi - ctx.b, ctx.A @ d)
-    return alpha, hit, new_rows, leaving.tolist()
+    """primal_step with the entering rows as (row, side) pairs and the
+    leaving columns as a list, so that whole results compare with ==."""
+    alpha, hit, rows, sides, leaving = primal_step(ctx, d, xi, tau, I_P, J_P, col_sign,
+                                                   ctx.A @ xi - ctx.b, ctx.A @ d)
+    return alpha, hit, entering_pairs(rows, sides), leaving.tolist()
 
 
 def scalar_ctx(delta_target=0.0):
@@ -143,7 +151,7 @@ def test_primal_update_scalar_full_and_partial():
     assert res.reached_target
     np.testing.assert_allclose(res.x, [2.0], atol=1e-10)
     assert res.t == pytest.approx(2.0, abs=1e-12)
-    assert res.e_hat is None
+    assert res.warm is None
 
     res = primal_update(scalar_ctx(delta_target=0.5))
     np.testing.assert_allclose(res.x, [1.5], atol=1e-10)
@@ -175,14 +183,15 @@ def test_primal_update_strict_progress():
 def test_primal_update_multiplier_certificate():
     for ctx in capture_primal_contexts(15, seed=44):
         res = primal_update(ctx)
-        if res.e_hat is None:
+        if res.warm is None:
             continue
+        e_hat = res.warm[0]
         rows = res.I_P
         # the returned e_hat solves its defining system
-        assert np.max(np.abs(ctx.A[rows][:, res.J_P].T @ res.e_hat[rows]),
+        assert np.max(np.abs(ctx.A[rows][:, res.J_P].T @ e_hat[rows]),
                       initial=0.0) <= 1e-9
         # e_hat lives on the final active rows
-        assert not np.count_nonzero(res.e_hat[~res.I_P])
+        assert not np.count_nonzero(e_hat[~res.I_P])
 
 
 def test_primal_update_matches_generic_and_oracle():
@@ -318,32 +327,32 @@ def test_primal_step_matches_loop_reference_on_a_path(monkeypatch):
     assert solve_path(pinned_gaussian()).terminated == "target-reached"
     assert len(calls) > 50
     for args in calls:
-        alpha, hit, new_rows, leaving = primal_step(*args)
+        alpha, hit, rows, sides, leaving = primal_step(*args)
         ref = loop_primal_step(*args)
         assert struct.pack("<d", alpha) == struct.pack("<d", ref[0])
-        assert (hit, new_rows, leaving.tolist()) == ref[1:]
+        assert (hit, entering_pairs(rows, sides), leaving.tolist()) == ref[1:]
 
 
 def test_warm_direction_must_be_zero_off_the_dual_active_columns():
     # A d of the warm direction reads the columns of J_D only
     ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
-               if kind == "primal" and c.warm_direction is not None
+               if kind == "primal" and c.warm is not None
                and np.count_nonzero(~c.J_D))
     primal_update(ctx)
-    warm = ctx.warm_direction.copy()
-    warm[(~ctx.J_D).nonzero()[0][0]] = 1e-12
-    ctx.warm_direction = warm
-    with pytest.raises(ValueError, match="warm_direction"):
+    d_hat, a_d_hat = ctx.warm
+    d_hat = d_hat.copy()
+    d_hat[(~ctx.J_D).nonzero()[0][0]] = 1e-12
+    ctx.warm = d_hat, a_d_hat
+    with pytest.raises(ValueError, match="primal warm direction has mass"):
         primal_update(ctx)
 
 
 def test_a_start_entry_off_the_dual_active_columns_leaves_through_zero():
     # x_start may hold entries up to SUPPORT_TOL off J_D: the update zeroes
     # them through the face's zero, so its carried A x - b stays A x - b; a
-    # larger entry there is refused, and so is a warm direction without
-    # its product
+    # larger entry there is refused
     ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
-               if kind == "primal" and c.warm_direction is not None
+               if kind == "primal" and c.warm is not None
                and np.count_nonzero(~c.J_D))
     col = (~ctx.J_D).nonzero()[0][0]
     for mass in (0.5 * SUPPORT_TOL, 2.0 * SUPPORT_TOL):
@@ -352,12 +361,10 @@ def test_a_start_entry_off_the_dual_active_columns_leaves_through_zero():
         planted = dataclasses.replace(ctx, x_start=x_start,
                                       resid_start=ctx.A @ x_start - ctx.b)
         if mass > SUPPORT_TOL:
-            with pytest.raises(ValueError, match="x_start has support"):
+            with pytest.raises(ValueError, match="primal start point has mass"):
                 primal_update(planted)
             continue
         res = primal_update(planted)
         assert res.x[col] == 0.0
         scale = (np.abs(ctx.A) @ np.abs(res.x) + np.abs(ctx.b)).max()
         assert np.abs(res.resid - (ctx.A @ res.x - ctx.b)).max() <= PRODUCT_RTOL * scale
-    with pytest.raises(ValueError, match="warm_direction and warm_product"):
-        primal_update(dataclasses.replace(ctx, warm_product=None))

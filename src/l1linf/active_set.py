@@ -125,7 +125,7 @@ def run_active_set(face, point: np.ndarray, support: np.ndarray, active: np.ndar
 
         removable = (active & ~face.fixed).nonzero()[0]
         candidates = (face.outer & ~support).nonzero()[0]
-        solution, mu, nu = face.multipliers(report, point, act, removable, candidates)
+        solution, mu, nu = face.multipliers(report, act, removable, candidates)
         mu_best, leave = _argmin_with_ties(mu, removable)
         nu_best, join = _argmin_with_ties(nu, candidates)
         if mu_best >= -OPT_TOL and nu_best >= -OPT_TOL:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .homotopy import ProblemInstance, solve_path
+from .homotopy import PAIR_TOL, ProblemInstance, solve_path
 from .instances import (instance_to_dict, load_instance, random_ground_truth,
                         save_instance)
 from .mmio import ParseError, read_matrixmarket_array, read_vector
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property verification suite")
     p.add_argument("--count", type=int, default=200, help="number of random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8, help="certification tolerance")
+    p.add_argument("--tol", type=float, default=PAIR_TOL, help="certification tolerance")
     p.add_argument("--perturb-y", action="store_true",
                    help="negative control: corrupt dual certificates before checking")
     p.add_argument("--input", default=None, help="verify a single instance file")

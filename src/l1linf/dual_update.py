@@ -14,7 +14,11 @@ removable constraints are J_D \\ J_P with J_D = {j : |A_j^T y| = 1}.
 Directions e live on I_D and solve (A^{I_D}_{J_D})^T e = 0 together with
 s_{I_D}^T e = 1.  The context and the result hold the sets as boolean
 masks, the form in which the loop keeps them; the face functions take
-sorted int arrays.
+sorted int arrays.  A context states its subproblem through its feasible
+start point and that point's carried product: A^T y_start is
+-sign(x_{J_P}) on J_P, which the directions keep, so x is not handed
+over.  The ratio test keeps s_i psi_i >= 0, so the residual signs are
+sign(y_i) wherever y_i != 0, as the primal update reads them on I_D.
 
 The face carries c = A^T psi along the whole path: it starts from the
 previous dual update's final c (zeros at the first breakpoint), is moved
@@ -44,11 +48,13 @@ from .linalg import (Block, InverseCarry, SolveReport, left_product, right_produ
 
 @dataclass
 class DualContext:
-    """The dual subproblem at x_k.  I_P and J_P are boolean masks, which
-    the update reads as its outer and fixed sets and does not edit."""
+    """The dual subproblem at x_k, stated by its sets, its residual signs
+    and a feasible start point with its carried A^T y_start, which is
+    -sign(x_{J_P}) on J_P, so x_k itself is not needed.  I_P and J_P are
+    boolean masks, which the update reads as its outer and fixed sets and
+    does not edit."""
 
     A: np.ndarray
-    x_k: np.ndarray
     I_P: np.ndarray                      # row mask, length m
     J_P: np.ndarray                      # column mask, length n
     residual_signs: np.ndarray           # full length m, +-1 on I_P, 0 elsewhere
@@ -57,14 +63,6 @@ class DualContext:
     # the primal update's (e_hat, A^T e_hat); e_hat is full length m and zero off I_P
     warm: tuple[np.ndarray, np.ndarray] | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
 
 
 @dataclass
@@ -91,7 +89,7 @@ def dual_direction(ctx: DualContext, I_D: np.ndarray, J_D: np.ndarray) -> SolveR
     found = kernel.alternative
     e = None
     if found.consistent:
-        e = np.zeros(ctx.m)
+        e = np.zeros(ctx.A.shape[0])
         e[I_D] = -found.solution
     return SolveReport(e, found.residual_norm, found.consistent, alternative=kernel)
 
@@ -131,7 +129,7 @@ def dual_multipliers(ctx: DualContext, col_psi: np.ndarray, J_D: np.ndarray,
     kernel = report.alternative
     if not kernel.consistent:
         raise AsmError("dual multiplier system inconsistent although no direction exists")
-    d_hat = np.zeros(ctx.n)
+    d_hat = np.zeros(ctx.A.shape[1])
     d_hat[J_D] = kernel.solution
     a_d_hat = right_product(ctx.A, d_hat, J_D)
     mu = -(col_psi[free_cols]) * d_hat[free_cols]
@@ -167,7 +165,7 @@ class _DualFace:
             self.col_psi -= psi[rows].dot(self.ctx.A[rows])
             psi[rows] = 0.0
 
-    def multipliers(self, report, psi, active, removable, candidates):
+    def multipliers(self, report, active, removable, candidates):
         d_hat, a_d_hat, mu, nu = dual_multipliers(
             self.ctx, self.col_psi, active, removable, candidates, report)
         return (d_hat, a_d_hat), mu, nu

@@ -209,7 +209,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     for k in range(max_iters):
         stage = "dual"
         try:
-            dual_ctx = DualContext(inst.A, x, i_p, j_p, signs, y_start=y, col_y_start=col_y,
+            dual_ctx = DualContext(inst.A, i_p, j_p, signs, y_start=y, col_y_start=col_y,
                                    warm=warm_e, carry=carry)
             tick = time.perf_counter()
             dual_res = dual_update(dual_ctx)
@@ -219,8 +219,8 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
 
             stage = "primal"
             primal_ctx = PrimalContext(
-                inst.A, inst.b, dual_res.y, delta_k, inst.delta, x, i_p, j_p,
-                dual_res.I_D, dual_res.J_D, signs, dual_res.col_y, resid_start=resid,
+                inst.A, delta_k, inst.delta, x, i_p, j_p, dual_res.I_D, dual_res.J_D,
+                signs, dual_res.col_y, resid_start=resid,
                 warm=dual_res.warm if use_warm_starts else None, carry=carry)
             primal_res = primal_update(primal_ctx)
             path.timing["primal_s"] += time.perf_counter() - tock

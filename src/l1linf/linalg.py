@@ -67,27 +67,26 @@ def _max_abs(v: np.ndarray) -> float:
 
 
 def left_product(a: np.ndarray, v: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """A^T v for a v that is zero off ``rows``, sorted row indices or a
-    row mask, by default v's own nonzero entries; only those rows of A
-    are read when A is large and they are few (see GATHER_MIN_SIZE).
-    The dense product is ``v.dot(a)``, the bits of ``a.T @ v``."""
+    """A^T v for a v that is zero off ``rows``: sorted row indices, or
+    None for v's own nonzero entries; only those rows of A are read when
+    A is large and they are few (see GATHER_MIN_SIZE).  The dense product
+    is ``v.dot(a)``, the bits of ``a.T @ v``."""
     if a.size >= GATHER_MIN_SIZE:
-        if rows is None or rows.dtype == bool:
-            rows = (v if rows is None else rows).nonzero()[0]
+        if rows is None:
+            rows = v.nonzero()[0]
         if rows.size <= GATHER_ROW_SHARE * a.shape[0]:
             return v.take(rows).dot(a.take(rows, 0))
     return v.dot(a)
 
 
 def right_product(a: np.ndarray, v: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-    """A v for a v that is zero off ``cols``, sorted column indices or a
-    column mask, by default v's own nonzero entries; only those columns
-    of A are read when A is large and they are few (see
-    GATHER_MIN_SIZE).  The dense product is ``a.dot(v)``, the bits of
-    ``a @ v``."""
+    """A v for a v that is zero off ``cols``: sorted column indices, or
+    None for v's own nonzero entries; only those columns of A are read
+    when A is large and they are few (see GATHER_MIN_SIZE).  The dense
+    product is ``a.dot(v)``, the bits of ``a @ v``."""
     if a.size >= GATHER_MIN_SIZE:
-        if cols is None or cols.dtype == bool:
-            cols = (v if cols is None else cols).nonzero()[0]
+        if cols is None:
+            cols = v.nonzero()[0]
         if cols.size <= GATHER_COL_SHARE * a.shape[1]:
             return a.take(cols, 1).dot(v.take(cols))
     return a.dot(v)
@@ -115,29 +114,23 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 class IndexSet:
     """Strictly increasing 0-based positions inside a universe {0..universe-1}.
 
-    The package's validated, immutable index-set value.  The solver builds
-    none: it works on boolean masks and sorted int arrays, and a
-    breakpoint records its sets as read-only sorted int arrays."""
+    The package's validated, immutable index-set value, built from any
+    iterable of integers (an int array included) and kept as a tuple of
+    ints.  The solver builds none: it works on boolean masks and sorted
+    int arrays, and a breakpoint records its sets as read-only sorted int
+    arrays."""
 
     indices: tuple[int, ...]
     universe: int
 
     def __post_init__(self):
-        idx = self.indices
-        if isinstance(idx, np.ndarray):     # the solver's sorted int arrays
-            if idx.ndim != 1 or idx.dtype.kind not in "iu":
-                raise ValueError("indices must be a 1-d integer array")
-            increasing = not np.count_nonzero(idx[1:] <= idx[:-1])
-            idx = tuple(idx.tolist())
-        else:
-            idx = tuple(idx)
-            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                       for i in idx):
-                raise ValueError("indices must be integers")
-            idx = tuple(map(int, idx))
-            increasing = all(map(operator.lt, idx, idx[1:]))
+        idx = tuple(self.indices)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   for i in idx):
+            raise ValueError("indices must be integers")
+        idx = tuple(map(int, idx))
         object.__setattr__(self, "indices", idx)
-        if not increasing:
+        if not all(map(operator.lt, idx, idx[1:])):
             raise ValueError("indices must be strictly increasing")
         if idx and (idx[0] < 0 or idx[-1] >= self.universe):
             raise ValueError(f"index out of range for universe {self.universe}")

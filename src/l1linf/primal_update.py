@@ -13,11 +13,15 @@ This module is the primal face of the shared loop in ``active_set.py``: the
 support is J_P inside J_D, and the removable constraints are the active
 rows I_P \\ I_D.  The face fixes d_t = 1, so a direction is a solution of
 A^{I_P}_{J_P} d = -sign(A^{I_P} xi - b_{I_P}) with d zero off J_P.
-Residual signs on the active rows are carried as state (on I_D they equal
-sign(y_i)) instead of being re-derived from near-tight residuals, and are
-returned with the result.  The context and the result hold the sets as
-boolean masks, the form in which the loop keeps them; the face functions
-take sorted int arrays.
+Residual signs on the active rows are carried as state instead of being
+re-derived from near-tight residuals, and are returned with the result.
+They start as the signs s that the dual update was handed, which equal
+sign(y_i) where y_i != 0 on I_D, since the dual keeps s (x) y >= 0.  A
+context states its subproblem through its feasible start point and that
+point's carried product, resid_start = A x_start - b, so neither y nor b
+is handed over.  The context and the result hold the sets as boolean
+masks, the form in which the loop keeps them; the face functions take
+sorted int arrays.
 
 The face carries r = A xi - b along the whole path: it starts from the
 previous primal update's final r (-b at the first breakpoint), is moved
@@ -41,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active_set import (SUPPORT_TOL, TIE_RTOL, ZERO_STEP_TOL, AsmError,
-                         UnboundedDirectionError, run_active_set, smallest, start_point)
+from .active_set import (TIE_RTOL, ZERO_STEP_TOL, AsmError, UnboundedDirectionError,
+                         run_active_set, smallest, start_point)
 from .linalg import (Block, InverseCarry, SolveReport, left_product, right_product,
                      solve_consistent)
 
@@ -52,13 +56,13 @@ _SIDES = np.array([[1.0], [-1.0]])   # a row's upper and lower bound
 
 @dataclass
 class PrimalContext:
-    """The primal subproblem at delta_k.  The four sets are boolean masks:
-    the update reads J_D and I_D as its outer and fixed sets and starts its
-    loop from copies of J_P and I_P, so it edits none of them."""
+    """The primal subproblem at delta_k, stated by its sets, its residual
+    signs, A^T y and a feasible start point with its carried A x_start - b.
+    The four sets are boolean masks: the update reads J_D and I_D as its
+    outer and fixed sets and starts its loop from copies of J_P and I_P,
+    so it edits none of them."""
 
     A: np.ndarray
-    b: np.ndarray
-    y_next: np.ndarray
     delta_k: float
     delta_target: float
     x_start: np.ndarray                       # at most SUPPORT_TOL off J_D
@@ -67,19 +71,11 @@ class PrimalContext:
     I_D: np.ndarray
     J_D: np.ndarray
     residual_signs: np.ndarray                # full m; +-1 on I_P (sign(y) on I_D)
-    col_y: np.ndarray                         # A^T y_next
+    col_y: np.ndarray                         # A^T y of the dual update
     resid_start: np.ndarray                   # A x_start - b, which the update carries on
     # the dual update's (d_hat, A d_hat); d_hat is full length n and zero off J_D
     warm: tuple[np.ndarray, np.ndarray] | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
 
 
 @dataclass
@@ -107,7 +103,7 @@ def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
     is what ``primal_multipliers`` reads when no direction exists."""
     kernel = solve_consistent(Block(ctx.A, I_P, J_P), -signs[I_P], carry=ctx.carry)
     if kernel.consistent:
-        d = np.zeros(ctx.n)
+        d = np.zeros(ctx.A.shape[1])
         d[J_P] = kernel.solution
         kernel.solution = d
     return kernel
@@ -165,7 +161,7 @@ def primal_multipliers(ctx: PrimalContext, I_P: np.ndarray, extra_rows: np.ndarr
     found = report.alternative
     if not found.consistent:
         raise AsmError("primal multiplier system inconsistent although no direction exists")
-    e_hat = np.zeros(ctx.m)
+    e_hat = np.zeros(ctx.A.shape[0])
     e_hat[I_P] = -found.solution
     col_e_hat = left_product(ctx.A, e_hat, I_P)
     mu = signs[extra_rows] * e_hat[extra_rows]
@@ -185,9 +181,6 @@ class _PrimalFace:
         self.outer, self.fixed = ctx.J_D, ctx.I_D
         self.tau = 0.0
         self.signs = np.array(ctx.residual_signs, dtype=float)
-        rows = self.fixed.nonzero()[0]
-        rows = rows[np.abs(ctx.y_next[rows]) > SUPPORT_TOL]
-        self.signs[rows] = np.sign(ctx.y_next[rows])
         self.col_sign = np.sign(ctx.col_y)     # read on J_D only
         self.resid = np.array(ctx.resid_start, dtype=float)
         self.a_d = None
@@ -212,7 +205,7 @@ class _PrimalFace:
             self.resid -= self.ctx.A[:, cols].dot(xi[cols])
             xi[cols] = 0.0
 
-    def multipliers(self, report, xi, active, removable, candidates):
+    def multipliers(self, report, active, removable, candidates):
         e_hat, col_e_hat, mu, nu = primal_multipliers(
             self.ctx, active, removable, candidates, self.signs, self.col_sign, report)
         return (e_hat, col_e_hat), mu, nu

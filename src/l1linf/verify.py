@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .homotopy import (ProblemInstance, SolutionPath, check_alternatives,
-                       check_optimal_pair, duality_gap, eval_path, solve_path)
+from .homotopy import (PAIR_TOL, T_MIN, ProblemInstance, SolutionPath,
+                       check_alternatives, check_optimal_pair, duality_gap, eval_path,
+                       solve_path)
 from .instances import instance_to_dict
 
 MAX_EXCLUSIVITY_PAIRS = 100
@@ -65,7 +66,7 @@ def _path_checks(inst: ProblemInstance, path: SolutionPath, pair_tol: float,
         if not cur.delta_k < prev.delta_k:
             out["strict-progress"] = f"delta not strictly decreasing at k={cur.k}"
             break
-        if cur.t_step <= 1e-12:
+        if cur.t_step <= T_MIN:
             out["strict-progress"] = f"degenerate step t={cur.t_step:.2e} at k={cur.k}"
             break
 
@@ -90,7 +91,7 @@ def _path_checks(inst: ProblemInstance, path: SolutionPath, pair_tol: float,
 
 
 def run_suite(count: int = 200, seed: int = 0, perturb_y: bool = False,
-              pair_tol: float = 1e-8, instances=None) -> tuple[list[CheckResult], dict | None]:
+              pair_tol: float = PAIR_TOL, instances=None) -> tuple[list[CheckResult], dict | None]:
     """Run the default property suite.  Returns the check results and, when a
     property fails, the first failing instance serialized for replay."""
     if count < 0:
@@ -109,26 +110,28 @@ def run_suite(count: int = 200, seed: int = 0, perturb_y: bool = False,
     pairs_checked = 0
     pairs_bad: str | None = None
 
+    def fail(name: str, detail: str, idx: int | None = None) -> None:
+        """Keep the first failure of check ``name``; one at instance idx
+        also keeps that instance for replay, unless one is kept."""
+        nonlocal failing
+        if fails[name] is None:
+            fails[name] = detail if idx is None else f"instance {idx}: {detail}"
+            if idx is not None and failing is None:
+                failing = instance_to_dict(instances[idx], seed=seed)
+
     for idx, inst in enumerate(instances):
         path = solve_path(inst)
         per = _path_checks(inst, path, pair_tol, perturb_y)
         for name, detail in per.items():
-            if detail and fails[name] is None:
-                fails[name] = f"instance {idx}: {detail}"
-                if failing is None:
-                    failing = instance_to_dict(inst, seed=seed)
+            if detail:
+                fail(name, detail, idx)
         if path.terminated != "target-reached":
             continue
 
         res = oracle.simplex_solve(oracle.reformulate(inst))
         if res.status != "optimal" or \
                 abs(path.objective - res.value) > 1e-7 * (1.0 + abs(res.value)):
-            if fails["oracle-equivalence"] is None:
-                fails["oracle-equivalence"] = (
-                    f"instance {idx}: path {path.objective!r} vs oracle "
-                    f"{res.value!r}")
-                if failing is None:
-                    failing = instance_to_dict(inst, seed=seed)
+            fail("oracle-equivalence", f"path {path.objective!r} vs oracle {res.value!r}", idx)
 
         cold = solve_path(inst, use_warm_starts=False)
         if cold.terminated == "target-reached" and \
@@ -136,10 +139,8 @@ def run_suite(count: int = 200, seed: int = 0, perturb_y: bool = False,
             if (path.dual_iterations + path.primal_iterations) <= \
                     (cold.dual_iterations + cold.primal_iterations):
                 warm_not_worse += 1
-        elif fails["warm-start-consistency"] is None:
-            fails["warm-start-consistency"] = f"instance {idx}: warm/cold objectives differ"
-            if failing is None:
-                failing = instance_to_dict(inst, seed=seed)
+        else:
+            fail("warm-start-consistency", "warm/cold objectives differ", idx)
 
         if pairs_checked < MAX_EXCLUSIVITY_PAIRS and pairs_bad is None:
             for bp in path.breakpoints[1:]:
@@ -152,12 +153,11 @@ def run_suite(count: int = 200, seed: int = 0, perturb_y: bool = False,
                                  f"systems ({s1}, {s2})")
                     break
 
-    if instances and fails["warm-start-consistency"] is None:
-        if warm_not_worse < 0.9 * len(instances):
-            fails["warm-start-consistency"] = (
-                f"warm start not-worse on only {warm_not_worse}/{len(instances)}")
+    if instances and warm_not_worse < 0.9 * len(instances):
+        fail("warm-start-consistency",
+             f"warm start not-worse on only {warm_not_worse}/{len(instances)}")
     if pairs_bad:
-        fails["alternatives-exclusivity"] = pairs_bad
+        fail("alternatives-exclusivity", pairs_bad)
 
     results = [CheckResult(name, fails[name] is None, fails[name] or "")
                for name in names]

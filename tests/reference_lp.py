@@ -156,7 +156,7 @@ class StandardFace:
     def zero(self, x, indices):
         x[indices] = 0.0
 
-    def multipliers(self, report, x, active, removable, candidates):
+    def multipliers(self, report, active, removable, candidates):
         """Solve the stationarity system [A_eq_S; D^act_S]^T (lam, mu) = c_S
         on the support S and read off nu on the other variables.  Returns
         the full-length (lam, mu, nu), mu on ``removable`` (the active rows)
@@ -212,8 +212,8 @@ def general_form(lp: StandardLp) -> GeneralLp:
                      -lp.D * lp.sigma, -lp.e, np.zeros(lp.n))
 
 
-def dual_lp_encoding(ctx: DualContext) -> tuple[StandardLp, np.ndarray]:
-    """Dual update as a structured LP over psi in R^{|I_P|}:
+def dual_lp_encoding(ctx: DualContext, x_k: np.ndarray) -> tuple[StandardLp, np.ndarray]:
+    """Dual update at x_k as a structured LP over psi in R^{|I_P|}:
 
         min -s^T psi,  (-A^{I_P}_{J_P})^T psi = sign(x_{J_P}),
         +-(A^{I_P}_{J_Pc})^T psi >= -1,  diag(s) psi >= 0.
@@ -226,15 +226,17 @@ def dual_lp_encoding(ctx: DualContext) -> tuple[StandardLp, np.ndarray]:
     jp = ctx.J_P
     c = -s
     a_eq = -a_ip[:, jp].T
-    b_eq = np.sign(ctx.x_k[jp])
+    b_eq = np.sign(x_k[jp])
     d = np.vstack([a_ip[:, ~jp].T, -a_ip[:, ~jp].T])
     e = -np.ones(d.shape[0])
     lp = StandardLp(c, a_eq, b_eq, d, e, s)
     return lp, ctx.y_start[rows]
 
 
-def primal_lp_encoding(ctx: PrimalContext) -> tuple[StandardLp, np.ndarray]:
-    """Primal update as a structured LP over (x_{J_D}, t):
+def primal_lp_encoding(ctx: PrimalContext, b: np.ndarray,
+                       y: np.ndarray) -> tuple[StandardLp, np.ndarray]:
+    """Primal update for b and the dual update's y as a structured LP over
+    (x_{J_D}, t):
 
         min -t,  [A^{I_D}_{J_D} | s] z = delta_k s + b_{I_D},
         rows for |a_i^T x - b_i| <= delta_k - t (i outside I_D) and
@@ -244,18 +246,18 @@ def primal_lp_encoding(ctx: PrimalContext) -> tuple[StandardLp, np.ndarray]:
     Returns the LP and the feasible starting point (x_k on J_D, 0).
     """
     jd, i_d = ctx.J_D, ctx.I_D
-    s = np.sign(ctx.y_next[i_d])
+    s = np.sign(y[i_d])
     n_lp = np.count_nonzero(jd) + 1
     a_eq = np.hstack([ctx.A[i_d][:, jd], s[:, None]])
-    b_eq = ctx.delta_k * s + ctx.b[i_d]
-    a_out, b_out = ctx.A[~i_d][:, jd], ctx.b[~i_d]
+    b_eq = ctx.delta_k * s + b[i_d]
+    a_out, b_out = ctx.A[~i_d][:, jd], b[~i_d]
     ones = np.ones((b_out.size, 1))
     gap_row = np.zeros((1, n_lp))
     gap_row[0, -1] = -1.0
     d = np.vstack([np.hstack([-a_out, -ones]), np.hstack([a_out, -ones]), gap_row])
     e = np.concatenate([-(ctx.delta_k + b_out), -(ctx.delta_k - b_out),
                         [-(ctx.delta_k - ctx.delta_target)]])
-    sigma = np.concatenate([-np.sign(ctx.A[:, jd].T @ ctx.y_next), [1.0]])
+    sigma = np.concatenate([-np.sign(ctx.A[:, jd].T @ y), [1.0]])
     c = np.zeros(n_lp)
     c[-1] = -1.0
     lp = StandardLp(c, a_eq, b_eq, d, e, sigma)

@@ -221,19 +221,22 @@ def test_warm_start_consistency(suite):
 
 def test_generic_vs_specialized_subsolvers():
     rng = np.random.default_rng(SUITE_SEED + 3)
+    # each context with the x_k, b and y that its LP encoding reads
     captured = {"dual": [], "primal": []}
     while len(captured["dual"]) < 25 or len(captured["primal"]) < 25:
-        for kind, ctx in subproblem_contexts(random_suite_instance(rng)):
+        inst = random_suite_instance(rng)
+        for kind, ctx, x_k, y in subproblem_contexts(inst):
             if len(captured[kind]) < 25:
-                captured[kind].append(ctx)
+                captured[kind].append((ctx, x_k, inst.b, y))
 
     # (kind, StandardLp encoding, feasible start, specialized objective)
     solved = []
-    for ctx in captured["dual"]:
+    for ctx, x_k, _, _ in captured["dual"]:
         res = dual_update(ctx)
-        solved.append(("dual", *dual_lp_encoding(ctx), float(-ctx.residual_signs @ res.y)))
-    for ctx in captured["primal"]:
-        solved.append(("primal", *primal_lp_encoding(ctx), -primal_update(ctx).t))
+        solved.append(("dual", *dual_lp_encoding(ctx, x_k),
+                       float(-ctx.residual_signs @ res.y)))
+    for ctx, _, b, y in captured["primal"]:
+        solved.append(("primal", *primal_lp_encoding(ctx, b, y), -primal_update(ctx).t))
 
     # the generic solver runs the subsolvers' own loop; the Bland simplex
     # shares no code with it

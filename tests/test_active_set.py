@@ -33,7 +33,7 @@ class ScriptedFace:
     def zero(self, point, indices):
         point[indices] = 0.0
 
-    def multipliers(self, report, point, active, removable, candidates):
+    def multipliers(self, report, active, removable, candidates):
         _, mu, nu = self.entry
         return (None, np.array([mu.get(i, 1.0) for i in removable.tolist()]),
                 np.array([nu.get(j, 1.0) for j in candidates.tolist()]))

@@ -54,7 +54,7 @@ def face_multipliers(face, x, support, active):
     """The face's multipliers as the loop asks for them: mu on the active
     rows, nu on the variables outside the support (the face reads no
     direction report)."""
-    return face.multipliers(None, x, active, active, complement(support, face.lp.n))
+    return face.multipliers(None, active, active, complement(support, face.lp.n))
 
 
 def test_find_direction_scalar():

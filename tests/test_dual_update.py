@@ -29,7 +29,7 @@ def dual_step_sets(ctx, e, psi, I_D, J_D):
 def scalar_ctx():
     # A = [1], b = (2), x = 0: one active row with residual sign -1
     signs = np.array([-1.0])
-    return DualContext(np.array([[1.0]]), np.array([0.0]), ON, OFF, signs,
+    return DualContext(np.array([[1.0]]), ON, OFF, signs,
                        y_start=np.zeros(1), col_y_start=np.zeros(1))
 
 
@@ -58,7 +58,7 @@ def test_dual_direction_substitution_random():
         j_d = np.sort(rng.choice(n, size=2, replace=False))
         signs = np.zeros(m)
         signs[i_p] = rng.choice([-1.0, 1.0], len(i_p))
-        ctx = DualContext(a, np.zeros(n), index_mask(m, i_p), index_mask(n, NONE), signs,
+        ctx = DualContext(a, index_mask(m, i_p), index_mask(n, NONE), signs,
                           y_start=np.zeros(m), col_y_start=np.zeros(n))
         rep = dual_direction(ctx, i_d, j_d)
         if rep.consistent:
@@ -79,7 +79,7 @@ def test_dual_step_scalar_trace():
 
 def test_dual_step_unbounded():
     # zero column: nothing blocks a direction with the right sign pattern
-    ctx = DualContext(np.array([[0.0]]), np.array([0.0]), ON, OFF,
+    ctx = DualContext(np.array([[0.0]]), ON, OFF,
                       np.array([-1.0]), y_start=np.zeros(1), col_y_start=np.zeros(1))
     with pytest.raises(UnboundedDirectionError):
         dual_step_sets(ctx, np.array([-1.0]), np.zeros(1), np.array([0]), NONE)
@@ -88,7 +88,7 @@ def test_dual_step_unbounded():
 def test_dual_step_tie_applies_both_updates():
     a = np.array([[1.0], [0.0]])
     signs = np.array([1.0, 1.0])
-    ctx = DualContext(a, np.zeros(1), np.array([True, True]), OFF, signs,
+    ctx = DualContext(a, np.array([True, True]), OFF, signs,
                       y_start=np.zeros(2), col_y_start=np.zeros(1))
     psi = np.array([0.5, 0.5])
     e = np.array([0.5, -0.5])
@@ -125,13 +125,15 @@ def test_dual_update_identity_two_rows():
     # A = I2, b = (3, -0.5), x = 0, delta0 = 3: only row 0 is active
     a = np.eye(2)
     signs = np.array([-1.0, 0.0])
-    ctx = DualContext(a, np.zeros(2), np.array([True, False]), np.array([False, False]),
+    ctx = DualContext(a, np.array([True, False]), np.array([False, False]),
                       signs, y_start=np.zeros(2), col_y_start=np.zeros(2))
     res = dual_update(ctx)
     np.testing.assert_allclose(res.y, [-1.0, 0.0], atol=1e-10)
 
 
 def capture_contexts(kind, count, seed):
+    """(context, x_k) for the first count contexts of that kind on random
+    paths."""
     rng = np.random.default_rng(seed)
     captured = []
     while len(captured) < count:
@@ -139,17 +141,18 @@ def capture_contexts(kind, count, seed):
         inst = ProblemInstance(rng.standard_normal((m, 2 * m)),
                                rng.standard_normal(m) * 2,
                                float(rng.uniform(0.1, 0.9)) * 1.0)
-        captured.extend(c for k, c in subproblem_contexts(inst) if k == kind)
+        captured.extend((c, x_k) for k, c, x_k, _ in subproblem_contexts(inst)
+                        if k == kind)
     return captured[:count]
 
 
 def test_dual_update_certificate_property():
     # the output is always a certificate for the current x: -A^T y in Sign(x)
-    for ctx in capture_contexts("dual", 25, seed=32):
+    for ctx, x_k in capture_contexts("dual", 25, seed=32):
         res = dual_update(ctx)
         g = ctx.A.T @ res.y
-        supp = np.abs(ctx.x_k) > 1e-9
-        assert np.max(np.abs(g[supp] + np.sign(ctx.x_k[supp])), initial=0.0) <= 1e-8
+        supp = np.abs(x_k) > 1e-9
+        assert np.max(np.abs(g[supp] + np.sign(x_k[supp])), initial=0.0) <= 1e-8
         assert np.max(np.abs(g)) <= 1 + 1e-8
         # sign compatibility and confinement to the active rows
         assert np.min(res.y * ctx.residual_signs, initial=0.0) >= -1e-8
@@ -157,10 +160,10 @@ def test_dual_update_certificate_property():
 
 
 def test_dual_update_matches_generic_and_oracle():
-    for ctx in capture_contexts("dual", 12, seed=33):
+    for ctx, x_k in capture_contexts("dual", 12, seed=33):
         res = dual_update(ctx)
         value = float(-ctx.residual_signs @ res.y)
-        lp, psi0 = dual_lp_encoding(ctx)
+        lp, psi0 = dual_lp_encoding(ctx, x_k)
         x_star, _ = asm_solve(lp, psi0)
         assert abs(float(lp.c @ x_star) - value) <= 1e-8 * (1 + abs(value))
         # independent simplex check on the same encoding
@@ -170,21 +173,21 @@ def test_dual_update_matches_generic_and_oracle():
 
 
 def test_dual_update_objective_monotone():
-    for ctx in capture_contexts("dual", 8, seed=34):
+    for ctx, _ in capture_contexts("dual", 8, seed=34):
         objs = []
         dual_update(ctx, trace=lambda rec: objs.append(rec[5]))
         assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
 
 def test_dual_update_intermediate_iterates_feasible():
-    for ctx in capture_contexts("dual", 8, seed=35):
+    for ctx, x_k in capture_contexts("dual", 8, seed=35):
         iterates = []
         res = dual_update(ctx, trace=lambda rec: iterates.append(rec[6]))
         jp = ctx.J_P
         for psi in iterates + [res.y]:
             g = ctx.A.T @ psi
             if jp.any():
-                assert np.max(np.abs(g[jp] + np.sign(ctx.x_k[jp]))) <= 1e-8
+                assert np.max(np.abs(g[jp] + np.sign(x_k[jp]))) <= 1e-8
             assert np.max(np.abs(g)) <= 1 + 1e-8
             assert np.min(psi * ctx.residual_signs, initial=0.0) >= -1e-8
 
@@ -192,12 +195,13 @@ def test_dual_update_intermediate_iterates_feasible():
 def loop_dual_step(ctx, e, psi, I_D, J_D, col_e=None, col_psi=None):
     """Reference: the per-column and per-row loop form of dual_step, on
     the given A^T e and A^T psi or, by default, on fresh products."""
-    in_jd = np.zeros(ctx.n, dtype=bool)
+    n = ctx.A.shape[1]
+    in_jd = np.zeros(n, dtype=bool)
     in_jd[J_D] = True
     col_e = ctx.A.T @ e if col_e is None else col_e
     col_psi = ctx.A.T @ psi if col_psi is None else col_psi
     ratios_cols = []
-    for j in range(ctx.n):
+    for j in range(n):
         if in_jd[j]:
             continue
         v = col_e[j]
@@ -234,7 +238,7 @@ def test_dual_step_matches_loop_reference_with_exact_ties():
         e[i_p] = rng.integers(-2, 3, len(i_p)) / 2.0
         i_d = (psi != 0.0).nonzero()[0]
         j_d = (rng.random(n) < 0.3).nonzero()[0]
-        ctx = DualContext(a, np.zeros(n), index_mask(m, i_p), index_mask(n, NONE), signs,
+        ctx = DualContext(a, index_mask(m, i_p), index_mask(n, NONE), signs,
                           y_start=psi, col_y_start=a.T @ psi)
         try:
             expected = loop_dual_step(ctx, e, psi, i_d, j_d)
@@ -268,7 +272,7 @@ def test_dual_step_matches_loop_reference_on_a_path(monkeypatch):
 
 def test_warm_direction_must_be_zero_off_the_primal_active_rows():
     # A^T e of the warm direction reads the rows of I_P only
-    ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
+    ctx = next(c for kind, c, _, _ in subproblem_contexts(pinned_gaussian())
                if kind == "dual" and c.warm is not None
                and np.count_nonzero(~c.I_P))
     dual_update(ctx)
@@ -284,7 +288,7 @@ def test_a_start_entry_off_the_primal_active_rows_leaves_through_zero():
     # y_start may hold entries up to SUPPORT_TOL off I_P: the update zeroes
     # them through the face's zero, so its carried A^T y stays A^T y; a
     # larger entry there is refused
-    ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
+    ctx = next(c for kind, c, _, _ in subproblem_contexts(pinned_gaussian())
                if kind == "dual" and c.warm is not None
                and np.count_nonzero(~c.I_P))
     row = (~ctx.I_P).nonzero()[0][0]

@@ -69,22 +69,35 @@ def test_eval_path_scalar():
             eval_path(path, q)
 
 
-def subproblem_contexts(inst):
-    """Solve the path of inst and return ("dual" or "primal", context) for
-    every subproblem it solved, in order."""
-    captured = []
+def subproblem_contexts(inst, use_warm_starts=True):
+    """Solve the path of inst and return (kind, context, x_k, y) for every
+    subproblem it solved, in order: kind is "dual" or "primal", x_k the
+    primal point of the breakpoint its iteration starts from, and y that
+    iteration's new dual certificate (None when its dual update failed),
+    which neither context holds.  A context holds no b either:
+    ``inst.b``."""
+    captured = []       # (kind, context, iteration)
+    certificates = []   # the y of each iteration's dual update
 
-    def recording(kind, update):
-        def wrapper(ctx, **kw):
-            captured.append((kind, ctx))
-            return update(ctx, **kw)
-        return wrapper
+    def dual(ctx, **kw):
+        captured.append(("dual", ctx, len(certificates)))
+        res = dual_update(ctx, **kw)
+        certificates.append(res.y)
+        return res
 
+    def primal(ctx, **kw):
+        captured.append(("primal", ctx, len(certificates) - 1))
+        return primal_update(ctx, **kw)
+
+    dual_update, primal_update = homotopy.dual_update, homotopy.primal_update
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homotopy, "dual_update", recording("dual", homotopy.dual_update))
-        patch.setattr(homotopy, "primal_update", recording("primal", homotopy.primal_update))
-        solve_path(inst)
-    return captured
+        patch.setattr(homotopy, "dual_update", dual)
+        patch.setattr(homotopy, "primal_update", primal)
+        path = solve_path(inst, use_warm_starts=use_warm_starts)
+    # iteration k starts from breakpoint k
+    return [(kind, ctx, path.breakpoints[k].x,
+             certificates[k] if k < len(certificates) else None)
+            for kind, ctx, k in captured]
 
 
 def random_instance(rng, delta_zero=False):
@@ -452,16 +465,17 @@ def test_carried_state_matches_fresh_products(monkeypatch):
          lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.y)).max()),
         (handed_over, lambda a, ctx, res: a @ res.warm[0],
          lambda abs_a, ctx, res: (abs_a @ np.abs(res.warm[0])).max())))
+    # ``solving`` is the instance whose path runs: a context holds no b
     monkeypatch.setattr(homotopy, "primal_update", checked(
         homotopy.primal_update,
-        (lambda res: res.resid, lambda a, ctx, res: a @ res.x - ctx.b,
-         lambda abs_a, ctx, res: (abs_a @ np.abs(res.x) + np.abs(ctx.b)).max()),
+        (lambda res: res.resid, lambda a, ctx, res: a @ res.x - solving.b,
+         lambda abs_a, ctx, res: (abs_a @ np.abs(res.x) + np.abs(solving.b)).max()),
         (handed_over, lambda a, ctx, res: a.T @ res.warm[0],
          lambda abs_a, ctx, res: (abs_a.T @ np.abs(res.warm[0])).max())))
     wide = gathering_wide()
     assert wide.A.size >= GATHER_MIN_SIZE
-    for inst in (pinned_gaussian(), pinned_dantzig(), wide):
-        assert solve_path(inst).terminated == "target-reached"
+    for solving in (pinned_gaussian(), pinned_dantzig(), wide):
+        assert solve_path(solving).terminated == "target-reached"
     assert len(follows) > 50 and all(follows)
     assert len(errors) > 200 and max(errors) <= PRODUCT_RTOL
 
@@ -563,28 +577,40 @@ def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
     assert len(built) == 0
 
 
-GLUE_CALLS_PER_BREAKPOINT = 15   # 14.5 measured; 52.0 with four IndexSets a breakpoint
-# 218.5 on pinned_gaussian and 218.1 on pinned_small measured; 222.3 and
-# 220.9 when warm starts crossed as two fields and primal_step's entering
-# rows as a list of (row, side) tuples, 226.3 and 224.8 when each update
-# formed its start product and its warm product afresh, 229.5 and 244.4
-# when blocks below 12 columns took the SVD
-CALLS_PER_BREAKPOINT = 220
+# the driver's Python and C calls outside the two updates: the set-up
+# before the first update (34 measured on both pinned instances) and the
+# loop's glue a breakpoint after it (13.98 on pinned_gaussian and 13.94 on
+# pinned_small measured; 52.0 with four IndexSets a breakpoint).  Counted
+# as one budget a breakpoint, the set-up's share grows on short paths:
+# 15.94 a breakpoint on the 17 of pinned_small against 14.53 on the 62 of
+# pinned_gaussian
+SETUP_GLUE_CALLS = 34
+LOOP_GLUE_CALLS_PER_BREAKPOINT = 14
+# 215.5 on pinned_gaussian and 215.0 on pinned_small measured; 218.5 and
+# 218.1 when the contexts carried x, b and y and the m and n properties,
+# 222.3 and 220.9 when warm starts crossed as two fields and primal_step's
+# entering rows as a list of (row, side) tuples, 226.3 and 224.8 when each
+# update formed its start product and its warm product afresh, 229.5 and
+# 244.4 when blocks below 12 columns took the SVD
+CALLS_PER_BREAKPOINT = 217
 
 
 def _profiled_calls(inst):
     """solve_path(inst) under sys.setprofile: the path, the Python and C
     calls made outside the two updates (contexts, timers, the record and
-    the breakpoint) and all its calls.  Operators and ufuncs make no
-    profile event."""
+    the breakpoint) before the first update and in all, and all its calls.
+    Operators and ufuncs make no profile event."""
     updates = {homotopy.dual_update.__code__, homotopy.primal_update.__code__}
     glue = calls = inside = 0
+    setup = None
 
     def profile(frame, event, arg):
-        nonlocal glue, calls, inside
+        nonlocal glue, calls, inside, setup
         if event in ("call", "c_call"):
             calls += 1
         if frame.f_code in updates and event in ("call", "return"):
+            if setup is None:
+                setup = glue
             inside += 1 if event == "call" else -1
         elif not inside and event in ("call", "c_call"):
             glue += 1
@@ -595,18 +621,21 @@ def _profiled_calls(inst):
     finally:
         sys.setprofile(previous)
     assert path.terminated == "target-reached" and inside == 0
-    return path, glue, calls
+    return path, setup, glue, calls
 
 
 def test_driver_glue_stays_within_its_call_budget():
-    path, glue, _ = _profiled_calls(pinned_gaussian())
-    assert glue <= GLUE_CALLS_PER_BREAKPOINT * (len(path.breakpoints) - 1), glue
+    for inst in (pinned_gaussian(), pinned_small()):
+        path, setup, glue, _ = _profiled_calls(inst)
+        assert setup <= SETUP_GLUE_CALLS, setup
+        loop = glue - setup
+        assert loop <= LOOP_GLUE_CALLS_PER_BREAKPOINT * (len(path.breakpoints) - 1), loop
 
 
 @pytest.mark.parametrize("inst", [pinned_gaussian(), pinned_small()], ids=["gaussian", "small"])
 def test_a_breakpoint_stays_within_its_call_budget(inst):
     # the driver, both updates and the kernel together
-    path, _, calls = _profiled_calls(inst)
+    path, _, _, calls = _profiled_calls(inst)
     assert calls <= CALLS_PER_BREAKPOINT * (len(path.breakpoints) - 1), calls
 
 
@@ -714,7 +743,7 @@ def test_gathered_products_keep_the_path(monkeypatch):
     shares = []
 
     def watched(a, v, rows):
-        shares.append(np.count_nonzero(rows) if rows.dtype == bool else rows.size)
+        shares.append(rows.size)
         return linalg.left_product(a, v, rows)
     monkeypatch.setattr(dual_update, "left_product", watched)
     gathered = solve_path(inst)

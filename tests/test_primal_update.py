@@ -12,7 +12,8 @@ from l1linf.primal_update import (PrimalContext, primal_direction,
                                   primal_multipliers, primal_step,
                                   primal_update)
 from reference_lp import asm_solve, general_form, index_mask, primal_lp_encoding
-from test_homotopy import PRODUCT_RTOL, pinned_gaussian, subproblem_contexts
+from test_homotopy import (PRODUCT_RTOL, pinned_dantzig, pinned_gaussian, pinned_small,
+                          subproblem_contexts)
 
 NONE = np.empty(0, dtype=np.intp)
 ZERO = np.array([0])
@@ -27,18 +28,18 @@ def entering_pairs(rows, sides):
     return list(zip(rows.tolist(), sides.tolist()))
 
 
-def primal_step_sets(ctx, d, xi, tau, I_P, J_P, col_sign):
-    """primal_step with the entering rows as (row, side) pairs and the
+def primal_step_sets(ctx, d, tau, I_P, J_P, col_sign):
+    """primal_step from the context's start point, on its carried
+    A x_start - b, with the entering rows as (row, side) pairs and the
     leaving columns as a list, so that whole results compare with ==."""
-    alpha, hit, rows, sides, leaving = primal_step(ctx, d, xi, tau, I_P, J_P, col_sign,
-                                                   ctx.A @ xi - ctx.b, ctx.A @ d)
+    alpha, hit, rows, sides, leaving = primal_step(ctx, d, ctx.x_start, tau, I_P, J_P,
+                                                   col_sign, ctx.resid_start, ctx.A @ d)
     return alpha, hit, entering_pairs(rows, sides), leaving.tolist()
 
 
 def scalar_ctx(delta_target=0.0):
     # A = [1], b = (2), x = 0, fresh certificate y = -1, delta_k = 2
-    return PrimalContext(np.array([[1.0]]), np.array([2.0]), np.array([-1.0]),
-                         2.0, delta_target, np.zeros(1),
+    return PrimalContext(np.array([[1.0]]), 2.0, delta_target, np.zeros(1),
                          I_P=ON, J_P=OFF, I_D=ON, J_D=ON,
                          residual_signs=np.array([-1.0]), col_y=np.array([-1.0]),
                          resid_start=np.array([-2.0]))
@@ -54,7 +55,7 @@ def test_primal_direction_scalar():
 def test_primal_direction_overdetermined_inconsistent():
     rng = np.random.default_rng(41)
     a = rng.standard_normal((4, 6))
-    ctx = PrimalContext(a, np.zeros(4), np.zeros(4), 1.0, 0.0, np.zeros(6),
+    ctx = PrimalContext(a, 1.0, 0.0, np.zeros(6),
                         index_mask(4, [0, 1, 2]), index_mask(6, ZERO), index_mask(4, NONE),
                         index_mask(6, ZERO),
                         residual_signs=np.array([1.0, 1.0, -1.0, 0.0]), col_y=np.zeros(6),
@@ -87,7 +88,7 @@ def test_primal_direction_substitution_random():
         j_p = np.sort(rng.choice(n, size=3, replace=False))
         signs = np.zeros(m)
         signs[i_p] = rng.choice([-1.0, 1.0], len(i_p))
-        ctx = PrimalContext(a, np.zeros(m), np.zeros(n), 1.0, 0.0, np.zeros(n),
+        ctx = PrimalContext(a, 1.0, 0.0, np.zeros(n),
                             index_mask(m, i_p), index_mask(n, j_p), index_mask(m, NONE),
                             index_mask(n, j_p), residual_signs=signs, col_y=np.zeros(n),
                             resid_start=np.zeros(m))
@@ -103,8 +104,7 @@ def test_primal_step_reaches_target():
     ctx = scalar_ctx(delta_target=0.0)
     d = np.array([1.0])
     col_sign = np.array([-1.0])
-    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(1), 0.0,
-                                                     ZERO, ZERO, col_sign)
+    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, 0.0, ZERO, ZERO, col_sign)
     assert hit and alpha == pytest.approx(2.0, abs=1e-12)
     assert not new_rows and len(leaving) == 0
 
@@ -113,16 +113,14 @@ def test_primal_step_identity_second_row_ratios():
     # A = I2, b = (3, -0.5), delta_k = 3, target 1: row 2 ratios are 3.5 and
     # 2.5, the target gap 2 is smaller, so the run stops at the target
     a = np.eye(2)
-    ctx = PrimalContext(a, np.array([3.0, -0.5]), np.array([-1.0, 0.0]),
-                        3.0, 1.0, np.zeros(2),
+    ctx = PrimalContext(a, 3.0, 1.0, np.zeros(2),
                         I_P=index_mask(2, ZERO), J_P=index_mask(2, NONE),
                         I_D=index_mask(2, ZERO), J_D=index_mask(2, ZERO),
                         residual_signs=np.array([-1.0, 0.0]), col_y=np.array([-1.0, 0.0]),
                         resid_start=np.array([-3.0, 0.5]))
     d = np.array([1.0, 0.0])
     col_sign = np.array([-1.0, 0.0])
-    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(2), 0.0,
-                                                     ZERO, ZERO, col_sign)
+    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, 0.0, ZERO, ZERO, col_sign)
     assert hit and alpha == pytest.approx(2.0, abs=1e-12)
 
 
@@ -130,15 +128,13 @@ def test_primal_step_blocking_tie_adds_all_rows():
     # two further rows become tight at the same step length
     a = np.array([[1.0], [1.0], [1.0]])
     b = np.array([2.0, 1.0, 1.0])
-    ctx = PrimalContext(a, b, np.array([-1.0, 0.0, 0.0]), 2.0, 0.0,
-                        np.zeros(1),
+    ctx = PrimalContext(a, 2.0, 0.0, np.zeros(1),
                         I_P=index_mask(3, ZERO), J_P=OFF, I_D=index_mask(3, ZERO), J_D=ON,
                         residual_signs=np.array([-1.0, 0.0, 0.0]), col_y=np.array([-1.0]),
                         resid_start=-b)
     d = np.array([1.0])
     col_sign = np.array([-1.0])
-    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, np.zeros(1), 0.0,
-                                                     ZERO, ZERO, col_sign)
+    alpha, hit, new_rows, leaving = primal_step_sets(ctx, d, 0.0, ZERO, ZERO, col_sign)
     # rows 1 and 2 start at residual -1 and tie at the upper bound
     assert not hit
     assert sorted(i for i, _ in new_rows) == [1, 2]
@@ -159,6 +155,8 @@ def test_primal_update_scalar_full_and_partial():
 
 
 def capture_primal_contexts(count, seed):
+    """(context, b, y) for the first count primal contexts of random paths,
+    y the certificate of the dual update before each."""
     rng = np.random.default_rng(seed)
     captured = []
     while len(captured) < count:
@@ -166,22 +164,23 @@ def capture_primal_contexts(count, seed):
         b = rng.standard_normal(m) * 2
         inst = ProblemInstance(rng.standard_normal((m, 2 * m)), b,
                                float(rng.uniform(0.05, 0.9)) * np.max(np.abs(b)))
-        captured.extend(c for k, c in subproblem_contexts(inst) if k == "primal")
+        captured.extend((c, inst.b, y) for k, c, _, y in subproblem_contexts(inst)
+                        if k == "primal")
     return captured[:count]
 
 
 def test_primal_update_strict_progress():
-    for ctx in capture_primal_contexts(25, seed=43):
+    for ctx, b, _ in capture_primal_contexts(25, seed=43):
         res = primal_update(ctx)
         assert res.t > 1e-12
         assert res.t <= ctx.delta_k - ctx.delta_target + 1e-12
         # feasibility of the result at the shrunk bound
-        resid = ctx.A @ res.x - ctx.b
+        resid = ctx.A @ res.x - b
         assert np.max(np.abs(resid)) <= ctx.delta_k - res.t + 1e-8
 
 
 def test_primal_update_multiplier_certificate():
-    for ctx in capture_primal_contexts(15, seed=44):
+    for ctx, _, _ in capture_primal_contexts(15, seed=44):
         res = primal_update(ctx)
         if res.warm is None:
             continue
@@ -195,14 +194,34 @@ def test_primal_update_multiplier_certificate():
 
 
 def test_primal_update_matches_generic_and_oracle():
-    for ctx in capture_primal_contexts(12, seed=45):
+    for ctx, b, y in capture_primal_contexts(12, seed=45):
         res = primal_update(ctx)
-        lp, z0 = primal_lp_encoding(ctx)
+        lp, z0 = primal_lp_encoding(ctx, b, y)
         z_star, _ = asm_solve(lp, z0)
         assert abs(float(lp.c @ z_star) - (-res.t)) <= 1e-8 * (1 + abs(res.t))
         simplex = oracle.simplex_solve(general_form(lp))
         assert simplex.status == "optimal"
         assert abs(simplex.value - (-res.t)) <= 1e-7 * (1 + abs(res.t))
+
+
+def test_the_signs_handed_over_on_the_dual_support_are_the_signs_of_y():
+    # the dual keeps s_i y_i >= 0 on I_P through its ratio test, so on the
+    # rows of I_D with |y_i| > SUPPORT_TOL the residual signs that a primal
+    # update is handed already equal sign(y_i), and the primal face takes
+    # them as they stand; checked warm and cold on every breakpoint
+    from test_path_fingerprint import path_fingerprint
+    instances = [pinned_gaussian(), pinned_small(), pinned_dantzig(),
+                 *path_fingerprint.half_integer_draws()]
+    rows = 0
+    for inst in instances:
+        for warm in (True, False):
+            for kind, ctx, _, y in subproblem_contexts(inst, use_warm_starts=warm):
+                if kind == "primal":
+                    held = ctx.I_D & (np.abs(y) > SUPPORT_TOL)
+                    np.testing.assert_array_equal(ctx.residual_signs[held],
+                                                  np.sign(y[held]))
+                    rows += np.count_nonzero(held)
+    assert rows > 5000, rows
 
 
 def test_primal_update_rejects_bad_target():
@@ -213,40 +232,39 @@ def test_primal_update_rejects_bad_target():
 
 
 def test_primal_update_intermediate_iterates_feasible():
-    for ctx in capture_primal_contexts(8, seed=46):
+    for ctx, b, y in capture_primal_contexts(8, seed=46):
         recs = []
         res = primal_update(ctx, trace=lambda rec: recs.append((rec[5], rec[6])))
         for tau, xi in recs:
             assert tau <= ctx.delta_k - ctx.delta_target + 1e-8
             bound = ctx.delta_k - tau
-            assert np.max(np.abs(ctx.A @ xi - ctx.b)) <= bound + 1e-8
+            assert np.max(np.abs(ctx.A @ xi - b)) <= bound + 1e-8
             # sign constraint on the dual active columns: (A_j.y) x_j <= 0
             cols = ctx.J_D
-            prods = (ctx.A[:, cols].T @ ctx.y_next) * xi[cols]
+            prods = (ctx.A[:, cols].T @ y) * xi[cols]
             assert np.max(prods, initial=0.0) <= 1e-8
 
 
 def test_primal_update_final_bound_tightness():
-    for ctx in capture_primal_contexts(10, seed=47):
+    for ctx, b, _ in capture_primal_contexts(10, seed=47):
         res = primal_update(ctx)
-        resid_norm = float(np.max(np.abs(ctx.A @ res.x - ctx.b)))
+        resid_norm = float(np.max(np.abs(ctx.A @ res.x - b)))
         if res.reached_target:
             assert resid_norm <= ctx.delta_target + 1e-8
         else:
             assert abs(resid_norm - (ctx.delta_k - res.t)) <= 1e-8
 
 
-def loop_primal_step(ctx, d, xi, tau, I_P, J_P, col_sign, resid=None, a_d=None):
+def loop_primal_step(ctx, d, xi, tau, I_P, J_P, col_sign, resid, a_d=None):
     """Reference: the per-row and per-column loop form of primal_step, on
-    the given A xi - b and A d or, by default, on fresh products."""
+    the given A xi - b, and on the given A d or, by default, a fresh one."""
     from l1linf.active_set import NONZERO_TOL, TIE_RTOL, ZERO_STEP_TOL
     from l1linf.primal_update import DEN_TOL
     bound = ctx.delta_k - tau
     gap = max(bound - ctx.delta_target, 0.0)
-    resid = ctx.A @ xi - ctx.b if resid is None else resid
     a_d = ctx.A @ d if a_d is None else a_d
     ratios_rows = []
-    for i in np.delete(np.arange(ctx.m), I_P):
+    for i in np.delete(np.arange(ctx.A.shape[0]), I_P):
         up_den = a_d[i] + 1.0
         if up_den > DEN_TOL:
             ratios_rows.append((max((bound - resid[i]) / up_den, 0.0), i, 1.0))
@@ -294,18 +312,19 @@ def test_primal_step_matches_loop_reference_with_exact_ties():
         col_sign[j_d] = rng.choice([-1.0, 0.0, 1.0], len(j_d))
         delta_k = float(np.max(np.abs(a @ xi - b))) + float(rng.integers(0, 3)) / 2.0
         tau = float(rng.integers(0, 2)) / 4.0
-        ctx = PrimalContext(a, b, np.zeros(m), delta_k, float(rng.integers(-8, 1)),
+        ctx = PrimalContext(a, delta_k, float(rng.integers(-8, 1)),
                             xi, I_P=index_mask(m, i_p), J_P=index_mask(n, j_p),
                             I_D=index_mask(m, NONE), J_D=index_mask(n, j_d),
                             residual_signs=np.zeros(m), col_y=np.zeros(n),
                             resid_start=a @ xi - b)
         try:
-            expected = loop_primal_step(ctx, d, xi, tau, i_p, j_p, col_sign)
+            expected = loop_primal_step(ctx, d, xi, tau, i_p, j_p, col_sign,
+                                        ctx.resid_start)
         except UnboundedDirectionError:
             with pytest.raises(UnboundedDirectionError):
-                primal_step_sets(ctx, d, xi, tau, i_p, j_p, col_sign)
+                primal_step_sets(ctx, d, tau, i_p, j_p, col_sign)
             continue
-        got = primal_step_sets(ctx, d, xi, tau, i_p, j_p, col_sign)
+        got = primal_step_sets(ctx, d, tau, i_p, j_p, col_sign)
         assert got == expected
         new_rows = got[2]
         row_ties += len(new_rows) > 1
@@ -335,7 +354,7 @@ def test_primal_step_matches_loop_reference_on_a_path(monkeypatch):
 
 def test_warm_direction_must_be_zero_off_the_dual_active_columns():
     # A d of the warm direction reads the columns of J_D only
-    ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
+    ctx = next(c for kind, c, _, _ in subproblem_contexts(pinned_gaussian())
                if kind == "primal" and c.warm is not None
                and np.count_nonzero(~c.J_D))
     primal_update(ctx)
@@ -351,7 +370,8 @@ def test_a_start_entry_off_the_dual_active_columns_leaves_through_zero():
     # x_start may hold entries up to SUPPORT_TOL off J_D: the update zeroes
     # them through the face's zero, so its carried A x - b stays A x - b; a
     # larger entry there is refused
-    ctx = next(c for kind, c in subproblem_contexts(pinned_gaussian())
+    inst = pinned_gaussian()
+    ctx = next(c for kind, c, _, _ in subproblem_contexts(inst)
                if kind == "primal" and c.warm is not None
                and np.count_nonzero(~c.J_D))
     col = (~ctx.J_D).nonzero()[0][0]
@@ -359,12 +379,12 @@ def test_a_start_entry_off_the_dual_active_columns_leaves_through_zero():
         x_start = ctx.x_start.copy()
         x_start[col] = mass
         planted = dataclasses.replace(ctx, x_start=x_start,
-                                      resid_start=ctx.A @ x_start - ctx.b)
+                                      resid_start=ctx.A @ x_start - inst.b)
         if mass > SUPPORT_TOL:
             with pytest.raises(ValueError, match="primal start point has mass"):
                 primal_update(planted)
             continue
         res = primal_update(planted)
         assert res.x[col] == 0.0
-        scale = (np.abs(ctx.A) @ np.abs(res.x) + np.abs(ctx.b)).max()
-        assert np.abs(res.resid - (ctx.A @ res.x - ctx.b)).max() <= PRODUCT_RTOL * scale
+        scale = (np.abs(ctx.A) @ np.abs(res.x) + np.abs(inst.b)).max()
+        assert np.abs(res.resid - (ctx.A @ res.x - inst.b)).max() <= PRODUCT_RTOL * scale

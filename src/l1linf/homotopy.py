@@ -9,7 +9,8 @@ dual path is piecewise constant between breakpoints.  Multiplier-system
 solutions are passed across subproblems as warm starts, each paired with
 its product with A; A^T y and A x - b are carried from one update of their
 kind to the next; and each breakpoint records the index sets and
-residual signs that the two subsolvers end with.
+residual signs that the two subsolvers end with, and x and y on their
+supports.
 """
 
 from __future__ import annotations
@@ -73,14 +74,78 @@ class IndexSets:
     residual_signs: np.ndarray  # int8 +-1, aligned with I_P
 
 
-@dataclass
 class PathBreakpoint:
-    k: int
-    delta_k: float
-    x: np.ndarray
-    y: np.ndarray
-    sets: IndexSets
-    t_step: float
+    """One breakpoint of the path: its bound ``delta_k``, the primal step
+    ``t_step`` that reached it (0 at k = 0), its index sets and its optimal
+    pair (x, y).
+
+    The record keeps x and y on their supports: each as its entries
+    ``(size, positions, values)``, the positions being its exact nonzeros,
+    a strictly increasing read-only np.int32 array.  Where those are the
+    positions of J_P (for x) or of I_D (for y), the record holds that
+    set's own array, so no index is stored twice.  ``x`` and ``y`` are
+    dense float64 vectors, each built at every access by one scatter into
+    fresh zeros and marked read-only.  Nothing is cached, since a cache
+    would grow back to the size of dense vectors in a pass that reads
+    every breakpoint, as certification does; a reader that needs a vector
+    twice keeps it.  A zero reads as +0.0.
+
+    A vector assigned to ``x`` or ``y``, or given to the constructor in
+    place of entries, is kept exactly as given: reading the attribute
+    returns that same array, writable if it was, and ``x_entries`` and
+    ``y_entries`` read its nonzeros.  Neither vector reads ``sets``."""
+
+    __slots__ = ("k", "delta_k", "_x", "_y", "sets", "t_step")
+
+    def __init__(self, k: int, delta_k: float, x, y, sets: IndexSets, t_step: float):
+        self.k, self.delta_k, self._x, self._y = k, delta_k, x, y
+        self.sets, self.t_step = sets, t_step
+
+    @property
+    def x(self) -> np.ndarray:
+        return _dense(self._x)
+
+    @x.setter
+    def x(self, value) -> None:
+        self._x = value
+
+    @property
+    def y(self) -> np.ndarray:
+        return _dense(self._y)
+
+    @y.setter
+    def y(self, value) -> None:
+        self._y = value
+
+    @property
+    def x_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """x's exact nonzero positions, increasing np.int32, and its values there."""
+        return _entries(self._x)
+
+    @property
+    def y_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """y's exact nonzero positions, increasing np.int32, and its values there."""
+        return _entries(self._y)
+
+
+def _dense(vector) -> np.ndarray:
+    """A breakpoint's vector, dense: a recorded one scattered into fresh
+    zeros, an assigned one as given."""
+    if not isinstance(vector, tuple):
+        return vector
+    size, positions, values = vector
+    out = np.zeros(size)
+    out.put(positions, values)
+    out.setflags(write=False)
+    return out
+
+
+def _entries(vector) -> tuple[np.ndarray, np.ndarray]:
+    """A breakpoint's vector as (positions, values) of its exact nonzeros."""
+    if isinstance(vector, tuple):
+        return vector[1], vector[2]
+    positions = vector.nonzero()[0]
+    return positions.astype(np.int32), vector[positions]
 
 
 @dataclass
@@ -157,13 +222,27 @@ def _record(rows: np.ndarray, cols: np.ndarray, j_p, i_p, j_d, i_d,
     ranges of m and n, and ``signs``, aligned with the rows of i_p, is
     kept as int8.  A range indexed by a mask is one array, where
     ``mask.nonzero()[0]`` is a view and a 2-d base: about 500 bytes more a
-    breakpoint.  The export's 4-byte index width and 1-byte signs keep
-    the record of a seed-1 gauss-deep round (1,851 breakpoints) at 11.96 MB
-    under tracemalloc, x and y included."""
+    breakpoint.  The export's 4-byte index width and 1-byte signs, and x
+    and y kept on their supports, keep the record of a seed-1 gauss-deep
+    round (1,851 breakpoints) at 7.51 MB under tracemalloc (11.96 MB with
+    dense x and y)."""
     sets = cols[j_p], rows[i_p], cols[j_d], rows[i_d]
     for s in sets:
         s.setflags(write=False)
     return IndexSets(*sets, signs.astype(np.int8))
+
+
+def _positions(positions: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The read-only positions of a mask, taken from the np.int32 range."""
+    out = positions[mask]
+    out.setflags(write=False)
+    return out
+
+
+def _origin(delta: float, x: np.ndarray, y: np.ndarray, sets: IndexSets) -> PathBreakpoint:
+    """The breakpoint at x = 0, y = 0, whose sets J_P and I_D are empty."""
+    return PathBreakpoint(0, delta, (x.size, sets.J_P, x[sets.J_P]),
+                          (y.size, sets.I_D, y[sets.I_D]), sets, 0.0)
 
 
 def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
@@ -181,8 +260,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
 
     if inst.delta >= delta0 * (1.0 - INIT_TIE_RTOL):
         sets = _build_sets(inst, x, y, inst.delta)
-        bp = PathBreakpoint(0, inst.delta, x, y, sets, 0.0)
-        return SolutionPath([bp], "target-reached")
+        return SolutionPath([_origin(inst.delta, x, y, sets)], "target-reached")
 
     # at x = 0, y = 0 the active rows are all i with |b_i| = ||b||_inf up
     # to a relative tie, and every other set is empty; signs holds the
@@ -194,8 +272,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     signs[i_p] = np.sign(-inst.b[i_p])
     rows, cols = np.arange(m, dtype=np.int32), np.arange(n, dtype=np.int32)
     sets = _record(rows, cols, j_p, i_p, j_p, np.zeros(m, dtype=bool), signs[i_p])
-    path = SolutionPath([PathBreakpoint(0, delta0, x.copy(), y.copy(), sets, 0.0)],
-                        "failure")
+    path = SolutionPath([_origin(delta0, x, y, sets)], "failure")
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
     carry = InverseCarry()   # one kernel system and inverse follow the whole path
     path.kernel = carry.counts
@@ -256,9 +333,18 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         signs = primal_res.signs
         signs[~i_p] = 0.0
         sets = _record(rows, cols, j_p, i_p, dual_res.J_D, dual_res.I_D, signs[i_p])
-        # x and y are fresh arrays of the two updates, which the next
-        # iteration only reads: the breakpoint keeps them uncopied
-        path.breakpoints.append(PathBreakpoint(k + 1, delta_next, x, y, sets, t))
+        # the breakpoint keeps x and y on their exact nonzeros, whose
+        # positions are J_P's and I_D's own arrays wherever they coincide
+        # (at all but 34 of the 18,954 breakpoints of the reference paths,
+        # all on tied data).  J_P holds nonzeros of x only, so it is x's
+        # support when it has as many; I_D may hold a zero of y, so it is
+        # compared in full
+        nz_x, nz_y = x != 0.0, y != 0.0
+        x_val = x[nz_x]
+        x_at = sets.J_P if x_val.size == sets.J_P.size else _positions(cols, nz_x)
+        y_at = sets.I_D if not rows[nz_y != dual_res.I_D].size else _positions(rows, nz_y)
+        path.breakpoints.append(PathBreakpoint(k + 1, delta_next, (n, x_at, x_val),
+                                               (m, y_at, y[nz_y]), sets, t))
         if trace is not None:
             trace({"k": k + 1, "delta": delta_next, "t": t,
                    "nnz_x": len(sets.J_P), "nnz_y": len(sets.I_D),

@@ -3,8 +3,12 @@
 Schema 2 stores each breakpoint's sparse ``x`` and ``y`` as
 ``{"i": <base64 of little-endian int32 indices, strictly increasing>,
 "v": <base64 of little-endian float64 values>}``; every other field is a
-plain JSON value.  The reader checks every vector it decodes and raises
-``ValueError`` on anything the writer cannot have produced.
+plain JSON value.  The indices are the vector's exact nonzeros.  The
+writer encodes the positions and values that each breakpoint records
+(``PathBreakpoint.x_entries`` and ``y_entries``) as they are, so it
+builds and searches no dense vector.  The reader checks every vector it
+decodes and raises ``ValueError`` on anything the writer cannot have
+produced.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ def _b64(a: np.ndarray, dtype: np.dtype) -> str:
     return base64.b64encode(a.astype(dtype, copy=False).tobytes()).decode("ascii")
 
 
-def _encode_vector(v: np.ndarray) -> dict:
-    idx = v.nonzero()[0]
-    return {"i": _b64(idx, _INDEX), "v": _b64(v[idx], _VALUE)}
+def _encode_entries(entries: tuple[np.ndarray, np.ndarray]) -> dict:
+    positions, values = entries
+    return {"i": _b64(positions, _INDEX), "v": _b64(values, _VALUE)}
 
 
 def _decode_array(text, dtype: np.dtype, what: str) -> np.ndarray:
@@ -73,8 +77,8 @@ def path_to_export(inst: ProblemInstance, path: SolutionPath,
             "k": bp.k,
             "delta": float(bp.delta_k),
             "t": float(bp.t_step),
-            "x": _encode_vector(bp.x),
-            "y": _encode_vector(bp.y),
+            "x": _encode_entries(bp.x_entries),
+            "y": _encode_entries(bp.y_entries),
             "sets": {
                 "J_P": len(bp.sets.J_P),
                 "I_P": len(bp.sets.I_P),

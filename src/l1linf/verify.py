@@ -51,14 +51,14 @@ def _path_checks(inst: ProblemInstance, path: SolutionPath, pair_tol: float,
         out["termination"] = "breakpoint count exceeds 20(m+n)"
 
     for bp in path.breakpoints:
-        y = bp.y.copy()
+        x, y = bp.x, bp.y.copy()   # each access builds the dense vector anew
         if perturb_y and bp.k > 0:
             y[0] += 0.1
-        if not check_optimal_pair(inst, bp.x, y, bp.delta_k, tol=pair_tol):
+        if not check_optimal_pair(inst, x, y, bp.delta_k, tol=pair_tol):
             out["optimal-pairs"] = f"breakpoint {bp.k} fails certification"
             break
-        gap = duality_gap(inst, bp.x, y, bp.delta_k)
-        if gap > pair_tol * (1.0 + np.sum(np.abs(bp.x))):
+        gap = duality_gap(inst, x, y, bp.delta_k)
+        if gap > pair_tol * (1.0 + np.sum(np.abs(x))):
             out["optimal-pairs"] = f"breakpoint {bp.k} duality gap {gap:.2e}"
             break
 

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from l1linf import solve_path
+from l1linf import PathBreakpoint, solve_path
 from l1linf.cli import main
-from l1linf.pathexport import (_encode_vector, export_from_json, export_to_csv,
+from l1linf.pathexport import (_encode_entries, export_from_json, export_to_csv,
                                export_to_json, export_vectors, path_to_export)
 from reference_lp import write_matrixmarket_array
 from test_homotopy import pinned_dantzig, pinned_gaussian
@@ -309,11 +309,17 @@ def test_export_vector_encoding_is_pinned():
     # that needs 17 significant digits; like every zero, -0.0 is not stored
     v = np.array([5e-324, 0.0, 1.7976931348623157e308, -0.0,
                   -1.7976931348623157e308, 0.1 + 0.2])
-    field = _encode_vector(v)
+    assigned = PathBreakpoint(0, 1.0, v, np.zeros(0), None, 0.0)
+    field = _encode_entries(assigned.x_entries)
     assert field == {"i": "AAAAAAIAAAAEAAAABQAAAA==",
                      "v": "AQAAAAAAAAD////////vf////////+//NDMzMzMz0z8="}
+    # the same vector recorded on its support encodes to the same bytes
+    at = np.array([0, 2, 4, 5], dtype=np.int32)
+    recorded = PathBreakpoint(0, 1.0, (6, at, v[at]), (0, at[:0], v[:0]), None, 0.0)
+    assert _encode_entries(recorded.x_entries) == field
     export = {"n": 6, "m": 0, "breakpoints": [
-        {"k": 0, "delta": 1.0, "t": 0.0, "x": field, "y": _encode_vector(np.zeros(0))}]}
+        {"k": 0, "delta": 1.0, "t": 0.0, "x": field,
+         "y": _encode_entries(recorded.y_entries)}]}
     (_, _, x, _), = export_vectors(export)
     assert x.tobytes() == np.where(v == 0.0, 0.0, v).tobytes()
 

@@ -578,13 +578,14 @@ def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
 
 
 # the driver's Python and C calls outside the two updates: the set-up
-# before the first update (34 measured on both pinned instances) and the
+# before the first update (33 measured on both pinned instances; 34 when
+# the start breakpoint copied a dense x and y) and the
 # loop's glue a breakpoint after it (13.98 on pinned_gaussian and 13.94 on
 # pinned_small measured; 52.0 with four IndexSets a breakpoint).  Counted
 # as one budget a breakpoint, the set-up's share grows on short paths:
 # 15.94 a breakpoint on the 17 of pinned_small against 14.53 on the 62 of
 # pinned_gaussian
-SETUP_GLUE_CALLS = 34
+SETUP_GLUE_CALLS = 33
 LOOP_GLUE_CALLS_PER_BREAKPOINT = 14
 # 215.5 on pinned_gaussian and 215.0 on pinned_small measured; 218.5 and
 # 218.1 when the contexts carried x, b and y and the m and n properties,
@@ -718,6 +719,34 @@ def test_solve_path_on_tied_draws_that_stick(seed, draw, warm):
     if path.terminated == "failure" and not path.failure_reason.startswith("degenerate step"):
         pytest.fail(f"stopped for another reason: {path.failure_reason}")
     assert path.terminated == "target-reached", path.failure_reason
+
+
+# ternary data (A in {-1, 0, 1}, integer b in [-3, 3]) whose target is
+# feasible: draw 87 of a sweep of 1,000 draws from default_rng([42, 1]),
+# each drawing m in [2, 12), n in [2, 20), A, b and then delta as 0, 0.01,
+# 0.1 or 0.5 times ||b||_inf, which stops at iteration 1, warm and cold
+TERNARY_STOP = ProblemInstance(
+    [[1, -1, -1, -1, 0], [-1, 1, 1, 1, -1], [0, 0, 0, -1, -1], [0, 0, 1, -1, 0]],
+    [3, -3, 3, 0], 0.03)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the path stops at a primal step of length at most T_MIN")
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_solve_path_on_a_ternary_draw_that_sticks(warm):
+    ref = oracle.simplex_solve(oracle.reformulate(TERNARY_STOP))
+    # pytest.fail, not assert: only the expected stop may count as the xfail
+    if ref.status != "optimal":
+        pytest.fail(f"the target is not feasible: {ref.status}")
+    path = solve_path(TERNARY_STOP, use_warm_starts=warm)
+    if not all(check_optimal_pair(TERNARY_STOP, bp.x, bp.y, bp.delta_k)
+               for bp in path.breakpoints):
+        pytest.fail("a breakpoint fails certification")
+    if path.terminated == "failure" and not path.failure_reason.startswith("degenerate step"):
+        pytest.fail(f"stopped for another reason: {path.failure_reason}")
+    assert path.terminated == "target-reached", path.failure_reason
+    if abs(path.objective - ref.value) > 1e-9 * (1.0 + abs(ref.value)):
+        pytest.fail(f"objective {path.objective!r} against the simplex's {ref.value!r}")
 
 
 def test_kernel_counts_reach_the_trace_but_not_the_export():

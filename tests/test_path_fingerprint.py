@@ -64,9 +64,10 @@ def test_x_moved_by_one_ulp_changes_the_digest(tmp_path, capsys):
     path = solve_path(inst)
     assert path.terminated == "target-reached" and len(path.breakpoints) > 2
     moved = copy.deepcopy(path)
-    x = moved.breakpoints[1].x
+    x = moved.breakpoints[1].x.copy()   # the record's dense views are read-only
     j = int(np.flatnonzero(x)[0])
     x[j] = np.nextafter(x[j], np.inf)
+    moved.breakpoints[1].x = x
     digest = path_fingerprint.path_digest
     assert digest(path) == digest(copy.deepcopy(path)) != digest(moved)
     fp = fingerprint([2.0, 1.5, 0.75, 0.5])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time ``solve_path`` of two source trees against each other in one process.
 
-    python3 tools/ab_paths.py OLD_SRC NEW_SRC [--workload W] [--rounds N] [--quick]
+    python3 tools/ab_paths.py OLD_SRC NEW_SRC [--workload W] [--rounds N] [--quick] [--memory]
 
 OLD_SRC and NEW_SRC are directories holding an ``l1linf`` package (a
 checkout's ``src``).  Each package is loaded under its own module name,
@@ -17,17 +17,22 @@ rounds and the new side first in odd ones, since the first side of a pair
 can read slower.  Every path is timed on its own.  For each workload the
 tool prints each side's sum of per-path medians over the rounds, with its
 breakpoint count (the two sides do the same work only when these agree),
-and the ratio new / old.
+and the ratio new / old.  ``--memory`` adds, after the timed rounds, the
+bytes that ``tracemalloc`` sees held by one round of each side's paths
+(every path of the workload solved once and kept, as the benchmark's path
+round keeps them), on the side's line and as a ratio new / old.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +83,27 @@ def compare(packages: dict, workload, rounds: int) -> dict:
             for side in SIDES}
 
 
+def held_bytes(packages: dict, workload) -> dict:
+    """Bytes that tracemalloc sees held by one round of each side's paths;
+    garbage is collected before both readings, so only what the paths
+    keep reachable counts."""
+    out = {}
+    for side in SIDES:
+        jobs = _jobs(packages[side], workload)
+        solve = packages[side].solve_path
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            paths = [solve(inst, use_warm_starts=warm) for inst, warm in jobs]
+            gc.collect()
+            out[side] = tracemalloc.get_traced_memory()[0] - before
+            del paths
+        finally:
+            tracemalloc.stop()
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="source tree of the old side")
@@ -87,6 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=10,
                         help="rounds of each side (default 10)")
     parser.add_argument("--quick", action="store_true", help="the workloads' tiny sizes")
+    parser.add_argument("--memory", action="store_true",
+                        help="also the bytes held by one round of each side's paths")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -100,12 +128,17 @@ def main(argv=None) -> int:
     packages = {side: load_package(src.resolve(), f"l1linf_{side}")
                 for side, src in zip(SIDES, (args.old, args.new))}
     for name in names:
-        result = compare(packages, WORKLOADS[name](1, args.quick), args.rounds)
+        workload = WORKLOADS[name](1, args.quick)
+        result = compare(packages, workload, args.rounds)
+        held = held_bytes(packages, workload) if args.memory else None
         for side in SIDES:
             seconds, count = result[side]
-            print(f"{name} {side}: {seconds:.4f} s, {count} breakpoints")
+            memory = f", {held[side] / 1e6:.3f} MB held" if held else ""
+            print(f"{name} {side}: {seconds:.4f} s, {count} breakpoints{memory}")
         print(f"{name} new/old: {result['new'][0] / result['old'][0]:.3f} "
               f"({args.rounds} alternated rounds)")
+        if held:
+            print(f"{name} held new/old: {held['new'] / held['old']:.3f}")
     return 0
 
 

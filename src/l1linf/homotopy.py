@@ -151,15 +151,21 @@ def _entries(vector) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class SolutionPath:
     breakpoints: list[PathBreakpoint]
-    terminated: str                      # "target-reached" | "failure"
-    failure_reason: str | None = None
+    failure_reason: str | None = None    # None exactly when the path reached the target
     dual_iterations: int = 0
     primal_iterations: int = 0
-    retries: int = 0  # always 0: read by perfbench tracing, export stats, path fingerprints
     timing: dict = field(default_factory=dict)
     # how the path's kernel calls were solved, each non-empty call counted
     # once under its route (see KernelCounts)
     kernel: KernelCounts = field(default_factory=KernelCounts)
+    # no path retries a step (a zero step ends it): perfbench tracing, the
+    # export's stats and the path fingerprints read this constant
+    retries = 0
+
+    @property
+    def terminated(self) -> str:
+        """Read off failure_reason, which every exit above the target sets."""
+        return "failure" if self.failure_reason is not None else "target-reached"
 
     @property
     def x_final(self) -> np.ndarray:
@@ -260,7 +266,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
 
     if inst.delta >= delta0 * (1.0 - INIT_TIE_RTOL):
         sets = _build_sets(inst, x, y, inst.delta)
-        return SolutionPath([_origin(inst.delta, x, y, sets)], "target-reached")
+        return SolutionPath([_origin(inst.delta, x, y, sets)])
 
     # at x = 0, y = 0 the active rows are all i with |b_i| = ||b||_inf up
     # to a relative tie, and every other set is empty; signs holds the
@@ -272,7 +278,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
     signs[i_p] = np.sign(-inst.b[i_p])
     rows, cols = np.arange(m, dtype=np.int32), np.arange(n, dtype=np.int32)
     sets = _record(rows, cols, j_p, i_p, j_p, np.zeros(m, dtype=bool), signs[i_p])
-    path = SolutionPath([_origin(delta0, x, y, sets)], "failure")
+    path = SolutionPath([_origin(delta0, x, y, sets)])
     path.timing = {"dual_s": 0.0, "primal_s": 0.0}
     carry = InverseCarry()   # one kernel system and inverse follow the whole path
     path.kernel = carry.counts
@@ -313,8 +319,11 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
             else:
                 path.failure_reason = f"{stage} update failed at iteration {k}: {exc}"
             return path
+        # the primal update hands over no warm start exactly when it stopped
+        # at the target bound
+        at_target = primal_res.warm is None
         # theory rules out a zero step at an exact dual optimum, so one ends the path
-        if primal_res.t <= T_MIN and not primal_res.reached_target:
+        if primal_res.t <= T_MIN and not at_target:
             path.failure_reason = (
                 f"degenerate step at iteration {k}: t={primal_res.t:.3e} "
                 f"with delta_k={delta_k:.6e}")
@@ -323,7 +332,7 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
         t = float(primal_res.t)
         x, resid = primal_res.x, primal_res.resid
         y, col_y = dual_res.y, dual_res.col_y
-        delta_next = inst.delta if primal_res.reached_target else delta_k - t
+        delta_next = inst.delta if at_target else delta_k - t
         if delta_next < inst.delta + T_MIN * (1.0 + inst.delta):
             delta_next = inst.delta
         # J_P hands over the support of x: a column that the primal update
@@ -353,7 +362,6 @@ def solve_path(inst: ProblemInstance, use_warm_starts: bool = True,
                    "primal_iters": primal_res.iterations,
                    **{f"kernel_{key}": count for key, count in vars(path.kernel).items()}})
         if delta_next <= inst.delta:
-            path.terminated = "target-reached"
             return path
         delta_k = delta_next
         if use_warm_starts:

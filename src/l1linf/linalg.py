@@ -1,7 +1,8 @@
 """Dense linear algebra kernel: consistency-detecting solves for possibly
 rank-deficient systems, the products of A with a vector that lives on a
-few rows or columns, and the validated ``IndexSet`` tuple, which no path
-builds (a breakpoint records its sets in ``homotopy.IndexSets``).
+few rows or columns, and the validated ``IndexSet`` tuple: its two fields
+and the check made when it is built, nothing more.  No path builds one (a
+breakpoint records its sets in ``homotopy.IndexSets``).
 
 Everything here is deliberately dense and deterministic.  Matrices and
 vectors are plain numpy arrays of float64; ``as_matrix``/``as_vector``
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -114,11 +114,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 class IndexSet:
     """Strictly increasing 0-based positions inside a universe {0..universe-1}.
 
-    The package's validated, immutable index-set value, built from any
-    iterable of integers (an int array included) and kept as a tuple of
-    ints.  The solver builds none: it works on boolean masks and sorted
-    int arrays, and a breakpoint records its sets as read-only sorted int
-    arrays."""
+    The package's validated, immutable index-set value: ``indices`` is
+    built from any iterable of integers (an int array included) and kept
+    as a tuple of ints, and construction refuses anything else.  It offers
+    nothing beyond that check and its two fields.  The solver builds none:
+    it works on boolean masks and sorted int arrays, and a breakpoint
+    records its sets as read-only sorted int arrays."""
 
     indices: tuple[int, ...]
     universe: int
@@ -134,21 +135,6 @@ class IndexSet:
             raise ValueError("indices must be strictly increasing")
         if idx and (idx[0] < 0 or idx[-1] >= self.universe):
             raise ValueError(f"index out of range for universe {self.universe}")
-
-    @staticmethod
-    def from_mask(mask) -> "IndexSet":
-        mask = np.asarray(mask, dtype=bool)
-        return IndexSet(mask.nonzero()[0], mask.size)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.indices, dtype=np.intp)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
 
 
 @dataclass
@@ -206,9 +192,11 @@ class InverseCarry:
     kept from one kernel call to the next.
 
     S is the block itself for a square block and [M | rhs] for a (k+1) x k
-    block, which ``tall`` marks.  S keeps the block's own order: its rows
-    and columns follow ``rows`` and ``cols``, the sorted labels in A that
-    the ``Block`` names, and the rhs column of a tall S comes last.  S and
+    block: S is tall, holding the rhs column, exactly when it has more
+    rows than ``cols`` has labels, and ``follow`` and ``answer`` read that
+    off S's shape.  S keeps the block's own order: its rows and columns
+    follow ``rows`` and ``cols``, the sorted labels in A that the
+    ``Block`` names, and the rhs column of a tall S comes last.  S and
     H are contiguous arrays: ndarray.dot, which makes every product of the
     kernel, costs about twice as much on a strided view, and the
     subtraction of a rank-one update runs 3-5 times slower on one.
@@ -226,7 +214,6 @@ class InverseCarry:
 
     def clear(self) -> None:
         self.s = self.h = self.rows = self.cols = None
-        self.tall = False
         self._keys = (None, None)
 
     def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
@@ -235,7 +222,6 @@ class InverseCarry:
         labels are rows and cols; a last column of S beyond cols is the rhs
         column."""
         self.s, self.h, self.rows, self.cols = s, h, rows, cols
-        self.tall = s.shape[0] > cols.size
         self._keys = (rows.tobytes(), cols.tobytes())
 
     def follow(self, m: Block, rhs: np.ndarray) -> bool:
@@ -246,7 +232,7 @@ class InverseCarry:
             return False
         a, rows, cols = m.a, m.rows, m.cols
         size, k = m.shape
-        tall = size > k
+        tall, was_tall = size > k, self.s.shape[0] > self.cols.size
         # almost every block keeps the rows or the columns of A of the last
         # one (the same bytes), whose places then stand; the other side is
         # matched
@@ -258,7 +244,7 @@ class InverseCarry:
             return False
         rpos, p, i = rmatch
         _, q, j = cmatch
-        if tall != self.tall:
+        if tall != was_tall:
             # a second change on the columns takes a fresh factor
             if (j if tall else q) >= 0:
                 self.clear()
@@ -277,7 +263,7 @@ class InverseCarry:
         if change == (False, True, False, True):    # a bordering by row i, column j
             col = a[self.rows, cols[j]] if j < k else rhs[rpos]
             row = a[rows[i]].take(self.cols)
-            if self.tall:
+            if was_tall:
                 row = np.append(row, rhs[i])
             corner = a[rows[i], cols[j]] if j < k else rhs[i]
             ok = self._border(col, row, corner, i, j)
@@ -294,7 +280,7 @@ class InverseCarry:
         if not ok:
             self.clear()
             return False
-        self.rows, self.cols, self.tall, self._keys = rows, cols, tall, keys
+        self.rows, self.cols, self._keys = rows, cols, keys
         return True
 
     def _border(self, col: np.ndarray, row: np.ndarray, corner: float,
@@ -353,7 +339,8 @@ class InverseCarry:
         it is not finite or the refinement moved it by more than
         DRIFT_RTOL."""
         s, h = self.s, self.h
-        if self.tall:
+        tall = s.shape[0] > k
+        if tall:
             # S^T u = e_last, that is M^T u = 0 and rhs^T u = 1
             u = h[-1]
             g = u.dot(s)
@@ -367,7 +354,7 @@ class InverseCarry:
         size = _max_abs(u)
         if carried and not (math.isfinite(size) and _max_abs(du) <= DRIFT_RTOL * size):
             return None
-        if not self.tall:   # a square block's w, and so its z, is 0
+        if not tall:   # a square block's w, and so its z, is 0
             resid = _max_abs(s.dot(u) - rhs)
             ok, _ = _passes(resid, 1.0, rhs)
             return SolveReport(u if ok else None, resid, ok, SolveReport(None, 1.0, False))

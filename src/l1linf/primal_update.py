@@ -87,7 +87,6 @@ class PrimalUpdateResult:
     warm: tuple[np.ndarray, np.ndarray] | None
     I_P: np.ndarray            # row mask, length m
     J_P: np.ndarray            # column mask, length n
-    reached_target: bool
     iterations: int
     signs: np.ndarray          # full m, the update's own copy; the residual signs on I_P
     resid: np.ndarray          # A x - b, carried through the update
@@ -233,5 +232,5 @@ def primal_update(ctx: PrimalContext, trace=None) -> PrimalUpdateResult:
     start_point(face, xi, ctx.warm)
     xi, support, active, warm, iterations = run_active_set(
         face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm, trace)
-    return PrimalUpdateResult(xi, face.tau, warm, active, support, warm is None,
-                              iterations, face.signs, face.resid)
+    return PrimalUpdateResult(xi, face.tau, warm, active, support, iterations,
+                              face.signs, face.resid)

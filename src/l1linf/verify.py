@@ -45,7 +45,7 @@ def _path_checks(inst: ProblemInstance, path: SolutionPath, pair_tol: float,
         "set-containments": None, "path-linearity": None,
     }
     if path.terminated != "target-reached":
-        out["termination"] = path.failure_reason or "did not reach the target"
+        out["termination"] = path.failure_reason
         return out
     if len(path.breakpoints) - 1 > 20 * (inst.m + inst.n):
         out["termination"] = "breakpoint count exceeds 20(m+n)"

@@ -446,10 +446,10 @@ def test_carried_state_matches_fresh_products(monkeypatch):
 
     def handed_over(res):
         # the product of the warm pair an update hands to the next: the
-        # pair comes whole, and only the primal at the target bound hands
+        # pair comes whole, and only the primal, at the target bound, hands
         # over none
         if res.warm is None:
-            assert res.reached_target
+            assert isinstance(res, primal_mod.PrimalUpdateResult)
             return None
         assert all(v is not None for v in res.warm)
         return res.warm[1]
@@ -503,7 +503,7 @@ def test_a_warm_one_step_breakpoint_forms_two_products_with_a(monkeypatch):
 
     def primal(ctx, **kwargs):
         res = primal_update(ctx, **kwargs)
-        breakpoints[-1]["target"] = res.reached_target
+        breakpoints[-1]["target"] = res.warm is None
         return res
 
     dual_update, primal_update = homotopy.dual_update, homotopy.primal_update
@@ -747,6 +747,40 @@ def test_solve_path_on_a_ternary_draw_that_sticks(warm):
     assert path.terminated == "target-reached", path.failure_reason
     if abs(path.objective - ref.value) > 1e-9 * (1.0 + abs(ref.value)):
         pytest.fail(f"objective {path.objective!r} against the simplex's {ref.value!r}")
+
+
+def _below_least_feasible_bound():
+    rng = np.random.default_rng(58)
+    return ProblemInstance(rng.standard_normal((12, 4)), 2 * rng.standard_normal(12), 0.0)
+
+
+# each exit of solve_path: (instance, solve_path options, whether it reaches
+# the target, the start of its failure reason)
+SOLVE_PATH_EXITS = {
+    "target-warm": (pinned_gaussian, {}, True, None),
+    "target-cold": (pinned_gaussian, {"use_warm_starts": False}, True, None),
+    "no-step": (lambda: ProblemInstance(np.eye(2), [1.0, -2.0], 2.0), {}, True, None),
+    "iteration-cap": (pinned_gaussian, {"max_iters": 1}, False, "homotopy iteration cap 1"),
+    "below-feasible": (_below_least_feasible_bound, {}, False, "target delta=0 is below"),
+    "degenerate-warm": (lambda: TERNARY_STOP, {}, False, "degenerate step at iteration 1"),
+    "degenerate-cold": (lambda: TERNARY_STOP, {"use_warm_starts": False}, False,
+                        "degenerate step at iteration 1"),
+}
+
+
+@pytest.mark.parametrize("exit_name", list(SOLVE_PATH_EXITS))
+def test_each_exit_sets_a_failure_reason_exactly_when_it_misses_the_target(exit_name):
+    # ``terminated`` reads "target-reached" exactly when failure_reason is
+    # None, so an exit that stops above the target must give a reason
+    make, options, reaches, reason = SOLVE_PATH_EXITS[exit_name]
+    inst = make()
+    path = solve_path(inst, **options)
+    reached = path.breakpoints[-1].delta_k == inst.delta
+    assert reached == reaches, path.failure_reason
+    assert (path.failure_reason is None) == reached
+    assert path.terminated == ("target-reached" if reached else "failure")
+    if reason is not None:
+        assert path.failure_reason.startswith(reason), path.failure_reason
 
 
 def test_kernel_counts_reach_the_trace_but_not_the_export():

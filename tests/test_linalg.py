@@ -14,32 +14,26 @@ from test_homotopy import pinned_gaussian, pinned_small
 
 
 def test_indexset_validation():
-    IndexSet((0, 2, 5), 6)
-    with pytest.raises(ValueError):
-        IndexSet((2, 2), 5)
-    with pytest.raises(ValueError):
-        IndexSet((3, 1), 5)
-    with pytest.raises(ValueError):
-        IndexSet((0, 7), 5)
-    # non-integral indices are refused, not truncated
-    for bad in ([0.5, 1.7], np.array([0.9, 2.2]), [True, 2]):
-        with pytest.raises(ValueError):
+    # the class offers its two fields and the check made when it is built:
+    # a tuple and an int array of the same positions give the same value
+    from_tuple = IndexSet((0, 2, 5), 6)
+    from_array = IndexSet(np.array([0, 2, 5], dtype=np.intp), 6)
+    assert from_tuple == from_array
+    assert from_array.indices == (0, 2, 5) and from_array.universe == 6
+    assert all(type(i) is int for i in from_array.indices)
+    assert IndexSet((), 0).indices == ()
+    # non-integral indices and bools are refused, not truncated
+    for bad in ([0.5, 1.7], np.array([0.9, 2.2]), [True, 2], np.array([False, True])):
+        with pytest.raises(ValueError, match="integers"):
             IndexSet(bad, 5)
-    # int arrays are checked like tuples
-    with pytest.raises(ValueError):
-        IndexSet(np.array([3, 1]), 5)
-    with pytest.raises(ValueError):
-        IndexSet(np.array([0, 5]), 5)
-    assert IndexSet(np.array([0, 2], dtype=np.intp), 5).indices == (0, 2)
-
-
-def test_indexset_from_mask_len_and_iteration():
-    s = IndexSet.from_mask(np.array([False, True, False, True, False]))
-    assert s.indices == (1, 3) and s.universe == 5
-    assert len(s) == 2 and list(s) == [1, 3]
-    np.testing.assert_array_equal(s.array, [1, 3])
-    assert s.array.dtype == np.intp
-    assert IndexSet(np.array([1, 3]), 5) == s
+    # a repeated or decreasing index, as a tuple or an int array
+    for bad in ((2, 2), (3, 1), np.array([3, 1])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            IndexSet(bad, 5)
+    # an index outside {0..universe-1}
+    for bad in ((0, 7), np.array([0, 5]), (-1, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            IndexSet(bad, 5)
 
 
 PRODUCT_RTOL = 1e-13    # a sum of fewer float64 terms, in another order

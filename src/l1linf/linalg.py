@@ -160,14 +160,17 @@ class SolveReport:
 class KernelCounts:
     """How the kernel systems of one path were solved: answers served by
     the carried inverse, fresh inverses after a passed rank test, carried
-    answers refused by the refinement test, and non-empty blocks sent to
-    the SVD (rank test failed, wide, or taller than k+1).  So updates +
-    fresh + svd counts every non-empty kernel call."""
+    answers refused by the refinement test, non-empty blocks sent to the
+    SVD (rank test failed, wide, or taller than k+1), and systems answered
+    by a stored report, since the carry already answered them as one of
+    its last two (see ``InverseCarry``).  So updates + fresh + svd +
+    reused counts every non-empty kernel call."""
 
     updates: int = 0
     fresh: int = 0
     drift: int = 0
     svd: int = 0
+    reused: int = 0
 
 
 class Block:
@@ -206,6 +209,16 @@ class InverseCarry:
     shifts rows and columns in place (``_move``) so that S keeps the
     block's order.  Any other change, new values in the rhs column
     included, clears them, so the system is gathered and factored afresh.
+
+    The carry also holds the reports of the last two systems it answered
+    (``answered``, the latest last), each keyed by its matrix, the bytes
+    of its row and column labels and its rhs, of which it keeps a
+    reference that, like a Block's labels, must not change afterwards.
+    Without warm starts the two subproblems of a breakpoint ask for the
+    same block with the same rhs, one reading each Fredholm alternative,
+    and ``solve_consistent`` hands such a system its stored report, which
+    was computed and tested against exactly that system, without touching
+    S or H.  ``clear`` drops the reports with S and H.
     """
 
     def __init__(self):
@@ -215,19 +228,20 @@ class InverseCarry:
     def clear(self) -> None:
         self.s = self.h = self.rows = self.cols = None
         self._keys = (None, None)
+        self.answered = (None, None)
 
     def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
-              cols: np.ndarray) -> None:
+              cols: np.ndarray, keys: tuple[bytes, bytes]) -> None:
         """Carry S and H = S^-1, the system of the block whose sorted
-        labels are rows and cols; a last column of S beyond cols is the rhs
-        column."""
-        self.s, self.h, self.rows, self.cols = s, h, rows, cols
-        self._keys = (rows.tobytes(), cols.tobytes())
+        labels are rows and cols, with the bytes of each as keys; a last
+        column of S beyond cols is the rhs column."""
+        self.s, self.h, self.rows, self.cols, self._keys = s, h, rows, cols, keys
 
-    def follow(self, m: Block, rhs: np.ndarray) -> bool:
-        """Update S and H to the system of (m, rhs); the rhs column joins
-        as column k or leaves as the last column.  Returns False, and
-        clears, when no update applies or an update's pivot is too small."""
+    def follow(self, m: Block, rhs: np.ndarray, keys: tuple[bytes, bytes]) -> bool:
+        """Update S and H to the system of (m, rhs), whose row and column
+        labels have the bytes keys; the rhs column joins as column k or
+        leaves as the last column.  Returns False, and clears, when no
+        update applies or an update's pivot is too small."""
         if self.h is None:
             return False
         a, rows, cols = m.a, m.rows, m.cols
@@ -236,7 +250,6 @@ class InverseCarry:
         # almost every block keeps the rows or the columns of A of the last
         # one (the same bytes), whose places then stand; the other side is
         # matched
-        keys = (rows.tobytes(), cols.tobytes())
         rmatch = (None, -1, -1) if keys[0] == self._keys[0] else _match(rows, self.rows)
         cmatch = (None, -1, -1) if keys[1] == self._keys[1] else _match(cols, self.cols)
         if rmatch is None or cmatch is None:
@@ -460,7 +473,11 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     With ``carry``, which takes a Block only, S and H are brought to this
     block by an O(k^2) update when it differs from the last square system
     by one column or one border (see ``InverseCarry``); new values in the
-    rhs column of a (k+1) x k block take a fresh factor.  Each answer gets one
+    rhs column of a (k+1) x k block take a fresh factor.  A system that the
+    carry answered as one of its last two, the same matrix, labels and rhs
+    bytes, gets that stored report back, and S and H stay as they are; the
+    carry keeps a reference to rhs, which, like the Block's labels, must
+    not change afterwards.  Each answer gets one
     step of iterative refinement against S; a carried answer that the
     refinement moves by more than DRIFT_RTOL is refused for a fresh
     factor.  Every other block (wide, empty, taller than k+1, or a system
@@ -472,12 +489,13 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     ||residual||_inf <= CONSISTENCY_TOL * (1 + ||right-hand side||_inf).
     Repeated calls on identical inputs without a carry are bit-for-bit
     reproducible; a carried answer depends on the earlier blocks of its
-    path through rounding only.
+    path through rounding only.  A returned report may be handed out again,
+    so its caller must not edit it.
     """
     if isinstance(m, Block):
-        rows, cols = m.rows, m.cols
+        a, rows, cols = m.a, m.rows, m.cols
     elif carry is None:
-        m = as_matrix(m, "M")
+        a = m = as_matrix(m, "M")
         rows, cols = np.arange(m.shape[0]), np.arange(m.shape[1])
     else:
         raise TypeError("a carried solve takes a Block, whose labels name its system")
@@ -488,7 +506,7 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     if cols_n and rows_n - cols_n in (0, 1):
         if carry is None:   # a stateless call factors afresh in a carry of its own
             carry = InverseCarry()
-        report = _square_solve(m, rhs, carry, rows, cols)
+        report = _square_solve(m, a, rhs, carry, rows, cols)
         if report is not None:
             return report
     elif carry is not None and rows_n and cols_n:  # a wide block, or one taller than k+1
@@ -506,26 +524,39 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
                        SolveReport(z if z_ok else None, z_resid, z_ok))
 
 
-def _square_solve(m, rhs: np.ndarray, carry: InverseCarry, rows: np.ndarray,
-                  cols: np.ndarray) -> SolveReport | None:
-    """The report of a square or (k+1) x k block from the inverse of its
-    square system S, or None when S fails the rank test."""
+def _square_solve(m, a: np.ndarray, rhs: np.ndarray, carry: InverseCarry,
+                  rows: np.ndarray, cols: np.ndarray) -> SolveReport | None:
+    """The report of a square or (k+1) x k block of the matrix a: the
+    stored one when the carry answered this system as one of its last two,
+    else from the inverse of its square system S; None when S fails the
+    rank test."""
     counts, k = carry.counts, cols.size
-    if carry.follow(m, rhs):
+    keys = (rows.tobytes(), cols.tobytes())
+    for held in carry.answered:
+        # labels first, so a path that repeats no block reads no rhs bytes
+        if held is not None and held[0] is a and held[1] == keys \
+                and held[2].tobytes() == rhs.tobytes():
+            counts.reused += 1
+            return held[3]
+    report = None
+    if carry.follow(m, rhs, keys):
         report = carry.answer(rhs, k, carried=True)
         if report is not None:
             counts.updates += 1
-            return report
-        counts.drift += 1
-    s = np.array(m) if rows.size == k else np.column_stack((m, rhs))
-    diag = np.abs(np.diagonal(np.linalg.qr(s, mode="r")))
-    if not diag.min() > QR_RANK_RTOL * diag.max():
-        counts.svd += 1
-        carry.clear()
-        return None
-    carry.start(s, np.linalg.inv(s), rows, cols)
-    counts.fresh += 1
-    return carry.answer(rhs, k, carried=False)
+        else:
+            counts.drift += 1
+    if report is None:
+        s = np.array(m) if rows.size == k else np.column_stack((m, rhs))
+        diag = np.abs(np.diagonal(np.linalg.qr(s, mode="r")))
+        if not diag.min() > QR_RANK_RTOL * diag.max():
+            counts.svd += 1
+            carry.clear()
+            return None
+        carry.start(s, np.linalg.inv(s), rows, cols, keys)
+        counts.fresh += 1
+        report = carry.answer(rhs, k, carried=False)
+    carry.answered = (carry.answered[1], (a, keys, rhs, report))
+    return report
 
 
 def _svd_solve(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

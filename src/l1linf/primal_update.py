@@ -97,15 +97,17 @@ def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
     """Ascent direction (with the t component fixed at 1): solve
     A^{I_P}_{J_P} d_{J_P} = -signs_{I_P}, zero elsewhere, with the block
     passed as a ``Block`` of A, which the kernel gathers only when it
-    factors afresh.  Returns the kernel's report with its solution
-    embedded in R^n; its ``alternative``, the other Fredholm alternative,
-    is what ``primal_multipliers`` reads when no direction exists."""
+    factors afresh.  Returns the kernel's report, or, when a direction
+    exists, a new report of its solution embedded in R^n, since the kernel
+    may hand the same report out again; its ``alternative``, the other
+    Fredholm alternative, is what ``primal_multipliers`` reads when no
+    direction exists."""
     kernel = solve_consistent(Block(ctx.A, I_P, J_P), -signs[I_P], carry=ctx.carry)
-    if kernel.consistent:
-        d = np.zeros(ctx.A.shape[1])
-        d[J_P] = kernel.solution
-        kernel.solution = d
-    return kernel
+    if not kernel.consistent:
+        return kernel
+    d = np.zeros(ctx.A.shape[1])
+    d[J_P] = kernel.solution
+    return SolveReport(d, kernel.residual_norm, True, kernel.alternative)
 
 
 def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,

@@ -1,29 +1,61 @@
 """``tools/ab_paths.py`` run A/A on this tree at the workloads' tiny sizes."""
 
+import importlib.util
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from l1linf import ProblemInstance, solve_path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_paths.py"
+SIDE = (r"small-many (old|new): ([0-9.]+) s, (\d+) breakpoints, "
+        r"kernel ((?:\w+=\d+ ?)+)")
+
+
+def _run(*args):
+    src = str(ROOT / "src")
+    return subprocess.run([sys.executable, str(TOOL), src, src, "--quick",
+                           "--workload", "small-many", *args],
+                          capture_output=True, text=True, timeout=120, check=True).stdout
 
 
 def test_ab_paths_runs_a_against_a():
-    src = str(ROOT / "src")
-    out = subprocess.run([sys.executable, str(TOOL), src, src, "--quick", "--rounds", "2",
-                          "--workload", "small-many", "--memory"],
-                         capture_output=True, text=True, timeout=120, check=True).stdout
-    lines = out.splitlines()
-    sides = [re.fullmatch(r"small-many (old|new): ([0-9.]+) s, (\d+) breakpoints, "
-                          r"([0-9.]+) MB held", line)
-             for line in lines[:2]]
+    lines = _run("--rounds", "2", "--memory").splitlines()
+    sides = [re.fullmatch(SIDE + r", ([0-9.]+) MB held", line) for line in lines[:2]]
     assert [m.group(1) for m in sides] == ["old", "new"]
     # the same tree does the same work, and holds about as many bytes, on both sides
     assert sides[0].group(3) == sides[1].group(3) != "0"
-    held = [float(m.group(4)) for m in sides]
+    assert sides[0].group(4) == sides[1].group(4)
+    held = [float(m.group(5)) for m in sides]
     assert held[0] > 0.0 and abs(held[1] - held[0]) <= 0.01 * held[0]
     ratio = re.fullmatch(r"small-many new/old: ([0-9.]+) \(2 alternated rounds\)", lines[2])
     assert ratio and float(ratio.group(1)) > 0.0
     held_ratio = re.fullmatch(r"small-many held new/old: ([0-9.]+)", lines[3])
     assert held_ratio and abs(float(held_ratio.group(1)) - 1.0) <= 0.01 and len(lines) == 4
+
+
+def test_ab_paths_sums_each_sides_kernel_counts():
+    # each side's line carries the kernel counts of one round of its
+    # paths, warm and cold, summed route by route
+    lines = _run("--rounds", "1").splitlines()
+    sides = [re.fullmatch(SIDE, line) for line in lines[:2]]
+    shown = [dict((route, int(calls)) for route, calls in
+                  (pair.split("=") for pair in m.group(4).split())) for m in sides]
+    spec = importlib.util.spec_from_file_location("ab_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads     # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    expected = Counter()
+    for case in workloads.WORKLOADS["small-many"](1, True).cases:
+        for warm in (True, False):
+            path = solve_path(ProblemInstance(case.A, case.b, case.delta), use_warm_starts=warm)
+            expected.update(vars(path.kernel))
+    assert shown[0] == shown[1] == dict(expected)
+    # the cold paths ask again for systems the carry has just answered
+    assert shown[0]["reused"] > 0 and shown[0]["updates"] > 0

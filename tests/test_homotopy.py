@@ -421,8 +421,8 @@ def test_carried_state_matches_fresh_products(monkeypatch):
     follows, errors = [], []
     follow = InverseCarry.follow
 
-    def checked_follow(self, m, rhs):
-        if not follow(self, m, rhs):
+    def checked_follow(self, m, rhs, keys):
+        if not follow(self, m, rhs, keys):
             return False
         s = np.asarray(m)
         s = s if s.shape[0] == s.shape[1] else np.column_stack((s, rhs))
@@ -594,13 +594,24 @@ LOOP_GLUE_CALLS_PER_BREAKPOINT = 14
 # update formed its start product and its warm product afresh, 229.5 and
 # 244.4 when blocks below 12 columns took the SVD
 CALLS_PER_BREAKPOINT = 217
+# without warm starts: 300.1 on pinned_gaussian and 298.4 on pinned_small
+# measured; 456.8 and 442.0 when the carried inverse answered again each
+# system that the other face had just asked for
+COLD_CALLS_PER_BREAKPOINT = 302
+# the kernel counts of the two cold paths: as many carried updates as on
+# their warm paths, and each system asked for again answered by its
+# stored report (367 and 97 updates when the carry solved it again)
+COLD_KERNEL_COUNTS = {
+    "gaussian": {"updates": 122, "fresh": 1, "drift": 0, "svd": 0, "reused": 245},
+    "small": {"updates": 32, "fresh": 1, "drift": 0, "svd": 0, "reused": 65},
+}
 
 
-def _profiled_calls(inst):
-    """solve_path(inst) under sys.setprofile: the path, the Python and C
-    calls made outside the two updates (contexts, timers, the record and
-    the breakpoint) before the first update and in all, and all its calls.
-    Operators and ufuncs make no profile event."""
+def _profiled_calls(inst, warm=True):
+    """solve_path(inst, use_warm_starts=warm) under sys.setprofile: the
+    path, the Python and C calls made outside the two updates (contexts,
+    timers, the record and the breakpoint) before the first update and in
+    all, and all its calls.  Operators and ufuncs make no profile event."""
     updates = {homotopy.dual_update.__code__, homotopy.primal_update.__code__}
     glue = calls = inside = 0
     setup = None
@@ -618,7 +629,7 @@ def _profiled_calls(inst):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        path = solve_path(inst)
+        path = solve_path(inst, use_warm_starts=warm)
     finally:
         sys.setprofile(previous)
     assert path.terminated == "target-reached" and inside == 0
@@ -638,6 +649,14 @@ def test_a_breakpoint_stays_within_its_call_budget(inst):
     # the driver, both updates and the kernel together
     path, _, _, calls = _profiled_calls(inst)
     assert calls <= CALLS_PER_BREAKPOINT * (len(path.breakpoints) - 1), calls
+
+
+@pytest.mark.parametrize("inst,name", [(pinned_gaussian(), "gaussian"), (pinned_small(), "small")],
+                         ids=["gaussian", "small"])
+def test_a_cold_breakpoint_stays_within_its_call_budget(inst, name):
+    path, _, _, calls = _profiled_calls(inst, warm=False)
+    assert calls <= COLD_CALLS_PER_BREAKPOINT * (len(path.breakpoints) - 1), calls
+    assert vars(path.kernel) == COLD_KERNEL_COUNTS[name]
 
 
 def _zero_step_at(monkeypatch, iteration):
@@ -789,7 +808,8 @@ def test_kernel_counts_reach_the_trace_but_not_the_export():
     path = solve_path(inst, trace=records.append)
     counts = path.kernel
     assert counts.updates > 0 and counts.fresh >= 1
-    shown = {key: records[-1][f"kernel_{key}"] for key in ("updates", "fresh", "drift", "svd")}
+    shown = {key: records[-1][f"kernel_{key}"]
+             for key in ("updates", "fresh", "drift", "svd", "reused")}
     assert shown == dataclasses.asdict(counts)
     assert "kernel" not in export_to_json(path_to_export(inst, path))
 

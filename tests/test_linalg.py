@@ -244,7 +244,7 @@ def _rel_close(a, b, scale):
     return np.linalg.norm(a - b) <= 1e-10 * scale
 
 
-def _path_blocks(monkeypatch, inst):
+def _path_blocks(monkeypatch, inst, warm=True):
     """The (block, rhs) of every kernel call of inst's path, in order."""
     blocks = []
 
@@ -254,25 +254,58 @@ def _path_blocks(monkeypatch, inst):
     with monkeypatch.context() as patch:
         patch.setattr(dual_update, "solve_consistent", capture)
         patch.setattr(primal_update, "solve_consistent", capture)
-        path = solve_path(inst)
+        path = solve_path(inst, use_warm_starts=warm)
     assert path.terminated == "target-reached"
     return path, blocks
 
 
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
 @pytest.mark.parametrize("inst", [pinned_gaussian(), pinned_small()], ids=["gaussian", "small"])
-def test_kernel_counts_cover_every_call_of_a_path(monkeypatch, inst):
-    # every non-empty block of a path is counted once, and none takes an SVD
+def test_kernel_counts_cover_every_call_of_a_path(monkeypatch, inst, warm):
+    # every non-empty block of a path is counted once, and none takes an
+    # SVD; only a cold path asks again for a system it just asked for
     svd, svd_calls = np.linalg.svd, []
 
     def counting_svd(*args, **kwargs):
         svd_calls.append(1)
         return svd(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    path, blocks = _path_blocks(monkeypatch, inst)
+    path, blocks = _path_blocks(monkeypatch, inst, warm)
     counts = path.kernel
-    assert counts.updates + counts.fresh + counts.svd \
+    assert counts.updates + counts.fresh + counts.svd + counts.reused \
         == sum(m.shape[0] * m.shape[1] > 0 for m, _ in blocks) > 0
+    assert (counts.reused > 0) != warm
     assert svd_calls == []
+
+
+def _report_fields(report):
+    """Copies of every field of a report and of its alternative."""
+    return [(None if r.solution is None else r.solution.copy(), r.residual_norm, r.consistent)
+            for r in (report, report.alternative)]
+
+
+def test_reports_stay_as_the_kernel_returned_them(monkeypatch):
+    # a cold path hands some reports out twice, so no caller may edit one:
+    # every report of the path is at its end what the kernel returned, and
+    # answers its own system as the stateless kernel does
+    returned = []
+
+    def capture(m, rhs, **kwargs):
+        report = solve_consistent(m, rhs, **kwargs)
+        returned.append((m, rhs, report, _report_fields(report)))
+        return report
+    monkeypatch.setattr(dual_update, "solve_consistent", capture)
+    monkeypatch.setattr(primal_update, "solve_consistent", capture)
+    path = solve_path(pinned_small(), use_warm_starts=False)
+    assert path.terminated == "target-reached" and path.kernel.reused > 0
+    assert len({id(report) for _, _, report, _ in returned}) \
+        == len(returned) - path.kernel.reused
+    for m, rhs, report, snapshot in returned:
+        for (sol, resid, ok), (ref_sol, ref_resid, ref_ok) in zip(_report_fields(report),
+                                                                    snapshot):
+            assert (resid, ok) == (ref_resid, ref_ok)
+            assert (sol is None and ref_sol is None) or np.array_equal(sol, ref_sol)
+        _assert_same_report(report, solve_consistent(m, rhs), rhs)
 
 
 def test_qr_branch_replays_the_svd_branch_on_a_path(monkeypatch):
@@ -492,8 +525,35 @@ def test_new_rhs_values_take_a_fresh_factor():
     carry = InverseCarry()
     steps = [(rows, cols, signs), (rows, cols, flipped)]
     for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
-        assert vars(carry.counts) == {"updates": 0, "fresh": step + 1, "drift": 0, "svd": 0}
+        assert vars(carry.counts) == {"updates": 0, "fresh": step + 1, "drift": 0, "svd": 0,
+                                      "reused": 0}
         _assert_same_report(rep, solve_consistent(m, rhs), rhs)
+
+
+def test_the_last_two_systems_answered_get_their_reports_back():
+    # as a cold primal face asks for the dual face's last tall and square
+    # systems again: each comes back as the report the carry stored, found
+    # by its labels and rhs bytes, and S and H stay as they are
+    rng = np.random.default_rng(21)
+    k = 12 + 2
+    a, rhs = rng.standard_normal((30, 40)), rng.standard_normal(k + 1)
+    tall, square = Block(a, np.arange(k + 1), np.arange(k)), Block(a, np.arange(k), np.arange(k))
+    carry = InverseCarry()
+    first = solve_consistent(tall, rhs, carry=carry)
+    second = solve_consistent(square, rhs[:k], carry=carry)
+    s, h = carry.s, carry.h
+    assert solve_consistent(tall, rhs.copy(), carry=carry) is first
+    assert solve_consistent(square, rhs[:k].copy(), carry=carry) is second
+    assert carry.s is s and carry.h is h
+    assert vars(carry.counts) == {"updates": 1, "fresh": 1, "drift": 0, "svd": 0, "reused": 2}
+    # new rhs values are a new system; the tall one is then three systems back
+    third = solve_consistent(square, -rhs[:k], carry=carry)
+    assert third is not second and carry.counts.updates == 2
+    assert solve_consistent(tall, rhs, carry=carry) is not first
+    assert vars(carry.counts) == {"updates": 3, "fresh": 1, "drift": 0, "svd": 0, "reused": 2}
+    carry.clear()
+    assert solve_consistent(tall, rhs, carry=carry) is not first
+    assert carry.counts.fresh == 2 and carry.counts.reused == 2
 
 
 def test_a_replaced_row_takes_a_fresh_factor():
@@ -506,7 +566,8 @@ def test_a_replaced_row_takes_a_fresh_factor():
     steps = [(rows, cols, signs), (rows[:3] + rows[4:] + [25], cols, signs)]
     carry = InverseCarry()
     for step, (m, rhs, rep) in enumerate(_carried_steps(a, steps, carry)):
-        assert vars(carry.counts) == {"updates": 0, "fresh": step + 1, "drift": 0, "svd": 0}
+        assert vars(carry.counts) == {"updates": 0, "fresh": step + 1, "drift": 0, "svd": 0,
+                                      "reused": 0}
         _assert_same_report(rep, solve_consistent(m, rhs), rhs)
 
 
@@ -535,7 +596,7 @@ def test_near_singular_square_system_takes_the_svd(monkeypatch, tall):
     solve_consistent(Block(a, rows, first), rhs, carry=carry)
     rep = solve_consistent(Block(a, rows, second), rhs, carry=carry)
     assert calls == [m.shape, m.shape]
-    assert vars(carry.counts) == {"updates": 0, "fresh": 1, "drift": 0, "svd": 1}
+    assert vars(carry.counts) == {"updates": 0, "fresh": 1, "drift": 0, "svd": 1, "reused": 0}
     assert carry.h is None
     assert rep.consistent == ref.consistent and rep.residual_norm == ref.residual_norm
     assert rep.alternative.consistent == ref.alternative.consistent
@@ -558,22 +619,27 @@ def test_update_to_a_singular_system_is_refused_without_warnings(monkeypatch):
         assert not rep.consistent and rep.alternative.consistent
         # the next call starts fresh rather than from a refused update
         solve_consistent(Block(a, rows, first), rhs, carry=carry)
-    assert vars(carry.counts) == {"updates": 0, "fresh": 2, "drift": 0, "svd": 1}
+    assert vars(carry.counts) == {"updates": 0, "fresh": 2, "drift": 0, "svd": 1, "reused": 0}
 
 
 def test_refinement_corrects_a_small_drift_and_refuses_a_large_one():
     rng = np.random.default_rng(19)
     k = 12 + 3
     m, rhs, labels = rng.standard_normal((k, k)), rng.standard_normal(k), np.arange(k)
-    ref = solve_consistent(m, rhs)
     block = Block(m, labels, labels)
     carry = InverseCarry()
     solve_consistent(block, rhs, carry=carry)
+    # each call brings new rhs values, so the carry answers it rather than
+    # handing back a stored report
+    rhs = rng.standard_normal(k)
+    ref = solve_consistent(m, rhs)
     carry.h *= 1.0 + 1e-11                      # within DRIFT_RTOL: kept, refined
     rep = solve_consistent(block, rhs, carry=carry)
     assert carry.counts.updates == 1
     assert np.linalg.norm(rep.solution - ref.solution) <= 1e-12 * np.linalg.norm(ref.solution)
+    rhs = rng.standard_normal(k)
+    ref = solve_consistent(m, rhs)
     carry.h *= 1.0 + 1e-8                       # beyond it: a fresh factor
     rep = solve_consistent(block, rhs, carry=carry)
-    assert vars(carry.counts) == {"updates": 1, "fresh": 2, "drift": 1, "svd": 0}
+    assert vars(carry.counts) == {"updates": 1, "fresh": 2, "drift": 1, "svd": 0, "reused": 0}
     _assert_same_report(rep, ref, rhs)

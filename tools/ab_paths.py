@@ -17,10 +17,14 @@ rounds and the new side first in odd ones, since the first side of a pair
 can read slower.  ``--rounds`` defaults to 30: on a shared 2-vCPU host,
 30-round A/A controls on ``gauss-deep`` stayed within 0.996-1.028, so a
 default run resolves a 5% difference, where 10-round A/B runs of code
-about 1% apart read anywhere in 0.945-1.088.  Every path is timed on its own.  For each workload the
-tool prints each side's sum of per-path medians over the rounds, with its
-breakpoint count (the two sides do the same work only when these agree),
-and the ratio new / old.  ``--memory`` adds, after the timed rounds, the
+about 1% apart read anywhere in 0.945-1.088.  Every path is timed on its
+own.  For each workload the tool prints each side's sum of per-path
+medians over the rounds, with its breakpoint count (the two sides do the
+same work only when these agree) and its kernel counts summed over one
+round of its paths (``SolutionPath.kernel``, each route as
+``route=count``, the routes the side's own package counts), so a run
+shows the work that a change saves, and the ratio new / old.
+``--memory`` adds, after the timed rounds, the
 bytes that ``tracemalloc`` sees held by one round of each side's paths
 (every path of the workload solved once and kept, as the benchmark's path
 round keeps them), on the side's line and as a ratio new / old.
@@ -36,6 +40,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,10 +74,12 @@ def _jobs(package, workload):
 
 def compare(packages: dict, workload, rounds: int) -> dict:
     """Alternated rounds over a workload; returns each side's sum of
-    per-path medians and breakpoint count."""
+    per-path medians, breakpoint count and kernel counts summed over its
+    paths (route: count)."""
     jobs = {side: _jobs(packages[side], workload) for side in SIDES}
     times = {side: [[] for _ in jobs[side]] for side in SIDES}
     breakpoints = dict.fromkeys(SIDES, 0)
+    kernel = {side: Counter() for side in SIDES}
     for r in range(rounds):
         for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
             solve = packages[side].solve_path
@@ -82,7 +89,9 @@ def compare(packages: dict, workload, rounds: int) -> dict:
                 samples.append(time.perf_counter() - tick)
                 if r == 0:
                     breakpoints[side] += len(path.breakpoints) - 1
-    return {side: (sum(statistics.median(s) for s in times[side]), breakpoints[side])
+                    kernel[side].update(vars(path.kernel))
+    return {side: (sum(statistics.median(s) for s in times[side]), breakpoints[side],
+                   dict(kernel[side]))
             for side in SIDES}
 
 
@@ -136,9 +145,11 @@ def main(argv=None) -> int:
         result = compare(packages, workload, args.rounds)
         held = held_bytes(packages, workload) if args.memory else None
         for side in SIDES:
-            seconds, count = result[side]
+            seconds, count, kernel = result[side]
+            routes = " ".join(f"{route}={calls}" for route, calls in kernel.items())
             memory = f", {held[side] / 1e6:.3f} MB held" if held else ""
-            print(f"{name} {side}: {seconds:.4f} s, {count} breakpoints{memory}")
+            print(f"{name} {side}: {seconds:.4f} s, {count} breakpoints, "
+                  f"kernel {routes}{memory}")
         print(f"{name} new/old: {result['new'][0] / result['old'][0]:.3f} "
               f"({args.rounds} alternated rounds)")
         if held:

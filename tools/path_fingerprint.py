@@ -10,8 +10,12 @@ read-only from ``perfbench/workloads.py``), the instances of
 ``half_integer_draws``, each solved warm and cold.  The tied draws take
 zero-length subproblem steps, which the other paths never make.  A
 path's fingerprint is its status, failure reason, breakpoint count, dual
-and primal iterations, retries (always 0), kernel counts (every
-non-empty kernel call of the path, by the route that solved it), the number
+and primal iterations, retries (always 0), kernel counts
+(``SolutionPath.kernel``: every non-empty kernel call of the path by the
+route that answered it, ``updates``, ``fresh``, ``svd`` or ``reused`` for
+a stored report handed back, and ``drift``, the carried answers refused; a
+file written before ``reused`` existed lacks that key, so ``compare``
+against one lists every path's kernel field), the number
 of its breakpoints that ``check_optimal_pair`` certifies, the bytes of its
 breakpoint bounds ``delta_k``, and ``digest``, a SHA-256 over every
 breakpoint's ``x`` and ``y`` bytes, its four index sets and its

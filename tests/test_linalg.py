@@ -259,8 +259,9 @@ def _path_blocks(monkeypatch, inst, warm=True):
     return path, blocks
 
 
-@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
-@pytest.mark.parametrize("inst", [pinned_gaussian(), pinned_small()], ids=["gaussian", "small"])
+@pytest.mark.parametrize("inst,warm", [(pinned_gaussian(), True), (pinned_small(), True),
+                                       (pinned_gaussian(), False), (pinned_small(), False)],
+                         ids=["gaussian", "small", "gaussian-cold", "small-cold"])
 def test_kernel_counts_cover_every_call_of_a_path(monkeypatch, inst, warm):
     # every non-empty block of a path is counted once, and none takes an
     # SVD; only a cold path asks again for a system it just asked for

@@ -1,6 +1,5 @@
 """``tools/ab_paths.py`` run A/A on this tree at the workloads' tiny sizes."""
 
-import importlib.util
 import re
 import subprocess
 import sys
@@ -8,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 from l1linf import ProblemInstance, solve_path
+from test_linalg import _workload
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_paths.py"
@@ -44,15 +44,8 @@ def test_ab_paths_sums_each_sides_kernel_counts():
     sides = [re.fullmatch(SIDE, line) for line in lines[:2]]
     shown = [dict((route, int(calls)) for route, calls in
                   (pair.split("=") for pair in m.group(4).split())) for m in sides]
-    spec = importlib.util.spec_from_file_location("ab_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads     # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
     expected = Counter()
-    for case in workloads.WORKLOADS["small-many"](1, True).cases:
+    for case in _workload("small-many")(1, True).cases:
         for warm in (True, False):
             path = solve_path(ProblemInstance(case.A, case.b, case.delta), use_warm_starts=warm)
             expected.update(vars(path.kernel))

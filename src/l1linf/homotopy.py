@@ -176,6 +176,17 @@ class SolutionPath:
         return float(np.sum(np.abs(self.x_final)))
 
 
+def _pair(inst: ProblemInstance, x, y, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as finite vectors of lengths n and m, for a finite delta >= 0;
+    ValueError otherwise (a gathered product would take a short x or y)."""
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta={delta} must be finite and nonnegative")
+    x, y = as_vector(x, "x"), as_vector(y, "y")
+    if x.size != inst.n or y.size != inst.m:
+        raise ValueError(f"x and y have lengths {x.size} and {y.size}, not n and m")
+    return x, y
+
+
 def check_optimal_pair(inst: ProblemInstance, x, y, delta: float,
                        tol: float = PAIR_TOL) -> bool:
     """Subgradient certification of an optimal pair:
@@ -187,12 +198,12 @@ def check_optimal_pair(inst: ProblemInstance, x, y, delta: float,
     columns of supp(x) (``linalg.left_product``, ``right_product``): on
     the seed-1 wide-shallow paths (200 x 2000) that is 32,488 entries of
     A per breakpoint instead of 576,398.  A condition that is not
-    finite fails; a tol or delta that is negative or not finite raises
-    ValueError, since an infinite one would pass any pair."""
-    if not (0.0 <= tol < np.inf and 0.0 <= delta < np.inf):
-        raise ValueError(f"tol={tol} and delta={delta} must be finite and nonnegative")
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
+    finite fails; a tol or delta that is negative or not finite (an
+    infinite one would pass any pair), or an x or y not of length n or m,
+    raises ValueError."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol={tol} must be finite and nonnegative")
+    x, y = _pair(inst, x, y, delta)
     g = left_product(inst.A, y)
     if not np.where(np.abs(x) > tol, np.abs(g + np.sign(x)) <= tol,
                     np.abs(g) <= 1.0 + tol).all():
@@ -204,6 +215,9 @@ def check_optimal_pair(inst: ProblemInstance, x, y, delta: float,
 
 
 def duality_gap(inst: ProblemInstance, x, y, delta: float) -> float:
+    """The gap | ||x||_1 + b^T y + delta ||y||_1 | of (x, y) at bound delta;
+    it refuses what ``check_optimal_pair`` refuses (``_pair``)."""
+    x, y = _pair(inst, x, y, delta)
     primal = float(np.sum(np.abs(x)))
     dual = float(-inst.b @ y - delta * np.sum(np.abs(y)))
     return abs(primal - dual)

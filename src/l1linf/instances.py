@@ -143,9 +143,9 @@ def to_linf_form(gb: GeneralizedBounds, delta_hat: float) -> tuple[np.ndarray, n
     """Rescale two-sided bounds alpha <= Ax - b <= beta into sup-norm form:
     with gamma = (beta - alpha)/2, b~ = b + (alpha + beta)/2 and
     G = diag(delta_hat / gamma), membership is equivalent to
-    ||G A x - G b~||_inf <= delta_hat."""
-    if not delta_hat > 0.0:
-        raise ValueError("delta_hat must be positive")
+    ||G A x - G b~||_inf <= delta_hat, for a finite positive delta_hat."""
+    if not 0.0 < delta_hat < np.inf:
+        raise ValueError("delta_hat must be finite and positive")
     gamma = 0.5 * (gb.beta - gb.alpha)
     b_tilde = gb.b + 0.5 * (gb.alpha + gb.beta)
     g = delta_hat / gamma

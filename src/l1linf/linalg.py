@@ -4,6 +4,12 @@ few rows or columns, and the validated ``IndexSet`` tuple: its two fields
 and the check made when it is built, nothing more.  No path builds one (a
 breakpoint records its sets in ``homotopy.IndexSets``).
 
+Along a path the square systems of the solves are answered by one
+``InverseCarry``, which keeps a system S, its inverse H and the last two
+systems it answered.  One invariant holds between calls: S and H are the
+system of the latest answered entry.  Both the update of S and H and
+the lookup of a stored report key on the block's matrix and labels.
+
 Everything here is deliberately dense and deterministic.  Matrices and
 vectors are plain numpy arrays of float64; ``as_matrix``/``as_vector``
 coerce and validate them (finite entries only).
@@ -191,34 +197,29 @@ class Block:
 
 
 class InverseCarry:
-    """The last square system S of one path and its inverse H = S^-1,
-    kept from one kernel call to the next.
+    """One path's square system S, its inverse H = S^-1, and the last two
+    systems it answered, kept from one kernel call to the next.
 
-    S is the block itself for a square block and [M | rhs] for a (k+1) x k
-    block: S is tall, holding the rhs column, exactly when it has more
-    rows than ``cols`` has labels, and ``follow`` and ``answer`` read that
-    off S's shape.  S keeps the block's own order: its rows and columns
-    follow ``rows`` and ``cols``, the sorted labels in A that the
-    ``Block`` names, and the rhs column of a tall S comes last.  S and
-    H are contiguous arrays: ndarray.dot, which makes every product of the
-    kernel, costs about twice as much on a strided view, and the
-    subtraction of a rank-one update runs 3-5 times slower on one.
-    ``follow`` brings S and H to the next system in O(k^2) when that
-    differs from S by one bordering, one un-bordering or one replaced
-    column: it reads the O(k) new entries of S from A, updates H, and
-    shifts rows and columns in place (``_move``) so that S keeps the
-    block's order.  Any other change, new values in the rhs column
-    included, clears them, so the system is gathered and factored afresh.
+    ``answered`` holds those systems, the latest last, each as (block,
+    keys, rhs, report): a ``Block``, the bytes of its row and column
+    labels, the rhs and the report.  The latest entry is the one record of
+    the system S and H hold; with no entry there is none.  The block and
+    rhs are kept by reference and must not change afterwards.  S is the
+    block for a square block and [M | rhs] for a (k+1) x k one, in the
+    block's own order (its sorted labels in A, the rhs column last).  S and
+    H are contiguous: ndarray.dot costs about twice as much on a strided
+    view, and a rank-one update's subtraction 3-5 times as much.
 
-    The carry also holds the reports of the last two systems it answered
-    (``answered``, the latest last), each keyed by its matrix, the bytes
-    of its row and column labels and its rhs, of which it keeps a
-    reference that, like a Block's labels, must not change afterwards.
-    Without warm starts the two subproblems of a breakpoint ask for the
-    same block with the same rhs, one reading each Fredholm alternative,
-    and ``solve_consistent`` hands such a system its stored report, which
-    was computed and tested against exactly that system, without touching
-    S or H.  ``clear`` drops the reports with S and H.
+    ``solve`` hands a system held in ``answered`` its stored report, which
+    was tested against exactly that system: without warm starts the two
+    subproblems of a breakpoint ask for the same block and rhs, one reading
+    each Fredholm alternative.  Otherwise ``follow`` brings S and H to the
+    next system in O(k^2) when it differs by one bordering, un-bordering or
+    replaced column: it reads the O(k) new entries of S from A, updates H
+    and shifts rows and columns in place (``_move``).  Both key on the
+    block's matrix (``block.a is``) and label bytes; any other change,
+    another matrix or new values in the rhs column, clears the carry for a
+    fresh factor.
     """
 
     def __init__(self):
@@ -226,32 +227,61 @@ class InverseCarry:
         self.clear()
 
     def clear(self) -> None:
-        self.s = self.h = self.rows = self.cols = None
-        self._keys = (None, None)
+        self.s = self.h = None
         self.answered = (None, None)
 
-    def start(self, s: np.ndarray, h: np.ndarray, rows: np.ndarray,
-              cols: np.ndarray, keys: tuple[bytes, bytes]) -> None:
-        """Carry S and H = S^-1, the system of the block whose sorted
-        labels are rows and cols, with the bytes of each as keys; a last
-        column of S beyond cols is the rhs column."""
-        self.s, self.h, self.rows, self.cols, self._keys = s, h, rows, cols, keys
+    def solve(self, m: Block, rhs: np.ndarray) -> SolveReport | None:
+        """The report of a square or (k+1) x k block: the stored one when
+        the carry answered this system as one of its last two, else from
+        the inverse of its square system S, carried or fresh; None, with
+        the carry cleared, when a fresh S fails the rank test."""
+        counts, k = self.counts, m.shape[1]
+        keys = (m.rows.tobytes(), m.cols.tobytes())
+        for held in self.answered:
+            # labels first, so a path that repeats no block reads no rhs bytes
+            if held is not None and held[1] == keys and held[0].a is m.a \
+                    and held[2].tobytes() == rhs.tobytes():
+                counts.reused += 1
+                return held[3]
+        report = None
+        if self.follow(m, rhs, keys):
+            report = self.answer(rhs, k, carried=True)
+            if report is not None:
+                counts.updates += 1
+            else:
+                counts.drift += 1
+        if report is None:
+            s = np.array(m) if m.shape[0] == k else np.column_stack((m, rhs))
+            diag = np.abs(np.diagonal(np.linalg.qr(s, mode="r")))
+            if not diag.min() > QR_RANK_RTOL * diag.max():
+                counts.svd += 1
+                self.clear()
+                return None
+            self.s, self.h = s, np.linalg.inv(s)
+            counts.fresh += 1
+            report = self.answer(rhs, k, carried=False)
+        self.answered = (self.answered[1], (m, keys, rhs, report))
+        return report
 
     def follow(self, m: Block, rhs: np.ndarray, keys: tuple[bytes, bytes]) -> bool:
-        """Update S and H to the system of (m, rhs), whose row and column
-        labels have the bytes keys; the rhs column joins as column k or
-        leaves as the last column.  Returns False, and clears, when no
-        update applies or an update's pivot is too small."""
-        if self.h is None:
+        """Update S and H from the latest entry's system to that of
+        (m, rhs), whose row and column labels have the bytes keys; the rhs
+        column joins as column k or leaves as the last column.  Returns
+        False, and clears, when m is a block of another matrix, no update
+        applies or an update's pivot is too small."""
+        held = self.answered[1]
+        if held is None or held[0].a is not m.a:
+            self.clear()
             return False
+        last, last_keys = held[0], held[1]
         a, rows, cols = m.a, m.rows, m.cols
         size, k = m.shape
-        tall, was_tall = size > k, self.s.shape[0] > self.cols.size
+        tall, was_tall = size > k, last.shape[0] > last.shape[1]
         # almost every block keeps the rows or the columns of A of the last
         # one (the same bytes), whose places then stand; the other side is
         # matched
-        rmatch = (None, -1, -1) if keys[0] == self._keys[0] else _match(rows, self.rows)
-        cmatch = (None, -1, -1) if keys[1] == self._keys[1] else _match(cols, self.cols)
+        rmatch = (None, -1, -1) if keys[0] == last_keys[0] else _match(rows, last.rows)
+        cmatch = (None, -1, -1) if keys[1] == last_keys[1] else _match(cols, last.cols)
         if rmatch is None or cmatch is None:
             self.clear()
             return False
@@ -262,7 +292,7 @@ class InverseCarry:
             if (j if tall else q) >= 0:
                 self.clear()
                 return False
-            j, q = (k, q) if tall else (j, self.cols.size)
+            j, q = (k, q) if tall else (j, last.shape[1])
         elif tall:
             # new values in the rhs column of a kept row: factor afresh
             moved = (rhs if rpos is None else rhs.take(rpos, mode="clip")) != self.s[:, -1]
@@ -274,8 +304,8 @@ class InverseCarry:
         change = (p >= 0, i >= 0, q >= 0, j >= 0)
         ok = True
         if change == (False, True, False, True):    # a bordering by row i, column j
-            col = a[self.rows, cols[j]] if j < k else rhs[rpos]
-            row = a[rows[i]].take(self.cols)
+            col = a[last.rows, cols[j]] if j < k else rhs[rpos]
+            row = a[rows[i]].take(last.cols)
             if was_tall:
                 row = np.append(row, rhs[i])
             corner = a[rows[i], cols[j]] if j < k else rhs[i]
@@ -292,9 +322,7 @@ class InverseCarry:
             ok = False
         if not ok:
             self.clear()
-            return False
-        self.rows, self.cols, self._keys = rows, cols, keys
-        return True
+        return ok
 
     def _border(self, col: np.ndarray, row: np.ndarray, corner: float,
                 i: int, j: int) -> bool:
@@ -457,56 +485,48 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     """Solve M x = rhs if a solution exists within tolerance, and its
     Fredholm alternative [M^T; rhs^T] z = (0, ..., 0, 1).
 
-    M may be rectangular and rank-deficient.  It is an array, validated
-    here and labelled by position, or a ``Block`` of a matrix A validated
-    by its owner, whose ``rows`` and ``cols`` label the block's rows and
-    columns in A; a Block is read entry by entry and gathered only for a
-    fresh factor or the SVD.  Every non-empty square or (k+1) x k block
-    is turned into one square system S: a square block solves S x = rhs
-    with S = M, and a (k+1) x k block solves S^T z = e_last with
-    S = [M | rhs], whose solution is exactly the alternative z
-    (M^T z = 0, rhs^T z = 1), so w = z / (z . z).  S is solved with its
-    inverse H: fresh, after the rank test
-    min |R_ii| > QR_RANK_RTOL * max |R_ii| on the R of a Householder QR
-    of S, or carried from the last call along a path.  S and H keep the
-    block's own order, so the answer is read from them as it stands.
-    With ``carry``, which takes a Block only, S and H are brought to this
-    block by an O(k^2) update when it differs from the last square system
-    by one column or one border (see ``InverseCarry``); new values in the
-    rhs column of a (k+1) x k block take a fresh factor.  A system that the
-    carry answered as one of its last two, the same matrix, labels and rhs
-    bytes, gets that stored report back, and S and H stay as they are; the
-    carry keeps a reference to rhs, which, like the Block's labels, must
-    not change afterwards.  Each answer gets one
-    step of iterative refinement against S; a carried answer that the
-    refinement moves by more than DRIFT_RTOL is refused for a fresh
-    factor.  Every other block (wide, empty, taller than k+1, or a system
-    that fails the rank test) goes to ``_svd_solve``, which gives the
-    minimum-2-norm solution and w from a truncated thin SVD.  Either
-    way z = w / ||w||^2 is the minimum-norm solution of the alternative
-    system, and each answer is accepted by the residual test of its own
-    system against the block, through S when there is one:
+    M may be rectangular and rank-deficient.  It is a ``Block`` of a
+    matrix A validated by its owner, whose ``rows`` and ``cols`` label it
+    in A, or an array, validated here and taken as the Block of itself
+    labelled by position; a Block is gathered only for a fresh factor or
+    the SVD.  Every non-empty square or (k+1) x k block goes to
+    ``carry.solve`` (a stateless call to a carry of its own), which turns
+    it into one square system S: S = M solves S x = rhs, and for a
+    (k+1) x k block S = [M | rhs] solves S^T z = e_last, whose solution is
+    exactly the alternative z (M^T z = 0, rhs^T z = 1), so w = z / (z . z).
+    S is solved with its inverse H: fresh, after the rank test
+    min |R_ii| > QR_RANK_RTOL * max |R_ii| on the R of a Householder QR of
+    S, or carried.  With ``carry``, which takes a Block only, S and H are
+    the system of the carry's latest answered block and follow this block
+    by an O(k^2) update, or this system gets its stored report back (see
+    ``InverseCarry``); the carry keeps references to the Block and rhs,
+    which must not change afterwards.  Each answer gets one step of
+    iterative refinement against S; a carried answer that it moves by more
+    than DRIFT_RTOL is refused for a fresh factor.  Every other block
+    (wide, empty, taller than k+1, or failing the rank test) goes to
+    ``_svd_solve``: the minimum-2-norm solution and w from a truncated thin
+    SVD.  Either way z = w / ||w||^2 is the minimum-norm solution of the
+    alternative system, and each answer must pass the residual test of its
+    own system against the block, through S when there is one:
     ||residual||_inf <= CONSISTENCY_TOL * (1 + ||right-hand side||_inf).
     Repeated calls on identical inputs without a carry are bit-for-bit
     reproducible; a carried answer depends on the earlier blocks of its
     path through rounding only.  A returned report may be handed out again,
     so its caller must not edit it.
     """
-    if isinstance(m, Block):
-        a, rows, cols = m.a, m.rows, m.cols
-    elif carry is None:
-        a = m = as_matrix(m, "M")
-        rows, cols = np.arange(m.shape[0]), np.arange(m.shape[1])
-    else:
-        raise TypeError("a carried solve takes a Block, whose labels name its system")
+    if not isinstance(m, Block):
+        if carry is not None:
+            raise TypeError("a carried solve takes a Block, whose labels name its system")
+        m = as_matrix(m, "M")
+        m = Block(m, np.arange(m.shape[0]), np.arange(m.shape[1]))
     rhs = as_vector(rhs, "rhs")
     if m.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: M has {m.shape[0]} rows, rhs has {rhs.shape[0]}")
     rows_n, cols_n = m.shape
     if cols_n and rows_n - cols_n in (0, 1):
-        if carry is None:   # a stateless call factors afresh in a carry of its own
+        if carry is None:
             carry = InverseCarry()
-        report = _square_solve(m, a, rhs, carry, rows, cols)
+        report = carry.solve(m, rhs)
         if report is not None:
             return report
     elif carry is not None and rows_n and cols_n:  # a wide block, or one taller than k+1
@@ -522,41 +542,6 @@ def solve_consistent(m, rhs, *, carry: InverseCarry | None = None) -> SolveRepor
     ok, z_ok = _passes(resid, z_resid, rhs)
     return SolveReport(sol if ok else None, resid, ok,
                        SolveReport(z if z_ok else None, z_resid, z_ok))
-
-
-def _square_solve(m, a: np.ndarray, rhs: np.ndarray, carry: InverseCarry,
-                  rows: np.ndarray, cols: np.ndarray) -> SolveReport | None:
-    """The report of a square or (k+1) x k block of the matrix a: the
-    stored one when the carry answered this system as one of its last two,
-    else from the inverse of its square system S; None when S fails the
-    rank test."""
-    counts, k = carry.counts, cols.size
-    keys = (rows.tobytes(), cols.tobytes())
-    for held in carry.answered:
-        # labels first, so a path that repeats no block reads no rhs bytes
-        if held is not None and held[0] is a and held[1] == keys \
-                and held[2].tobytes() == rhs.tobytes():
-            counts.reused += 1
-            return held[3]
-    report = None
-    if carry.follow(m, rhs, keys):
-        report = carry.answer(rhs, k, carried=True)
-        if report is not None:
-            counts.updates += 1
-        else:
-            counts.drift += 1
-    if report is None:
-        s = np.array(m) if rows.size == k else np.column_stack((m, rhs))
-        diag = np.abs(np.diagonal(np.linalg.qr(s, mode="r")))
-        if not diag.min() > QR_RANK_RTOL * diag.max():
-            counts.svd += 1
-            carry.clear()
-            return None
-        carry.start(s, np.linalg.inv(s), rows, cols, keys)
-        counts.fresh += 1
-        report = carry.answer(rhs, k, carried=False)
-    carry.answered = (carry.answered[1], (a, keys, rhs, report))
-    return report
 
 
 def _svd_solve(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

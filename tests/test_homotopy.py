@@ -8,7 +8,7 @@ from l1linf import homotopy, oracle
 from l1linf.homotopy import (ProblemInstance, _build_sets, check_alternatives,
                              check_optimal_pair, duality_gap, eval_path,
                              solve_path)
-from l1linf.linalg import IndexSet
+from l1linf.linalg import GATHER_MIN_SIZE, IndexSet
 from l1linf.pathexport import export_to_json, path_to_export
 
 
@@ -22,6 +22,29 @@ def test_check_optimal_pair_scalar():
             check_optimal_pair(inst, [1.0], [1.0], 1.0, tol=bad)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             check_optimal_pair(inst, [1.0], [1.0], bad)
+
+
+def test_duality_gap_refuses_what_check_optimal_pair_refuses():
+    inst = ProblemInstance([[1.0, 2.0]], [2.0], 0.5)
+    assert check_optimal_pair(inst, [0.0, 0.75], [-0.5], 0.5)
+    assert duality_gap(inst, [0.0, 0.75], [-0.5], 0.5) == 0.0
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            duality_gap(inst, np.zeros(2), np.zeros(1), bad)
+    for x, y in ((np.zeros(3), np.zeros(1)), (np.zeros(1), np.zeros(1)),
+                 (np.zeros(2), np.zeros(2))):
+        with pytest.raises(ValueError, match="lengths"):
+            duality_gap(inst, x, y, 0.5)
+        with pytest.raises(ValueError, match="lengths"):
+            check_optimal_pair(inst, x, y, 0.5)
+    # on a large A the gathered products read only the supports, so a
+    # short zero x would pass a feasible origin without the length check
+    rng = np.random.default_rng(3)
+    large = ProblemInstance(rng.standard_normal((300, 400)), rng.standard_normal(300), 10.0)
+    assert large.A.size >= GATHER_MIN_SIZE and check_optimal_pair(
+        large, np.zeros(400), np.zeros(300), 10.0)
+    with pytest.raises(ValueError, match="lengths"):
+        check_optimal_pair(large, np.zeros(1), np.zeros(300), 10.0)
 
 
 def test_scalar_path():
@@ -411,24 +434,27 @@ def gathering_wide():
 
 
 def test_carried_state_matches_fresh_products(monkeypatch):
-    # every S carried into a kernel call is the gathered block (with the
-    # rhs column) bit for bit, every breakpoint's carried A^T y and A x - b
-    # agree with fresh products, and so does each multiplier product that
-    # an update hands to the next as its warm product
+    # after every kernel call that an update served, the carried S is the
+    # gathered system (with the rhs column) of the carry's latest block bit
+    # for bit, and that block has the call's labels; every breakpoint's
+    # carried A^T y and A x - b agree with fresh products, and so does each
+    # multiplier product that an update hands to the next as its warm product
     import l1linf.dual_update as dual_mod
     import l1linf.primal_update as primal_mod
     from l1linf.linalg import GATHER_MIN_SIZE, InverseCarry
     follows, errors = [], []
-    follow = InverseCarry.follow
+    solve = InverseCarry.solve
 
-    def checked_follow(self, m, rhs, keys):
-        if not follow(self, m, rhs, keys):
-            return False
-        s = np.asarray(m)
-        s = s if s.shape[0] == s.shape[1] else np.column_stack((s, rhs))
-        follows.append(np.array_equal(self.s, s) and np.array_equal(self.rows, m.rows)
-                       and np.array_equal(self.cols, m.cols))
-        return True
+    def checked_solve(self, m, rhs):
+        served = self.counts.updates
+        report = solve(self, m, rhs)
+        if self.counts.updates > served:
+            block, _, held_rhs, _ = self.answered[-1]
+            s = np.asarray(block)
+            s = s if s.shape[0] == s.shape[1] else np.column_stack((s, held_rhs))
+            follows.append(np.array_equal(self.s, s) and np.array_equal(block.rows, m.rows)
+                           and np.array_equal(block.cols, m.cols))
+        return report
 
     def checked(update, *products):
         """update, followed by the relative error of each (carried, fresh,
@@ -454,7 +480,7 @@ def test_carried_state_matches_fresh_products(monkeypatch):
         assert all(v is not None for v in res.warm)
         return res.warm[1]
 
-    monkeypatch.setattr(InverseCarry, "follow", checked_follow)
+    monkeypatch.setattr(InverseCarry, "solve", checked_solve)
     monkeypatch.setattr(dual_mod._DualFace, "zero", _planting(
         dual_mod._DualFace, "col_psi", lambda a, rows, v: a[rows].T @ v))
     monkeypatch.setattr(primal_mod._PrimalFace, "zero", _planting(

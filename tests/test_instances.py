@@ -157,6 +157,13 @@ def test_to_linf_form_rejects_bad_bounds():
         GeneralizedBounds([[1.0]], [0.0], [1.0], [1.0])
 
 
+@pytest.mark.parametrize("delta_hat", [np.inf, np.nan])
+def test_to_linf_form_refuses_a_bound_that_is_not_finite(delta_hat):
+    gb = GeneralizedBounds([[1.0]], [0.0], [-1.0], [3.0])
+    with pytest.raises(ValueError, match="delta_hat must be finite and positive"):
+        to_linf_form(gb, delta_hat)
+
+
 def test_instance_serialization_round_trip(tmp_path):
     gti = random_ground_truth(6, 12, 2, delta=0.3, seed=2)
     f = tmp_path / "inst.json"

@@ -318,7 +318,7 @@ def test_qr_branch_replays_the_svd_branch_on_a_path(monkeypatch):
     empty = [m.shape for m, _ in blocks if 0 in m.shape]
     assert 0 < len(empty) < len(blocks) and calls == empty
     # the rank-failure exit of the square route sends every block to the SVD
-    monkeypatch.setattr(linalg, "_square_solve", lambda *args: None)
+    monkeypatch.setattr(InverseCarry, "solve", lambda *args: None)
     for (m, rhs), rep in zip(blocks, reports):
         ref = solve_consistent(m, rhs)
         assert rep.consistent == ref.consistent
@@ -433,8 +433,9 @@ def test_carried_inverse_replays_the_stateless_kernel_on_a_path(monkeypatch):
 
     def inverse_kept(carry, m, rhs):
         sizes.append(m.shape[1])
-        assert np.array_equal(carry.rows, m.rows) and np.array_equal(carry.cols, m.cols)
-        assert _carried_system_error(carry, m, rhs) <= 1e-10
+        block, _, held_rhs, _ = carry.answered[-1]
+        assert np.array_equal(block.rows, m.rows) and np.array_equal(block.cols, m.cols)
+        assert _carried_system_error(carry, block, held_rhs) <= 1e-10
     _replay_on_one_carry(monkeypatch, pinned_gaussian(), inverse_kept)
     sizes.clear()
     _replay_on_one_carry(monkeypatch, pinned_small(), inverse_kept, min_calls=30)
@@ -555,6 +556,20 @@ def test_the_last_two_systems_answered_get_their_reports_back():
     carry.clear()
     assert solve_consistent(tall, rhs, carry=carry) is not first
     assert carry.counts.fresh == 2 and carry.counts.reused == 2
+
+
+def test_a_block_of_another_matrix_is_factored_afresh():
+    # the update keys on the matrix, as the stored reports do: a block of
+    # another matrix with the same labels and rhs is neither updated from
+    # the last matrix's S nor handed its report
+    rng = np.random.default_rng(23)
+    a1, a2 = rng.standard_normal((10, 10)), rng.standard_normal((10, 10))
+    rows, cols, rhs = np.arange(10), np.arange(10), rng.standard_normal(10)
+    carry = InverseCarry()
+    solve_consistent(Block(a1, rows, cols), rhs, carry=carry)
+    rep = solve_consistent(Block(a2, rows, cols), rhs, carry=carry)
+    _assert_same_report(rep, solve_consistent(a2, rhs), rhs)
+    assert vars(carry.counts) == {"updates": 0, "fresh": 2, "drift": 0, "svd": 0, "reused": 0}
 
 
 def test_a_replaced_row_takes_a_fresh_factor():

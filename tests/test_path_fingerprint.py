@@ -9,6 +9,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from l1linf import ProblemInstance, solve_path
 
@@ -56,6 +57,18 @@ def test_delta_k_moved_within_rtol(tmp_path, capsys):
     assert compare(tmp_path, other) == 1
     assert "gauss/0/warm: delta_k differs by" in capsys.readouterr().out
     assert compare(tmp_path, other, "--rtol", "1e-10") == 0
+
+
+def test_rtol_must_be_finite_and_nonnegative(tmp_path, capsys):
+    # a nan or infinite --rtol would pass a doubled bound, and a negative
+    # one would list identical paths as different
+    doubled = dict(REFERENCE, **{"gauss/0/warm": fingerprint([2.0, 3.0, 0.75, 0.5])})
+    for bad in ("nan", "inf", "-1"):
+        with pytest.raises(SystemExit) as exit_:
+            compare(tmp_path, doubled, "--rtol", bad)
+        assert exit_.value.code == 2
+        assert "--rtol must be finite and nonnegative" in capsys.readouterr().err
+    assert compare(tmp_path, doubled, "--rtol", "0.5") == 1
 
 
 def test_x_moved_by_one_ulp_changes_the_digest(tmp_path, capsys):

@@ -195,6 +195,8 @@ def main(argv=None) -> int:
                         "a positive value skips the x/y/set digests")
     args = parser.parse_args(argv)
     if args.mode == "compare":
+        if not 0.0 <= args.rtol < float("inf"):
+            parser.error("--rtol must be finite and nonnegative")
         return compare(args.a, args.b, args.rtol)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")

@@ -200,18 +200,32 @@ def check_optimal_pair(inst: ProblemInstance, x, y, delta: float,
     A per breakpoint instead of 576,398.  A condition that is not
     finite fails; a tol or delta that is negative or not finite (an
     infinite one would pass any pair), or an x or y not of length n or m,
-    raises ValueError."""
+    raises ValueError.
+
+    Both conditions are tested in one pass over w = [x; y] and
+    v = [A^T y; A x - b]: where |w| > tol, v gains sign(w), times -delta on
+    the y block, and |v| is held to tol (x block) or rtol = tol (1 + delta)
+    (y block); elsewhere v gains a signed zero and |v| is held to 1 + tol
+    or delta + rtol.  Each |v| is the float that the two conditions tested
+    apart compare, since r + (-delta s) is r - delta s bit for bit and a
+    signed zero changes no magnitude, so the verdicts are the same, at
+    delta = 0 too."""
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol={tol} must be finite and nonnegative")
     x, y = _pair(inst, x, y, delta)
-    g = left_product(inst.A, y)
-    if not np.where(np.abs(x) > tol, np.abs(g + np.sign(x)) <= tol,
-                    np.abs(g) <= 1.0 + tol).all():
-        return False
-    r = right_product(inst.A, x) - inst.b
+    n = x.size
+    w = np.concatenate((x, y))
+    v = np.concatenate((left_product(inst.A, y), right_product(inst.A, x) - inst.b))
+    on = np.abs(w) > tol
+    s = np.copysign(on, w)   # sign(w) on the supports, a signed zero off them
+    s[n:] *= -delta
+    v += s
+    # the bound of each entry by its block and support: x off, x on, y off, y on
+    pick = on.view(np.int8)
+    pick[n:] += 2
     rtol = tol * (1.0 + delta)
-    return bool(np.where(np.abs(y) > tol, np.abs(r - delta * np.sign(y)) <= rtol,
-                         np.abs(r) <= delta + rtol).all())
+    bound = np.array((1.0 + tol, tol, delta + rtol, rtol)).take(pick)
+    return bool((np.abs(v) <= bound).all())
 
 
 def duality_gap(inst: ProblemInstance, x, y, delta: float) -> float:

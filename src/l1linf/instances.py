@@ -74,6 +74,8 @@ def random_bp_pair(m: int, n: int, sparsity: int, dynamic_range: float = 10.0,
     """Draw a unit-column Gaussian matrix and a sparse vector whose
     l1-minimality for A x = A x_bar is verified against the simplex oracle;
     failing draws are rejected and resampled."""
+    if m < 1 or n < 1:
+        raise ValueError(f"A must have at least one row and one column, not m={m}, n={n}")
     if sparsity < 0:
         raise ValueError("sparsity must be nonnegative")
     if sparsity > m // 2:

@@ -33,16 +33,18 @@ CONSISTENCY_TOL = 1e-9
 # GATHER_ROW_SHARE of the rows or GATHER_COL_SHARE of the columns; otherwise
 # they make the dense product.  Without a set they find the vector's
 # nonzeros, and only above the floor, so the certifier's products on a small
-# A pay for no such search.  Every product of a path replayed both ways, one
-# BLAS thread on a 2-vCPU Xeon, dense against gathered per call: 200 x 2000
-# (wide-shallow) A^T v 170 against 20-30 us and A v 175 against 17 us;
-# 200 x 800 (a sparse-recovery path) A^T v 38-41 against 13-33 us and A v 44
-# against 32 us; 200 x 400 (gauss-deep) A^T v 17-20 against 10-27 us and A v
-# 15 against 19 us; 100 x 400 A v 9 against 11 us.  Below 10^5 entries a
-# gather saves nothing.  In isolation, on 200 x 2000, A^T v takes 143 us
-# dense, 20 us over a tenth of the rows and 92 us over a third; A v takes
-# 133 us dense, 43 us over 5% of the columns, 116 us over 10% and 210 us
-# over 15%, since a column gather is strided.
+# A pay for no such search.  They search the mask ``v != 0.0``: it holds the
+# positions of ``v.nonzero()`` (-0.0 out, NaN in), and over 2,000 floats
+# with 60 nonzeros it takes 1.9 us against 7.4 us.  Every product of a path
+# replayed both ways, one BLAS thread on a 2-vCPU Xeon, dense against
+# gathered per call: 200 x 2000 (wide-shallow) A^T v 170 against 20-30 us
+# and A v 175 against 17 us; 200 x 800 (a sparse-recovery path) A^T v 38-41
+# against 13-33 us and A v 44 against 32 us; 200 x 400 (gauss-deep) A^T v
+# 17-20 against 10-27 us and A v 15 against 19 us; 100 x 400 A v 9 against
+# 11 us.  Below 10^5 entries a gather saves nothing.  In isolation, on
+# 200 x 2000, A^T v takes 143 us dense, 20 us over a tenth of the rows and
+# 92 us over a third; A v takes 133 us dense, 43 us over 5% of the columns,
+# 116 us over 10% and 210 us over 15%, since a column gather is strided.
 GATHER_MIN_SIZE = 100_000
 GATHER_ROW_SHARE = 1 / 3
 GATHER_COL_SHARE = 0.1
@@ -79,7 +81,7 @@ def left_product(a: np.ndarray, v: np.ndarray, rows: np.ndarray | None = None) -
     is ``v.dot(a)``, the bits of ``a.T @ v``."""
     if a.size >= GATHER_MIN_SIZE:
         if rows is None:
-            rows = v.nonzero()[0]
+            rows = (v != 0.0).nonzero()[0]
         if rows.size <= GATHER_ROW_SHARE * a.shape[0]:
             return v.take(rows).dot(a.take(rows, 0))
     return v.dot(a)
@@ -92,7 +94,7 @@ def right_product(a: np.ndarray, v: np.ndarray, cols: np.ndarray | None = None) 
     product is ``a.dot(v)``, the bits of ``a @ v``."""
     if a.size >= GATHER_MIN_SIZE:
         if cols is None:
-            cols = v.nonzero()[0]
+            cols = (v != 0.0).nonzero()[0]
         if cols.size <= GATHER_COL_SHARE * a.shape[1]:
             return a.take(cols, 1).dot(v.take(cols))
     return a.dot(v)

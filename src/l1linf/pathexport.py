@@ -14,6 +14,7 @@ produced.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 
@@ -31,7 +32,13 @@ _BREAKPOINT_KEYS = {"k", "delta", "t", "x", "y"}
 
 
 def _b64(a: np.ndarray, dtype: np.dtype) -> str:
-    return base64.b64encode(a.astype(dtype, copy=False).tobytes()).decode("ascii")
+    """base64 of a's bytes as dtype, encoded straight from an array buffer
+    with no bytes copy.  The buffer is a view's: numpy keeps the
+    description of an exported buffer on the array until it is freed, which
+    on the record's own arrays held 0.75 MB more after exporting a seed-1
+    dantzig-gram round."""
+    view = np.ascontiguousarray(a, dtype).view()
+    return binascii.b2a_base64(view, newline=False).decode("ascii")
 
 
 def _encode_entries(entries: tuple[np.ndarray, np.ndarray]) -> dict:

@@ -6,8 +6,9 @@ import pytest
 
 from l1linf import PathBreakpoint, solve_path
 from l1linf.cli import main
-from l1linf.pathexport import (_encode_entries, export_from_json, export_to_csv,
-                               export_to_json, export_vectors, path_to_export)
+from l1linf.pathexport import (_INDEX, _VALUE, _b64 as export_b64, _encode_entries,
+                               export_from_json, export_to_csv, export_to_json,
+                               export_vectors, path_to_export)
 from reference_lp import write_matrixmarket_array
 from test_homotopy import pinned_dantzig, pinned_gaussian
 
@@ -212,6 +213,9 @@ def test_gen_deterministic_and_solvable(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, message", [
+    ("--m", "0", "at least one row and one column, not m=0, n=8"),
+    ("--n", "0", "at least one row and one column, not m=4, n=0"),
+    ("--m", "-2", "at least one row and one column, not m=-2, n=8"),
     ("--sparsity", "5", "sparsity above m/2"),
     ("--sparsity", "-1", "sparsity must be nonnegative"),
     ("--delta", "-0.1", "delta must be finite and nonnegative"),
@@ -322,6 +326,20 @@ def test_export_vector_encoding_is_pinned():
          "y": _encode_entries(recorded.y_entries)}]}
     (_, _, x, _), = export_vectors(export)
     assert x.tobytes() == np.where(v == 0.0, 0.0, v).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [_INDEX, _VALUE])
+def test_export_base64_matches_b64encode(dtype):
+    # the export encodes from an array buffer, not a bytes copy: empty,
+    # read-only, strided and other-dtype arrays give b64encode's text
+    base = np.arange(-7, 13).astype(dtype)
+    frozen = base.copy()
+    frozen.setflags(write=False)
+    cases = [base[:0], base, frozen, base[::3], base[::-2], base.astype(np.int64),
+             np.arange(6.0) * 0.1]
+    for a in cases:
+        want = base64.b64encode(a.astype(dtype).tobytes()).decode("ascii")
+        assert export_b64(a, dtype) == want
 
 
 def _b64(values, dtype) -> str:

@@ -323,23 +323,35 @@ def loop_check_optimal_pair(inst, x, y, delta, tol=1e-8):
 
 
 def test_check_optimal_pair_matches_loop_reference():
-    # breakpoints as computed, and with one entry of x or y nudged so that
-    # each of the four per-entry tests is the one that fails
+    # breakpoints as computed, with their zeros written -0.0, and with one
+    # entry of x or y nudged so that each of the four per-entry tests is
+    # the one that fails; at tol = PAIR_TOL and tol = 0, on paths down to
+    # delta > 0 and to delta = 0, and at PAIR_TOL on an A above the gather
+    # floor, whose products read only the supports
     rng = np.random.default_rng(54)
-    outcomes = set()
-    for _ in range(6):
-        inst = random_instance(rng)
+    cases = [(random_instance(rng, delta_zero=i % 3 == 0), (homotopy.PAIR_TOL, 0.0))
+             for i in range(6)]
+    a, b = rng.standard_normal((50, 2000)), rng.standard_normal(50)
+    cases.append((ProblemInstance(a, b, 0.4 * np.max(np.abs(b))), (homotopy.PAIR_TOL,)))
+    assert a.size >= GATHER_MIN_SIZE
+    outcomes, deltas = {}, set()
+    for inst, tols in cases:
         for bp in solve_path(inst).breakpoints:
-            for which in ("none", "x", "y"):
+            deltas.add(bp.delta_k == 0.0)
+            for which in ("none", "zeros", "x", "y"):
                 x, y = bp.x.copy(), bp.y.copy()
-                v = x if which == "x" else y
-                if which != "none":
+                if which == "zeros":
+                    x[x == 0.0], y[y == 0.0] = -0.0, -0.0
+                elif which != "none":
+                    v = x if which == "x" else y
                     v[int(rng.integers(v.size))] += float(rng.choice([-1e-6, 1e-3, 0.5]))
-                got = check_optimal_pair(inst, x, y, bp.delta_k)
-                assert type(got) is bool
-                assert got == loop_check_optimal_pair(inst, x, y, bp.delta_k)
-                outcomes.add(got)
-    assert outcomes == {True, False}
+                for tol in tols:
+                    got = check_optimal_pair(inst, x, y, bp.delta_k, tol)
+                    assert type(got) is bool
+                    assert got == loop_check_optimal_pair(inst, x, y, bp.delta_k, tol)
+                    outcomes.setdefault((inst.A.size >= GATHER_MIN_SIZE, tol), set()).add(got)
+    assert deltas == {True, False}
+    assert all(seen == {True, False} for seen in outcomes.values()) and len(outcomes) == 3
 
 
 def test_one_kernel_solve_per_direction_attempt(monkeypatch):

@@ -78,6 +78,9 @@ def no_draw(*args, **kwargs):
 
 
 @pytest.mark.parametrize("changes, message", [
+    ({"m": 0}, "not m=0, n=8"),
+    ({"n": 0}, "not m=4, n=0"),
+    ({"m": -2}, "not m=-2, n=8"),
     ({"sparsity": -1}, "sparsity must be nonnegative"),
     ({"sparsity": 5}, "sparsity above m/2"),
     ({"delta": -0.1}, "delta must be finite and nonnegative"),
@@ -98,6 +101,9 @@ def test_random_ground_truth_refuses_bad_arguments_before_drawing(monkeypatch, c
 
 
 @pytest.mark.parametrize("changes, message", [
+    ({"m": 0}, "at least one row and one column, not m=0, n=12"),
+    ({"n": 0}, "at least one row and one column, not m=6, n=0"),
+    ({"n": -1}, "at least one row and one column, not m=6, n=-1"),
     ({"sparsity": -1}, "sparsity must be nonnegative"),
     ({"dynamic_range": 0.0}, "dynamic_range must be finite and positive"),
     ({"dynamic_range": -2.0}, "dynamic_range must be finite and positive"),

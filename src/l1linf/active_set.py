@@ -9,22 +9,24 @@ always contains a *fixed* set, stays tight.  The two are mirror images:
     dual     psi    I_D inside I_P     J_D containing J_P
     primal   xi     J_P inside J_D     I_P containing I_D
 
-A face object supplies what differs: ``name``, the masks ``fixed`` and
-``outer``, the block's direction report (``direction``), the ratio test
-(``step``), the zeroing of point entries (``zero``), the multipliers
-(``multipliers``), a warm direction's distance from keeping each
-constraint tight, read off its product with A (``warm_slack``, needed
-only by a face that is given a warm start) and the objective shown in
-trace records (``value``).  A face may carry products of the point and of
-the current direction with A: the direction comes from its ``direction``
-call or, with its product, from the warm start, ``step`` sees the point
-before the loop moves it by alpha times the direction, and every entry
-that the loop sets to zero goes through ``zero``.  A warm start is None
-or the (direction, product) pair that the other face's ``multipliers``
-handed back as its run's solution; ``start_point`` checks it and the
-start point for both faces.  The loop keeps both sets as boolean masks
-and takes their sorted index arrays once per iteration.  A zero-length
-step edits the sets like any other step.
+A face supplies what differs.  A subproblem's face is its context
+(``DualContext``, ``PrimalContext``): an update sets the loop state on
+the context when it starts and never edits the context's inputs.  The
+face gives ``name``, the masks ``fixed`` and ``outer``, the block's
+direction report (``direction``), the ratio test (``step``), the zeroing
+of point entries (``zero``), the multipliers (``multipliers``), a warm
+direction's distance from keeping each constraint tight, read off its
+product with A (``warm_slack``, needed only by a face that is given a
+warm start) and the objective shown in trace records (``value``).  A face
+may carry products of the point and of the current direction with A: the
+direction comes from its ``direction`` call or, with its product, from
+the warm start, ``step`` sees the point before the loop moves it by alpha
+times the direction, and every entry that the loop sets to zero goes
+through ``zero``.  A warm start is None or the (direction, product) pair
+that the other face's ``multipliers`` handed back as its run's solution;
+``start_point`` checks it and the start point for both faces.  The loop
+keeps both sets as boolean masks and takes their sorted index arrays once
+per iteration.  A zero-length step edits the sets like any other step.
 """
 
 from __future__ import annotations

@@ -8,35 +8,35 @@ certificate solves, over y supported on the active rows I_P,
          -1 <= A_j^T y <= 1               for j outside J_P
          s (x) y_{I_P} >= 0.
 
-This module is the dual face of the shared loop in ``active_set.py``: the
-support is the dual support I_D = {i : y_i != 0} inside I_P, and the
+``DualContext`` is the dual face of the shared loop in ``active_set.py``:
+the support is the dual support I_D = {i : y_i != 0} inside I_P, and the
 removable constraints are J_D \\ J_P with J_D = {j : |A_j^T y| = 1}.
 Directions e live on I_D and solve (A^{I_D}_{J_D})^T e = 0 together with
-s_{I_D}^T e = 1.  The context and the result hold the sets as boolean
-masks, the form in which the loop keeps them; the face functions take
-sorted int arrays.  A context states its subproblem through its feasible
-start point and that point's carried product: A^T y_start is
--sign(x_{J_P}) on J_P, which the directions keep, so x is not handed
-over.  The ratio test keeps s_i psi_i >= 0, so the residual signs are
-sign(y_i) wherever y_i != 0, as the primal update reads them on I_D.
+s_{I_D}^T e = 1.  The sets cross as boolean masks, the form in which the
+loop keeps them; the face functions take sorted int arrays.  A context
+states its subproblem through its feasible start point and that point's
+carried product: A^T y_start is -sign(x_{J_P}) on J_P, which the
+directions keep, so x is not handed over.  The ratio test keeps
+s_i psi_i >= 0, so the residual signs are sign(y_i) wherever y_i != 0, as
+the primal update reads them on I_D.
 
-The face carries c = A^T psi along the whole path: it starts from the
-previous dual update's final c (zeros at the first breakpoint), is moved
-by alpha A^T e with each step, and is corrected for every entry of psi
-that the loop sets to zero, the start entries outside I_P included
-(``active_set.start_point``, the rule the primal update shares).  A^T e
-is formed once per direction, from the rows of I_D, and serves the ratio
-test.  The warm start is the primal update's pair (e_hat, A^T e_hat),
-whose product the primal formed for its own multipliers.  The multipliers
-form A d_hat once, from the columns of J_D, and read nu off it; the pair
-(d_hat, A d_hat) goes out as the next primal update's warm start, and the
-final c goes out with the result.  On a large A these products read only
-those rows or columns (``linalg.left_product``, ``right_product``).
+``dual_update`` sets the loop state on the context when it starts and
+never edits the context's inputs.  That state carries c = A^T psi along
+the whole path: c starts from the previous dual update's final c (zeros
+at the first breakpoint), moves by alpha A^T e with each step and is
+corrected for every entry of psi that the loop sets to zero, the start
+entries outside I_P included (``active_set.start_point``).  A^T e is
+formed once per direction, from the rows of I_D, for the ratio test.  The
+warm start is the primal update's pair (e_hat, A^T e_hat).  The
+multipliers form A d_hat once, from the columns of J_D, and read nu off
+it; (d_hat, A d_hat) goes out as the next primal update's warm start, and
+the final c with the result.  On a large A these products read only those
+rows or columns (``linalg.left_product``, ``right_product``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,11 +48,11 @@ from .linalg import (Block, InverseCarry, SolveReport, left_product, right_produ
 
 @dataclass
 class DualContext:
-    """The dual subproblem at x_k, stated by its sets, its residual signs
-    and a feasible start point with its carried A^T y_start, which is
-    -sign(x_{J_P}) on J_P, so x_k itself is not needed.  I_P and J_P are
-    boolean masks, which the update reads as its outer and fixed sets and
-    does not edit."""
+    """The dual subproblem at x_k and the face that ``dual_update`` runs: its
+    sets, its residual signs and a feasible start point with its carried
+    A^T y_start, which is -sign(x_{J_P}) on J_P, so x_k is not needed.  The
+    masks I_P and J_P are the outer and fixed sets.  The update sets the
+    loop state (A^T psi, A^T e) and edits no input, so it can run again."""
 
     A: np.ndarray
     I_P: np.ndarray                      # row mask, length m
@@ -63,6 +63,41 @@ class DualContext:
     # the primal update's (e_hat, A^T e_hat); e_hat is full length m and zero off I_P
     warm: tuple[np.ndarray, np.ndarray] | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
+    outer: np.ndarray = field(init=False, repr=False, compare=False)    # I_P
+    fixed: np.ndarray = field(init=False, repr=False, compare=False)    # J_P
+    col_psi: np.ndarray = field(init=False, repr=False, compare=False)
+    col_e: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    name = "dual"
+
+    def direction(self, support, active):
+        report = dual_direction(self, support, active)
+        if report.consistent:
+            self.col_e = left_product(self.A, report.solution, support)
+        return report
+
+    def step(self, e, psi, support, active):
+        alpha, entering, leaving = dual_step(self, e, psi, support, active,
+                                             self.col_e, self.col_psi)
+        self.col_psi += alpha * self.col_e
+        return alpha, entering, leaving, False
+
+    def zero(self, psi, rows):
+        if len(rows):
+            self.col_psi -= psi[rows].dot(self.A[rows])
+            psi[rows] = 0.0
+
+    def multipliers(self, report, active, removable, candidates):
+        d_hat, a_d_hat, mu, nu = dual_multipliers(
+            self, self.col_psi, active, removable, candidates, report)
+        return (d_hat, a_d_hat), mu, nu
+
+    def warm_slack(self, col_e):
+        self.col_e = col_e
+        return col_e
+
+    def value(self, psi):
+        return float(-self.residual_signs @ psi)
 
 
 @dataclass
@@ -84,8 +119,7 @@ def dual_direction(ctx: DualContext, I_D: np.ndarray, J_D: np.ndarray) -> SolveR
     the direction is the Fredholm alternative e = -w / ||w||^2.  The
     report's ``alternative`` is the kernel report of d, which
     ``dual_multipliers`` reads when no direction exists."""
-    kernel = solve_consistent(Block(ctx.A, I_D, J_D), -ctx.residual_signs[I_D],
-                              carry=ctx.carry)
+    kernel = solve_consistent(Block(ctx.A, I_D, J_D), -ctx.residual_signs[I_D], carry=ctx.carry)
     found = kernel.alternative
     e = None
     if found.consistent:
@@ -118,8 +152,7 @@ def dual_step(ctx: DualContext, e: np.ndarray, psi: np.ndarray,
 
 
 def dual_multipliers(ctx: DualContext, col_psi: np.ndarray, J_D: np.ndarray,
-                     free_cols: np.ndarray, out_rows: np.ndarray,
-                     report: SolveReport
+                     free_cols: np.ndarray, out_rows: np.ndarray, report: SolveReport
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Multipliers at psi, with col_psi = A^T psi, once no direction
     exists, from the solution of A^{I_D}_{J_D} d = -s_{I_D} in the
@@ -137,57 +170,16 @@ def dual_multipliers(ctx: DualContext, col_psi: np.ndarray, J_D: np.ndarray,
     return d_hat, a_d_hat, mu, nu
 
 
-class _DualFace:
-    """Carries col_psi = A^T psi and col_e = A^T e of the last direction."""
-
-    name = "dual"
-
-    def __init__(self, ctx: DualContext):
-        self.ctx = ctx
-        self.outer, self.fixed = ctx.I_P, ctx.J_P
-        self.col_psi = np.array(ctx.col_y_start, dtype=float)
-        self.col_e = None
-
-    def direction(self, support, active):
-        report = dual_direction(self.ctx, support, active)
-        if report.consistent:
-            self.col_e = left_product(self.ctx.A, report.solution, support)
-        return report
-
-    def step(self, e, psi, support, active):
-        alpha, entering, leaving = dual_step(self.ctx, e, psi, support, active,
-                                             self.col_e, self.col_psi)
-        self.col_psi += alpha * self.col_e
-        return alpha, entering, leaving, False
-
-    def zero(self, psi, rows):
-        if len(rows):
-            self.col_psi -= psi[rows].dot(self.ctx.A[rows])
-            psi[rows] = 0.0
-
-    def multipliers(self, report, active, removable, candidates):
-        d_hat, a_d_hat, mu, nu = dual_multipliers(
-            self.ctx, self.col_psi, active, removable, candidates, report)
-        return (d_hat, a_d_hat), mu, nu
-
-    def warm_slack(self, col_e):
-        self.col_e = col_e
-        return col_e
-
-    def value(self, psi):
-        return float(-self.ctx.residual_signs @ psi)
-
-
 def dual_update(ctx: DualContext, trace=None) -> DualUpdateResult:
     """Solve the dual-certificate subproblem by the specialized active-set
     scheme; returns the new certificate embedded in R^m together with the
     warm start (d_hat, A d_hat) for the next primal update, built from the
     final multiplier-system solution, the final dual sets and A^T y."""
-    face = _DualFace(ctx)
-    psi = np.array(ctx.y_start, dtype=float)
-    start_point(face, psi, ctx.warm)
+    ctx.outer, ctx.fixed, ctx.col_e = ctx.I_P, ctx.J_P, None
+    ctx.col_psi, psi = np.array(ctx.col_y_start, dtype=float), np.array(ctx.y_start, dtype=float)
+    start_point(ctx, psi, ctx.warm)
     support = np.abs(psi) > SUPPORT_TOL
-    active = (np.abs(np.abs(face.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | face.fixed
+    active = (np.abs(np.abs(ctx.col_psi) - 1.0) <= ACTIVE_TOL * 2.0) | ctx.J_P
     psi, support, active, warm, iterations = run_active_set(
-        face, psi, support, active, ctx.warm, trace)
-    return DualUpdateResult(psi, warm, support, active, iterations, face.col_psi)
+        ctx, psi, support, active, ctx.warm, trace)
+    return DualUpdateResult(psi, warm, support, active, iterations, ctx.col_psi)

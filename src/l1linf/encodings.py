@@ -15,48 +15,23 @@ def improvement_system_dual(a, residual_signs, y_hat, i_p, j_p, j_d, i_d) -> Gen
     sign-preservation rows.  Feasibility must be tested with the first row
     strict."""
     s = residual_signs[i_p]
-    k = i_p.size
-    eq = a[i_p][:, j_p].T
-    eq_rhs = np.zeros(j_p.size)
-    ub_rows = [-s[None, :]]
-    ub_rhs = [np.zeros(1)]
     free_cols = np.setdiff1d(j_d, j_p)
-    if free_cols.size:
-        w = (a[:, free_cols].T @ y_hat)[:, None]
-        ub_rows.append(w * a[i_p][:, free_cols].T)
-        ub_rhs.append(np.zeros(free_cols.size))
-    for pos in np.isin(i_p, i_d, invert=True).nonzero()[0]:
-        row = np.zeros(k)
-        row[pos] = -s[pos]
-        ub_rows.append(row[None, :])
-        ub_rhs.append(np.zeros(1))
-    return GeneralLp(np.zeros(k), eq, eq_rhs, np.vstack(ub_rows),
-                     np.concatenate(ub_rhs), np.full(k, -np.inf))
+    w = (a[:, free_cols].T @ y_hat)[:, None]
+    ub = np.vstack([-s[None, :], w * a[i_p][:, free_cols].T,
+                    np.diag(-s)[np.isin(i_p, i_d, invert=True)]])
+    return GeneralLp(np.zeros(i_p.size), a[i_p][:, j_p].T, np.zeros(j_p.size), ub,
+                     np.zeros(ub.shape[0]), np.full(i_p.size, -np.inf))
 
 
 def improvement_system_primal(a, residual_signs, y_hat, i_p, j_p, j_d, i_d) -> GeneralLp:
     """Feasibility system for a primal improvement direction d (supported on
     J_D): equalities on the dual support rows, unit-margin decrease on the
     remaining active rows, sign compatibility on the free columns."""
-    eq = a[i_d][:, j_d]
-    eq_rhs = -np.sign(y_hat[i_d])
-    ub_rows = []
-    ub_rhs = []
     extra = np.setdiff1d(i_p, i_d)
-    if extra.size:
-        ub_rows.append(residual_signs[extra][:, None] * a[extra][:, j_d])
-        ub_rhs.append(-np.ones(extra.size))
-    for j in np.setdiff1d(j_d, j_p):
-        pos = int(np.searchsorted(j_d, j))
-        row = np.zeros(j_d.size)
-        row[pos] = float(a[:, j] @ y_hat)
-        ub_rows.append(row[None, :])
-        ub_rhs.append(np.zeros(1))
-    if ub_rows:
-        ub = np.vstack(ub_rows)
-        ub_b = np.concatenate(ub_rhs)
-    else:
-        ub = np.zeros((0, j_d.size))
-        ub_b = np.zeros(0)
-    return GeneralLp(np.zeros(j_d.size), eq, eq_rhs, ub, ub_b,
+    free = np.isin(j_d, j_p, invert=True)
+    coef = np.zeros(j_d.size)
+    coef[free] = a[:, j_d[free]].T @ y_hat
+    ub = np.vstack([residual_signs[extra][:, None] * a[extra][:, j_d], np.diag(coef)[free]])
+    ub_rhs = np.concatenate([-np.ones(extra.size), np.zeros(ub.shape[0] - extra.size)])
+    return GeneralLp(np.zeros(j_d.size), a[i_d][:, j_d], -np.sign(y_hat[i_d]), ub, ub_rhs,
                      np.full(j_d.size, -np.inf))

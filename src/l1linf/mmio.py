@@ -103,6 +103,7 @@ def read_vector(source) -> np.ndarray:
             raise ParseError(f"bad JSON vector: {exc}") from exc
         return as_vector(json_numbers(data, "JSON vector"), "vector")
     try:
-        return as_vector(np.array([float(tok) for tok in stripped.split()]), "vector")
+        values = [float(tok) for tok in stripped.split()]
     except ValueError as exc:
         raise ParseError("non-numeric vector entry") from exc
+    return as_vector(np.array(values), "vector")

@@ -9,31 +9,30 @@ decrease t of the bound solve, over x supported on J_D = {j : |A_j^T y| = 1},
          (A_j^T y) x_j <= 0                           for j in J_D
          0 <= t <= delta_k - delta_target.
 
-This module is the primal face of the shared loop in ``active_set.py``: the
-support is J_P inside J_D, and the removable constraints are the active
-rows I_P \\ I_D.  The face fixes d_t = 1, so a direction is a solution of
-A^{I_P}_{J_P} d = -sign(A^{I_P} xi - b_{I_P}) with d zero off J_P.
-Residual signs on the active rows are carried as state instead of being
-re-derived from near-tight residuals, and are returned with the result.
-They start as the signs s that the dual update was handed, which equal
-sign(y_i) where y_i != 0 on I_D, since the dual keeps s (x) y >= 0.  A
-context states its subproblem through its feasible start point and that
-point's carried product, resid_start = A x_start - b, so neither y nor b
-is handed over.  The context and the result hold the sets as boolean
-masks, the form in which the loop keeps them; the face functions take
-sorted int arrays.
+``PrimalContext`` is the primal face of the shared loop in
+``active_set.py``: the support is J_P inside J_D, and the removable
+constraints are the active rows I_P \\ I_D.  The face fixes d_t = 1, so a
+direction solves A^{I_P}_{J_P} d = -sign(A^{I_P} xi - b_{I_P}) with d zero
+off J_P.  Residual signs on the active rows are carried as state instead
+of being re-derived from near-tight residuals, and are returned with the
+result.  They start as the signs s that the dual update was handed, which
+equal sign(y_i) where y_i != 0 on I_D, since the dual keeps s (x) y >= 0.
+A context states its subproblem through its feasible start point and
+that point's carried product, resid_start = A x_start - b, so neither y
+nor b is handed over.  The sets cross as boolean masks, the form in which
+the loop keeps them; the face functions take sorted int arrays.
 
-The face carries r = A xi - b along the whole path: it starts from the
-previous primal update's final r (-b at the first breakpoint), is moved
-by alpha A d with each step, and is corrected for every entry of xi that
-the loop sets to zero, the start entries outside J_D included
-(``active_set.start_point``, the rule the dual update shares); the final
-r goes out with the result.  A d is formed once per direction, from the
-columns of J_P, and serves the ratio test.  The warm start is the dual
-update's pair (d_hat, A d_hat), whose product the dual formed for its own
-multipliers.  The multipliers form A^T e_hat once, from the rows of I_P,
-and read nu off it; the pair (e_hat, A^T e_hat) goes out as the next dual
-update's warm start.  On a large A these products read only those
+``primal_update`` sets the loop state on the context when it starts and
+never edits the context's inputs.  That state carries r = A xi - b along
+the whole path: r starts from the previous primal update's final r (-b
+at the first breakpoint), moves by alpha A d with each step and is
+corrected for every entry of xi that the loop sets to zero, the start
+entries outside J_D included (``active_set.start_point``); the final r
+goes out with the result.  A d is formed once per direction, from the
+columns of J_P, for the ratio test.  The warm start is the dual update's
+pair (d_hat, A d_hat).  The multipliers form A^T e_hat once, from the
+rows of I_P, and read nu off it; (e_hat, A^T e_hat) goes out as the next
+dual update's warm start.  On a large A these products read only those
 columns or rows (``linalg.right_product``, ``left_product``).  The signs
 of A^T y on J_D come from the dual update's A^T y.
 """
@@ -41,7 +40,7 @@ of A^T y on J_D come from the dual update's A^T y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,11 +55,11 @@ _SIDES = np.array([[1.0], [-1.0]])   # a row's upper and lower bound
 
 @dataclass
 class PrimalContext:
-    """The primal subproblem at delta_k, stated by its sets, its residual
-    signs, A^T y and a feasible start point with its carried A x_start - b.
-    The four sets are boolean masks: the update reads J_D and I_D as its
-    outer and fixed sets and starts its loop from copies of J_P and I_P,
-    so it edits none of them."""
+    """The primal subproblem at delta_k and the face that ``primal_update``
+    runs: its sets, its residual signs, A^T y and a feasible start point
+    with its carried A x_start - b.  The four sets are boolean masks: J_D
+    and I_D are the outer and fixed sets, and the loop starts from copies
+    of J_P and I_P.  The update sets the loop state and edits no input."""
 
     A: np.ndarray
     delta_k: float
@@ -76,6 +75,46 @@ class PrimalContext:
     # the dual update's (d_hat, A d_hat); d_hat is full length n and zero off J_D
     warm: tuple[np.ndarray, np.ndarray] | None = None
     carry: InverseCarry | None = None         # the path's kernel inverse
+    outer: np.ndarray = field(init=False, repr=False, compare=False)    # J_D
+    fixed: np.ndarray = field(init=False, repr=False, compare=False)    # I_D
+    tau: float = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
+    col_sign: np.ndarray = field(init=False, repr=False, compare=False)  # read on J_D only
+    resid: np.ndarray = field(init=False, repr=False, compare=False)
+    a_d: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    name = "primal"
+
+    def direction(self, support, active):
+        report = primal_direction(self, active, support, self.signs)
+        if report.consistent:
+            self.a_d = right_product(self.A, report.solution, support)
+        return report
+
+    def step(self, d, xi, support, active):
+        alpha, reached_target, rows, sides, leaving = primal_step(
+            self, d, xi, self.tau, active, support, self.col_sign, self.resid, self.a_d)
+        self.tau += alpha
+        self.resid += alpha * self.a_d
+        self.signs[rows] = sides
+        return alpha, rows, leaving, reached_target
+
+    def zero(self, xi, cols):
+        if len(cols):
+            self.resid -= self.A[:, cols].dot(xi[cols])
+            xi[cols] = 0.0
+
+    def multipliers(self, report, active, removable, candidates):
+        e_hat, col_e_hat, mu, nu = primal_multipliers(
+            self, active, removable, candidates, self.signs, self.col_sign, report)
+        return (e_hat, col_e_hat), mu, nu
+
+    def warm_slack(self, a_d):
+        self.a_d = a_d
+        return a_d + self.signs
+
+    def value(self, xi):
+        return self.tau
 
 
 @dataclass
@@ -110,9 +149,8 @@ def primal_direction(ctx: PrimalContext, I_P: np.ndarray, J_P: np.ndarray,
     return SolveReport(d, kernel.residual_norm, True, kernel.alternative)
 
 
-def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float,
-                I_P: np.ndarray, J_P: np.ndarray, col_sign: np.ndarray,
-                resid: np.ndarray, a_d: np.ndarray
+def primal_step(ctx: PrimalContext, d: np.ndarray, xi: np.ndarray, tau: float, I_P: np.ndarray,
+                J_P: np.ndarray, col_sign: np.ndarray, resid: np.ndarray, a_d: np.ndarray
                 ) -> tuple[float, bool, np.ndarray, np.ndarray, np.ndarray]:
     """Largest feasible step, given resid = A xi - b and a_d = A d: min
     over inactive-row ratios, support-sign ratios and the remaining
@@ -170,69 +208,18 @@ def primal_multipliers(ctx: PrimalContext, I_P: np.ndarray, extra_rows: np.ndarr
     return e_hat, col_e_hat, mu, nu
 
 
-class _PrimalFace:
-    """Carries the bound decrease tau, the residual signs of the active rows,
-    the signs of A_j^T y on J_D, resid = A xi - b and a_d = A d of the last
-    direction."""
-
-    name = "primal"
-
-    def __init__(self, ctx: PrimalContext):
-        self.ctx = ctx
-        self.outer, self.fixed = ctx.J_D, ctx.I_D
-        self.tau = 0.0
-        self.signs = np.array(ctx.residual_signs, dtype=float)
-        self.col_sign = np.sign(ctx.col_y)     # read on J_D only
-        self.resid = np.array(ctx.resid_start, dtype=float)
-        self.a_d = None
-
-    def direction(self, support, active):
-        report = primal_direction(self.ctx, active, support, self.signs)
-        if report.consistent:
-            self.a_d = right_product(self.ctx.A, report.solution, support)
-        return report
-
-    def step(self, d, xi, support, active):
-        alpha, reached_target, rows, sides, leaving = primal_step(
-            self.ctx, d, xi, self.tau, active, support, self.col_sign,
-            self.resid, self.a_d)
-        self.tau += alpha
-        self.resid += alpha * self.a_d
-        self.signs[rows] = sides
-        return alpha, rows, leaving, reached_target
-
-    def zero(self, xi, cols):
-        if len(cols):
-            self.resid -= self.ctx.A[:, cols].dot(xi[cols])
-            xi[cols] = 0.0
-
-    def multipliers(self, report, active, removable, candidates):
-        e_hat, col_e_hat, mu, nu = primal_multipliers(
-            self.ctx, active, removable, candidates, self.signs, self.col_sign, report)
-        return (e_hat, col_e_hat), mu, nu
-
-    def warm_slack(self, a_d):
-        self.a_d = a_d
-        return a_d + self.signs
-
-    def value(self, xi):
-        return self.tau
-
-
 def primal_update(ctx: PrimalContext, trace=None) -> PrimalUpdateResult:
-    """Solve the primal subproblem with the specialized active-set scheme.
-
-    Returns the new primal iterate, the achieved decrease t, the warm
-    start (e_hat, A^T e_hat) for the next dual update, built from the final
+    """Solve the primal subproblem by the specialized active-set scheme;
+    returns the new primal iterate, the achieved decrease t, the warm start
+    (e_hat, A^T e_hat) for the next dual update, built from the final
     multiplier-system solution (None when the target bound was reached),
-    the final sets, the residual signs and A x - b.
-    """
+    the final sets, the residual signs and A x - b."""
     if ctx.delta_target > ctx.delta_k + ZERO_STEP_TOL:
         raise ValueError("delta_target exceeds the current bound")
-    face = _PrimalFace(ctx)
-    xi = np.array(ctx.x_start, dtype=float)
-    start_point(face, xi, ctx.warm)
+    ctx.outer, ctx.fixed, ctx.tau, ctx.a_d = ctx.J_D, ctx.I_D, 0.0, None
+    ctx.signs, ctx.col_sign = np.array(ctx.residual_signs, dtype=float), np.sign(ctx.col_y)
+    ctx.resid, xi = np.array(ctx.resid_start, dtype=float), np.array(ctx.x_start, dtype=float)
+    start_point(ctx, xi, ctx.warm)
     xi, support, active, warm, iterations = run_active_set(
-        face, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm, trace)
-    return PrimalUpdateResult(xi, face.tau, warm, active, support, iterations,
-                              face.signs, face.resid)
+        ctx, xi, ctx.J_P.copy(), ctx.I_P.copy(), ctx.warm, trace)
+    return PrimalUpdateResult(xi, ctx.tau, warm, active, support, iterations, ctx.signs, ctx.resid)

@@ -13,7 +13,7 @@ from test_linalg import _workload
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_paths.py"
 SIDE = (r"small-many (old|new): ([0-9.]+) s, (\d+) breakpoints, "
-        r"kernel ((?:\w+=\d+ ?)+)")
+        r"([0-9.]+) calls a breakpoint, kernel ((?:\w+=\d+ ?)+)")
 
 
 def _run(*args):
@@ -27,10 +27,12 @@ def test_ab_paths_runs_a_against_a():
     lines = _run("--rounds", "2", "--memory").splitlines()
     sides = [re.fullmatch(SIDE + r", ([0-9.]+) MB held", line) for line in lines[:2]]
     assert [m.group(1) for m in sides] == ["old", "new"]
-    # the same tree does the same work, and holds about as many bytes, on both sides
+    # the same tree does the same work, by breakpoints, profiled calls and
+    # kernel counts, and holds about as many bytes, on both sides
     assert sides[0].group(3) == sides[1].group(3) != "0"
-    assert sides[0].group(4) == sides[1].group(4)
-    held = [float(m.group(5)) for m in sides]
+    assert sides[0].group(4) == sides[1].group(4) and float(sides[0].group(4)) > 0.0
+    assert sides[0].group(5) == sides[1].group(5)
+    held = [float(m.group(6)) for m in sides]
     assert held[0] > 0.0 and abs(held[1] - held[0]) <= 0.01 * held[0]
     ratio = re.fullmatch(r"small-many new/old: ([0-9.]+) \(2 alternated rounds\)", lines[2])
     assert ratio and float(ratio.group(1)) > 0.0
@@ -44,7 +46,7 @@ def test_ab_paths_sums_each_sides_kernel_counts():
     lines = _run("--rounds", "1").splitlines()
     sides = [re.fullmatch(SIDE, line) for line in lines[:2]]
     shown = [dict((route, int(calls)) for route, calls in
-                  (pair.split("=") for pair in m.group(4).split())) for m in sides]
+                  (pair.split("=") for pair in m.group(5).split())) for m in sides]
     expected = Counter()
     for case in _workload("small-many")(1, True).cases:
         for warm in (True, False):

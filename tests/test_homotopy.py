@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from l1linf import homotopy, oracle
+from l1linf.dual_update import dual_update
 from l1linf.homotopy import (ProblemInstance, _build_sets, check_alternatives,
                              check_optimal_pair, duality_gap, eval_path,
                              solve_path)
 from l1linf.linalg import GATHER_MIN_SIZE, IndexSet
 from l1linf.pathexport import export_to_json, path_to_export
+from l1linf.primal_update import primal_update
 
 
 def test_check_optimal_pair_scalar():
@@ -422,17 +424,18 @@ PRODUCT_RTOL = 1e-12
 
 
 def _planting(cls, state, product):
-    """A ``zero`` for a face class that first puts unit mass into the
-    entries it is about to zero, and the mass's product with A into the
-    carried state ``state``: a correction that ``zero`` leaves out then
-    shows as a unit error rather than as rounding."""
+    """A ``zero`` for a context class, the face that the loop runs, that
+    first puts unit mass into the entries it is about to zero, and the
+    mass's product with A into the carried state ``state``: a correction
+    that ``zero`` leaves out then shows as a unit error rather than as
+    rounding."""
     original = cls.zero
 
     def zero(self, point, indices):
         if len(indices):
             point[indices] += 1.0
             setattr(self, state, getattr(self, state)
-                    + product(self.ctx.A, indices, np.ones(len(indices))))
+                    + product(self.A, indices, np.ones(len(indices))))
         original(self, point, indices)
     return zero
 
@@ -493,10 +496,10 @@ def test_carried_state_matches_fresh_products(monkeypatch):
         return res.warm[1]
 
     monkeypatch.setattr(InverseCarry, "solve", checked_solve)
-    monkeypatch.setattr(dual_mod._DualFace, "zero", _planting(
-        dual_mod._DualFace, "col_psi", lambda a, rows, v: a[rows].T @ v))
-    monkeypatch.setattr(primal_mod._PrimalFace, "zero", _planting(
-        primal_mod._PrimalFace, "resid", lambda a, cols, v: a[:, cols] @ v))
+    monkeypatch.setattr(dual_mod.DualContext, "zero", _planting(
+        dual_mod.DualContext, "col_psi", lambda a, rows, v: a[rows].T @ v))
+    monkeypatch.setattr(primal_mod.PrimalContext, "zero", _planting(
+        primal_mod.PrimalContext, "resid", lambda a, cols, v: a[:, cols] @ v))
     monkeypatch.setattr(homotopy, "dual_update", checked(
         homotopy.dual_update,
         (lambda res: res.col_y, lambda a, ctx, res: a.T @ res.y,
@@ -516,6 +519,41 @@ def test_carried_state_matches_fresh_products(monkeypatch):
         assert solve_path(solving).terminated == "target-reached"
     assert len(follows) > 50 and all(follows)
     assert len(errors) > 200 and max(errors) <= PRODUCT_RTOL
+
+
+def _leaves(value):
+    """The arrays and scalars of a context input or an update result, in
+    order: a dataclass's fields and a pair's entries one by one."""
+    if dataclasses.is_dataclass(value):
+        return [leaf for f in dataclasses.fields(value) if f.init
+                for leaf in _leaves(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [np.array(value, copy=True)]
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(
+        u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        for u, v in zip(a, b))
+
+
+def test_an_update_edits_no_input_and_runs_its_context_again():
+    # the context is the face that the loop runs: an update sets the loop
+    # state on it when it starts and edits none of its inputs, so without
+    # a carried inverse, where the kernel keeps no state, a second run of
+    # one context gives the first run's result bit for bit
+    runs = {"dual": 0, "primal": 0}
+    for inst in (pinned_gaussian(), pinned_small()):
+        for kind, ctx, _, _ in subproblem_contexts(inst):
+            ctx = dataclasses.replace(ctx, carry=None)
+            update = dual_update if kind == "dual" else primal_update
+            inputs = _leaves(ctx)
+            first = _leaves(update(ctx))
+            assert _same_bits(_leaves(ctx), inputs), kind
+            assert _same_bits(_leaves(update(ctx)), first), kind
+            runs[kind] += 1
+    assert min(runs.values()) > 70, runs
 
 
 def test_a_warm_one_step_breakpoint_forms_two_products_with_a(monkeypatch):
@@ -551,7 +589,7 @@ def test_a_warm_one_step_breakpoint_forms_two_products_with_a(monkeypatch):
         for name in ("left_product", "right_product"):
             monkeypatch.setattr(module, name, counted(getattr(linalg, name), "products"),
                                 raising=False)
-    for cls, key in ((dual_mod._DualFace, "dual"), (primal_mod._PrimalFace, "primal")):
+    for cls, key in ((dual_mod.DualContext, "dual"), (primal_mod.PrimalContext, "primal")):
         monkeypatch.setattr(cls, "step", counted(cls.step, key))
     assert solve_path(pinned_gaussian()).terminated == "target-reached"
     one_step = [bp["products"] for bp in breakpoints if bp["warm"] and not bp["target"]
@@ -625,17 +663,19 @@ def test_subsolvers_keep_index_sets_off_the_hot_path(monkeypatch):
 # pinned_gaussian
 SETUP_GLUE_CALLS = 33
 LOOP_GLUE_CALLS_PER_BREAKPOINT = 14
-# 215.5 on pinned_gaussian and 215.0 on pinned_small measured; 218.5 and
-# 218.1 when the contexts carried x, b and y and the m and n properties,
-# 222.3 and 220.9 when warm starts crossed as two fields and primal_step's
-# entering rows as a list of (row, side) tuples, 226.3 and 224.8 when each
-# update formed its start product and its warm product afresh, 229.5 and
-# 244.4 when blocks below 12 columns took the SVD
-CALLS_PER_BREAKPOINT = 217
-# without warm starts: 300.1 on pinned_gaussian and 298.4 on pinned_small
-# measured; 456.8 and 442.0 when the carried inverse answered again each
-# system that the other face had just asked for
-COLD_CALLS_PER_BREAKPOINT = 302
+# 213.5 on pinned_gaussian and 212.9 on pinned_small measured; 215.5 and
+# 215.0 when each update built a private face object around its context,
+# 218.5 and 218.1 when the contexts carried x, b and y and the m and n
+# properties, 222.3 and 220.9 when warm starts crossed as two fields and
+# primal_step's entering rows as a list of (row, side) tuples, 226.3 and
+# 224.8 when each update formed its start product and its warm product
+# afresh, 229.5 and 244.4 when blocks below 12 columns took the SVD
+CALLS_PER_BREAKPOINT = 215
+# without warm starts: 298.1 on pinned_gaussian and 296.4 on pinned_small
+# measured; 300.1 and 298.4 with a private face object per update, 456.8
+# and 442.0 when the carried inverse answered again each system that the
+# other face had just asked for
+COLD_CALLS_PER_BREAKPOINT = 300
 # the kernel counts of the two cold paths: as many carried updates as on
 # their warm paths, and each system asked for again answered by its
 # stored report (367 and 97 updates when the carry solved it again)

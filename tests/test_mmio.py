@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from l1linf.cli import main
 from l1linf.mmio import ParseError, read_matrixmarket_array, read_vector
 from reference_lp import write_matrixmarket_array
 
@@ -75,3 +76,23 @@ def test_read_vector_missing_path_is_named_and_str_is_text(tmp_path):
     with pytest.raises(ParseError, match=re.escape(str(missing))):
         read_vector(missing)
     np.testing.assert_array_equal(read_vector("3"), [3.0])
+
+
+def test_read_vector_names_a_non_finite_entry_as_such(tmp_path, capsys):
+    # float() reads "nan" and "inf": a plain-text vector holding one is
+    # refused as non-finite, as the JSON reader and the matrix reader
+    # refuse it, and only a token float() cannot read is non-numeric
+    for text in ("1 nan 2", "1 inf", "-inf", "[1, NaN]", "[Infinity]"):
+        with pytest.raises(ValueError, match="vector contains non-finite entries"):
+            read_vector(text)
+    for text in ("1 two 3", "1 0x10"):
+        with pytest.raises(ParseError, match="non-numeric vector entry"):
+            read_vector(text)
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        read_matrixmarket_array("%%MatrixMarket matrix array real general\n1 1\nnan\n")
+    mm, bf = tmp_path / "a.mtx", tmp_path / "v.txt"
+    mm.write_text(write_matrixmarket_array(np.eye(2)))
+    bf.write_text("1.0\nnan\n")
+    assert main(["solve", str(mm), "--b", str(bf), "--delta", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "l1linf:" in err and "non-finite" in err

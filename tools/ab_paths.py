@@ -24,7 +24,11 @@ medians over the rounds, with its breakpoint count (the two sides do the
 same work only when these agree) and its kernel counts summed over one
 round of its paths (``SolutionPath.kernel``, each route as
 ``route=count``, the routes the side's own package counts), so a run
-shows the work that a change saves, and the ratio new / old.
+shows the work that a change saves, and the ratio new / old.  The line
+also gives the side's profiled Python and C calls per breakpoint, a work
+counter that does not depend on the machine: after the timed rounds,
+each of its paths is solved once more, untimed, under ``sys.setprofile``,
+and the calls of all of them are divided by their breakpoints.
 ``--memory`` adds, after the timed rounds, the
 bytes that ``tracemalloc`` sees held by one round of each side's paths
 (every path of the workload solved once and kept, as the benchmark's path
@@ -131,6 +135,31 @@ def compare_certify(packages: dict, workload, rounds: int) -> dict:
         lambda verdicts: verdicts)
 
 
+def calls_per_breakpoint(packages: dict, workload) -> dict:
+    """Each side's Python and C calls per breakpoint over one untimed
+    round of its paths, each path solved under ``sys.setprofile`` alone;
+    operators and ufuncs make no profile event."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+    out = {}
+    previous = sys.getprofile()
+    for side in SIDES:
+        calls = breakpoints = 0
+        for inst, warm in _jobs(packages[side], workload):
+            sys.setprofile(profile)
+            try:
+                path = packages[side].solve_path(inst, use_warm_starts=warm)
+            finally:
+                sys.setprofile(previous)
+            breakpoints += len(path.breakpoints) - 1
+        out[side] = calls / max(breakpoints, 1)
+    return out
+
+
 def held_bytes(packages: dict, workload) -> dict:
     """Bytes that tracemalloc sees held by one round of each side's paths;
     garbage is collected before both readings, so only what the paths
@@ -204,13 +233,14 @@ def main(argv=None) -> int:
                                      args.rounds)
             continue
         result = compare(packages, workload, args.rounds)
+        calls = calls_per_breakpoint(packages, workload)
         held = held_bytes(packages, workload) if args.memory else None
         for side in SIDES:
             seconds, count, kernel = result[side]
-            routes = " ".join(f"{route}={calls}" for route, calls in kernel.items())
+            routes = " ".join(f"{route}={n}" for route, n in kernel.items())
             memory = f", {held[side] / 1e6:.3f} MB held" if held else ""
             print(f"{name} {side}: {seconds:.4f} s, {count} breakpoints, "
-                  f"kernel {routes}{memory}")
+                  f"{calls[side]:.2f} calls a breakpoint, kernel {routes}{memory}")
         print(f"{name} new/old: {result['new'][0] / result['old'][0]:.3f} "
               f"({args.rounds} alternated rounds)")
         if held:

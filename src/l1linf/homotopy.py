@@ -425,7 +425,11 @@ def check_alternatives(inst: ProblemInstance, x_hat, y_hat,
                        delta_hat: float) -> tuple[bool, bool]:
     """Feasibility of the two mutually exclusive improvement-direction
     systems at an optimal pair: (dual improvement possible, primal
-    improvement possible).  Exactly one holds for 0 < delta_hat < ||b||_inf."""
+    improvement possible).  Exactly one holds for 0 < delta_hat < ||b||_inf;
+    a delta_hat outside that range raises ValueError."""
+    delta_hat, b_inf = float(delta_hat), float(np.max(np.abs(inst.b)))
+    if not 0.0 < delta_hat < b_inf:
+        raise ValueError(f"delta_hat {delta_hat!r} is outside (0, ||b||_inf) = (0, {b_inf!r})")
     x_hat = as_vector(x_hat, "x_hat")
     y_hat = as_vector(y_hat, "y_hat")
     if not check_optimal_pair(inst, x_hat, y_hat, delta_hat):

@@ -86,3 +86,38 @@ def test_ab_paths_certify_phase_fails_on_different_verdicts(tmp_path):
     lines = run.stdout.splitlines()
     assert re.fullmatch(r"small-many new: [0-9.]+ s, 0 of \d+ breakpoints certified", lines[1])
     assert lines[-1] == "small-many: the two sides' verdicts differ"
+
+
+EXPORT_SIDE = r"small-many (old|new): ([0-9.]+) s, (\d+) paths, ([0-9.]+) MB of text"
+
+
+def test_ab_paths_export_phase_runs_a_against_a():
+    lines = _run("--rounds", "2", "--phase", "export").splitlines()
+    sides = [re.fullmatch(EXPORT_SIDE, line) for line in lines[:2]]
+    assert [m.group(1) for m in sides] == ["old", "new"]
+    # each side writes every path of the workload, warm and cold, and the
+    # texts agree, so the run exits 0
+    paths = 2 * len(_workload("small-many")(1, True).cases)
+    assert [m.group(3) for m in sides] == [str(paths)] * 2
+    assert sides[0].group(4) == sides[1].group(4) and float(sides[0].group(4)) > 0.0
+    ratio = re.fullmatch(r"small-many new/old: ([0-9.]+) \(2 alternated rounds\)", lines[2])
+    assert ratio and float(ratio.group(1)) > 0.0 and len(lines) == 3
+
+
+def test_ab_paths_export_phase_fails_on_different_texts(tmp_path):
+    # a side whose writer changes one byte of each text
+    shutil.copytree(ROOT / "src" / "l1linf", tmp_path / "l1linf")
+    with open(tmp_path / "l1linf" / "pathexport.py", "a") as f:
+        f.write("\n\n_export_to_json = export_to_json\n\n\n"
+                "def export_to_json(export):\n"
+                "    return _export_to_json(export)[:-1] + ' '\n")
+    args = [sys.executable, str(TOOL), str(ROOT / "src"), str(tmp_path), "--quick",
+            "--workload", "small-many", "--rounds", "1", "--phase", "export"]
+    run = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    lines = run.stdout.splitlines()
+    assert lines[0].split(", ")[1:] == lines[1].split(", ")[1:]   # as many bytes
+    assert lines[-1] == "small-many: the two sides' texts differ"
+    # --memory measures paths, not their export
+    run = subprocess.run([*args, "--memory"], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2 and "use it with --phase path" in run.stderr

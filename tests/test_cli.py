@@ -287,6 +287,21 @@ def test_verify_single_input_instance(tmp_path):
     assert main(["verify", "--input", str(inst)]) == 0
 
 
+def test_a_written_export_is_written_again_byte_for_byte(tmp_path):
+    # the file that solve -o writes, read back and written again, is the
+    # same text, and the text is json.dumps's
+    inst = pinned_gaussian()
+    src = tmp_path / "inst.json"
+    src.write_text(json.dumps({"A": inst.A.tolist(), "b": inst.b.tolist(), "delta": inst.delta}))
+    out = tmp_path / "path.json"
+    assert main(["solve", str(src), "-o", str(out)]) == 0
+    text = out.read_text()
+    export = export_from_json(text)
+    assert len(export["breakpoints"]) > 50
+    assert export_to_json(export) == text
+    assert json.dumps(export, sort_keys=True, separators=(",", ":")) + "\n" == text
+
+
 def test_export_json_lossless_round_trip(tmp_path):
     inst = write_scalar_instance(tmp_path, delta=0.25)
     out = tmp_path / "path.json"

@@ -178,16 +178,20 @@ def test_warm_and_cold_paths_agree():
 
 
 def test_alternatives_on_post_dual_pairs():
-    # (x_k, y_{k+1}) admits primal progress: system 2 feasible, system 1 not
+    # (x_k, y_{k+1}) admits primal progress: system 2 feasible, system 1 not;
+    # k starts at 1, since the origin's delta_0 = ||b||_inf is refused
     rng = np.random.default_rng(54)
     inst = random_instance(rng)
     path = solve_path(inst)
     bps = path.breakpoints
-    for prev, cur in zip(bps[:3], bps[1:4]):
+    checked = 0
+    for prev, cur in zip(bps[1:4], bps[2:5]):
         if prev.delta_k <= 1e-9:
             continue
         s1, s2 = check_alternatives(inst, prev.x, cur.y, prev.delta_k)
         assert not s1 and s2
+        checked += 1
+    assert checked == 2
 
 
 def test_alternatives_on_recorded_breakpoints():
@@ -223,6 +227,19 @@ def test_alternatives_precondition():
     inst = ProblemInstance([[1.0]], [2.0], 1.0)
     with pytest.raises(ValueError):
         check_alternatives(inst, [0.0], [0.9], 1.0)
+
+
+def test_alternatives_refuse_a_bound_outside_the_open_range():
+    # at the origin (delta_0 = ||b||_inf, J_D and I_D empty) the primal
+    # system has no variable, and at delta_hat = 0 the theorem does not
+    # hold: both are refused by name before anything is certified
+    inst = pinned_small()
+    origin = solve_path(inst).breakpoints[0]
+    b_inf = float(np.max(np.abs(inst.b)))
+    assert origin.delta_k == b_inf
+    for delta_hat in (origin.delta_k, 0.0, -1.0, 2.0 * b_inf, float("nan")):
+        with pytest.raises(ValueError, match=r"outside \(0, \|\|b\|\|_inf\)"):
+            check_alternatives(inst, origin.x, origin.y, delta_hat)
 
 
 def test_zero_row_reports_failure_not_hang():

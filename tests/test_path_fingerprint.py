@@ -145,3 +145,21 @@ def test_last_line_gives_each_familys_largest_delta_k_difference(tmp_path, capsy
     assert path_fingerprint.main(["compare", str(a), str(b), "--rtol", "1e-12"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "by family: gauss 0 delta_k 1.0e-13; tied 0 delta_k 0"
+
+
+def test_export_field_hashes_the_paths_json_text(tmp_path, capsys):
+    from l1linf.pathexport import export_to_json, path_to_export
+    rng = np.random.default_rng(5)
+    inst = ProblemInstance(rng.standard_normal((6, 12)), rng.standard_normal(6), 0.1)
+    path = solve_path(inst)
+    text = export_to_json(path_to_export(inst, path))
+    fp = path_fingerprint._fingerprint(inst, path)
+    assert fp["export"] == hashlib.sha256(text.encode()).hexdigest()
+    # a file written before the field existed lists every path's export
+    # field; a positive rtol leaves the digests aside
+    new = {key: dict(value, export=fp["export"]) for key, value in REFERENCE.items()}
+    assert compare(tmp_path, new) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" None")[0] for line in lines[:-2]] == \
+        ["gauss/0/cold: export", "gauss/0/warm: export"]
+    assert compare(tmp_path, new, "--rtol", "1e-12") == 0

@@ -10,6 +10,8 @@ dense vectors for their nonzeros."""
 import base64
 import gc
 import importlib.util
+import json
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from l1linf import homotopy, solve_path
+from l1linf import homotopy, pathexport, solve_path
 from l1linf.pathexport import export_from_json, export_to_json, export_vectors, path_to_export
 from test_homotopy import pinned_gaussian
 from test_path_fingerprint import path_fingerprint
@@ -193,3 +195,110 @@ def test_an_assigned_vector_is_kept_as_given():
     positions, values = bp.y_entries
     assert positions.dtype == np.int32 and positions[0] == 0
     assert np.array_equal(values, y[y != 0.0])
+
+
+# -- the writer against its reference, json.dumps ---------------------------
+def _dumps(export) -> str:
+    return json.dumps(export, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class _CountingEncoder:
+    """The writer's json encoder, counting the objects handed to it: the
+    header once a path, and each breakpoint that the template refuses."""
+
+    def __init__(self, encoder):
+        self.encoder, self.calls = encoder, 0
+
+    def encode(self, obj):
+        self.calls += 1
+        return self.encoder.encode(obj)
+
+
+@pytest.fixture
+def encoder(monkeypatch):
+    counting = _CountingEncoder(pathexport._ENCODER)
+    monkeypatch.setattr(pathexport, "_ENCODER", counting)
+    return counting
+
+
+@pytest.mark.parametrize("family", FAMILIES[:4])
+def test_export_text_is_json_dumps_on_every_workload_path(monkeypatch, encoder, family):
+    # seed 1 of each benchmark workload, warm and cold: every breakpoint
+    # takes the template, and only the header goes to the encoder
+    cases = _reference_cases(monkeypatch, family)
+    assert cases
+    for label, inst in cases:
+        for warm in (True, False):
+            export = path_to_export(inst, solve_path(inst, use_warm_starts=warm))
+            encoder.calls = 0
+            assert export_to_json(export) == _dumps(export), (label, warm)
+            assert encoder.calls == 1, (label, warm)
+
+
+def test_export_text_of_a_read_export_is_json_dumps(encoder):
+    # export_from_json gives plain strings, which the template does not
+    # trust: every breakpoint goes to the encoder, and the text is the same
+    inst = pinned_gaussian()
+    text = export_to_json(path_to_export(inst, solve_path(inst)))
+    export = export_from_json(text)
+    encoder.calls = 0
+    assert export_to_json(export) == _dumps(export) == text
+    assert encoder.calls == 1 + len(export["breakpoints"])
+
+
+def _crafted():
+    """(name, change) of breakpoints outside the writer's own layout."""
+    def extra_key(bp):
+        bp["note"] = 1
+
+    def no_sets(bp):
+        del bp["sets"]
+
+    def infinite_delta(bp):
+        bp["delta"] = math.inf
+
+    def nan_t(bp):
+        bp["t"] = math.nan
+
+    def bool_k(bp):
+        bp["k"] = True
+
+    def numpy_t(bp):
+        bp["t"] = np.float64(bp["t"])
+
+    def float_count(bp):
+        bp["sets"] = dict(bp["sets"], I_D=1.0)
+
+    def index_holding(char):
+        def change(bp):
+            bp["x"] = dict(bp["x"], i=bp["x"]["i"] + char)
+        change.__name__ = f"i_holding_{char!r}"
+        return change
+    return [extra_key, no_sets, infinite_delta, nan_t, bool_k, numpy_t, float_count,
+            *(index_holding(char) for char in ('"', "\\", "\n", "\u00e9"))]
+
+
+@pytest.mark.parametrize("change", _crafted(), ids=lambda change: change.__name__)
+def test_a_breakpoint_outside_the_layout_goes_to_the_encoder(encoder, change):
+    inst = pinned_gaussian()
+    export = path_to_export(inst, solve_path(inst))
+    bp = dict(export["breakpoints"][3])
+    change(bp)
+    export["breakpoints"][3] = bp
+    encoder.calls = 0
+    text = export_to_json(export)
+    assert text == _dumps(export)
+    assert encoder.calls == 2     # the header and the changed breakpoint
+
+
+def test_the_whole_object_goes_to_the_encoder_where_it_cannot_be_spliced(encoder):
+    inst = pinned_gaussian()
+    export = path_to_export(inst, solve_path(inst))
+    empty = dict(export, breakpoints=[])
+    encoder.calls = 0
+    assert export_to_json(empty) == _dumps(empty) and encoder.calls == 1
+    # a nested "breakpoints" key that also holds [] once the list is emptied
+    nested = dict(export, stats=dict(export["stats"], breakpoints=[]))
+    encoder.calls = 0
+    assert export_to_json(nested) == _dumps(nested)
+    assert encoder.calls == 2     # the header, then the whole object

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time ``solve_path``, or the certify pass, of two source trees in one process.
+"""Time ``solve_path``, the certify pass or the export of two source trees in one process.
 
     python3 tools/ab_paths.py OLD_SRC NEW_SRC [--workload W] [--rounds N] [--quick]
-                              [--memory] [--phase path|certify]
+                              [--memory] [--phase path|certify|export]
 
 OLD_SRC and NEW_SRC are directories holding an ``l1linf`` package (a
 checkout's ``src``).  Each package is loaded under its own module name,
@@ -41,6 +41,14 @@ the benchmark's ``certify_s`` pass does), in the same alternated rounds
 with per-path medians summed.  A side's line gives how many of its
 breakpoints it certified; the run exits 1 when the two sides' verdicts
 differ at any breakpoint.
+
+``--phase export`` times the export in the same way: each side solves its
+paths once, untimed, then writes each of them as JSON with its own
+``path_to_export`` and ``export_to_json`` (as the benchmark's
+``export_s`` pass does), in alternated rounds with per-path medians
+summed.  A side's line gives its paths and the megabytes of their text;
+the run exits 1 when the two sides' texts differ for any path.
+``--memory`` measures paths, so it goes with ``--phase path`` only.
 """
 
 from __future__ import annotations
@@ -61,8 +69,8 @@ SIDES = ("old", "new")
 
 
 def load_package(src: Path, name: str):
-    """The ``l1linf`` package under ``src``, imported as ``name``; its
-    relative imports resolve inside that tree."""
+    """The ``l1linf`` package under ``src``, imported as ``name`` with its
+    ``pathexport`` module; its relative imports resolve inside that tree."""
     init = src / "l1linf" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"ab_paths: no l1linf package under {src}")
@@ -71,6 +79,7 @@ def load_package(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.pathexport")
     return package
 
 
@@ -121,18 +130,31 @@ def compare(packages: dict, workload, rounds: int) -> dict:
     return out
 
 
+def _solved(packages: dict, workload) -> dict:
+    """Each side's (instance, path) of every path of a workload, solved
+    once with its own package."""
+    return {side: [(inst, packages[side].solve_path(inst, use_warm_starts=warm))
+                   for inst, warm in _jobs(packages[side], workload)]
+            for side in SIDES}
+
+
 def compare_certify(packages: dict, workload, rounds: int) -> dict:
     """Alternated rounds of the certify pass over each side's own paths;
     returns each side's sum of per-path medians and its verdicts, one list
     per path."""
-    jobs = {side: [(inst, packages[side].solve_path(inst, use_warm_starts=warm))
-                   for inst, warm in _jobs(packages[side], workload)]
-            for side in SIDES}
     return _alternated(
-        packages, jobs, rounds,
+        packages, _solved(packages, workload), rounds,
         lambda package, job: [package.check_optimal_pair(job[0], bp.x, bp.y, bp.delta_k)
                               for bp in job[1].breakpoints],
         lambda verdicts: verdicts)
+
+
+def compare_export(packages: dict, workload, rounds: int) -> dict:
+    """Alternated rounds of the JSON export of each side's own paths;
+    returns each side's sum of per-path medians and its texts, one a path."""
+    def export(package, job):
+        return package.pathexport.export_to_json(package.pathexport.path_to_export(*job))
+    return _alternated(packages, _solved(packages, workload), rounds, export, lambda text: text)
 
 
 def calls_per_breakpoint(packages: dict, workload) -> dict:
@@ -181,20 +203,33 @@ def held_bytes(packages: dict, workload) -> dict:
     return out
 
 
-def report_certify(name: str, result: dict, rounds: int) -> int:
-    """Print a workload's certify A/B; 1 when the sides' verdicts differ."""
+def _certified(verdicts) -> str:
+    flat = [v for path in verdicts for v in path]
+    return f"{sum(flat)} of {len(flat)} breakpoints certified"
+
+
+def _written(texts) -> str:
+    return f"{len(texts)} paths, {sum(map(len, texts)) / 1e6:.3f} MB of text"
+
+
+# --phase: (compare, a side's line from its kept results, what those are)
+PHASES = {"certify": (compare_certify, _certified, "verdicts"),
+          "export": (compare_export, _written, "texts")}
+
+
+def report_phase(name: str, phase: str, result: dict, rounds: int) -> int:
+    """Print a workload's certify or export A/B; 1 when the two sides'
+    verdicts or texts differ."""
+    _, describe, what = PHASES[phase]
     for side in SIDES:
-        seconds, verdicts = result[side]
-        flat = [v for path in verdicts for v in path]
-        print(f"{name} {side}: {seconds:.4f} s, {sum(flat)} of {len(flat)} "
-              f"breakpoints certified")
+        seconds, kept = result[side]
+        print(f"{name} {side}: {seconds:.4f} s, {describe(kept)}")
     print(f"{name} new/old: {result['new'][0] / result['old'][0]:.3f} "
           f"({rounds} alternated rounds)")
     if result["old"][1] == result["new"][1]:
         return 0
-    print(f"{name}: the two sides' verdicts differ")
+    print(f"{name}: the two sides' {what} differ")
     return 1
-
 
 
 def main(argv=None) -> int:
@@ -209,8 +244,8 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="the workloads' tiny sizes")
     parser.add_argument("--memory", action="store_true",
                         help="also the bytes held by one round of each side's paths")
-    parser.add_argument("--phase", choices=("path", "certify"), default="path",
-                        help="time solve_path (default) or the certify pass")
+    parser.add_argument("--phase", choices=("path", *PHASES), default="path",
+                        help="time solve_path (default), the certify pass or the export")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -228,9 +263,9 @@ def main(argv=None) -> int:
     status = 0
     for name in names:
         workload = WORKLOADS[name](1, args.quick)
-        if args.phase == "certify":
-            status |= report_certify(name, compare_certify(packages, workload, args.rounds),
-                                     args.rounds)
+        if args.phase in PHASES:
+            result = PHASES[args.phase][0](packages, workload, args.rounds)
+            status |= report_phase(name, args.phase, result, args.rounds)
             continue
         result = compare(packages, workload, args.rounds)
         calls = calls_per_breakpoint(packages, workload)

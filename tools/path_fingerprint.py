@@ -19,10 +19,14 @@ against one lists every path's kernel field), the number
 of its breakpoints that ``check_optimal_pair`` certifies, the bytes of its
 breakpoint bounds ``delta_k``, and ``digest``, a SHA-256 over every
 breakpoint's ``x`` and ``y`` bytes, its four index sets and its
-``residual_signs``.  ``compare`` asks every field to be equal, and each
+``residual_signs``, and ``export``, the SHA-256 of the path's JSON text
+(``export_to_json(path_to_export(inst, path))``), so that the writer's
+bytes are compared too; a file written before ``export`` existed lacks
+that key, so ``compare`` against one lists every path's export field.
+``compare`` asks every field to be equal, and each
 bound to agree within ``--rtol`` times the bound itself (exact by
-default); the digest is compared in the exact mode only, since a positive
-``--rtol`` admits paths that differ by rounding.  It lists each
+default); the two digests are compared in the exact mode only, since a
+positive ``--rtol`` admits paths that differ by rounding.  It lists each
 difference and exits 1 when there is one.  Its last line gives, for each
 family of paths (the label's first part: ``gauss-deep``, ``verify-0``,
 ``half-integer``, ...), how many of its paths differ and in which fields,
@@ -99,6 +103,7 @@ def path_digest(path) -> str:
 def _fingerprint(inst, path) -> dict:
     import numpy as np
     from l1linf import check_optimal_pair
+    from l1linf.pathexport import export_to_json, path_to_export
     deltas = np.array([bp.delta_k for bp in path.breakpoints], dtype="<f8")
     return {
         "status": path.terminated, "failure_reason": path.failure_reason,
@@ -110,6 +115,7 @@ def _fingerprint(inst, path) -> dict:
                          for bp in path.breakpoints),
         "delta_k": deltas.tobytes().hex(),
         "digest": path_digest(path),
+        "export": hashlib.sha256(export_to_json(path_to_export(inst, path)).encode()).hexdigest(),
     }
 
 
@@ -136,7 +142,7 @@ def compare(a_file: Path, b_file: Path, rtol: float) -> int:
     for key in sorted(set(a) & set(b)):
         fa, fb = a[key], b[key]
         for field in sorted(set(fa) | set(fb)):
-            if field == "delta_k" or (field == "digest" and rtol > 0.0):
+            if field == "delta_k" or (field in ("digest", "export") and rtol > 0.0):
                 continue
             if fa.get(field) != fb.get(field):
                 diffs.append((key, field,
@@ -192,7 +198,7 @@ def main(argv=None) -> int:
     p.add_argument("b", type=Path)
     p.add_argument("--rtol", type=float, default=0.0,
                    help="tolerance on each delta_k, relative to itself (default: exact); "
-                        "a positive value skips the x/y/set digests")
+                        "a positive value skips the x/y/set and export digests")
     args = parser.parse_args(argv)
     if args.mode == "compare":
         if not 0.0 <= args.rtol < float("inf"):
